@@ -15,22 +15,21 @@ Structure that drives everything here: for every (zeta, xi, rho),
     residual_C = residual_B - residual_A + gap,
 
 where gap = ln(mean_x) - mu_x - sigma2_x/2 is the sample's consistency gap.
-Consequently solving eqs A and B exactly for (zeta, xi) at any rho (the
-closed form below) leaves residual_C equal to the gap, a constant in rho.
-An exact root of all three equations exists only when the gap is zero, and
-then every rho in the search region is a root. Either way the equations
-cannot identify rho: the Jacobian is rank 2 everywhere (row C = row B -
-row A exactly), and the eliminated profile is flat.
+So the Jacobian d(residuals)/d(zeta, xi, rho) has rank 2 everywhere (row C
+is row B - row A exactly), and the equations cannot identify rho. Solving
+eqs A and B for (zeta, xi) at a given rho, with the log-normal closed forms
+of Hansen & Singleton (1983, JPE), leaves residual_C equal to the gap,
+whatever rho is. An exact root of all three equations exists only when the
+gap is zero, and then every rho is one.
 
-solve_system therefore reports honestly: a zero gap raises DegenerateSystem
-rather than picking an arbitrary family member; a nonzero gap means no root
-exists, the flat profile is detected, and the returned triple is the
-closed-form family member at the initial-guess rho, with residuals
-(0, 0, gap) and a conditioning diagnostic that makes the rank deficiency
-visible. rho is pinned by the caller: RHO_ANCHORS carries the published
-reference values for the two variants of the bundled dataset, and the CLI
-passes them through calibrate_variant. Overriding rho changes zeta and xi
-only through the slowly varying closed form.
+rho is therefore taken as given and never searched. solve_system raises
+DegenerateSystem for a zero gap, rather than picking an arbitrary member of
+the solution family; otherwise it returns the closed-form factors at the
+caller's rho, with residuals (0, 0, gap) up to rounding. RHO_ANCHORS carries
+the published reference values for the two variants of the bundled dataset,
+and calibrate_variant passes them on unless the caller overrides rho.
+Overriding rho changes zeta and xi only through the slowly varying closed
+form.
 """
 
 from __future__ import annotations
@@ -39,20 +38,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import DegenerateSystem, NoConvergence
 from .moments import SampleMoments, consistency_gap
 
 DEGENERACY_TOL = 1e-12
-ROOT_TOL = 1e-9
 RHO_REGION = (0.0, 60.0)
 FACTOR_REGION_MAX = 10.0
-
-# Flat-profile detection: spread of the eliminated eq-C residual across the
-# probed brackets, relative to its magnitude.
-_FLATNESS_ABS = 1e-10
-_FLATNESS_REL = 1e-6
 
 
 class Variant(Enum):
@@ -88,14 +79,11 @@ class CalibrationResult:
     factors: SufficiencyFactors
     rho: float
     residuals: tuple[float, float, float]
-    condition_diagnostic: float
     consistency_gap: float
 
     def __post_init__(self):
         if not all(math.isfinite(r) for r in self.residuals):
             raise ValueError("residuals must be finite")
-        if not self.condition_diagnostic >= 1.0:
-            raise ValueError("condition diagnostic must be >= 1")
 
 
 def _check_beta(beta: float) -> None:
@@ -105,8 +93,8 @@ def _check_beta(beta: float) -> None:
 
 def system_residuals(
     f: SufficiencyFactors, rho: float, beta: float, m: SampleMoments
-) -> np.ndarray:
-    """LHS - RHS of eqs A, B, C at (f, rho), as a 3-vector."""
+) -> tuple[float, float, float]:
+    """LHS - RHS of eqs A, B, C at (f, rho)."""
     _check_beta(beta)
     ln_zeta = math.log(f.zeta)
     ln_xi = math.log(f.xi)
@@ -124,13 +112,11 @@ def system_residuals(
     r_c = (math.log(m.mean_Re) - math.log(m.mean_Rf)) - (
         ln_xi - ln_zeta + rho * m.sigma2_x
     )
-    return np.array([r_a, r_b, r_c])
+    return (r_a, r_b, r_c)
 
 
-def solve_closed_form_given_rho(
-    rho: float, beta: float, m: SampleMoments
-) -> SufficiencyFactors:
-    """The (zeta, xi) that zero eqs A and B exactly at this rho."""
+def _closed_form(rho: float, beta: float, m: SampleMoments) -> tuple[float, float]:
+    """(zeta, xi) zeroing eqs A and B at this rho, unchecked."""
     _check_beta(beta)
     ln_xi = (
         -math.log(m.mean_Rf) - math.log(beta) + rho * m.mu_x - 0.5 * rho**2 * m.sigma2_x
@@ -142,79 +128,27 @@ def solve_closed_form_given_rho(
         - 0.5 * (1.0 - rho) ** 2 * m.sigma2_x
         - math.log(m.mean_Re)
     )
-    return SufficiencyFactors(zeta=math.exp(ln_zeta), xi=math.exp(ln_xi))
+    return math.exp(ln_zeta), math.exp(ln_xi)
 
 
-def _jacobian(f: SufficiencyFactors, rho: float, m: SampleMoments) -> np.ndarray:
-    """d(residuals)/d(zeta, xi, rho). Row C equals row B - row A exactly."""
-    mu, s2 = m.mu_x, m.sigma2_x
-    return np.array(
-        [
-            [0.0, 1.0 / f.xi, -mu + rho * s2],
-            [1.0 / f.zeta, 0.0, -mu - (1.0 - rho) * s2],
-            [1.0 / f.zeta, -1.0 / f.xi, -s2],
-        ]
-    )
+def solve_closed_form_given_rho(
+    rho: float, beta: float, m: SampleMoments
+) -> SufficiencyFactors:
+    """The (zeta, xi) that zero eqs A and B exactly at this rho."""
+    return SufficiencyFactors(*_closed_form(rho, beta, m))
 
 
-def condition_diagnostic(
-    f: SufficiencyFactors, rho: float, m: SampleMoments
-) -> float:
-    """2-norm condition number of the system Jacobian (>= 1; enormous or
-    infinite here, since the rows are exactly dependent)."""
-    cond = float(np.linalg.cond(_jacobian(f, rho, m)))
-    # Guard against a rounding fluke reporting slightly below 1.
-    return max(cond, 1.0)
+def solve_system(beta: float, m: SampleMoments, rho: float = 1.0) -> CalibrationResult:
+    """The closed-form factors at `rho` and the residuals of all three equations.
 
+    rho defaults to 1 (log utility) and is taken as given: the equations
+    cannot identify it (module docstring). Residuals A and B are zero and
+    residual C equals the consistency gap, each up to rounding.
 
-def _refine_root(profile, lo, flo, hi, fhi, max_iter=200):
-    """Bisection with a secant nudge on a bracketing interval."""
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        denom = fhi - flo
-        if denom != 0.0:
-            sec = hi - fhi * (hi - lo) / denom
-            if lo < sec < hi:
-                mid = sec
-        fmid = profile(mid)
-        if abs(fmid) <= 1e-12 or (hi - lo) < 1e-14:
-            return mid
-        if (fmid < 0) == (flo < 0):
-            lo, flo = mid, fmid
-        else:
-            hi, fhi = mid, fmid
-    raise NoConvergence("root refinement exhausted its iteration budget")
-
-
-def solve_system(
-    beta: float,
-    m: SampleMoments,
-    init: tuple[float, float, float] | None = None,
-    *,
-    _profile=None,
-) -> CalibrationResult:
-    """Solve the three-equation system as far as it determines anything.
-
-    init is an optional (zeta, xi, rho) guess; only its rho matters, since
-    (zeta, xi) are recomputed in closed form at every candidate rho. The
-    default guess is rho = 1 (log utility).
-
-    Behavior, per the structure in the module docstring:
-
-    - |gap| < 1e-12: DegenerateSystem (a one-parameter family solves the
-      system; no single triple is meaningful).
-    - The eliminated eq-C profile has a root in [0, 60] (possible only when
-      |gap| <= the root tolerance): that root is returned and the residual
-      vector satisfies the 1e-9 bound.
-    - The profile is flat and rootless (the generic case, since it equals
-      the gap identically): the family member at the initial rho is
-      returned, residuals (0, 0, gap). Callers that need a specific rho
-      must supply it; see RHO_ANCHORS and calibrate_variant.
-    - The profile varies but never changes sign in the region (impossible
-      for the equations above, reachable through the testing hook):
-      NoConvergence.
-
-    `_profile` is a testing hook replacing the eliminated-residual function.
+    Raises ValueError for beta outside (0, 1] or rho outside RHO_REGION;
+    DegenerateSystem when |gap| < DEGENERACY_TOL, because a one-parameter
+    family then solves the system and no single triple is meaningful; and
+    NoConvergence when a factor falls outside (0, FACTOR_REGION_MAX].
     """
     _check_beta(beta)
     gap = consistency_gap(m)
@@ -224,60 +158,23 @@ def solve_system(
             "eq B - eq A, every rho solves the system, no unique triple exists"
         )
 
-    lo_bound, hi_bound = RHO_REGION
-    rho0 = 1.0 if init is None else float(init[2])
-    if not lo_bound <= rho0 <= hi_bound:
-        raise ValueError(f"initial rho {rho0} outside search region {RHO_REGION}")
+    lo, hi = RHO_REGION
+    rho = float(rho)
+    if not lo <= rho <= hi:
+        raise ValueError(f"rho {rho} outside the supported range [{lo:g}, {hi:g}]")
 
-    if _profile is None:
-        def _profile(rho):
-            f = solve_closed_form_given_rho(rho, beta, m)
-            return float(system_residuals(f, rho, beta, m)[2])
-
-    f0 = _profile(rho0)
-    rho_star = rho0
-    if abs(f0) > ROOT_TOL:
-        probes = [(rho0, f0)]
-        bracket = None
-        step = 0.125
-        while step <= 2.0 * (hi_bound - lo_bound):
-            for cand in (rho0 - step, rho0 + step):
-                cand = min(max(cand, lo_bound), hi_bound)
-                fc = _profile(cand)
-                probes.append((cand, fc))
-                if (fc < 0) != (f0 < 0) or fc == 0.0:
-                    bracket = ((rho0, f0), (cand, fc)) if cand > rho0 else ((cand, fc), (rho0, f0))
-                    break
-            if bracket:
-                break
-            step *= 2.0
-        if bracket:
-            (blo, bflo), (bhi, bfhi) = bracket
-            rho_star = _refine_root(_profile, blo, bflo, bhi, bfhi)
-        else:
-            values = [fv for _, fv in probes]
-            spread = max(values) - min(values)
-            if spread <= _FLATNESS_ABS + _FLATNESS_REL * abs(f0):
-                # Flat profile: eq C's residual is rho-invariant, so rho stays
-                # at the caller's anchor and the gap is reported as-is.
-                rho_star = rho0
-            else:
-                raise NoConvergence(
-                    "eq-C profile changes but never crosses zero in the search region"
-                )
-
-    factors = solve_closed_form_given_rho(rho_star, beta, m)
-    if not (factors.zeta <= FACTOR_REGION_MAX and factors.xi <= FACTOR_REGION_MAX):
+    zeta, xi = _closed_form(rho, beta, m)
+    # Written so that NaN factors fail too.
+    if not (0.0 < zeta <= FACTOR_REGION_MAX and 0.0 < xi <= FACTOR_REGION_MAX):
         raise NoConvergence(
-            f"closed-form factors ({factors.zeta:.6g}, {factors.xi:.6g}) "
+            f"closed-form factors ({zeta:.6g}, {xi:.6g}) "
             f"leave the search region (0, {FACTOR_REGION_MAX}]"
         )
-    res = system_residuals(factors, rho_star, beta, m)
+    factors = SufficiencyFactors(zeta, xi)
     return CalibrationResult(
         factors=factors,
-        rho=rho_star,
-        residuals=(float(res[0]), float(res[1]), float(res[2])),
-        condition_diagnostic=condition_diagnostic(factors, rho_star, m),
+        rho=rho,
+        residuals=system_residuals(factors, rho, beta, m),
         consistency_gap=gap,
     )
 
@@ -288,11 +185,10 @@ def calibrate_variant(
     variant: Variant = Variant.REALIZED,
     rho: float | None = None,
 ) -> CalibrationResult:
-    """solve_system with the variant's reference rho anchor as the guess.
+    """solve_system at the variant's reference rho anchor.
 
     This is the calibration entry point the CLI uses: moments come from the
     requested dataset variant, rho from RHO_ANCHORS unless overridden, and
     zeta/xi from the closed form at that rho.
     """
-    rho0 = RHO_ANCHORS[variant] if rho is None else rho
-    return solve_system(beta, m, init=(1.0, 1.0, rho0))
+    return solve_system(beta, m, RHO_ANCHORS[variant] if rho is None else rho)

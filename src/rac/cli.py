@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -88,6 +89,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise InputError(f"variant must be realized, projected, or both, got {variant!r}")
     if fmt_name not in ("text", "csv", "json"):
         raise InputError(f"format must be text, csv, or json, got {fmt_name!r}")
+    eta = None if eta is None else float(eta)
+    rho = None if rho is None else float(rho)
+    for name, value in (("beta", beta), ("tol", tol), ("eta", eta), ("rho", rho)):
+        if value is not None and not math.isfinite(value):
+            raise InputError(f"{name} must be finite, got {value}")
     return RunConfig(
         dataset_path=dataset_path,
         projection_path=projection_path,
@@ -95,8 +101,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         group=DefinitionGroup.ONE if group_name == "one" else DefinitionGroup.TWO,
         tolerance=tol,
         variant=variant,
-        eta=None if eta is None else float(eta),
-        rho=None if rho is None else float(rho),
+        eta=eta,
+        rho=rho,
         fmt=ReportFormat(fmt_name),
     )
 
@@ -165,18 +171,19 @@ def cmd_ingest(cfg: RunConfig, out) -> int:
     return 0
 
 
-def _calibrations(cfg: RunConfig, d: ds.MarketDataset) -> dict[str, tuple[Variant, CalibrationResult]]:
-    results: dict[str, tuple[Variant, CalibrationResult]] = {}
+def _calibrations(cfg: RunConfig) -> dict[str, tuple[ds.MarketDataset, CalibrationResult]]:
+    """Per variant name, the variant's dataset and its calibration."""
+    d = _open_dataset(cfg)
+    results: dict[str, tuple[ds.MarketDataset, CalibrationResult]] = {}
     for variant in _variants(cfg):
         dv = _variant_dataset(d, variant, cfg)
         calib = calibrate_variant(compute_moments(dv), cfg.beta, variant, rho=cfg.rho)
-        results[variant.value] = (variant, calib)
+        results[variant.value] = (dv, calib)
     return results
 
 
 def cmd_calibrate(cfg: RunConfig, out) -> int:
-    d = _open_dataset(cfg)
-    results = _calibrations(cfg, d)
+    results = _calibrations(cfg)
     if cfg.fmt is ReportFormat.JSON:
         doc = {"calibration": {name: calibration_block(c) for name, (_, c) in results.items()}}
         out.write(json.dumps(doc, indent=2) + "\n")
@@ -201,9 +208,8 @@ def cmd_calibrate(cfg: RunConfig, out) -> int:
 
 def _classify_rows(
     cfg: RunConfig,
-    d: ds.MarketDataset,
     eta_of: dict[str, float | None],
-    results: dict[str, tuple[Variant, CalibrationResult]],
+    results: dict[str, tuple[ds.MarketDataset, CalibrationResult]],
 ) -> list[tuple[str, list[ReportRow]]]:
     """One (investor, rows) table per entry of eta_of (None = per-variant)."""
     alloc_text = {
@@ -214,8 +220,7 @@ def _classify_rows(
     tables: list[tuple[str, list[ReportRow]]] = []
     for investor, eta_fixed in eta_of.items():
         rows: list[ReportRow] = []
-        for name, (variant, calib) in results.items():
-            dv = _variant_dataset(d, variant, cfg)
+        for name, (dv, calib) in results.items():
             if eta_fixed is not None:
                 eta = eta_fixed
             elif investor == "equity":
@@ -243,13 +248,12 @@ def _classify_rows(
 
 
 def cmd_classify(cfg: RunConfig, out) -> int:
-    d = _open_dataset(cfg)
     if cfg.eta is not None:
         eta_of: dict[str, float | None] = {"custom": cfg.eta}
     else:
         eta_of = {"equity": None, "risk-free": None}
-    results = _calibrations(cfg, d)
-    tables = _classify_rows(cfg, d, eta_of, results)
+    results = _calibrations(cfg)
+    tables = _classify_rows(cfg, eta_of, results)
     if cfg.fmt is ReportFormat.JSON:
         out.write(export_run({name: c for name, (_, c) in results.items()}, tables))
         return 0

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -44,7 +45,7 @@ BUNDLED_PROJECTION = "projection_1978.csv"
 
 @dataclass(frozen=True)
 class AnnualSeries:
-    """A contiguous annual series of positive values."""
+    """A contiguous annual series of positive finite values."""
 
     start_year: int
     values: tuple[float, ...]
@@ -52,8 +53,8 @@ class AnnualSeries:
     def __post_init__(self):
         if len(self.values) < 2:
             raise SchemaError("annual series needs at least two years")
-        if any(v <= 0 for v in self.values):
-            raise NonPositiveValue("annual series values must be positive")
+        if not all(0.0 < v < math.inf for v in self.values):
+            raise NonPositiveValue("annual series values must be positive and finite")
 
     @property
     def years(self) -> range:
@@ -106,8 +107,8 @@ class ProjectionInputs:
 
     def __post_init__(self):
         for name in ("nominal_nondurables_bn", "nominal_services_bn", "gnp_deflator", "population"):
-            if getattr(self, name) <= 0:
-                raise NonPositiveValue(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise NonPositiveValue(f"{name} must be positive and finite")
 
 
 def _rows_from(source) -> list[dict]:
@@ -131,7 +132,8 @@ def load_dataset(source) -> MarketDataset:
 
     Raises SchemaError for a bad header, wrong cell count, or non-numeric
     cells; MissingYear when the year column is not contiguous; and
-    NonPositiveValue for non-positive consumption or returns.
+    NonPositiveValue for consumption or returns that are not positive and
+    finite (float() accepts nan and inf).
     """
     rows = _rows_from(source)
     header = [h.strip() for h in rows[0]]
@@ -156,8 +158,10 @@ def load_dataset(source) -> MarketDataset:
             raise MissingYear(
                 f"line {lineno}: year {year} does not follow {years[-1]} (series must be contiguous)"
             )
-        if any(v <= 0 for v in values):
-            raise NonPositiveValue(f"line {lineno}: non-positive value in year {year}")
+        if not all(0.0 < v < math.inf for v in values):
+            raise NonPositiveValue(
+                f"line {lineno}: non-positive or non-finite value in year {year}"
+            )
         years.append(year)
         cons.append(values[0])
         equity.append(values[1])
@@ -172,7 +176,12 @@ def load_dataset(source) -> MarketDataset:
 
 
 def load_projection(source) -> ProjectionInputs:
-    """Parse a single-row projection-inputs CSV."""
+    """Parse a single-row projection-inputs CSV.
+
+    Raises SchemaError for a bad header, row count, cell count, or
+    non-numeric cells, and NonPositiveValue for cells that are not positive
+    and finite.
+    """
     rows = _rows_from(source)
     header = [h.strip() for h in rows[0]]
     if header != _PROJECTION_HEADER:

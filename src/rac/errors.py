@@ -29,7 +29,8 @@ class MissingYear(InputError):
 
 
 class NonPositiveValue(InputError):
-    """A consumption or gross-return cell is zero or negative."""
+    """A consumption, gross-return or projection cell is zero, negative, or
+    not finite."""
 
 
 # -- moments ----------------------------------------------------------------
@@ -55,7 +56,8 @@ class UndefinedAtLogLimit(ComputeError):
 # -- calibration ------------------------------------------------------------
 
 class NoConvergence(ComputeError):
-    """The solver exhausted its iteration budget without an acceptable point."""
+    """The closed-form sufficiency factors fall outside (0, FACTOR_REGION_MAX]
+    (above it, or underflowed to zero) at the requested rho."""
 
 
 class DegenerateSystem(ComputeError):

@@ -1,9 +1,11 @@
-"""Calibration system: closed form, structural degeneracy, solver paths."""
+"""Calibration system: closed form, structural degeneracy, factor region."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from _frozen_reference import FROZEN
 from rac import (
@@ -18,7 +20,7 @@ from rac import (
     solve_system,
     system_residuals,
 )
-from rac.calibration import condition_diagnostic
+from rac.calibration import FACTOR_REGION_MAX, RHO_REGION
 from rac.errors import DegenerateSystem, NoConvergence
 
 
@@ -88,17 +90,32 @@ def test_residuals_beta_validation():
 
 # -- closed form --------------------------------------------------------------
 
-def test_closed_form_exact_fit_identity():
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        m = random_moments(rng)
-        rho = float(rng.uniform(0.0, 5.0))
-        beta = float(rng.uniform(0.5, 1.0))
-        f = solve_closed_form_given_rho(rho, beta, m)
-        r = system_residuals(f, rho, beta, m)
-        assert abs(r[0]) <= 1e-10
-        assert abs(r[1]) <= 1e-10
-        assert abs(r[2] - consistency_gap(m)) <= 1e-10
+@given(
+    mu=st.floats(min_value=-0.05, max_value=0.05),
+    s2=st.floats(min_value=0.0, max_value=0.01),
+    gap=st.floats(min_value=1e-9, max_value=1e-3),
+    gap_sign=st.sampled_from([-1.0, 1.0]),
+    mean_re=st.floats(min_value=0.9, max_value=1.3),
+    mean_rf=st.floats(min_value=0.9, max_value=1.2),
+    rho=st.floats(min_value=RHO_REGION[0], max_value=RHO_REGION[1]),
+    beta=st.floats(min_value=0.5, max_value=1.0),
+)
+def test_closed_form_exact_fit_identity(mu, s2, gap, gap_sign, mean_re, mean_rf, rho, beta):
+    # For any moments and any rho in range, solve_system returns the closed
+    # form with residuals A, B at zero and C at the gap: the system has rank 2
+    # and rho is not identified.
+    m = SampleMoments(mu, s2, math.exp(mu + s2 / 2.0 + gap_sign * gap), mean_re, mean_rf, 7.0, 0.1)
+    f = solve_closed_form_given_rho(rho, beta, m)
+    if not (f.zeta <= FACTOR_REGION_MAX and f.xi <= FACTOR_REGION_MAX):
+        with pytest.raises(NoConvergence):
+            solve_system(beta, m, rho)
+        return
+    result = solve_system(beta, m, rho)
+    assert result.rho == rho
+    assert result.factors == f
+    assert abs(result.residuals[0]) <= 1e-10
+    assert abs(result.residuals[1]) <= 1e-10
+    assert abs(result.residuals[2] - consistency_gap(m)) <= 1e-10
 
 
 def test_closed_form_trivial_xi():
@@ -134,7 +151,7 @@ def test_xi_monotone_in_rho_direction():
 
 def test_solve_bundled_realized(variant_moments):
     m = variant_moments["realized"]
-    result = solve_system(0.99, m, init=(1.0, 1.0, 1.033526))
+    result = solve_system(0.99, m, rho=1.033526)
     blk = FROZEN["realized"]
     assert result.rho == 1.033526
     assert math.isclose(result.factors.zeta, blk["zeta"], rel_tol=1e-12)
@@ -144,12 +161,11 @@ def test_solve_bundled_realized(variant_moments):
     # r_C carries the absolute rounding floor of O(1e-2) log differences,
     # so compare against the analytic gap in absolute terms
     assert abs(result.residuals[2] - result.consistency_gap) <= 1e-12
-    assert result.condition_diagnostic >= 1e6
 
 
 def test_solve_resubstitution_idempotent(variant_moments):
     m = variant_moments["projected"]
-    result = solve_system(0.99, m, init=(1.0, 1.0, 1.0089))
+    result = solve_system(0.99, m, rho=1.0089)
     again = system_residuals(result.factors, result.rho, 0.99, m)
     assert np.allclose(again, result.residuals, rtol=0, atol=1e-14)
 
@@ -162,10 +178,10 @@ def test_solve_default_init_is_log_utility(variant_moments):
 def test_solve_init_outside_region():
     rng = np.random.default_rng(17)
     m = random_moments(rng)
-    with pytest.raises(ValueError):
-        solve_system(0.99, m, init=(1.0, 1.0, 61.0))
-    with pytest.raises(ValueError):
-        solve_system(0.99, m, init=(1.0, 1.0, -0.5))
+    with pytest.raises(ValueError, match="outside the supported range"):
+        solve_system(0.99, m, rho=61.0)
+    with pytest.raises(ValueError, match="outside the supported range"):
+        solve_system(0.99, m, rho=-0.5)
 
 
 def test_degenerate_system_raised():
@@ -177,40 +193,27 @@ def test_degenerate_system_raised():
 
 
 def test_tiny_gap_accepted_as_root():
-    # Gap above the degeneracy gate but inside the root tolerance: the
-    # initial rho already satisfies the advertised residual bound.
+    # Gap above the degeneracy gate but below 1e-9: every residual at the
+    # given rho is within 1e-9.
     mu, s2 = 0.02, 0.001
     mean_x = math.exp(mu + s2 / 2.0) * (1.0 + 1e-10)
     m = SampleMoments(mu, s2, mean_x, 1.07, 1.01, 7.0, 0.1)
     gap = consistency_gap(m)
     assert 1e-12 < abs(gap) <= 1e-9
-    result = solve_system(0.99, m, init=(1.0, 1.0, 2.0))
+    result = solve_system(0.99, m, rho=2.0)
     assert result.rho == 2.0
     assert max(abs(r) for r in result.residuals) <= 1e-9
 
 
-def test_no_convergence_on_nonflat_rootless_profile(variant_moments):
-    with pytest.raises(NoConvergence):
-        solve_system(
-            0.99,
-            variant_moments["realized"],
-            _profile=lambda rho: 1.0 + rho,
-        )
-
-
-def test_root_found_when_profile_crosses_zero(variant_moments):
-    result = solve_system(
-        0.99,
-        variant_moments["realized"],
-        _profile=lambda rho: rho - 2.5,
-    )
-    assert abs(result.rho - 2.5) < 1e-9
-
-
 def test_no_convergence_when_factors_leave_region():
+    # xi far above FACTOR_REGION_MAX
     m = SampleMoments(0.02, 0.001, 1.0205, 1.07, 1e-3, 7.0, 0.1)
     with pytest.raises(NoConvergence):
         solve_system(0.99, m)
+    # both factors underflow to zero at a large rho and a large variance
+    m = SampleMoments(0.02, 1.0, math.exp(0.52 + 1e-6), 1.07, 1.01, 7.0, 0.1)
+    with pytest.raises(NoConvergence):
+        solve_system(0.99, m, rho=60.0)
 
 
 # -- calibrate_variant --------------------------------------------------------
@@ -235,15 +238,7 @@ def test_variant_rho_override(variant_moments):
     assert result.factors == f
 
 
-# -- diagnostics and validation -----------------------------------------------
-
-def test_condition_diagnostic_floor():
-    rng = np.random.default_rng(19)
-    for _ in range(50):
-        m = random_moments(rng)
-        f = SufficiencyFactors(float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)))
-        assert condition_diagnostic(f, float(rng.uniform(0.0, 5.0)), m) >= 1.0
-
+# -- validation ---------------------------------------------------------------
 
 def test_sufficiency_factors_validation():
     with pytest.raises(ValueError):
@@ -255,9 +250,7 @@ def test_sufficiency_factors_validation():
 def test_calibration_result_validation():
     f = SufficiencyFactors(1.0, 1.0)
     with pytest.raises(ValueError):
-        CalibrationResult(f, 1.0, (0.0, math.inf, 0.0), 10.0, 0.0)
-    with pytest.raises(ValueError):
-        CalibrationResult(f, 1.0, (0.0, 0.0, 0.0), 0.5, 0.0)
+        CalibrationResult(f, 1.0, (0.0, math.inf, 0.0), 0.0)
 
 
 def test_solve_beta_validation(variant_moments):

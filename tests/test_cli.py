@@ -8,6 +8,7 @@ from rac import load_bundled_dataset, parse_csv, serialize_dataset
 from rac.cli import ENV_DATASET, main
 
 HEADER = "year,consumption_per_capita,equity_gross_return,riskfree_gross_return"
+PROJECTION_HEADER = "nondurables_bn,services_bn,gnp_deflator,population"
 
 
 def run(capsys, *argv):
@@ -91,6 +92,26 @@ def test_ingest_gapped_file(capsys, gapped_file):
     assert "MissingYear" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", HEADER.split(",") + PROJECTION_HEADER.split(","))
+def test_non_finite_cell_is_input_error(capsys, tmp_path, column, value):
+    # float() parses nan and inf; they must fail as input, not reach the
+    # moments (where NaN would print as invalid JSON or fail as exit 2)
+    if column in HEADER.split(","):
+        header, rows = HEADER, ["1900,100.0,1.05,1.01", "1901,101.0,1.05,1.01"]
+        argv = ["ingest", "--format", "json", "--dataset"]
+    else:
+        header, rows = PROJECTION_HEADER, ["515.4,613.7,150,219441872"]
+        argv = ["calibrate", "--projection"]
+    cells = rows[0].split(",")
+    cells[header.split(",").index(column)] = value
+    path = tmp_path / "input.csv"
+    path.write_text("\n".join([header, ",".join(cells), *rows[1:]]) + "\n")
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (1, "")
+    assert "NonPositiveValue" in err or "SchemaError" in err
+
+
 # -- calibrate ----------------------------------------------------------------
 
 def test_calibrate_text(capsys):
@@ -139,10 +160,41 @@ def test_calibrate_degenerate_dataset(capsys, degenerate_file):
     assert "DegenerateSystem" in err
 
 
+def test_calibrate_factor_underflow(capsys, tmp_path):
+    # a finite but huge consumption cell drives xi to 0.0 in floating point
+    rows = [f"{1900 + i},{1e308 if i == 3 else 100.0 + i},1.05,1.01" for i in range(6)]
+    path = tmp_path / "huge.csv"
+    path.write_text(HEADER + "\n" + "\n".join(rows) + "\n")
+    code, _, err = run(capsys, "calibrate", "--dataset", str(path))
+    assert code == 2
+    assert "NoConvergence" in err
+
+
 def test_calibrate_bad_beta(capsys):
     code, _, err = run(capsys, "calibrate", "--beta", "0")
     assert code == 1
     assert "beta" in err
+
+
+def test_calibrate_rho_out_of_range(capsys):
+    code, _, err = run(capsys, "calibrate", "--rho", "61")
+    assert code == 1
+    assert err == "error: rho 61.0 outside the supported range [0, 60]\n"
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["beta", "tol", "eta", "rho"])
+def test_non_finite_number_is_input_error(capsys, tmp_path, name, value, source):
+    if source == "flag":
+        argv = [f"--{name}={value}"]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({name: float(value)}))
+        argv = ["--config", str(config)]
+    code, out, err = run(capsys, "classify", *argv)
+    assert (code, out) == (1, "")
+    assert f"InputError: {name} must be finite" in err
 
 
 # -- classify -----------------------------------------------------------------

@@ -68,7 +68,6 @@ def sample_calibration():
         factors=SufficiencyFactors(0.9617455534534737, 1.0193662030205315),
         rho=1.033526,
         residuals=(0.0, 0.0, -4.966137714373237e-06),
-        condition_diagnostic=1e12,
         consistency_gap=-4.966137714373237e-06,
     )
 

@@ -338,8 +338,8 @@ def verify_and_freeze(dataset_path: Path, projection_path: Path) -> dict:
             if not cmp.certain > cmp.uncertain + 0.1:
                 raise SystemExit(f"{name}: inequality margin too thin")
 
-        if calib.condition_diagnostic < 1e6:
-            raise SystemExit("condition diagnostic unexpectedly small")
+        if abs(calib.residuals[2] - gap) > 1e-12:
+            raise SystemExit(f"{name}: residual C {calib.residuals[2]!r} differs from the gap")
 
         frozen[name] = {
             "moments": {
