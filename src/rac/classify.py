@@ -25,7 +25,7 @@ from enum import Enum
 
 from .dataset import MarketDataset
 from .errors import InvalidCombination, Unclassifiable
-from .moments import compute_moments
+from .moments import SampleMoments, compute_moments
 from .utility import (
     UtilityComparison,
     UtilitySpec,
@@ -88,8 +88,14 @@ def allocation_sign(eta: float, rho: float) -> AllocationSign:
     return _sign_from_eta(eta)
 
 
-def _attitude(label, group, equation, alloc):
-    return RiskAttitude(label=label, group=group, defining_equation=equation, allocation=alloc)
+# (negative allocation, certain > uncertain) -> (label, group-one equation,
+# group-two equation). The groups differ only in the curvature they require.
+_DEFINITIONS = {
+    (True, True): (Label.RISK_AVERSE, 1, 6),
+    (False, False): (Label.RISK_LOVING, 2, 8),
+    (False, True): (Label.NOT_ENOUGH_RISK_LOVING, 3, 7),
+    (True, False): (Label.NOT_ENOUGH_RISK_AVERSE, 5, 9),
+}
 
 
 def classify(
@@ -102,8 +108,8 @@ def classify(
 
     delta = certain - uncertain. |delta| <= tol is risk-neutral regardless of
     allocation sign (definition 4 or 10). Otherwise a zero allocation
-    (eta = 1) matches no definition; the sign rules are per the module
-    docstring.
+    (eta = 1) matches no definition; the two signs pick a row of _DEFINITIONS
+    and the curvature rules of the module docstring accept or reject it.
     """
     if tol < 0:
         raise ValueError("tol must be >= 0")
@@ -112,7 +118,7 @@ def classify(
     one = group is DefinitionGroup.ONE
 
     if abs(delta) <= tol:
-        return _attitude(Label.RISK_NEUTRAL, group, 4 if one else 10, alloc)
+        return RiskAttitude(Label.RISK_NEUTRAL, group, 4 if one else 10, alloc)
 
     if alloc is AllocationSign.ZERO:
         raise Unclassifiable(
@@ -120,55 +126,37 @@ def classify(
             "nonzero utility gap without an allocation"
         )
 
-    negative = alloc is AllocationSign.NEGATIVE
     gap_up = delta > 0
+    label, eq_one, eq_two = _DEFINITIONS[alloc is AllocationSign.NEGATIVE, gap_up]
+    nera = label is Label.NOT_ENOUGH_RISK_AVERSE
 
     if curvature is Curvature.HORIZONTAL:
-        if negative and gap_up:
-            return _attitude(Label.RISK_AVERSE, group, 1 if one else 6, alloc)
-        if not negative and not gap_up:
-            return _attitude(Label.RISK_LOVING, group, 2 if one else 8, alloc)
-        if not negative and gap_up:
-            return _attitude(Label.NOT_ENOUGH_RISK_LOVING, group, 3 if one else 7, alloc)
-        raise InvalidCombination(
-            "not-enough-risk-averse is rejected under a horizontal curve"
-        )
-
-    if one:
-        if negative and gap_up:
-            return _attitude(Label.RISK_AVERSE, group, 1, alloc)
-        if not negative and not gap_up:
-            return _attitude(Label.RISK_LOVING, group, 2, alloc)
-        if not negative and gap_up:
-            return _attitude(Label.NOT_ENOUGH_RISK_LOVING, group, 3, alloc)
-        # negative allocation, delta < 0
-        if curvature is Curvature.STRICTLY_CONVEX_INCREASING:
-            return _attitude(Label.NOT_ENOUGH_RISK_AVERSE, group, 5, alloc)
+        if nera:
+            raise InvalidCombination(
+                "not-enough-risk-averse is rejected under a horizontal curve"
+            )
+    elif one:
+        if nera and curvature is not Curvature.STRICTLY_CONVEX_INCREASING:
+            raise Unclassifiable(
+                "group one: negative allocation with certain < uncertain is "
+                "defined only for a strictly convex increasing curve"
+            )
+    elif curvature is Curvature.STRICTLY_CONCAVE:
+        if not gap_up:
+            raise Unclassifiable(
+                "group two: certain < uncertain matches no concave-curve definition"
+            )
+    elif curvature is Curvature.STRICTLY_CONVEX_INCREASING:
+        if gap_up:
+            raise Unclassifiable(
+                "group two: certain > uncertain matches no convex-curve definition"
+            )
+    else:
         raise Unclassifiable(
-            "group one: negative allocation with certain < uncertain is "
-            "defined only for a strictly convex increasing curve"
+            f"group two has no definition for a {curvature.value} curve with a "
+            "nonzero utility gap"
         )
-
-    if curvature is Curvature.STRICTLY_CONCAVE:
-        if negative and gap_up:
-            return _attitude(Label.RISK_AVERSE, group, 6, alloc)
-        if not negative and gap_up:
-            return _attitude(Label.NOT_ENOUGH_RISK_LOVING, group, 7, alloc)
-        raise Unclassifiable(
-            "group two: certain < uncertain matches no concave-curve definition"
-        )
-    if curvature is Curvature.STRICTLY_CONVEX_INCREASING:
-        if not negative and not gap_up:
-            return _attitude(Label.RISK_LOVING, group, 8, alloc)
-        if negative and not gap_up:
-            return _attitude(Label.NOT_ENOUGH_RISK_AVERSE, group, 9, alloc)
-        raise Unclassifiable(
-            "group two: certain > uncertain matches no convex-curve definition"
-        )
-    raise Unclassifiable(
-        f"group two has no definition for a {curvature.value} curve with a "
-        "nonzero utility gap"
-    )
+    return RiskAttitude(label, group, eq_one if one else eq_two, alloc)
 
 
 def curvature_from_rho(rho: float) -> Curvature:
@@ -186,15 +174,19 @@ def classify_pipeline(
     beta: float,
     group: DefinitionGroup = DefinitionGroup.TWO,
     tol: float = DEFAULT_TOLERANCE,
+    *,
+    moments: SampleMoments | None = None,
 ) -> tuple[UtilityComparison, RiskAttitude]:
     """Dataset -> moments -> utilities -> attitude, in one call.
 
     The certain side is the shifted utility of the next-to-last year's
     consumption; the uncertain side is beta * eta * E[u] with the
     expectation taken over the full-span log-level moments of `d`.
+    `moments` are compute_moments(d) when the caller already has them;
+    when None they are computed here.
     """
     spec = UtilitySpec(rho=rho, shifted=True)
-    m = compute_moments(d)
+    m = compute_moments(d) if moments is None else moments
     certain = crra_utility(d.consumption.values[-2], spec)
     expected = expected_utility_unconditional(m, spec)
     cmp = make_comparison(certain, expected, beta, eta)

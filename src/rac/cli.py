@@ -13,13 +13,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import dataset as ds
 from .calibration import CalibrationResult, Variant, calibrate_variant
 from .classify import DefinitionGroup, classify_pipeline, DEFAULT_TOLERANCE
 from .errors import ComputeError, InputError
-from .moments import compute_moments
+from .moments import SampleMoments, compute_moments
 from .report import (
     ReportFormat,
     ReportRow,
@@ -125,21 +125,6 @@ def _open_projection(cfg: RunConfig) -> ds.ProjectionInputs:
         raise InputError(f"projection file not found: {cfg.projection_path}") from None
 
 
-def _variants(cfg: RunConfig) -> list[Variant]:
-    if cfg.variant == "realized":
-        return [Variant.REALIZED]
-    if cfg.variant == "projected":
-        return [Variant.PROJECTED]
-    return [Variant.REALIZED, Variant.PROJECTED]
-
-
-def _variant_dataset(d: ds.MarketDataset, variant: Variant, cfg: RunConfig) -> ds.MarketDataset:
-    if variant is Variant.REALIZED:
-        return d
-    projected = ds.project(_open_projection(cfg))
-    return ds.with_final_consumption(d, projected)
-
-
 # -- commands ----------------------------------------------------------------
 
 def cmd_ingest(cfg: RunConfig, out) -> int:
@@ -150,15 +135,7 @@ def cmd_ingest(cfg: RunConfig, out) -> int:
             "years": len(d),
             "start_year": d.start_year,
             "end_year": d.end_year,
-            "moments": {
-                "mu_x": m.mu_x,
-                "sigma2_x": m.sigma2_x,
-                "mean_x": m.mean_x,
-                "mean_Re": m.mean_Re,
-                "mean_Rf": m.mean_Rf,
-                "mu_z": m.mu_z,
-                "sigma2_z": m.sigma2_z,
-            },
+            "moments": asdict(m),
         }
         out.write(json.dumps(doc, indent=2) + "\n")
         return 0
@@ -171,32 +148,36 @@ def cmd_ingest(cfg: RunConfig, out) -> int:
     return 0
 
 
-def _calibrations(cfg: RunConfig) -> dict[str, tuple[ds.MarketDataset, CalibrationResult]]:
-    """Per variant name, the variant's dataset and its calibration."""
+_Calibrations = dict[str, tuple[ds.MarketDataset, SampleMoments, CalibrationResult]]
+
+
+def _calibrations(cfg: RunConfig) -> _Calibrations:
+    """Per variant name, the variant's dataset, its moments and its calibration."""
     d = _open_dataset(cfg)
-    results: dict[str, tuple[ds.MarketDataset, CalibrationResult]] = {}
-    for variant in _variants(cfg):
-        dv = _variant_dataset(d, variant, cfg)
-        calib = calibrate_variant(compute_moments(dv), cfg.beta, variant, rho=cfg.rho)
-        results[variant.value] = (dv, calib)
+    results: _Calibrations = {}
+    for name in ("realized", "projected") if cfg.variant == "both" else (cfg.variant,):
+        if name == "realized":
+            dv = d
+        else:
+            dv = ds.with_final_consumption(d, ds.project(_open_projection(cfg)))
+        m = compute_moments(dv)
+        results[name] = (dv, m, calibrate_variant(m, cfg.beta, Variant(name), rho=cfg.rho))
     return results
 
 
 def cmd_calibrate(cfg: RunConfig, out) -> int:
     results = _calibrations(cfg)
     if cfg.fmt is ReportFormat.JSON:
-        doc = {"calibration": {name: calibration_block(c) for name, (_, c) in results.items()}}
+        doc = {"calibration": {name: calibration_block(c) for name, (_, _, c) in results.items()}}
         out.write(json.dumps(doc, indent=2) + "\n")
         return 0
     if cfg.fmt is ReportFormat.CSV:
         out.write("variant,zeta,xi,rho,residual_a,residual_b,residual_c,consistency_gap\n")
-        for name, (_, c) in results.items():
-            cells = [name, repr(c.factors.zeta), repr(c.factors.xi), repr(c.rho)]
-            cells += [repr(r) for r in c.residuals]
-            cells.append(repr(c.consistency_gap))
-            out.write(",".join(cells) + "\n")
+        for name, (_, _, c) in results.items():
+            values = (c.factors.zeta, c.factors.xi, c.rho, *c.residuals, c.consistency_gap)
+            out.write(",".join([name, *map(repr, values)]) + "\n")
         return 0
-    for name, (_, c) in results.items():
+    for name, (_, _, c) in results.items():
         out.write(f"{name}: zeta {c.factors.zeta:.6f}, xi {c.factors.xi:.6f}, rho {c.rho:.6f}\n")
         out.write(
             "  residuals "
@@ -209,7 +190,7 @@ def cmd_calibrate(cfg: RunConfig, out) -> int:
 def _classify_rows(
     cfg: RunConfig,
     eta_of: dict[str, float | None],
-    results: dict[str, tuple[ds.MarketDataset, CalibrationResult]],
+    results: _Calibrations,
 ) -> list[tuple[str, list[ReportRow]]]:
     """One (investor, rows) table per entry of eta_of (None = per-variant)."""
     alloc_text = {
@@ -220,7 +201,7 @@ def _classify_rows(
     tables: list[tuple[str, list[ReportRow]]] = []
     for investor, eta_fixed in eta_of.items():
         rows: list[ReportRow] = []
-        for name, (dv, calib) in results.items():
+        for name, (dv, m, calib) in results.items():
             if eta_fixed is not None:
                 eta = eta_fixed
             elif investor == "equity":
@@ -228,7 +209,7 @@ def _classify_rows(
             else:
                 eta = calib.factors.xi
             cmp, attitude = classify_pipeline(
-                dv, eta, calib.rho, cfg.beta, cfg.group, cfg.tolerance
+                dv, eta, calib.rho, cfg.beta, cfg.group, cfg.tolerance, moments=m
             )
             rows.append(
                 ReportRow(
@@ -255,7 +236,7 @@ def cmd_classify(cfg: RunConfig, out) -> int:
     results = _calibrations(cfg)
     tables = _classify_rows(cfg, eta_of, results)
     if cfg.fmt is ReportFormat.JSON:
-        out.write(export_run({name: c for name, (_, c) in results.items()}, tables))
+        out.write(export_run({name: c for name, (_, _, c) in results.items()}, tables))
         return 0
     if cfg.fmt is ReportFormat.CSV:
         all_rows = [row for _, rows in tables for row in rows]

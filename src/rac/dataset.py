@@ -112,13 +112,13 @@ class ProjectionInputs:
 
 
 def _rows_from(source) -> list[dict]:
-    """Read CSV rows from a path or a file-like object."""
+    """Read CSV rows from a path or a file-like object; a leading BOM is dropped."""
     if hasattr(source, "read"):
         raw = source.read()
         text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
     else:
         text = Path(source).read_text(encoding="utf-8")
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
     rows = [row for row in reader if row]
     if not rows:
         raise SchemaError("empty file")

@@ -4,7 +4,7 @@ Growth moments are taken over the n-1 consumption ratios x_t = c_{t+1}/c_t,
 level moments over the log levels ln(c_t) of all n years, including the final
 year (so replacing the final consumption changes mu_z and sigma2_z as well as
 the last growth ratio). Return means use every return row. Variances use the
-population divisor by default; pass ddof=1 for the sample divisor.
+population divisor (the number of observations).
 """
 
 from __future__ import annotations
@@ -44,11 +44,10 @@ class SampleMoments:
             raise ValueError("gross means must be positive")
 
 
-def compute_moments(d: MarketDataset, ddof: int = 0) -> SampleMoments:
+def compute_moments(d: MarketDataset) -> SampleMoments:
     """Sample moments of `d`.
 
-    Raises SeriesTooShort when no growth ratio can be formed (and, with
-    ddof=1, when a variance would have no degrees of freedom).
+    Raises SeriesTooShort when no growth ratio can be formed.
     """
     c = np.asarray(d.consumption.values, dtype=float)
     if c.size < 2:
@@ -56,16 +55,14 @@ def compute_moments(d: MarketDataset, ddof: int = 0) -> SampleMoments:
     x = c[1:] / c[:-1]
     lx = np.log(x)
     lz = np.log(c)
-    if ddof and (lx.size - ddof < 1 or lz.size - ddof < 1):
-        raise SeriesTooShort(f"too few observations for ddof={ddof}")
     return SampleMoments(
         mu_x=float(lx.mean()),
-        sigma2_x=float(lx.var(ddof=ddof)),
+        sigma2_x=float(lx.var()),
         mean_x=float(x.mean()),
         mean_Re=float(np.mean(d.equity_return.values)),
         mean_Rf=float(np.mean(d.riskfree_return.values)),
         mu_z=float(lz.mean()),
-        sigma2_z=float(lz.var(ddof=ddof)),
+        sigma2_z=float(lz.var()),
     )
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from .calibration import CalibrationResult
@@ -38,28 +38,24 @@ class ReportRow:
     rho: float
 
 
-_NUMERIC = (
-    "consumption_certain",
-    "consumption_uncertain",
-    "certain_utility",
-    "uncertain_utility",
-    "rho",
-)
-_COLUMNS = (
-    "year_certain",
-    "year_uncertain",
-    "consumption_certain",
-    "consumption_uncertain",
-    "certain_utility",
-    "uncertain_utility",
-    "allocation_text",
-    "label_text",
+_COLUMNS = tuple(f.name for f in fields(ReportRow))
+_NUMERIC = tuple(f.name for f in fields(ReportRow) if f.type == "float")
+_HEADERS = (
+    "certain year",
+    "uncertain year",
+    "c (certain)",
+    "c (uncertain)",
+    "u certain",
+    "u uncertain",
+    "allocation",
+    "attitude",
     "rho",
 )
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.6f}"
+def _display(r: ReportRow) -> dict:
+    """Column -> display value: numeric fields at six decimals, the rest as stored."""
+    return {c: f"{getattr(r, c):.6f}" if c in _NUMERIC else getattr(r, c) for c in _COLUMNS}
 
 
 def render_table(rows: list[ReportRow], fmt: ReportFormat = ReportFormat.TEXT) -> str:
@@ -74,33 +70,8 @@ def render_table(rows: list[ReportRow], fmt: ReportFormat = ReportFormat.TEXT) -
 
 
 def _render_text(rows: list[ReportRow]) -> str:
-    headers = [
-        "certain year",
-        "uncertain year",
-        "c (certain)",
-        "c (uncertain)",
-        "u certain",
-        "u uncertain",
-        "allocation",
-        "attitude",
-        "rho",
-    ]
-    table = [headers]
-    for r in rows:
-        table.append(
-            [
-                str(r.year_certain),
-                r.year_uncertain,
-                _fmt(r.consumption_certain),
-                _fmt(r.consumption_uncertain),
-                _fmt(r.certain_utility),
-                _fmt(r.uncertain_utility),
-                r.allocation_text,
-                r.label_text,
-                _fmt(r.rho),
-            ]
-        )
-    widths = [max(len(row[i]) for row in table) for i in range(len(headers))]
+    table = [list(_HEADERS)] + [[str(v) for v in _display(r).values()] for r in rows]
+    widths = [max(len(row[i]) for row in table) for i in range(len(_HEADERS))]
     lines = []
     for idx, row in enumerate(table):
         lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
@@ -111,54 +82,23 @@ def _render_text(rows: list[ReportRow]) -> str:
 
 def _render_csv(rows: list[ReportRow]) -> str:
     buf = io.StringIO()
-    fields = list(_COLUMNS) + [f"{c}_exact" for c in _NUMERIC]
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fields)
+    writer.writerow([*_COLUMNS, *(f"{c}_exact" for c in _NUMERIC)])
     for r in rows:
-        record = [
-            str(r.year_certain),
-            r.year_uncertain,
-            _fmt(r.consumption_certain),
-            _fmt(r.consumption_uncertain),
-            _fmt(r.certain_utility),
-            _fmt(r.uncertain_utility),
-            r.allocation_text,
-            r.label_text,
-            _fmt(r.rho),
-        ] + [repr(getattr(r, c)) for c in _NUMERIC]
-        writer.writerow(record)
+        writer.writerow([*_display(r).values(), *(repr(getattr(r, c)) for c in _NUMERIC)])
     return buf.getvalue()
 
 
 def _row_to_json(r: ReportRow) -> dict:
-    doc = {
-        "year_certain": r.year_certain,
-        "year_uncertain": r.year_uncertain,
-        "consumption_certain": _fmt(r.consumption_certain),
-        "consumption_uncertain": _fmt(r.consumption_uncertain),
-        "certain_utility": _fmt(r.certain_utility),
-        "uncertain_utility": _fmt(r.uncertain_utility),
-        "allocation_text": r.allocation_text,
-        "label_text": r.label_text,
-        "rho": _fmt(r.rho),
-    }
-    for c in _NUMERIC:
-        doc[f"{c}_exact"] = getattr(r, c)
+    doc = _display(r)
+    doc.update((f"{c}_exact", getattr(r, c)) for c in _NUMERIC)
     return doc
 
 
 def _row_from_record(rec: dict) -> ReportRow:
-    return ReportRow(
-        year_certain=int(rec["year_certain"]),
-        year_uncertain=rec["year_uncertain"],
-        consumption_certain=float(rec["consumption_certain_exact"]),
-        consumption_uncertain=float(rec["consumption_uncertain_exact"]),
-        certain_utility=float(rec["certain_utility_exact"]),
-        uncertain_utility=float(rec["uncertain_utility_exact"]),
-        allocation_text=rec["allocation_text"],
-        label_text=rec["label_text"],
-        rho=float(rec["rho_exact"]),
-    )
+    values = {c: float(rec[f"{c}_exact"]) if c in _NUMERIC else rec[c] for c in _COLUMNS}
+    values["year_certain"] = int(values["year_certain"])
+    return ReportRow(**values)
 
 
 def parse_csv(text: str) -> list[ReportRow]:

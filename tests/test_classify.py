@@ -83,37 +83,38 @@ def test_curvature_from_rho():
 # -- decision table -----------------------------------------------------------
 
 TABLE = [
-    # (group, curvature, eta, delta sign, expected label or error, equation)
-    (G2, CONCAVE, 0.9, +1, Label.RISK_AVERSE, 6),
-    (G2, CONCAVE, 1.1, +1, Label.NOT_ENOUGH_RISK_LOVING, 7),
-    (G2, CONCAVE, 0.9, -1, Unclassifiable, None),
-    (G2, CONCAVE, 1.1, -1, Unclassifiable, None),
-    (G2, CONVEX, 1.1, -1, Label.RISK_LOVING, 8),
-    (G2, CONVEX, 0.9, -1, Label.NOT_ENOUGH_RISK_AVERSE, 9),
-    (G2, CONVEX, 0.9, +1, Unclassifiable, None),
-    (G2, CONVEX, 1.1, +1, Unclassifiable, None),
-    (G2, LINEAR, 0.9, +1, Unclassifiable, None),
-    (G2, LINEAR, 1.1, -1, Unclassifiable, None),
-    (G1, CONCAVE, 0.9, +1, Label.RISK_AVERSE, 1),
-    (G1, CONCAVE, 1.1, -1, Label.RISK_LOVING, 2),
-    (G1, CONCAVE, 1.1, +1, Label.NOT_ENOUGH_RISK_LOVING, 3),
-    (G1, CONVEX, 0.9, -1, Label.NOT_ENOUGH_RISK_AVERSE, 5),
-    (G1, CONCAVE, 0.9, -1, Unclassifiable, None),
-    (G1, LINEAR, 0.9, -1, Unclassifiable, None),
-    (G1, HORIZONTAL, 0.9, +1, Label.RISK_AVERSE, 1),
-    (G2, HORIZONTAL, 0.9, +1, Label.RISK_AVERSE, 6),
-    (G2, HORIZONTAL, 1.1, -1, Label.RISK_LOVING, 8),
-    (G2, HORIZONTAL, 1.1, +1, Label.NOT_ENOUGH_RISK_LOVING, 7),
-    (G2, HORIZONTAL, 0.9, -1, InvalidCombination, None),
-    (G1, HORIZONTAL, 0.9, -1, InvalidCombination, None),
+    # (group, curvature, eta, delta sign, expected label or error, equation,
+    #  error message fragment)
+    (G2, CONCAVE, 0.9, +1, Label.RISK_AVERSE, 6, None),
+    (G2, CONCAVE, 1.1, +1, Label.NOT_ENOUGH_RISK_LOVING, 7, None),
+    (G2, CONCAVE, 0.9, -1, Unclassifiable, None, "concave-curve"),
+    (G2, CONCAVE, 1.1, -1, Unclassifiable, None, "concave-curve"),
+    (G2, CONVEX, 1.1, -1, Label.RISK_LOVING, 8, None),
+    (G2, CONVEX, 0.9, -1, Label.NOT_ENOUGH_RISK_AVERSE, 9, None),
+    (G2, CONVEX, 0.9, +1, Unclassifiable, None, "convex-curve"),
+    (G2, CONVEX, 1.1, +1, Unclassifiable, None, "convex-curve"),
+    (G2, LINEAR, 0.9, +1, Unclassifiable, None, "linear curve"),
+    (G2, LINEAR, 1.1, -1, Unclassifiable, None, "linear curve"),
+    (G1, CONCAVE, 0.9, +1, Label.RISK_AVERSE, 1, None),
+    (G1, CONCAVE, 1.1, -1, Label.RISK_LOVING, 2, None),
+    (G1, CONCAVE, 1.1, +1, Label.NOT_ENOUGH_RISK_LOVING, 3, None),
+    (G1, CONVEX, 0.9, -1, Label.NOT_ENOUGH_RISK_AVERSE, 5, None),
+    (G1, CONCAVE, 0.9, -1, Unclassifiable, None, "group one"),
+    (G1, LINEAR, 0.9, -1, Unclassifiable, None, "group one"),
+    (G1, HORIZONTAL, 0.9, +1, Label.RISK_AVERSE, 1, None),
+    (G2, HORIZONTAL, 0.9, +1, Label.RISK_AVERSE, 6, None),
+    (G2, HORIZONTAL, 1.1, -1, Label.RISK_LOVING, 8, None),
+    (G2, HORIZONTAL, 1.1, +1, Label.NOT_ENOUGH_RISK_LOVING, 7, None),
+    (G2, HORIZONTAL, 0.9, -1, InvalidCombination, None, "horizontal"),
+    (G1, HORIZONTAL, 0.9, -1, InvalidCombination, None, "horizontal"),
 ]
 
 
-@pytest.mark.parametrize("group,curvature,eta,delta_sign,expected,equation", TABLE)
-def test_decision_table(group, curvature, eta, delta_sign, expected, equation):
+@pytest.mark.parametrize("group,curvature,eta,delta_sign,expected,equation,match", TABLE)
+def test_decision_table(group, curvature, eta, delta_sign, expected, equation, match):
     cmp = cmp_with(5.0 + delta_sign * 0.5, 5.0, eta)
     if isinstance(expected, type) and issubclass(expected, Exception):
-        with pytest.raises(expected):
+        with pytest.raises(expected, match=match):
             classify(cmp, curvature, group)
     else:
         attitude = classify(cmp, curvature, group)
@@ -290,8 +291,9 @@ def test_pipeline_linear_curvature(bundled):
 
 
 def test_pipeline_moments_consistency(bundled):
-    cmp, _ = classify_pipeline(bundled, 0.961745, 1.033526, 0.99)
+    cmp, attitude = classify_pipeline(bundled, 0.961745, 1.033526, 0.99)
     m = compute_moments(bundled)
+    assert classify_pipeline(bundled, 0.961745, 1.033526, 0.99, moments=m) == (cmp, attitude)
     assert cmp.uncertain == 0.99 * 0.961745 * cmp.expected_u
     assert cmp.expected_u > 0
     assert m.mu_z > 0

@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, config precedence, exit codes, determinism."""
 
+import importlib
 import json
 
 import pytest
@@ -207,6 +208,23 @@ def test_classify_default_labels(capsys):
     assert out.count("Risk-averse") == 2
     assert out.count("Not enough risk-loving") == 2
     assert "7.103787" in out
+
+
+def test_classify_computes_moments_once_per_variant(capsys, monkeypatch):
+    # classify_pipeline reuses the moments each variant was calibrated from;
+    # importlib, because the package attribute rac.classify is the function
+    calls = []
+    for module in (importlib.import_module("rac.cli"), importlib.import_module("rac.classify")):
+        counted = module.compute_moments
+
+        def counting(d, _fn=counted):
+            calls.append(d)
+            return _fn(d)
+
+        monkeypatch.setattr(module, "compute_moments", counting)
+    code, _, _ = run(capsys, "classify")
+    assert code == 0
+    assert len(calls) == 2
 
 
 def test_classify_eta_one(capsys):

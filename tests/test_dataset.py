@@ -42,12 +42,18 @@ def test_bundled_span(bundled):
     assert bundled.consumption.values[-2:] == (3340.0, 3450.0)
 
 
-def test_load_from_file_like_matches_path(bundled):
+def test_load_from_file_like_matches_path(bundled, tmp_path):
     text = serialize_dataset(bundled).decode("utf-8")
     again = load_dataset(io.StringIO(text))
     assert again == bundled
     as_bytes = load_dataset(io.BytesIO(text.encode("utf-8")))
     assert as_bytes == bundled
+    # a file saved with a UTF-8 byte order mark reads the same
+    with_bom = tmp_path / "bom.csv"
+    with_bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert load_dataset(with_bom) == bundled
+    assert load_dataset(io.BytesIO(with_bom.read_bytes())) == bundled
+    assert load_dataset(io.StringIO("\ufeff" + text)) == bundled
 
 
 def test_missing_year():
@@ -192,6 +198,8 @@ def test_load_projection_bundled():
     inp = load_bundled_projection()
     assert inp == ProjectionInputs(515.4, 613.7, 150.0, 219441872.0)
     assert abs(project(inp) - 3430) <= 1.0
+    text = "nondurables_bn,services_bn,gnp_deflator,population\n515.4,613.7,150,219441872\n"
+    assert load_projection(io.BytesIO(b"\xef\xbb\xbf" + text.encode("utf-8"))) == inp
 
 
 def test_load_projection_bad_header():

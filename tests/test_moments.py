@@ -16,7 +16,7 @@ from rac import (
     consistency_gap,
     lognormal_moment,
 )
-from rac.errors import NegativeVariance, SeriesTooShort
+from rac.errors import NegativeVariance
 
 
 def make_dataset(consumption, start=1900):
@@ -99,21 +99,6 @@ def test_bundled_published_stats(bundled):
     x = np.asarray(bundled.consumption.values)
     growth = x[1:] / x[:-1]
     assert abs(float(growth.std()) - 0.036) < 1e-4
-
-
-def test_ddof_divisor(bundled):
-    m0 = compute_moments(bundled)
-    m1 = compute_moments(bundled, ddof=1)
-    n_growth = len(bundled) - 1
-    n_level = len(bundled)
-    assert math.isclose(m1.sigma2_x, m0.sigma2_x * n_growth / (n_growth - 1), rel_tol=1e-12)
-    assert math.isclose(m1.sigma2_z, m0.sigma2_z * n_level / (n_level - 1), rel_tol=1e-12)
-    assert m1.mu_x == m0.mu_x
-
-
-def test_too_short_series():
-    with pytest.raises(SeriesTooShort):
-        compute_moments(make_dataset([100.0, 105.0]), ddof=1)
 
 
 def test_sample_moments_validation():

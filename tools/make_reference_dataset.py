@@ -332,7 +332,9 @@ def verify_and_freeze(dataset_path: Path, projection_path: Path) -> dict:
             (calib.factors.zeta, "Risk-averse"),
             (calib.factors.xi, "Not enough risk-loving"),
         ):
-            cmp, att = classify_pipeline(dv, eta, calib.rho, BETA, DefinitionGroup.TWO)
+            cmp, att = classify_pipeline(
+                dv, eta, calib.rho, BETA, DefinitionGroup.TWO, moments=m
+            )
             if att.label.value != want_label:
                 raise SystemExit(f"{name}: eta={eta} gave {att.label.value!r}")
             if not cmp.certain > cmp.uncertain + 0.1:
