@@ -16,7 +16,7 @@ import sys
 from dataclasses import asdict, dataclass
 
 from . import dataset as ds
-from .calibration import CalibrationResult, Variant, calibrate_variant
+from .calibration import RHO_REGION, CalibrationResult, Variant, calibrate_variant
 from .classify import DefinitionGroup, classify_pipeline, DEFAULT_TOLERANCE
 from .errors import ComputeError, InputError
 from .moments import SampleMoments, compute_moments
@@ -94,6 +94,15 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     for name, value in (("beta", beta), ("tol", tol), ("eta", eta), ("rho", rho)):
         if value is not None and not math.isfinite(value):
             raise InputError(f"{name} must be finite, got {value}")
+    lo, hi = RHO_REGION
+    if not 0.0 < beta <= 1.0:
+        raise InputError(f"beta must be in (0, 1], got {beta}")
+    if tol < 0:
+        raise InputError(f"tol must be >= 0, got {tol}")
+    if eta is not None and eta <= 0:
+        raise InputError(f"eta must be positive, got {eta}")
+    if rho is not None and not lo <= rho <= hi:
+        raise InputError(f"rho {rho} outside the supported range [{lo:g}, {hi:g}]")
     return RunConfig(
         dataset_path=dataset_path,
         projection_path=projection_path,

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import MissingYear, NonPositiveValue, SchemaError
+from .errors import InputError, MissingYear, NonPositiveValue, SchemaError
 
 _HEADER = ["year", "consumption_per_capita", "equity_gross_return", "riskfree_gross_return"]
 _PROJECTION_HEADER = ["nondurables_bn", "services_bn", "gnp_deflator", "population"]
@@ -111,63 +111,77 @@ class ProjectionInputs:
                 raise NonPositiveValue(f"{name} must be positive and finite")
 
 
-def _rows_from(source) -> list[dict]:
-    """Read CSV rows from a path or a file-like object; a leading BOM is dropped."""
+def _reader(source, header: list[str]):
+    """csv.reader over a path or a file-like object, past a checked header.
+
+    Blank lines are skipped; a leading UTF-8 BOM is dropped.
+    """
     if hasattr(source, "read"):
         raw = source.read()
         text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
     else:
         text = Path(source).read_text(encoding="utf-8")
     reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
-    rows = [row for row in reader if row]
-    if not rows:
-        raise SchemaError("empty file")
-    return rows
+    for row in reader:
+        if row:
+            got = [h.strip() for h in row]
+            if got != header:
+                raise SchemaError(f"expected header {','.join(header)!r}, got {','.join(got)!r}")
+            return reader
+    raise SchemaError("empty file")
 
 
 def load_dataset(source) -> MarketDataset:
     """Parse and validate a market-data CSV.
 
     `source` is a filesystem path or a file-like object (text or bytes).
+    Rows are checked as they stream past, in file order, and errors name
+    the file line.
 
-    Raises SchemaError for a bad header, wrong cell count, or non-numeric
-    cells; MissingYear when the year column is not contiguous; and
-    NonPositiveValue for consumption or returns that are not positive and
-    finite (float() accepts nan and inf).
+    Raises SchemaError for a bad header, fewer than two data rows, wrong cell
+    count, or non-numeric cells; MissingYear when the year column is not
+    contiguous; and NonPositiveValue for consumption or returns that are not
+    positive and finite (float() accepts nan and inf).
     """
-    rows = _rows_from(source)
-    header = [h.strip() for h in rows[0]]
-    if header != _HEADER:
-        raise SchemaError(f"expected header {','.join(_HEADER)!r}, got {','.join(header)!r}")
-    if len(rows) < 3:
-        raise SchemaError("need at least two data rows")
-
-    years: list[int] = []
+    reader = _reader(source, _HEADER)
     cons: list[float] = []
     equity: list[float] = []
     riskfree: list[float] = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != 4:
-            raise SchemaError(f"line {lineno}: expected 4 cells, got {len(row)}")
-        try:
-            year = int(row[0])
-            values = [float(cell) for cell in row[1:]]
-        except ValueError as exc:
-            raise SchemaError(f"line {lineno}: non-numeric cell ({exc})") from None
-        if years and year != years[-1] + 1:
-            raise MissingYear(
-                f"line {lineno}: year {year} does not follow {years[-1]} (series must be contiguous)"
-            )
-        if not all(0.0 < v < math.inf for v in values):
-            raise NonPositiveValue(
-                f"line {lineno}: non-positive or non-finite value in year {year}"
-            )
-        years.append(year)
-        cons.append(values[0])
-        equity.append(values[1])
-        riskfree.append(values[2])
+    start = next_year = 0
+    try:
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != 4:
+                raise SchemaError(f"line {reader.line_num}: expected 4 cells, got {len(row)}")
+            try:
+                year = int(row[0])
+                c, e, r = float(row[1]), float(row[2]), float(row[3])
+            except ValueError as exc:
+                raise SchemaError(f"line {reader.line_num}: non-numeric cell ({exc})") from None
+            if not cons:
+                start = year
+            elif year != next_year:
+                raise MissingYear(
+                    f"line {reader.line_num}: year {year} does not follow {next_year - 1} "
+                    "(series must be contiguous)"
+                )
+            if not (0.0 < c < math.inf and 0.0 < e < math.inf and 0.0 < r < math.inf):
+                raise NonPositiveValue(
+                    f"line {reader.line_num}: non-positive or non-finite value in year {year}"
+                )
+            next_year = year + 1
+            cons.append(c)
+            equity.append(e)
+            riskfree.append(r)
+    except InputError:
+        # A file with fewer than two data rows reports that, whatever its cells.
+        if not cons and not any(reader):
+            raise SchemaError("need at least two data rows") from None
+        raise
+    if len(cons) < 2:
+        raise SchemaError("need at least two data rows")
 
-    start = years[0]
     return MarketDataset(
         consumption=AnnualSeries(start, tuple(cons)),
         equity_return=AnnualSeries(start, tuple(equity)),
@@ -182,15 +196,10 @@ def load_projection(source) -> ProjectionInputs:
     non-numeric cells, and NonPositiveValue for cells that are not positive
     and finite.
     """
-    rows = _rows_from(source)
-    header = [h.strip() for h in rows[0]]
-    if header != _PROJECTION_HEADER:
-        raise SchemaError(
-            f"expected header {','.join(_PROJECTION_HEADER)!r}, got {','.join(header)!r}"
-        )
-    if len(rows) != 2:
+    rows = [row for row in _reader(source, _PROJECTION_HEADER) if row]
+    if len(rows) != 1:
         raise SchemaError("projection file must have exactly one data row")
-    row = rows[1]
+    row = rows[0]
     if len(row) != 4:
         raise SchemaError(f"expected 4 cells, got {len(row)}")
     try:

@@ -43,6 +43,11 @@ class NegativeVariance(ComputeError):
     """A variance argument was negative."""
 
 
+class NonFiniteMoment(ComputeError):
+    """A sample moment is not finite: a growth ratio or a sum left the
+    floating-point range."""
+
+
 # -- utility ----------------------------------------------------------------
 
 class NonPositiveConsumption(ComputeError):

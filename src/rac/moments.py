@@ -5,17 +5,22 @@ level moments over the log levels ln(c_t) of all n years, including the final
 year (so replacing the final consumption changes mu_z and sigma2_z as well as
 the last growth ratio). Return means use every return row. Variances use the
 population divisor (the number of observations).
+
+The arithmetic is plain Python. Sums are math.fsum, so each is correctly
+rounded whatever the series length, and variances are two-pass: squared
+deviations from the mean, less the square of the summed deviations over n,
+which cancels the rounding of the mean itself (the corrected two-pass form).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import repeat
+from operator import mul, sub, truediv
 
 from .dataset import MarketDataset
-from .errors import NegativeVariance, SeriesTooShort
+from .errors import NegativeVariance, NonFiniteMoment, SeriesTooShort
 
 
 @dataclass(frozen=True)
@@ -44,26 +49,44 @@ class SampleMoments:
             raise ValueError("gross means must be positive")
 
 
+def _mean_var(values: list[float]) -> tuple[float, float]:
+    """Mean and population variance of `values` (corrected two-pass)."""
+    n = len(values)
+    mean = math.fsum(values) / n
+    dev = list(map(sub, values, repeat(mean)))
+    return mean, (math.fsum(map(mul, dev, dev)) - math.fsum(dev) ** 2 / n) / n
+
+
 def compute_moments(d: MarketDataset) -> SampleMoments:
     """Sample moments of `d`.
 
-    Raises SeriesTooShort when no growth ratio can be formed.
+    Raises SeriesTooShort when no growth ratio can be formed, and
+    NonFiniteMoment when a moment is not finite (a growth ratio or a sum
+    outside the floating-point range).
     """
-    c = np.asarray(d.consumption.values, dtype=float)
-    if c.size < 2:
+    c = d.consumption.values
+    n = len(c)
+    if n < 2:
         raise SeriesTooShort("need at least two years of consumption")
-    x = c[1:] / c[:-1]
-    lx = np.log(x)
-    lz = np.log(c)
-    return SampleMoments(
-        mu_x=float(lx.mean()),
-        sigma2_x=float(lx.var()),
-        mean_x=float(x.mean()),
-        mean_Re=float(np.mean(d.equity_return.values)),
-        mean_Rf=float(np.mean(d.riskfree_return.values)),
-        mu_z=float(lz.mean()),
-        sigma2_z=float(lz.var()),
-    )
+    try:
+        x = list(map(truediv, c[1:], c))
+        mu_x, sigma2_x = _mean_var(list(map(math.log, x)))
+        mu_z, sigma2_z = _mean_var(list(map(math.log, c)))
+        values = (
+            mu_x,
+            sigma2_x,
+            math.fsum(x) / (n - 1),
+            math.fsum(d.equity_return.values) / n,
+            math.fsum(d.riskfree_return.values) / n,
+            mu_z,
+            sigma2_z,
+        )
+    except (OverflowError, ValueError):
+        # fsum overflowed or met inf - inf, or a ratio underflowed to 0 (no log)
+        values = (math.nan,)
+    if not all(map(math.isfinite, values)):
+        raise NonFiniteMoment("a sample moment is not finite: values span too wide a range")
+    return SampleMoments(*values)
 
 
 def lognormal_moment(a: float, mu: float, sigma2: float) -> float:

@@ -2,6 +2,10 @@
 
 import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -171,6 +175,15 @@ def test_calibrate_factor_underflow(capsys, tmp_path):
     assert "NoConvergence" in err
 
 
+@pytest.mark.parametrize("command", ["ingest", "calibrate", "classify"])
+def test_non_finite_moments_exit_2(capsys, tmp_path, command):
+    path = tmp_path / "wide.csv"
+    path.write_text(HEADER + "\n1900,1e300,1.05,1.01\n1901,1e-300,1.05,1.01\n")
+    code, out, err = run(capsys, command, "--dataset", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: NonFiniteMoment: ")
+
+
 def test_calibrate_bad_beta(capsys):
     code, _, err = run(capsys, "calibrate", "--beta", "0")
     assert code == 1
@@ -180,7 +193,7 @@ def test_calibrate_bad_beta(capsys):
 def test_calibrate_rho_out_of_range(capsys):
     code, _, err = run(capsys, "calibrate", "--rho", "61")
     assert code == 1
-    assert err == "error: rho 61.0 outside the supported range [0, 60]\n"
+    assert err == "error: InputError: rho 61.0 outside the supported range [0, 60]\n"
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -196,6 +209,38 @@ def test_non_finite_number_is_input_error(capsys, tmp_path, name, value, source)
     code, out, err = run(capsys, "classify", *argv)
     assert (code, out) == (1, "")
     assert f"InputError: {name} must be finite" in err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("beta", 0.0, "beta must be in (0, 1], got 0.0"),
+        ("beta", 1.5, "beta must be in (0, 1], got 1.5"),
+        ("tol", -1e-12, "tol must be >= 0, got -1e-12"),
+        ("eta", 0.0, "eta must be positive, got 0.0"),
+        ("eta", -1.0, "eta must be positive, got -1.0"),
+        ("rho", -0.5, "rho -0.5 outside the supported range [0, 60]"),
+        ("rho", 60.5, "rho 60.5 outside the supported range [0, 60]"),
+    ],
+)
+def test_out_of_range_number_is_input_error(capsys, tmp_path, name, value, message, source):
+    # checked in build_config, so no command gets as far as a bare ValueError
+    if source == "flag":
+        argv = [f"--{name}={value}"]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({name: value}))
+        argv = ["--config", str(config)]
+    code, out, err = run(capsys, "classify", *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: InputError: {message}\n"
+
+
+@pytest.mark.parametrize("name, value", [("beta", "1"), ("tol", "0"), ("rho", "0"), ("rho", "60")])
+def test_range_endpoints_accepted(capsys, name, value):
+    code, _, err = run(capsys, "calibrate", f"--{name}={value}")
+    assert (code, err) == (0, "")
 
 
 # -- classify -----------------------------------------------------------------
@@ -386,3 +431,19 @@ def test_classify_runs_byte_identical(capsys):
         assert first[1].encode() == second[1].encode()
         outputs.append(first[1])
     assert len(set(outputs)) == 3
+
+
+# -- start-up -----------------------------------------------------------------
+
+def test_cli_import_leaves_numpy_out(tmp_path):
+    # the runtime needs no numpy; importing it would cost most of a cold start
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = subprocess.run(
+        [sys.executable, "-c", "import rac.cli, sys; sys.exit('numpy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (probe.returncode, probe.stderr) == (0, "")

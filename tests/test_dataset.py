@@ -19,7 +19,7 @@ from rac import (
     serialize_dataset,
     with_final_consumption,
 )
-from rac.errors import MissingYear, NonPositiveValue, SchemaError
+from rac.errors import InputError, MissingYear, NonPositiveValue, SchemaError
 
 HEADER = "year,consumption_per_capita,equity_gross_return,riskfree_gross_return"
 
@@ -56,55 +56,100 @@ def test_load_from_file_like_matches_path(bundled, tmp_path):
     assert load_dataset(io.StringIO("\ufeff" + text)) == bundled
 
 
+def load_error(text):
+    """(type, message) of the InputError that loading `text` raises."""
+    with pytest.raises(InputError) as exc_info:
+        load_dataset(io.StringIO(text))
+    return type(exc_info.value), str(exc_info.value)
+
+
 def test_missing_year():
     years = [y for y in range(1889, 1910) if y != 1900]
-    with pytest.raises(MissingYear):
-        load_dataset(io.StringIO(csv_text(simple_rows(years))))
+    assert load_error(csv_text(simple_rows(years))) == (
+        MissingYear,
+        "line 13: year 1901 does not follow 1899 (series must be contiguous)",
+    )
 
 
 def test_duplicate_year():
-    with pytest.raises(MissingYear):
-        load_dataset(io.StringIO(csv_text(simple_rows([1889, 1890, 1890, 1891]))))
+    assert load_error(csv_text(simple_rows([1889, 1890, 1890, 1891]))) == (
+        MissingYear,
+        "line 4: year 1890 does not follow 1890 (series must be contiguous)",
+    )
 
 
 def test_bad_header():
     text = "a,b,c,d\n1889,100,1.05,1.01\n1890,101,1.05,1.01\n"
-    with pytest.raises(SchemaError):
-        load_dataset(io.StringIO(text))
+    assert load_error(text) == (SchemaError, f"expected header {HEADER!r}, got 'a,b,c,d'")
 
 
 def test_wrong_cell_count():
     text = csv_text(["1889,100,1.05,1.01", "1890,101,1.05"])
-    with pytest.raises(SchemaError):
-        load_dataset(io.StringIO(text))
+    assert load_error(text) == (SchemaError, "line 3: expected 4 cells, got 3")
 
 
 def test_non_numeric_cell():
     text = csv_text(["1889,100,1.05,1.01", "1890,oops,1.05,1.01"])
-    with pytest.raises(SchemaError):
-        load_dataset(io.StringIO(text))
+    assert load_error(text) == (
+        SchemaError,
+        "line 3: non-numeric cell (could not convert string to float: 'oops')",
+    )
 
 
 def test_non_positive_consumption():
     text = csv_text(["1889,100,1.05,1.01", "1890,-5,1.05,1.01"])
-    with pytest.raises(NonPositiveValue):
-        load_dataset(io.StringIO(text))
+    assert load_error(text) == (
+        NonPositiveValue,
+        "line 3: non-positive or non-finite value in year 1890",
+    )
 
 
 def test_non_positive_return():
     text = csv_text(["1889,100,1.05,1.01", "1890,101,0,1.01"])
-    with pytest.raises(NonPositiveValue):
-        load_dataset(io.StringIO(text))
+    assert load_error(text) == (
+        NonPositiveValue,
+        "line 3: non-positive or non-finite value in year 1890",
+    )
 
 
 def test_single_data_row():
-    with pytest.raises(SchemaError):
-        load_dataset(io.StringIO(csv_text(simple_rows([1889]))))
+    text = csv_text(simple_rows([1889]))
+    assert load_error(text) == (SchemaError, "need at least two data rows")
 
 
 def test_empty_file():
-    with pytest.raises(SchemaError):
-        load_dataset(io.StringIO(""))
+    assert load_error("") == (SchemaError, "empty file")
+
+
+def test_error_names_file_line_past_blank_lines():
+    text = HEADER + "\n1889,100,1.05,1.01\n\n1890,101,1.05,1.01\n\n1891,-1,1.05,1.01\n"
+    assert load_error(text) == (
+        NonPositiveValue,
+        "line 6: non-positive or non-finite value in year 1891",
+    )
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["1889,oops,1.05,1.01", "1889,100,1.05", "1889,-5,1.05,1.01", "1889,nan,1.05,1.01", "x,1,1,1"],
+)
+def test_single_bad_data_row_reports_row_count(row):
+    # too few rows is reported before anything wrong inside the one row
+    text = csv_text([row, ""])
+    assert load_error(text) == (SchemaError, "need at least two data rows")
+
+
+def test_earliest_error_line_wins():
+    rows = ["1889,100,1.05,1.01", "1890,0,1.05,1.01", "1892,101,1.05,1.01"]
+    assert load_error(csv_text(rows)) == (
+        NonPositiveValue,
+        "line 3: non-positive or non-finite value in year 1890",
+    )
+    rows = ["1889,100,1.05,1.01", "1891,0,1.05,1.01", "1892,-1,1.05,1.01"]
+    assert load_error(csv_text(rows)) == (
+        MissingYear,
+        "line 3: year 1891 does not follow 1889 (series must be contiguous)",
+    )
 
 
 def test_annual_series_validation():

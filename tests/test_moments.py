@@ -1,6 +1,7 @@
 """Sample moments against brute-force oracles and the frozen reference."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from rac import (
     consistency_gap,
     lognormal_moment,
 )
-from rac.errors import NegativeVariance
+from rac.errors import NegativeVariance, NonFiniteMoment
 
 
 def make_dataset(consumption, start=1900):
@@ -86,6 +87,59 @@ def test_two_point_series():
     assert m.mu_x == math.log(2.0)
     assert m.sigma2_x == 0.0
     assert m.mean_x == 2.0
+
+
+def exact_mean_var(values):
+    """Mean and population variance of the floats `values`, in exact rationals."""
+    q = [Fraction(v) for v in values]
+    mean = sum(q) / len(q)
+    return mean, sum((v - mean) ** 2 for v in q) / len(q)
+
+
+# Near-ties (a few ulps apart) are where a two-pass variance loses the
+# rounding of its mean; plain random floats rarely produce them.
+_near_ties = st.builds(
+    lambda base, steps: [base * (1 + k * 2.0**-52) for k in steps],
+    st.floats(min_value=1e-3, max_value=1e6),
+    st.lists(st.integers(min_value=-3, max_value=3), min_size=2, max_size=200),
+)
+
+
+@given(
+    cons=st.one_of(
+        st.lists(st.floats(min_value=1e-3, max_value=1e6), min_size=2, max_size=200),
+        _near_ties,
+    )
+)
+def test_matches_exact_rational_reference(cons):
+    m = compute_moments(make_dataset(cons))
+    x = [b / a for a, b in zip(cons, cons[1:])]
+    want = {"mean_x": exact_mean_var(x)[0]}
+    want["mu_x"], want["sigma2_x"] = exact_mean_var([math.log(v) for v in x])
+    want["mu_z"], want["sigma2_z"] = exact_mean_var([math.log(v) for v in cons])
+    for field, exact in want.items():
+        got = Fraction(getattr(m, field))
+        assert abs(got - exact) <= abs(exact) * Fraction(1, 10**15), field
+
+
+@pytest.mark.parametrize(
+    "consumption, equity",
+    [
+        ([1e-300, 1e300, 1e300], [1.05] * 3),  # growth ratio overflows to inf
+        ([1e300, 1e-300, 1e-300], [1.05] * 3),  # growth ratio underflows to 0
+        ([1e300, 1e-300, 1e300], [1.05] * 3),  # both: inf - inf
+        ([100.0, 101.0, 102.0], [1e308, 1e308, 1.05]),  # a return sum overflows
+    ],
+)
+def test_non_finite_moments_raise(consumption, equity):
+    n = len(consumption)
+    d = MarketDataset(
+        consumption=AnnualSeries(1900, tuple(consumption)),
+        equity_return=AnnualSeries(1900, tuple(equity)),
+        riskfree_return=AnnualSeries(1900, (1.01,) * n),
+    )
+    with pytest.raises(NonFiniteMoment):
+        compute_moments(d)
 
 
 def test_bundled_published_stats(bundled):
