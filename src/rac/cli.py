@@ -9,6 +9,7 @@ to the bundled reconstruction. Exit codes: 0 success, 1 input problem,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -161,14 +162,19 @@ _Calibrations = dict[str, tuple[ds.MarketDataset, SampleMoments, CalibrationResu
 
 
 def _calibrations(cfg: RunConfig) -> _Calibrations:
-    """Per variant name, the variant's dataset, its moments and its calibration."""
+    """Per variant name, the variant's dataset, its moments and its calibration.
+
+    Every input is read and every variant dataset built before any moment is
+    computed, so an input error (exit 1) wins over a computation error
+    (exit 2) whatever the variant.
+    """
     d = _open_dataset(cfg)
+    names = ("realized", "projected") if cfg.variant == "both" else (cfg.variant,)
+    datasets = dict.fromkeys(names, d)
+    if "projected" in datasets:
+        datasets["projected"] = ds.with_final_consumption(d, ds.project(_open_projection(cfg)))
     results: _Calibrations = {}
-    for name in ("realized", "projected") if cfg.variant == "both" else (cfg.variant,):
-        if name == "realized":
-            dv = d
-        else:
-            dv = ds.with_final_consumption(d, ds.project(_open_projection(cfg)))
+    for name, dv in datasets.items():
         m = compute_moments(dv)
         results[name] = (dv, m, calibrate_variant(m, cfg.beta, Variant(name), rho=cfg.rho))
     return results
@@ -282,6 +288,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file (flags win over its values)")
 
 
+# Built once per process: parse_args keeps no state between calls, so main()
+# can run many times in one process on the same parser.
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rac",

@@ -28,6 +28,7 @@ Spending columns are nominal billions, the deflator is an index with base
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -114,21 +115,42 @@ class ProjectionInputs:
 def _reader(source, header: list[str]):
     """csv.reader over a path or a file-like object, past a checked header.
 
-    Blank lines are skipped; a leading UTF-8 BOM is dropped.
+    Blank lines are skipped; a leading UTF-8 BOM is dropped. Raises
+    SchemaError for text that is not UTF-8 and for a header the csv module
+    cannot parse.
     """
-    if hasattr(source, "read"):
-        raw = source.read()
-        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-    else:
-        text = Path(source).read_text(encoding="utf-8")
+    try:
+        if hasattr(source, "read"):
+            raw = source.read()
+            text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+        else:
+            text = Path(source).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"file is not UTF-8 text ({exc.reason} at offset {exc.start})") from None
     reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
-    for row in reader:
-        if row:
-            got = [h.strip() for h in row]
-            if got != header:
-                raise SchemaError(f"expected header {','.join(header)!r}, got {','.join(got)!r}")
-            return reader
-    raise SchemaError("empty file")
+    try:
+        row = next((row for row in reader if row), None)
+    except csv.Error as exc:
+        raise _csv_error(reader, exc) from None
+    if row is None:
+        raise SchemaError("empty file")
+    got = [h.strip() for h in row]
+    if got != header:
+        raise SchemaError(f"expected header {','.join(header)!r}, got {','.join(got)!r}")
+    return reader
+
+
+def _csv_error(reader, exc: csv.Error) -> SchemaError:
+    """The SchemaError for a row the csv module rejects (e.g. an oversized field)."""
+    return SchemaError(f"line {reader.line_num}: {exc}")
+
+
+def _rows_left(reader) -> bool:
+    """Whether the reader has a nonblank row left, parseable or not."""
+    try:
+        return any(reader)
+    except csv.Error:
+        return True
 
 
 def load_dataset(source) -> MarketDataset:
@@ -138,10 +160,12 @@ def load_dataset(source) -> MarketDataset:
     Rows are checked as they stream past, in file order, and errors name
     the file line.
 
-    Raises SchemaError for a bad header, fewer than two data rows, wrong cell
-    count, or non-numeric cells; MissingYear when the year column is not
-    contiguous; and NonPositiveValue for consumption or returns that are not
-    positive and finite (float() accepts nan and inf).
+    Raises SchemaError for text that is not UTF-8, a bad header, fewer than
+    two data rows, wrong cell count, non-numeric cells, or a row the csv
+    module rejects (such as a cell over its field size limit); MissingYear
+    when the year column is not contiguous; and NonPositiveValue for
+    consumption or returns that are not positive and finite (float()
+    accepts nan and inf).
     """
     reader = _reader(source, _HEADER)
     cons: list[float] = []
@@ -174,11 +198,12 @@ def load_dataset(source) -> MarketDataset:
             cons.append(c)
             equity.append(e)
             riskfree.append(r)
-    except InputError:
+    except (InputError, csv.Error) as exc:
+        error = _csv_error(reader, exc) if isinstance(exc, csv.Error) else exc
         # A file with fewer than two data rows reports that, whatever its cells.
-        if not cons and not any(reader):
+        if not cons and not _rows_left(reader):
             raise SchemaError("need at least two data rows") from None
-        raise
+        raise error from None
     if len(cons) < 2:
         raise SchemaError("need at least two data rows")
 
@@ -192,11 +217,15 @@ def load_dataset(source) -> MarketDataset:
 def load_projection(source) -> ProjectionInputs:
     """Parse a single-row projection-inputs CSV.
 
-    Raises SchemaError for a bad header, row count, cell count, or
-    non-numeric cells, and NonPositiveValue for cells that are not positive
-    and finite.
+    Raises SchemaError for text that is not UTF-8, a bad header, row count,
+    cell count, non-numeric cells, or a row the csv module rejects, and
+    NonPositiveValue for cells that are not positive and finite.
     """
-    rows = [row for row in _reader(source, _PROJECTION_HEADER) if row]
+    reader = _reader(source, _PROJECTION_HEADER)
+    try:
+        rows = [row for row in reader if row]
+    except csv.Error as exc:
+        raise _csv_error(reader, exc) from None
     if len(rows) != 1:
         raise SchemaError("projection file must have exactly one data row")
     row = rows[0]
@@ -288,9 +317,13 @@ def bundled_projection_path() -> Path:
     return Path(str(resources.files("rac").joinpath("data", BUNDLED_PROJECTION)))
 
 
+# Package data does not change under a running process and the parsed
+# records are frozen, so each bundled file is parsed once per process.
+@functools.cache
 def load_bundled_dataset() -> MarketDataset:
     return load_dataset(bundled_dataset_path())
 
 
+@functools.cache
 def load_bundled_projection() -> ProjectionInputs:
     return load_projection(bundled_projection_path())

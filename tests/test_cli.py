@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, config precedence, exit codes, determinism."""
 
+import argparse
 import importlib
 import json
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from rac import dataset as ds
 from rac import load_bundled_dataset, parse_csv, serialize_dataset
 from rac.cli import ENV_DATASET, main
 
@@ -117,6 +119,27 @@ def test_non_finite_cell_is_input_error(capsys, tmp_path, column, value):
     assert "NonPositiveValue" in err or "SchemaError" in err
 
 
+@pytest.mark.parametrize("kind", ["dataset", "projection"])
+@pytest.mark.parametrize("fault", ["not-utf8", "oversized-cell"])
+def test_unreadable_file_is_schema_error(capsys, tmp_path, kind, fault):
+    # a file that is not UTF-8, or a cell over the csv field limit, is an
+    # input error (exit 1), not a decoding message or a traceback
+    if kind == "dataset":
+        header, rows = HEADER, "1900,{},1.05,1.01\n1901,101,1.05,1.01\n"
+    else:
+        header, rows = PROJECTION_HEADER, "{},613.7,150,219441872\n"
+    path = tmp_path / "input.csv"
+    if fault == "not-utf8":
+        path.write_bytes(b"\xff\xfe" + header.encode() + b"\n" + rows.format(100).encode())
+        message = "file is not UTF-8 text (invalid start byte at offset 0)"
+    else:
+        path.write_text(header + "\n" + rows.format("9" * 140_000))
+        message = "line 2: field larger than field limit (131072)"
+    code, out, err = run(capsys, "calibrate", f"--{kind}", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: SchemaError: {message}\n"
+
+
 # -- calibrate ----------------------------------------------------------------
 
 def test_calibrate_text(capsys):
@@ -182,6 +205,25 @@ def test_non_finite_moments_exit_2(capsys, tmp_path, command):
     code, out, err = run(capsys, command, "--dataset", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error: NonFiniteMoment: ")
+
+
+@pytest.mark.parametrize("variant", ["projected", "both"])
+@pytest.mark.parametrize("projection", ["missing", "overflow"])
+def test_input_error_wins_over_compute_error(capsys, tmp_path, variant, projection):
+    # every input is read before any moment is computed, so a bad projection
+    # exits 1 even when the realized moments would overflow (exit 2)
+    wide = tmp_path / "wide.csv"
+    wide.write_text(HEADER + "\n1900,1e300,1.05,1.01\n1901,1e-300,1.05,1.01\n")
+    proj = tmp_path / "projection.csv"
+    if projection == "overflow":
+        proj.write_text(PROJECTION_HEADER + "\n1e308,1e308,150,219441872\n")
+        message = "NonPositiveValue: annual series values must be positive and finite"
+    else:
+        message = f"InputError: projection file not found: {proj}"
+    argv = ["calibrate", "--variant", variant, "--dataset", str(wide), "--projection", str(proj)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
 
 
 def test_calibrate_bad_beta(capsys):
@@ -431,6 +473,51 @@ def test_classify_runs_byte_identical(capsys):
         assert first[1].encode() == second[1].encode()
         outputs.append(first[1])
     assert len(set(outputs)) == 3
+
+
+# -- repeated calls in one process -------------------------------------------
+
+def test_warm_main_rebuilds_nothing(capsys, monkeypatch):
+    # the parser and the bundled inputs are built once per process
+    assert run(capsys, "classify")[0] == 0
+    built = []
+    parser_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        parser_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    loads = []
+    for name in ("load_dataset", "load_projection"):
+        monkeypatch.setattr(ds, name, lambda *a, _fn=getattr(ds, name): loads.append(a) or _fn(*a))
+    code, out, _ = run(capsys, "classify")
+    assert code == 0
+    assert "Risk-averse" in out
+    assert (built, loads) == ([], [])
+
+
+def test_user_files_read_on_every_call(capsys, tmp_path):
+    # files the user names are read again on each call, so an edit between
+    # two calls in one process shows in the second output
+    data = tmp_path / "data.csv"
+    data.write_text(HEADER + "\n1900,100.0,1.05,1.01\n1901,110.0,1.05,1.01\n")
+    first = run(capsys, "ingest", "--dataset", str(data), "--format", "json")
+    data.write_text(HEADER + "\n1900,100.0,1.05,1.01\n1901,120.0,1.05,1.01\n")
+    second = run(capsys, "ingest", "--dataset", str(data), "--format", "json")
+    assert json.loads(first[1])["moments"]["mean_x"] == pytest.approx(1.1)
+    assert json.loads(second[1])["moments"]["mean_x"] == pytest.approx(1.2)
+
+    proj = tmp_path / "projection.csv"
+    argv = ["classify", "--variant", "projected", "--eta", "0.9", "--format", "json",
+            "--projection", str(proj)]
+    consumption = []
+    for population in (219441872, 2 * 219441872):
+        proj.write_text(f"{PROJECTION_HEADER}\n515.4,613.7,150,{population}\n")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        consumption.append(json.loads(out)["classifications"][0]["consumption_uncertain_exact"])
+    assert consumption[1] == pytest.approx(consumption[0] / 2)
 
 
 # -- start-up -----------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Dataset loading, validation, projection arithmetic, and round-trips."""
 
+import dataclasses
 import io
 import math
 
@@ -11,6 +12,7 @@ from rac import (
     AnnualSeries,
     MarketDataset,
     ProjectionInputs,
+    load_bundled_dataset,
     load_bundled_projection,
     load_dataset,
     load_projection,
@@ -150,6 +152,65 @@ def test_earliest_error_line_wins():
         MissingYear,
         "line 3: year 1891 does not follow 1889 (series must be contiguous)",
     )
+
+
+PROJECTION_HEADER = "nondurables_bn,services_bn,gnp_deflator,population"
+BIG_CELL = "9" * 140_000  # over the csv module's default field limit of 131,072
+
+
+@pytest.mark.parametrize(
+    "load, header",
+    [(load_dataset, HEADER), (load_projection, PROJECTION_HEADER)],
+    ids=["dataset", "projection"],
+)
+@pytest.mark.parametrize("as_path", [True, False], ids=["path", "bytes"])
+def test_non_utf8_file_is_schema_error(tmp_path, load, header, as_path):
+    raw = b"\xff\xfe" + header.encode("utf-8") + b"\n"
+    path = tmp_path / "input.csv"
+    path.write_bytes(raw)
+    with pytest.raises(SchemaError) as exc_info:
+        load(path if as_path else io.BytesIO(raw))
+    assert str(exc_info.value) == "file is not UTF-8 text (invalid start byte at offset 0)"
+
+
+@pytest.mark.parametrize(
+    "load, text, message",
+    [
+        (load_dataset, f"{HEADER}\n1889,{BIG_CELL},1.05,1.01\n1890,101,1.05,1.01\n", "line 2"),
+        (load_dataset, f"{HEADER}\n1889,100,1.05,1.01\n\n1890,{BIG_CELL},1.05,1.01\n", "line 4"),
+        (load_dataset, f"{BIG_CELL}\n1889,100,1.05,1.01\n1890,101,1.05,1.01\n", "line 1"),
+        (load_projection, f"{PROJECTION_HEADER}\n{BIG_CELL},613.7,150,219441872\n", "line 2"),
+        (load_projection, f"{BIG_CELL}\n515.4,613.7,150,219441872\n", "line 1"),
+    ],
+    ids=["dataset-row", "dataset-row-past-blank", "dataset-header", "projection-row",
+         "projection-header"],
+)
+def test_oversized_cell_is_schema_error(load, text, message):
+    with pytest.raises(SchemaError) as exc_info:
+        load(io.StringIO(text))
+    assert str(exc_info.value) == f"{message}: field larger than field limit (131072)"
+
+
+def test_oversized_cell_counts_as_a_row():
+    # the row-count rule reads past an earlier bad row without tripping on a
+    # later row the csv module rejects; the earlier error still wins
+    text = csv_text(["1889,oops,1.05,1.01", f"1890,{BIG_CELL},1.05,1.01"])
+    assert load_error(text) == (
+        SchemaError,
+        "line 2: non-numeric cell (could not convert string to float: 'oops')",
+    )
+    assert load_error(csv_text([f"1889,{BIG_CELL},1.05,1.01"])) == (
+        SchemaError,
+        "need at least two data rows",
+    )
+
+
+def test_bundled_inputs_parsed_once():
+    # one frozen record per process, handed to every caller
+    assert load_bundled_dataset() is load_bundled_dataset()
+    assert load_bundled_projection() is load_bundled_projection()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        load_bundled_dataset().consumption = None
 
 
 def test_annual_series_validation():
