@@ -145,7 +145,8 @@ def solve_system(beta: float, m: SampleMoments, rho: float = 1.0) -> Calibration
     cannot identify it (module docstring). Residuals A and B are zero and
     residual C equals the consistency gap, each up to rounding.
 
-    Raises ValueError for beta outside (0, 1] or rho outside RHO_REGION;
+    Raises ValueError for beta outside (0, 1] or rho outside RHO_REGION, a
+    caller's error (the CLI rejects both as InputError before calibrating);
     DegenerateSystem when |gap| < DEGENERACY_TOL, because a one-parameter
     family then solves the system and no single triple is meaningful; and
     NoConvergence when a factor falls outside (0, FACTOR_REGION_MAX].

@@ -81,13 +81,6 @@ def _sign_from_eta(eta: float) -> AllocationSign:
     return AllocationSign.ZERO
 
 
-def allocation_sign(eta: float, rho: float) -> AllocationSign:
-    """Sign of the extra utility allocated by eta, valid for rho >= 0."""
-    if rho < 0:
-        raise ValueError(f"rho must be >= 0, got {rho}")
-    return _sign_from_eta(eta)
-
-
 # (negative allocation, certain > uncertain) -> (label, group-one equation,
 # group-two equation). The groups differ only in the curvature they require.
 _DEFINITIONS = {
@@ -185,7 +178,7 @@ def classify_pipeline(
     `moments` are compute_moments(d) when the caller already has them;
     when None they are computed here.
     """
-    spec = UtilitySpec(rho=rho, shifted=True)
+    spec = UtilitySpec(rho)
     m = compute_moments(d) if moments is None else moments
     certain = crra_utility(d.consumption.values[-2], spec)
     expected = expected_utility_unconditional(m, spec)

@@ -1,9 +1,9 @@
 """Command-line interface: ingest, calibrate, classify.
 
 Configuration precedence is flags > config file (--config, JSON) > defaults.
-The dataset path falls back to the RAC_DATASET environment variable and then
-to the bundled reconstruction. Exit codes: 0 success, 1 input problem,
-2 computation problem.
+The dataset path falls back to the RAC_DATASET environment variable, when it
+is not empty, and then to the bundled reconstruction. Exit codes: 0 success,
+1 input problem (usage errors included), 2 computation problem.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 from . import dataset as ds
 from .calibration import RHO_REGION, CalibrationResult, Variant, calibrate_variant
 from .classify import DefinitionGroup, classify_pipeline, DEFAULT_TOLERANCE
-from .errors import ComputeError, InputError
+from .errors import InputError, RacError
 from .moments import SampleMoments, compute_moments
 from .report import (
     ReportFormat,
@@ -47,15 +47,34 @@ class RunConfig:
     fmt: ReportFormat
 
 
+def _read(kind: str, path: str, load):
+    """load(path), with a file that is missing or cannot be read (a directory,
+    no permission) as an InputError."""
+    try:
+        return load(path)
+    except FileNotFoundError:
+        raise InputError(f"{kind} file not found: {path}") from None
+    except OSError as exc:
+        raise InputError(f"cannot read {kind} file {path!r}: {exc.strerror}") from None
+
+
+def _read_text(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise InputError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+        doc = json.loads(_read("config", path, _read_text))
+    except UnicodeDecodeError as exc:
+        raise InputError(
+            f"config file is not UTF-8 text ({exc.reason} at offset {exc.start})"
+        ) from None
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an integer over the int-string digit limit, or
+        # nesting too deep for the parser
         raise InputError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InputError("config file must hold a JSON object")
@@ -73,16 +92,32 @@ def _merge(flag, config_value, default):
     return default
 
 
+def _path(name: str, value):
+    """`value` if it is None or a path string open() accepts (no NUL byte)."""
+    if value is None or isinstance(value, str) and "\0" not in value:
+        return value
+    raise InputError(f"{name} must be a path string, got {value!r}")
+
+
+def _number(name: str, value) -> float:
+    """`value` (a flag or a JSON config value) as a finite float."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{name} must be a number ({exc})") from None
+    if not math.isfinite(number):
+        raise InputError(f"{name} must be finite, got {number}")
+    return number
+
+
 def build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = _load_config_file(getattr(args, "config", None))
-    dataset_path = _merge(args.dataset, cfg.get("dataset"), os.environ.get(ENV_DATASET))
-    projection_path = _merge(args.projection, cfg.get("projection"), None)
-    beta = float(_merge(args.beta, cfg.get("beta"), 0.99))
+    cfg = _load_config_file(_path("config", getattr(args, "config", None)))
+    # an empty RAC_DATASET counts as unset, not as the path "" (the cwd)
+    env_dataset = os.environ.get(ENV_DATASET) or None
+    dataset_path = _path("dataset", _merge(args.dataset, cfg.get("dataset"), env_dataset))
+    projection_path = _path("projection", _merge(args.projection, cfg.get("projection"), None))
     group_name = _merge(args.group, cfg.get("group"), "two")
-    tol = float(_merge(args.tol, cfg.get("tol"), DEFAULT_TOLERANCE))
     variant = _merge(args.variant, cfg.get("variant"), "both")
-    eta = _merge(args.eta, cfg.get("eta"), None)
-    rho = _merge(args.rho, cfg.get("rho"), None)
     fmt_name = _merge(args.format, cfg.get("format"), "text")
     if group_name not in ("one", "two"):
         raise InputError(f"group must be 'one' or 'two', got {group_name!r}")
@@ -90,11 +125,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise InputError(f"variant must be realized, projected, or both, got {variant!r}")
     if fmt_name not in ("text", "csv", "json"):
         raise InputError(f"format must be text, csv, or json, got {fmt_name!r}")
-    eta = None if eta is None else float(eta)
-    rho = None if rho is None else float(rho)
-    for name, value in (("beta", beta), ("tol", tol), ("eta", eta), ("rho", rho)):
-        if value is not None and not math.isfinite(value):
-            raise InputError(f"{name} must be finite, got {value}")
+    beta = _number("beta", _merge(args.beta, cfg.get("beta"), 0.99))
+    tol = _number("tol", _merge(args.tol, cfg.get("tol"), DEFAULT_TOLERANCE))
+    eta = _merge(args.eta, cfg.get("eta"), None)
+    rho = _merge(args.rho, cfg.get("rho"), None)
+    eta = None if eta is None else _number("eta", eta)
+    rho = None if rho is None else _number("rho", rho)
     lo, hi = RHO_REGION
     if not 0.0 < beta <= 1.0:
         raise InputError(f"beta must be in (0, 1], got {beta}")
@@ -120,19 +156,13 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 def _open_dataset(cfg: RunConfig) -> ds.MarketDataset:
     if cfg.dataset_path is None:
         return ds.load_bundled_dataset()
-    try:
-        return ds.load_dataset(cfg.dataset_path)
-    except FileNotFoundError:
-        raise InputError(f"dataset file not found: {cfg.dataset_path}") from None
+    return _read("dataset", cfg.dataset_path, ds.load_dataset)
 
 
 def _open_projection(cfg: RunConfig) -> ds.ProjectionInputs:
     if cfg.projection_path is None:
         return ds.load_bundled_projection()
-    try:
-        return ds.load_projection(cfg.projection_path)
-    except FileNotFoundError:
-        raise InputError(f"projection file not found: {cfg.projection_path}") from None
+    return _read("projection", cfg.projection_path, ds.load_projection)
 
 
 # -- commands ----------------------------------------------------------------
@@ -288,11 +318,20 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file (flags win over its values)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, the input-problem code, not argparse's 2 (the
+    computation-problem code here). Subparsers inherit the class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 # Built once per process: parse_args keeps no state between calls, so main()
 # can run many times in one process on the same parser.
 @functools.cache
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rac",
         description="Calibrate sufficiency factors and classify risk attitudes "
         "from an annual consumption/returns dataset.",
@@ -310,15 +349,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = build_config(args)
         return args.func(cfg, sys.stdout)
-    except InputError as exc:
+    except RacError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ComputeError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, InputError) else 2
 
 
 if __name__ == "__main__":

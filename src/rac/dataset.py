@@ -290,23 +290,6 @@ def with_final_consumption(d: MarketDataset, value: float) -> MarketDataset:
     )
 
 
-def serialize_dataset(d: MarketDataset) -> bytes:
-    """CSV bytes for `d`, shortest-repr floats (parse/serialize round-trips)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_HEADER)
-    for i, year in enumerate(d.consumption.years):
-        writer.writerow(
-            [
-                year,
-                repr(d.consumption.values[i]),
-                repr(d.equity_return.values[i]),
-                repr(d.riskfree_return.values[i]),
-            ]
-        )
-    return buf.getvalue().encode("utf-8")
-
-
 def bundled_dataset_path() -> Path:
     """Filesystem path of the packaged reference dataset."""
     return Path(str(resources.files("rac").joinpath("data", BUNDLED_DATASET)))

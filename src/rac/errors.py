@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 Two families matter to the CLI: input problems (bad files, bad schema) exit
-with code 1, computation problems (degenerate systems, undefined utility
-combinations) exit with code 2.
+with code 1, computation problems (non-finite moments, degenerate systems,
+unclassifiable comparisons) exit with code 2.
 """
 
 
@@ -35,10 +35,6 @@ class NonPositiveValue(InputError):
 
 # -- moments ----------------------------------------------------------------
 
-class SeriesTooShort(ComputeError):
-    """Fewer than two observations; no growth ratio can be formed."""
-
-
 class NegativeVariance(ComputeError):
     """A variance argument was negative."""
 
@@ -52,10 +48,6 @@ class NonFiniteMoment(ComputeError):
 
 class NonPositiveConsumption(ComputeError):
     """Utility requested for consumption <= 0."""
-
-
-class UndefinedAtLogLimit(ComputeError):
-    """The unshifted power utility has no value at rho = 1."""
 
 
 # -- calibration ------------------------------------------------------------

@@ -20,7 +20,7 @@ from itertools import repeat
 from operator import mul, sub, truediv
 
 from .dataset import MarketDataset
-from .errors import NegativeVariance, NonFiniteMoment, SeriesTooShort
+from .errors import NegativeVariance, NonFiniteMoment
 
 
 @dataclass(frozen=True)
@@ -60,14 +60,12 @@ def _mean_var(values: list[float]) -> tuple[float, float]:
 def compute_moments(d: MarketDataset) -> SampleMoments:
     """Sample moments of `d`.
 
-    Raises SeriesTooShort when no growth ratio can be formed, and
-    NonFiniteMoment when a moment is not finite (a growth ratio or a sum
-    outside the floating-point range).
+    Raises NonFiniteMoment when a moment is not finite (a growth ratio or a
+    sum outside the floating-point range). `d` has at least two years, so
+    there is always a growth ratio.
     """
     c = d.consumption.values
     n = len(c)
-    if n < 2:
-        raise SeriesTooShort("need at least two years of consumption")
     try:
         x = list(map(truediv, c[1:], c))
         mu_x, sigma2_x = _mean_var(list(map(math.log, x)))

@@ -1,10 +1,9 @@
 """Constant-relative-risk-aversion utility and its expectation over a
 log-normal consumption level.
 
-The shifted form u(c) = (c^(1-rho) - 1)/(1-rho) is zero at c = 1 for every
-rho and tends to ln(c) as rho -> 1, so it is the form used whenever values
-are compared across different rho. The unshifted form c^(1-rho)/(1-rho) has
-no log limit.
+The utility is the shifted form u(c) = (c^(1-rho) - 1)/(1-rho): it is zero
+at c = 1 for every rho and tends to ln(c) as rho -> 1, so values compare
+across different rho, the log case included.
 """
 
 from __future__ import annotations
@@ -12,16 +11,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NonPositiveConsumption, UndefinedAtLogLimit
+from .errors import NonPositiveConsumption
 from .moments import SampleMoments
 
 
 @dataclass(frozen=True)
 class UtilitySpec:
-    """Curvature parameter and form choice for the utility function."""
+    """Curvature parameter of the utility function."""
 
     rho: float
-    shifted: bool = True
 
     def __post_init__(self):
         if not (self.rho >= 0 and math.isfinite(self.rho)):
@@ -43,22 +41,17 @@ class UtilityComparison:
 
 
 def crra_utility(c: float, spec: UtilitySpec) -> float:
-    """u(c) under `spec`.
+    """u(c) = (c^(1-rho) - 1)/(1-rho) under `spec`, equal to ln(c) at rho = 1.
 
-    Shifted: (c^(1-rho) - 1)/(1-rho), equal to ln(c) at rho = 1. Computed as
-    expm1((1-rho) ln c)/(1-rho), which stays accurate arbitrarily close to
-    the log limit. Unshifted: c^(1-rho)/(1-rho), undefined at rho = 1.
+    Computed as expm1((1-rho) ln c)/(1-rho), which stays accurate arbitrarily
+    close to the log limit.
     """
     if c <= 0:
         raise NonPositiveConsumption(f"consumption must be positive, got {c}")
     a = 1.0 - spec.rho
-    if spec.shifted:
-        if a == 0.0:
-            return math.log(c)
-        return math.expm1(a * math.log(c)) / a
     if a == 0.0:
-        raise UndefinedAtLogLimit("unshifted form has no value at rho = 1")
-    return math.exp(a * math.log(c)) / a
+        return math.log(c)
+    return math.expm1(a * math.log(c)) / a
 
 
 def expected_utility_unconditional(m: SampleMoments, spec: UtilitySpec) -> float:
@@ -66,10 +59,7 @@ def expected_utility_unconditional(m: SampleMoments, spec: UtilitySpec) -> float
 
     With a = 1 - rho the log-normal moment gives
     (exp(a*mu_z + a^2*sigma2_z/2) - 1)/a; at rho = 1 this is mu_z exactly.
-    Only the shifted form has the limit, so the unshifted form is rejected.
     """
-    if not spec.shifted:
-        raise UndefinedAtLogLimit("expected utility uses the shifted form")
     a = 1.0 - spec.rho
     if a == 0.0:
         return m.mu_z
@@ -96,25 +86,3 @@ def make_comparison(
         beta=beta,
         expected_u=expected_u,
     )
-
-
-def implied_consumption(
-    theta_t: float,
-    theta_next: float,
-    z_t: float,
-    z_next: float,
-    p_t: float,
-    q_t: float,
-    y_t: float,
-) -> float:
-    """Consumption from the budget identity of the two-asset endowment economy.
-
-    c_t = theta_t*y_t + theta_t*p_t + z_t*q_t - z_next*q_t - theta_next*p_t
-
-    theta holds equity (dividend y, price p), z holds the riskless bond
-    (price q). Market clearing is theta = 1, z = 0, which returns y_t.
-    """
-    c = theta_t * y_t + theta_t * p_t + z_t * q_t - z_next * q_t - theta_next * p_t
-    if c <= 0:
-        raise NonPositiveConsumption(f"budget identity gives non-positive consumption {c}")
-    return c

@@ -1,4 +1,8 @@
-"""Shared fixtures: the bundled dataset, its projected variant, and moments."""
+"""Shared fixtures: the bundled dataset, its projected variant, and moments;
+and serialize_dataset, which writes a dataset back to CSV."""
+
+import csv
+import io
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -37,3 +41,20 @@ def variant_datasets(bundled, projected_dataset):
 @pytest.fixture(scope="session")
 def variant_moments(variant_datasets):
     return {name: compute_moments(d) for name, d in variant_datasets.items()}
+
+
+def serialize_dataset(d):
+    """CSV bytes for `d`, shortest-repr floats (parse/serialize round-trips)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["year", "consumption_per_capita", "equity_gross_return", "riskfree_gross_return"])
+    for i, year in enumerate(d.consumption.years):
+        writer.writerow(
+            [
+                year,
+                repr(d.consumption.values[i]),
+                repr(d.equity_return.values[i]),
+                repr(d.riskfree_return.values[i]),
+            ]
+        )
+    return buf.getvalue().encode("utf-8")

@@ -14,7 +14,6 @@ from rac import (
     Label,
     MarketDataset,
     UtilityComparison,
-    allocation_sign,
     classify,
     classify_pipeline,
     curvature_from_rho,
@@ -58,19 +57,19 @@ def constant_dataset(level=100.0, years=5):
     )
 
 
-# -- allocation_sign and curvature_from_rho -----------------------------------
+# -- allocation sign and curvature_from_rho ----------------------------------
 
 def test_allocation_sign_reference_values():
-    assert allocation_sign(0.961745, 1.033526) is AllocationSign.NEGATIVE
-    assert allocation_sign(1.019392, 1.033526) is AllocationSign.POSITIVE
-    assert allocation_sign(1.0, 2.0) is AllocationSign.ZERO
+    # the paper's equity and risk-free factors, and eta = 1 inside the band
+    assert classify(cmp_with(5.0, 4.0, 0.961745), CONCAVE).allocation is AllocationSign.NEGATIVE
+    assert classify(cmp_with(5.0, 4.0, 1.019392), CONCAVE).allocation is AllocationSign.POSITIVE
+    assert classify(cmp_with(5.0, 5.0, 1.0), CONCAVE).allocation is AllocationSign.ZERO
 
 
 def test_allocation_sign_validation():
-    with pytest.raises(ValueError):
-        allocation_sign(0.0, 1.0)
-    with pytest.raises(ValueError):
-        allocation_sign(1.0, -0.1)
+    for eta in (0.0, -0.5):
+        with pytest.raises(ValueError, match="eta must be positive"):
+            classify(cmp_with(5.0, 5.0, eta), CONCAVE)
 
 
 def test_curvature_from_rho():

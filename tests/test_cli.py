@@ -11,8 +11,10 @@ from pathlib import Path
 import pytest
 
 from rac import dataset as ds
-from rac import load_bundled_dataset, parse_csv, serialize_dataset
+from rac import load_bundled_dataset, parse_csv
 from rac.cli import ENV_DATASET, main
+
+from conftest import serialize_dataset
 
 HEADER = "year,consumption_per_capita,equity_gross_return,riskfree_gross_return"
 PROJECTION_HEADER = "nondurables_bn,services_bn,gnp_deflator,population"
@@ -91,6 +93,23 @@ def test_ingest_missing_file(capsys):
     code, _, err = run(capsys, "ingest", "--dataset", "/no/such/file.csv")
     assert code == 1
     assert "not found" in err
+
+
+@pytest.mark.parametrize("flag", ["--dataset", "--projection", "--config"])
+def test_unreadable_path_is_input_error(capsys, tmp_path, flag):
+    # a directory (like any OSError on open) is an input problem, not a traceback
+    code, out, err = run(capsys, "classify", flag, str(tmp_path))
+    kind = flag.removeprefix("--")
+    assert (code, out) == (1, "")
+    assert err == f"error: InputError: cannot read {kind} file {str(tmp_path)!r}: Is a directory\n"
+
+
+def test_empty_env_dataset_is_unset(capsys, monkeypatch):
+    # RAC_DATASET="" falls back to the bundled series, not to the path "" (the cwd)
+    expected = run(capsys, "ingest")
+    monkeypatch.setenv(ENV_DATASET, "")
+    assert run(capsys, "ingest") == expected
+    assert expected[0] == 0
 
 
 def test_ingest_gapped_file(capsys, gapped_file):
@@ -454,12 +473,46 @@ def test_config_missing(capsys):
     assert "not found" in err
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ('{"beta": [1]}', "beta must be a number (float() argument must be a string "
+         "or a real number, not 'list')"),
+        ('{"eta": {}}', "eta must be a number (float() argument must be a string "
+         "or a real number, not 'dict')"),
+        ('{"beta": "abc"}', "beta must be a number (could not convert string to float: 'abc')"),
+        ('{"beta": 1' + "0" * 400 + "}", "beta must be a number (int too large to convert to float)"),
+        ('{"dataset": 5}', "dataset must be a path string, got 5"),
+        ('{"projection": "a\\u0000b"}', "projection must be a path string, got 'a\\x00b'"),
+        (b'\xff\xfe{"beta": 0.5}', "config file is not UTF-8 text (invalid start byte at offset 0)"),
+        ("[" * 100_000, "config file is not valid JSON: maximum recursion depth exceeded"),
+    ],
+    ids=["list", "dict", "text", "huge-int", "int-path", "nul-path", "not-utf8", "deep"],
+)
+def test_bad_config_value_is_input_error(capsys, tmp_path, content, message):
+    # each config value is converted in build_config, and the file decoded in
+    # _load_config_file, so a bad one is a typed error naming the key
+    config = tmp_path / "config.json"
+    if isinstance(content, bytes):
+        config.write_bytes(content)
+    else:
+        config.write_text(content)
+    code, out, err = run(capsys, "classify", "--config", str(config))
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert err.startswith(f"error: InputError: {message}")
+
+
 def test_bad_flag_value(capsys):
-    # argparse rejects bad choices itself, exiting with a usage error
-    with pytest.raises(SystemExit) as exc_info:
-        main(["classify", "--group", "three"])
-    assert exc_info.value.code != 0
-    assert "--group" in capsys.readouterr().err
+    # argparse rejects bad choices and a missing command itself; a usage
+    # error is an input problem
+    for argv, fragment in (
+        (["classify", "--group", "three"], "--group"),
+        ([], "rac: error: the following arguments are required: command"),
+    ):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 1
+        assert fragment in capsys.readouterr().err
 
 
 # -- determinism --------------------------------------------------------------

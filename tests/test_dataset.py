@@ -18,10 +18,11 @@ from rac import (
     load_projection,
     project,
     projected_consumption,
-    serialize_dataset,
     with_final_consumption,
 )
 from rac.errors import InputError, MissingYear, NonPositiveValue, SchemaError
+
+from conftest import serialize_dataset
 
 HEADER = "year,consumption_per_capita,equity_gross_return,riskfree_gross_return"
 

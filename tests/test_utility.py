@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from _frozen_reference import FROZEN
@@ -11,11 +11,10 @@ from rac import (
     UtilitySpec,
     crra_utility,
     expected_utility_unconditional,
-    implied_consumption,
     make_comparison,
     uncertain_utility,
 )
-from rac.errors import NonPositiveConsumption, UndefinedAtLogLimit
+from rac.errors import NonPositiveConsumption
 
 RHO_REALIZED = 1.033526
 RHO_PROJECTED = 1.0089
@@ -40,21 +39,14 @@ def test_log_branch():
 
 def test_rho_zero_forms():
     assert math.isclose(crra_utility(7.0, UtilitySpec(0.0)), 6.0, rel_tol=1e-14)
-    unshifted = UtilitySpec(0.0, shifted=False)
-    assert math.isclose(crra_utility(7.0, unshifted), 7.0, rel_tol=1e-14)
-
-
-def test_unshifted_rejects_log_limit():
-    with pytest.raises(UndefinedAtLogLimit):
-        crra_utility(3340, UtilitySpec(1.0, shifted=False))
 
 
 def test_rejects_non_positive_consumption():
-    for spec in (UtilitySpec(2.0), UtilitySpec(2.0, shifted=False)):
+    for rho in (1.0, 2.0):
         with pytest.raises(NonPositiveConsumption):
-            crra_utility(0.0, spec)
+            crra_utility(0.0, UtilitySpec(rho))
         with pytest.raises(NonPositiveConsumption):
-            crra_utility(-3.0, spec)
+            crra_utility(-3.0, UtilitySpec(rho))
 
 
 def test_spec_validation():
@@ -78,11 +70,9 @@ def test_log_limit_continuity(c, side):
     c1=st.floats(min_value=0.5, max_value=200.0),
     factor=st.floats(min_value=1.01, max_value=10.0),
     rho=st.floats(min_value=0.0, max_value=5.0),
-    shifted=st.booleans(),
 )
-def test_strict_monotonicity(c1, factor, rho, shifted):
-    assume(shifted or rho != 1.0)
-    spec = UtilitySpec(rho, shifted=shifted)
+def test_strict_monotonicity(c1, factor, rho):
+    spec = UtilitySpec(rho)
     assert crra_utility(c1 * factor, spec) > crra_utility(c1, spec)
 
 
@@ -128,12 +118,6 @@ def test_expected_utility_degenerate_matches_crra(mu_z, rho):
     got = expected_utility_unconditional(m, UtilitySpec(rho))
     want = crra_utility(math.exp(mu_z), UtilitySpec(rho))
     assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
-
-
-def test_expected_utility_rejects_unshifted():
-    m = moments_with_levels(7.0, 0.1)
-    with pytest.raises(UndefinedAtLogLimit):
-        expected_utility_unconditional(m, UtilitySpec(2.0, shifted=False))
 
 
 def test_expected_utility_bundled_realized(variant_moments):
@@ -183,18 +167,3 @@ def test_make_comparison_fields():
     assert cmp.beta == 0.99
     assert cmp.eta == 0.96
     assert cmp.uncertain == 0.99 * 0.96 * 6.5
-
-
-# -- implied_consumption ------------------------------------------------------
-
-def test_market_clearing_consumes_dividend():
-    assert implied_consumption(1, 1, 0, 0, 100, 0.9, 5) == 5.0
-
-
-def test_partial_equity_sale():
-    assert implied_consumption(1, 0.5, 0, 0, 100, 0.9, 5) == 55.0
-
-
-def test_zero_endowment_rejected():
-    with pytest.raises(NonPositiveConsumption):
-        implied_consumption(0, 0, 0, 0, 100, 0.9, 5)
