@@ -35,7 +35,7 @@ form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .errors import DegenerateSystem, NoConvergence
@@ -62,28 +62,27 @@ RHO_ANCHORS: dict[Variant, float] = {
 }
 
 
-@dataclass(frozen=True)
-class SufficiencyFactors:
+class SufficiencyFactors(namedtuple("SufficiencyFactors", "zeta xi")):
     """Equity factor zeta and risk-free factor xi."""
 
-    zeta: float
-    xi: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.zeta <= 0 or self.xi <= 0:
+    def __new__(cls, zeta: float, xi: float):
+        if zeta <= 0 or xi <= 0:
             raise ValueError("sufficiency factors must be positive")
+        return super().__new__(cls, zeta, xi)
 
 
-@dataclass(frozen=True)
-class CalibrationResult:
-    factors: SufficiencyFactors
-    rho: float
-    residuals: tuple[float, float, float]
-    consistency_gap: float
+class CalibrationResult(namedtuple("CalibrationResult", "factors rho residuals consistency_gap")):
+    """SufficiencyFactors at rho, the (A, B, C) residuals and the consistency gap."""
 
-    def __post_init__(self):
-        if not all(math.isfinite(r) for r in self.residuals):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        c = super().__new__(cls, *args, **kwargs)
+        if not all(math.isfinite(r) for r in c.residuals):
             raise ValueError("residuals must be finite")
+        return c
 
 
 def _check_beta(beta: float) -> None:

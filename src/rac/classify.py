@@ -20,8 +20,8 @@ except that not-enough-risk-averse is rejected outright (InvalidCombination).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .dataset import MarketDataset
 from .errors import InvalidCombination, Unclassifiable
@@ -63,8 +63,7 @@ class Label(Enum):
     RISK_NEUTRAL = "Risk-neutral"
 
 
-@dataclass(frozen=True)
-class RiskAttitude:
+class RiskAttitude(NamedTuple):
     label: Label
     group: DefinitionGroup
     defining_equation: int

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from . import dataset as ds
 from .calibration import RHO_REGION, CalibrationResult, Variant, calibrate_variant
@@ -26,6 +25,7 @@ from .report import (
     ReportRow,
     calibration_block,
     export_run,
+    json_text,
     render_table,
 )
 
@@ -34,8 +34,7 @@ ENV_DATASET = "RAC_DATASET"
 _CONFIG_KEYS = ("dataset", "projection", "beta", "group", "tol", "variant", "eta", "rho", "format")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     dataset_path: str | None
     projection_path: str | None
     beta: float
@@ -59,13 +58,17 @@ def _read(kind: str, path: str, load):
 
 
 def _read_text(path: str) -> str:
+    """The file's UTF-8 text, without a leading byte order mark (as datasets
+    are read, so a decode error's offset stays a file offset)."""
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        return fh.read().removeprefix("\ufeff")
 
 
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
+    import json  # loaded only when a config file is given
+
     try:
         doc = json.loads(_read("config", path, _read_text))
     except UnicodeDecodeError as exc:
@@ -175,9 +178,9 @@ def cmd_ingest(cfg: RunConfig, out) -> int:
             "years": len(d),
             "start_year": d.start_year,
             "end_year": d.end_year,
-            "moments": asdict(m),
+            "moments": m._asdict(),
         }
-        out.write(json.dumps(doc, indent=2) + "\n")
+        out.write(json_text(doc))
         return 0
     out.write(f"{len(d)} years, {d.start_year}-{d.end_year}\n")
     out.write(f"mean gross consumption growth {m.mean_x:.6f}\n")
@@ -214,7 +217,7 @@ def cmd_calibrate(cfg: RunConfig, out) -> int:
     results = _calibrations(cfg)
     if cfg.fmt is ReportFormat.JSON:
         doc = {"calibration": {name: calibration_block(c) for name, (_, _, c) in results.items()}}
-        out.write(json.dumps(doc, indent=2) + "\n")
+        out.write(json_text(doc))
         return 0
     if cfg.fmt is ReportFormat.CSV:
         out.write("variant,zeta,xi,rho,residual_a,residual_b,residual_c,consistency_gap\n")

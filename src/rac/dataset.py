@@ -31,7 +31,7 @@ import csv
 import functools
 import io
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from importlib import resources
 from pathlib import Path
 
@@ -44,18 +44,50 @@ BUNDLED_DATASET = "mehra_prescott_1889_1978.csv"
 BUNDLED_PROJECTION = "projection_1978.csv"
 
 
-@dataclass(frozen=True)
-class AnnualSeries:
+class _Record:
+    """Immutable, compared by value: a subclass names its fields in __slots__
+    and sets each once, through object.__setattr__, in its __init__."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def _immutable(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which the blocked
+        # __setattr__ would otherwise stop
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class AnnualSeries(_Record):
     """A contiguous annual series of positive finite values."""
 
-    start_year: int
-    values: tuple[float, ...]
+    __slots__ = ("start_year", "values")
 
-    def __post_init__(self):
-        if len(self.values) < 2:
+    def __init__(self, start_year: int, values: tuple[float, ...]):
+        if len(values) < 2:
             raise SchemaError("annual series needs at least two years")
-        if not all(0.0 < v < math.inf for v in self.values):
+        if not all(0.0 < v < math.inf for v in values):
             raise NonPositiveValue("annual series values must be positive and finite")
+        object.__setattr__(self, "start_year", start_year)
+        object.__setattr__(self, "values", values)
 
     @property
     def years(self) -> range:
@@ -69,21 +101,20 @@ class AnnualSeries:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class MarketDataset:
+class MarketDataset(_Record):
     """Consumption, equity return, and risk-free return series on one span."""
 
-    consumption: AnnualSeries
-    equity_return: AnnualSeries
-    riskfree_return: AnnualSeries
+    __slots__ = ("consumption", "equity_return", "riskfree_return")
 
-    def __post_init__(self):
-        spans = {
-            (s.start_year, len(s))
-            for s in (self.consumption, self.equity_return, self.riskfree_return)
-        }
+    def __init__(
+        self, consumption: AnnualSeries, equity_return: AnnualSeries, riskfree_return: AnnualSeries
+    ):
+        spans = {(s.start_year, len(s)) for s in (consumption, equity_return, riskfree_return)}
         if len(spans) != 1:
             raise SchemaError("the three series must cover the same years")
+        object.__setattr__(self, "consumption", consumption)
+        object.__setattr__(self, "equity_return", equity_return)
+        object.__setattr__(self, "riskfree_return", riskfree_return)
 
     @property
     def start_year(self) -> int:
@@ -97,19 +128,22 @@ class MarketDataset:
         return len(self.consumption)
 
 
-@dataclass(frozen=True)
-class ProjectionInputs:
+# typing.NamedTuple may not override __new__, so the records that validate
+# their fields subclass a collections.namedtuple instead.
+_PROJECTION_FIELDS = "nominal_nondurables_bn nominal_services_bn gnp_deflator population"
+
+
+class ProjectionInputs(namedtuple("ProjectionInputs", _PROJECTION_FIELDS)):
     """Nominal spending aggregates used to project a consumption level."""
 
-    nominal_nondurables_bn: float
-    nominal_services_bn: float
-    gnp_deflator: float
-    population: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("nominal_nondurables_bn", "nominal_services_bn", "gnp_deflator", "population"):
-            if not 0.0 < getattr(self, name) < math.inf:
+    def __new__(cls, *args, **kwargs):
+        p = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(p._fields, p):
+            if not 0.0 < value < math.inf:
                 raise NonPositiveValue(f"{name} must be positive and finite")
+        return p
 
 
 def _reader(source, header: list[str]):

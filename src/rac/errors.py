@@ -50,6 +50,11 @@ class NonPositiveConsumption(ComputeError):
     """Utility requested for consumption <= 0."""
 
 
+class UtilityOverflow(ComputeError):
+    """A utility leaves the floating-point range: (1-rho) times a log
+    consumption level is too large to exponentiate."""
+
+
 # -- calibration ------------------------------------------------------------
 
 class NoConvergence(ComputeError):

@@ -15,7 +15,7 @@ which cancels the rounding of the mean itself (the corrected two-pass form).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import repeat
 from operator import mul, sub, truediv
 
@@ -23,8 +23,10 @@ from .dataset import MarketDataset
 from .errors import NegativeVariance, NonFiniteMoment
 
 
-@dataclass(frozen=True)
-class SampleMoments:
+_MOMENT_FIELDS = "mu_x sigma2_x mean_x mean_Re mean_Rf mu_z sigma2_z"
+
+
+class SampleMoments(namedtuple("SampleMoments", _MOMENT_FIELDS)):
     """First and second moments feeding calibration and expected utility.
 
     mu_x, sigma2_x: mean/variance of log consumption growth
@@ -34,19 +36,15 @@ class SampleMoments:
     mu_z, sigma2_z: mean/variance of log consumption levels
     """
 
-    mu_x: float
-    sigma2_x: float
-    mean_x: float
-    mean_Re: float
-    mean_Rf: float
-    mu_z: float
-    sigma2_z: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.sigma2_x < 0 or self.sigma2_z < 0:
+    def __new__(cls, *args, **kwargs):
+        m = super().__new__(cls, *args, **kwargs)
+        if m.sigma2_x < 0 or m.sigma2_z < 0:
             raise NegativeVariance("variances must be nonnegative")
-        if min(self.mean_x, self.mean_Re, self.mean_Rf) <= 0:
+        if min(m.mean_x, m.mean_Re, m.mean_Rf) <= 0:
             raise ValueError("gross means must be positive")
+        return m
 
 
 def _mean_var(values: list[float]) -> tuple[float, float]:

@@ -7,13 +7,10 @@ field for field. export_run wraps a calibration block and the rows into the
 machine-readable run document.
 """
 
-from __future__ import annotations
-
 import csv
 import io
-import json
-from dataclasses import dataclass, fields
 from enum import Enum
+from typing import NamedTuple
 
 from .calibration import CalibrationResult
 from .errors import EmptyReport
@@ -25,8 +22,7 @@ class ReportFormat(Enum):
     JSON = "json"
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     year_certain: int
     year_uncertain: str
     consumption_certain: float
@@ -38,8 +34,10 @@ class ReportRow:
     rho: float
 
 
-_COLUMNS = tuple(f.name for f in fields(ReportRow))
-_NUMERIC = tuple(f.name for f in fields(ReportRow) if f.type == "float")
+_COLUMNS = ReportRow._fields
+# This module does not postpone annotations, so a field's annotation is the
+# type itself (under postponed evaluation NamedTuple would hold a ForwardRef).
+_NUMERIC = tuple(c for c in _COLUMNS if ReportRow.__annotations__[c] is float)
 _HEADERS = (
     "certain year",
     "uncertain year",
@@ -66,7 +64,14 @@ def render_table(rows: list[ReportRow], fmt: ReportFormat = ReportFormat.TEXT) -
         return _render_text(rows)
     if fmt is ReportFormat.CSV:
         return _render_csv(rows)
-    return json.dumps([_row_to_json(r) for r in rows], indent=2) + "\n"
+    return json_text([_row_to_json(r) for r in rows])
+
+
+def json_text(doc) -> str:
+    """`doc` as the indented JSON text every `--format json` document uses."""
+    import json  # only JSON output pays for loading json
+
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def _render_text(rows: list[ReportRow]) -> str:
@@ -109,6 +114,8 @@ def parse_csv(text: str) -> list[ReportRow]:
 
 def parse_json(text: str) -> list[ReportRow]:
     """Inverse of render_table(..., JSON)."""
+    import json
+
     return [_row_from_record(rec) for rec in json.loads(text)]
 
 
@@ -145,4 +152,4 @@ def export_run(
         },
         "classifications": rows_out,
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json_text(doc)

@@ -9,25 +9,25 @@ across different rho, the log case included.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
-from .errors import NonPositiveConsumption
+from .errors import NonPositiveConsumption, UtilityOverflow
 from .moments import SampleMoments
 
 
-@dataclass(frozen=True)
-class UtilitySpec:
+class UtilitySpec(namedtuple("UtilitySpec", "rho")):
     """Curvature parameter of the utility function."""
 
-    rho: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.rho >= 0 and math.isfinite(self.rho)):
+    def __new__(cls, rho: float):
+        if not (rho >= 0 and math.isfinite(rho)):
             raise ValueError("rho must be finite and >= 0")
+        return super().__new__(cls, rho)
 
 
-@dataclass(frozen=True)
-class UtilityComparison:
+class UtilityComparison(NamedTuple):
     """A certain utility next to the discounted, factor-scaled expectation.
 
     uncertain is beta * eta * expected_u by construction.
@@ -51,7 +51,7 @@ def crra_utility(c: float, spec: UtilitySpec) -> float:
     a = 1.0 - spec.rho
     if a == 0.0:
         return math.log(c)
-    return math.expm1(a * math.log(c)) / a
+    return _expm1_over(a, a * math.log(c))
 
 
 def expected_utility_unconditional(m: SampleMoments, spec: UtilitySpec) -> float:
@@ -63,7 +63,17 @@ def expected_utility_unconditional(m: SampleMoments, spec: UtilitySpec) -> float
     a = 1.0 - spec.rho
     if a == 0.0:
         return m.mu_z
-    return math.expm1(a * m.mu_z + 0.5 * a * a * m.sigma2_z) / a
+    return _expm1_over(a, a * m.mu_z + 0.5 * a * a * m.sigma2_z)
+
+
+def _expm1_over(a: float, x: float) -> float:
+    """expm1(x)/a, with an x too large to exponentiate as UtilityOverflow."""
+    try:
+        return math.expm1(x) / a
+    except OverflowError:
+        raise UtilityOverflow(
+            f"utility leaves the floating-point range (exponent {x:.6g} at 1 - rho = {a:g})"
+        ) from None
 
 
 def uncertain_utility(expected_u: float, beta: float, eta: float) -> float:

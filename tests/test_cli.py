@@ -69,9 +69,9 @@ def test_ingest_json(capsys):
     assert doc["start_year"] == 1889
     assert doc["end_year"] == 1978
     assert abs(doc["moments"]["mean_x"] - 1.018) < 1e-3
-    assert set(doc["moments"]) == {
+    assert list(doc["moments"]) == [
         "mu_x", "sigma2_x", "mean_x", "mean_Re", "mean_Rf", "mu_z", "sigma2_z"
-    }
+    ]
 
 
 def test_ingest_env_var_dataset(capsys, monkeypatch, bundled_copy):
@@ -224,6 +224,20 @@ def test_non_finite_moments_exit_2(capsys, tmp_path, command):
     code, out, err = run(capsys, command, "--dataset", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error: NonFiniteMoment: ")
+
+
+@pytest.mark.parametrize("eta", [[], ["--eta", "0.9"]], ids=["factor-eta", "custom-eta"])
+def test_utility_overflow_exits_2(capsys, tmp_path, eta):
+    # (1 - rho) ln c = -59 * ln(1e-300) is past exp's range: a typed
+    # computation error, not an OverflowError traceback
+    rows = [f"{1900 + i},{1.001e-300 if i % 2 else 1e-300},1.05,1.01" for i in range(4)]
+    path = tmp_path / "tiny.csv"
+    path.write_text(HEADER + "\n" + "\n".join(rows) + "\n")
+    code, out, err = run(
+        capsys, "classify", "--dataset", str(path), "--rho", "60", "--variant", "realized", *eta
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: UtilityOverflow: ")
 
 
 @pytest.mark.parametrize("variant", ["projected", "both"])
@@ -467,6 +481,16 @@ def test_config_not_object(capsys, tmp_path):
     assert code == 1
 
 
+def test_config_with_bom_loads(capsys, tmp_path):
+    # a leading UTF-8 byte order mark is dropped, as in dataset files
+    config = tmp_path / "config.json"
+    config.write_bytes(b"\xef\xbb\xbf" + json.dumps({"beta": 0.5}).encode())
+    with_config = run(capsys, "calibrate", "--format", "json", "--config", str(config))
+    with_flag = run(capsys, "calibrate", "--format", "json", "--beta", "0.5")
+    assert with_config == with_flag
+    assert with_flag[0] == 0
+
+
 def test_config_missing(capsys):
     code, _, err = run(capsys, "calibrate", "--config", "/no/such/config.json")
     assert code == 1
@@ -485,9 +509,13 @@ def test_config_missing(capsys):
         ('{"dataset": 5}', "dataset must be a path string, got 5"),
         ('{"projection": "a\\u0000b"}', "projection must be a path string, got 'a\\x00b'"),
         (b'\xff\xfe{"beta": 0.5}', "config file is not UTF-8 text (invalid start byte at offset 0)"),
+        # the offset counts the byte order mark, as for a dataset file
+        (b'\xef\xbb\xbf{"beta": \xff}',
+         "config file is not UTF-8 text (invalid start byte at offset 12)"),
         ("[" * 100_000, "config file is not valid JSON: maximum recursion depth exceeded"),
     ],
-    ids=["list", "dict", "text", "huge-int", "int-path", "nul-path", "not-utf8", "deep"],
+    ids=["list", "dict", "text", "huge-int", "int-path", "nul-path", "not-utf8", "bom-not-utf8",
+         "deep"],
 )
 def test_bad_config_value_is_input_error(capsys, tmp_path, content, message):
     # each config value is converted in build_config, and the file decoded in
@@ -576,14 +604,23 @@ def test_user_files_read_on_every_call(capsys, tmp_path):
 # -- start-up -----------------------------------------------------------------
 
 def test_cli_import_leaves_numpy_out(tmp_path):
-    # the runtime needs no numpy; importing it would cost most of a cold start
+    # a cold command pays only for what it uses: no numpy, no dataclasses
+    # (which loads inspect, ast and dis), and json only for JSON I/O
     src = Path(__file__).resolve().parents[1] / "src"
     probe = subprocess.run(
-        [sys.executable, "-c", "import rac.cli, sys; sys.exit('numpy' in sys.modules)"],
+        [
+            sys.executable,
+            "-c",
+            "import io, sys, contextlib, rac.cli\n"
+            "print(sorted({'numpy', 'dataclasses', 'inspect', 'json'} & set(sys.modules)))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = rac.cli.main(['ingest'])\n"
+            "print(code, 'json' in sys.modules)",
+        ],
         env=dict(os.environ, PYTHONPATH=str(src)),
         cwd=tmp_path,
         capture_output=True,
         text=True,
         timeout=60,
     )
-    assert (probe.returncode, probe.stderr) == (0, "")
+    assert (probe.returncode, probe.stdout, probe.stderr) == (0, "[]\n0 False\n", "")

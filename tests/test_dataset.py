@@ -1,6 +1,5 @@
 """Dataset loading, validation, projection arithmetic, and round-trips."""
 
-import dataclasses
 import io
 import math
 
@@ -210,7 +209,7 @@ def test_bundled_inputs_parsed_once():
     # one frozen record per process, handed to every caller
     assert load_bundled_dataset() is load_bundled_dataset()
     assert load_bundled_projection() is load_bundled_projection()
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         load_bundled_dataset().consumption = None
 
 

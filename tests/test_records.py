@@ -1,0 +1,135 @@
+"""Record semantics: every record is immutable, compares by value and keeps
+its validation errors (type and message), however it is constructed."""
+
+import copy
+import math
+import pickle
+
+import pytest
+
+from rac import (
+    AllocationSign,
+    AnnualSeries,
+    CalibrationResult,
+    DefinitionGroup,
+    Label,
+    MarketDataset,
+    ProjectionInputs,
+    ReportFormat,
+    ReportRow,
+    RiskAttitude,
+    SampleMoments,
+    SufficiencyFactors,
+    UtilityComparison,
+    UtilitySpec,
+)
+from rac.cli import RunConfig
+from rac.errors import NegativeVariance, NonPositiveValue, SchemaError
+
+SERIES = AnnualSeries(1900, (1.0, 2.0))
+MOMENTS = dict(
+    mu_x=0.017, sigma2_x=0.0013, mean_x=1.018, mean_Re=1.0698, mean_Rf=1.008, mu_z=7.3,
+    sigma2_z=0.16,
+)
+
+# (a field name, a builder that returns a fresh record with the same values)
+RECORDS = {
+    "AnnualSeries": ("values", lambda: AnnualSeries(1900, (1.0, 2.0))),
+    "MarketDataset": ("consumption", lambda: MarketDataset(SERIES, SERIES, SERIES)),
+    "ProjectionInputs": ("population", lambda: ProjectionInputs(515.4, 613.7, 150.0, 219441872.0)),
+    "SampleMoments": ("mean_x", lambda: SampleMoments(**MOMENTS)),
+    "SufficiencyFactors": ("zeta", lambda: SufficiencyFactors(0.96, 1.02)),
+    "CalibrationResult": (
+        "rho",
+        lambda: CalibrationResult(SufficiencyFactors(0.96, 1.02), 1.03, (0.0, 0.0, -5e-6), -5e-6),
+    ),
+    "UtilitySpec": ("rho", lambda: UtilitySpec(1.5)),
+    "UtilityComparison": ("certain", lambda: UtilityComparison(7.1, 7.0, 0.96, 0.99, 7.3)),
+    "RiskAttitude": (
+        "label",
+        lambda: RiskAttitude(Label.RISK_AVERSE, DefinitionGroup.TWO, 6, AllocationSign.NEGATIVE),
+    ),
+    "ReportRow": (
+        "rho",
+        lambda: ReportRow(1977, "1978 (realized)", 3340.0, 3450.0, 7.1, 7.0, "a", "b", 1.03),
+    ),
+    "RunConfig": (
+        "beta",
+        lambda: RunConfig(None, None, 0.99, DefinitionGroup.TWO, 1e-9, "both", None, None,
+                          ReportFormat.TEXT),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_is_immutable(name):
+    field, build = RECORDS[name]
+    record = build()
+    assert type(record).__name__ == name
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.extra = 1  # no instance dict to hold a new attribute
+    assert getattr(record, field) is before
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_equal_values_compare_equal(name):
+    _, build = RECORDS[name]
+    a, b = build(), build()
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_copies_and_pickles(name):
+    _, build = RECORDS[name]
+    record = build()
+    for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(clone) is type(record) and clone == record
+
+
+def test_different_values_compare_unequal():
+    assert AnnualSeries(1900, (1.0, 2.0)) != AnnualSeries(1901, (1.0, 2.0))
+    assert SufficiencyFactors(0.96, 1.02) != SufficiencyFactors(0.96, 1.03)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: AnnualSeries(1900, (1.0,)), SchemaError, "annual series needs at least two years"),
+        (lambda: AnnualSeries(1900, (1.0, 0.0)), NonPositiveValue,
+         "annual series values must be positive and finite"),
+        (lambda: AnnualSeries(start_year=1900, values=(1.0, math.nan)), NonPositiveValue,
+         "annual series values must be positive and finite"),
+        (lambda: MarketDataset(AnnualSeries(1900, (1.0, 2.0, 3.0)), SERIES, SERIES), SchemaError,
+         "the three series must cover the same years"),
+        (lambda: MarketDataset(SERIES, SERIES, riskfree_return=AnnualSeries(1901, (1.0, 2.0))),
+         SchemaError, "the three series must cover the same years"),
+        (lambda: ProjectionInputs(0.0, 613.7, 150.0, 219441872.0), NonPositiveValue,
+         "nominal_nondurables_bn must be positive and finite"),
+        (lambda: ProjectionInputs(515.4, 613.7, 150.0, population=math.inf), NonPositiveValue,
+         "population must be positive and finite"),
+        (lambda: SampleMoments(**{**MOMENTS, "sigma2_z": -1.0}), NegativeVariance,
+         "variances must be nonnegative"),
+        (lambda: SampleMoments(0.0, -1.0, 1.0, 1.0, 1.0, 0.0, 0.0), NegativeVariance,
+         "variances must be nonnegative"),
+        (lambda: SampleMoments(**{**MOMENTS, "mean_Rf": 0.0}), ValueError,
+         "gross means must be positive"),
+        (lambda: SufficiencyFactors(0.0, 1.0), ValueError, "sufficiency factors must be positive"),
+        (lambda: SufficiencyFactors(zeta=1.0, xi=-2.0), ValueError,
+         "sufficiency factors must be positive"),
+        (lambda: CalibrationResult(SufficiencyFactors(1.0, 1.0), 1.0, (0.0, math.inf, 0.0), 0),
+         ValueError, "residuals must be finite"),
+        (lambda: UtilitySpec(-0.5), ValueError, "rho must be finite and >= 0"),
+        (lambda: UtilitySpec(rho=math.nan), ValueError, "rho must be finite and >= 0"),
+    ],
+)
+def test_validation_keeps_error_type_and_message(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert (type(info.value), str(info.value)) == (error, message)

@@ -14,7 +14,7 @@ from rac import (
     make_comparison,
     uncertain_utility,
 )
-from rac.errors import NonPositiveConsumption
+from rac.errors import ComputeError, NonPositiveConsumption, UtilityOverflow
 
 RHO_REALIZED = 1.033526
 RHO_PROJECTED = 1.0089
@@ -47,6 +47,14 @@ def test_rejects_non_positive_consumption():
             crra_utility(0.0, UtilitySpec(rho))
         with pytest.raises(NonPositiveConsumption):
             crra_utility(-3.0, UtilitySpec(rho))
+
+
+@pytest.mark.parametrize("rho", [3.0, 60.0])
+def test_overflow_is_typed(rho):
+    # (1 - rho) ln c is past exp's range for tiny c and rho > 1
+    with pytest.raises(UtilityOverflow, match="utility leaves the floating-point range"):
+        crra_utility(1e-300, UtilitySpec(rho))
+    assert issubclass(UtilityOverflow, ComputeError)
 
 
 def test_spec_validation():
@@ -107,6 +115,14 @@ def test_expected_utility_point_mass_at_one():
 def test_expected_utility_log_branch_is_mu_z():
     m = moments_with_levels(7.25, 0.3)
     assert expected_utility_unconditional(m, UtilitySpec(1.0)) == 7.25
+
+
+@pytest.mark.parametrize(
+    "mu_z, sigma2_z, rho", [(-690.0, 0.0, 60.0), (7.0, 2000.0, 0.0)], ids=["level", "variance"]
+)
+def test_expected_utility_overflow_is_typed(mu_z, sigma2_z, rho):
+    with pytest.raises(UtilityOverflow):
+        expected_utility_unconditional(moments_with_levels(mu_z, sigma2_z), UtilitySpec(rho))
 
 
 @given(
