@@ -38,12 +38,23 @@ import math
 from collections import namedtuple
 from enum import Enum
 
-from .errors import DegenerateSystem, NoConvergence
+from .errors import DegenerateSystem, InputError, NoConvergence
 from .moments import SampleMoments, consistency_gap
 
 DEGENERACY_TOL = 1e-12
 RHO_REGION = (0.0, 60.0)
 FACTOR_REGION_MAX = 10.0
+# ln of the largest float, rounded down: exp of a larger log-factor overflows.
+_LN_FLOAT_MAX = 709.78
+
+
+def check_rho(rho: float) -> float:
+    """rho as a float, if it lies in RHO_REGION."""
+    lo, hi = RHO_REGION
+    rho = float(rho)
+    if not lo <= rho <= hi:
+        raise InputError(f"rho {rho} outside the supported range [{lo:g}, {hi:g}]")
+    return rho
 
 
 class Variant(Enum):
@@ -69,7 +80,7 @@ class SufficiencyFactors(namedtuple("SufficiencyFactors", "zeta xi")):
 
     def __new__(cls, zeta: float, xi: float):
         if zeta <= 0 or xi <= 0:
-            raise ValueError("sufficiency factors must be positive")
+            raise InputError("sufficiency factors must be positive")
         return super().__new__(cls, zeta, xi)
 
 
@@ -81,23 +92,24 @@ class CalibrationResult(namedtuple("CalibrationResult", "factors rho residuals c
     def __new__(cls, *args, **kwargs):
         c = super().__new__(cls, *args, **kwargs)
         if not all(math.isfinite(r) for r in c.residuals):
-            raise ValueError("residuals must be finite")
+            raise InputError("residuals must be finite")
         return c
 
 
-def _check_beta(beta: float) -> None:
+def check_beta(beta: float) -> float:
+    """beta, if it lies in (0, 1]."""
     if not 0.0 < beta <= 1.0:
-        raise ValueError(f"beta must be in (0, 1], got {beta}")
+        raise InputError(f"beta must be in (0, 1], got {beta}")
+    return beta
 
 
 def system_residuals(
     f: SufficiencyFactors, rho: float, beta: float, m: SampleMoments
 ) -> tuple[float, float, float]:
     """LHS - RHS of eqs A, B, C at (f, rho)."""
-    _check_beta(beta)
     ln_zeta = math.log(f.zeta)
     ln_xi = math.log(f.xi)
-    ln_beta = math.log(beta)
+    ln_beta = math.log(check_beta(beta))
     r_a = math.log(m.mean_Rf) - (
         -ln_beta - ln_xi + rho * m.mu_x - 0.5 * rho**2 * m.sigma2_x
     )
@@ -115,8 +127,7 @@ def system_residuals(
 
 
 def _closed_form(rho: float, beta: float, m: SampleMoments) -> tuple[float, float]:
-    """(zeta, xi) zeroing eqs A and B at this rho, unchecked."""
-    _check_beta(beta)
+    """(ln zeta, ln xi) zeroing eqs A and B at this rho, unchecked."""
     ln_xi = (
         -math.log(m.mean_Rf) - math.log(beta) + rho * m.mu_x - 0.5 * rho**2 * m.sigma2_x
     )
@@ -127,14 +138,14 @@ def _closed_form(rho: float, beta: float, m: SampleMoments) -> tuple[float, floa
         - 0.5 * (1.0 - rho) ** 2 * m.sigma2_x
         - math.log(m.mean_Re)
     )
-    return math.exp(ln_zeta), math.exp(ln_xi)
+    return ln_zeta, ln_xi
 
 
 def solve_closed_form_given_rho(
     rho: float, beta: float, m: SampleMoments
 ) -> SufficiencyFactors:
     """The (zeta, xi) that zero eqs A and B exactly at this rho."""
-    return SufficiencyFactors(*_closed_form(rho, beta, m))
+    return SufficiencyFactors(*map(math.exp, _closed_form(rho, check_beta(beta), m)))
 
 
 def solve_system(beta: float, m: SampleMoments, rho: float = 1.0) -> CalibrationResult:
@@ -144,27 +155,22 @@ def solve_system(beta: float, m: SampleMoments, rho: float = 1.0) -> Calibration
     cannot identify it (module docstring). Residuals A and B are zero and
     residual C equals the consistency gap, each up to rounding.
 
-    Raises ValueError for beta outside (0, 1] or rho outside RHO_REGION, a
-    caller's error (the CLI rejects both as InputError before calibrating);
+    Raises InputError for beta outside (0, 1] or rho outside RHO_REGION;
     DegenerateSystem when |gap| < DEGENERACY_TOL, because a one-parameter
     family then solves the system and no single triple is meaningful; and
     NoConvergence when a factor falls outside (0, FACTOR_REGION_MAX].
     """
-    _check_beta(beta)
+    check_beta(beta)
     gap = consistency_gap(m)
     if abs(gap) < DEGENERACY_TOL:
         raise DegenerateSystem(
             "consistency gap is zero to machine precision: eq C is exactly "
             "eq B - eq A, every rho solves the system, no unique triple exists"
         )
-
-    lo, hi = RHO_REGION
-    rho = float(rho)
-    if not lo <= rho <= hi:
-        raise ValueError(f"rho {rho} outside the supported range [{lo:g}, {hi:g}]")
-
-    zeta, xi = _closed_form(rho, beta, m)
-    # Written so that NaN factors fail too.
+    rho = check_rho(rho)
+    # A log-factor above ln(FACTOR_REGION_MAX) leaves the region; one too
+    # large to exponentiate shows as inf. Written so that NaN fails too.
+    zeta, xi = (math.exp(v) if v < _LN_FLOAT_MAX else math.inf for v in _closed_form(rho, beta, m))
     if not (0.0 < zeta <= FACTOR_REGION_MAX and 0.0 < xi <= FACTOR_REGION_MAX):
         raise NoConvergence(
             f"closed-form factors ({zeta:.6g}, {xi:.6g}) "

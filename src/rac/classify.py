@@ -24,17 +24,25 @@ from enum import Enum
 from typing import NamedTuple
 
 from .dataset import MarketDataset
-from .errors import InvalidCombination, Unclassifiable
+from .errors import InputError, InvalidCombination, Unclassifiable
 from .moments import SampleMoments, compute_moments
 from .utility import (
     UtilityComparison,
     UtilitySpec,
+    check_eta,
     crra_utility,
     expected_utility_unconditional,
     make_comparison,
 )
 
 DEFAULT_TOLERANCE = 1e-9
+
+
+def check_tol(tol: float) -> float:
+    """tol, if it is nonnegative."""
+    if not tol >= 0:
+        raise InputError(f"tol must be >= 0, got {tol}")
+    return tol
 
 
 class Curvature(Enum):
@@ -71,9 +79,7 @@ class RiskAttitude(NamedTuple):
 
 
 def _sign_from_eta(eta: float) -> AllocationSign:
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    if eta < 1.0:
+    if check_eta(eta) < 1.0:
         return AllocationSign.NEGATIVE
     if eta > 1.0:
         return AllocationSign.POSITIVE
@@ -103,13 +109,11 @@ def classify(
     (eta = 1) matches no definition; the two signs pick a row of _DEFINITIONS
     and the curvature rules of the module docstring accept or reject it.
     """
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
     delta = cmp.certain - cmp.uncertain
     alloc = _sign_from_eta(cmp.eta)
     one = group is DefinitionGroup.ONE
 
-    if abs(delta) <= tol:
+    if abs(delta) <= check_tol(tol):
         return RiskAttitude(Label.RISK_NEUTRAL, group, 4 if one else 10, alloc)
 
     if alloc is AllocationSign.ZERO:
@@ -155,7 +159,7 @@ def curvature_from_rho(rho: float) -> Curvature:
     """Curvature of the shifted power utility: concave for rho > 0, linear
     at rho = 0."""
     if rho < 0:
-        raise ValueError(f"rho must be >= 0, got {rho}")
+        raise InputError(f"rho must be >= 0, got {rho}")
     return Curvature.STRICTLY_CONCAVE if rho > 0 else Curvature.LINEAR
 
 

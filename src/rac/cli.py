@@ -16,8 +16,8 @@ import sys
 from typing import NamedTuple
 
 from . import dataset as ds
-from .calibration import RHO_REGION, CalibrationResult, Variant, calibrate_variant
-from .classify import DefinitionGroup, classify_pipeline, DEFAULT_TOLERANCE
+from .calibration import CalibrationResult, Variant, calibrate_variant, check_beta, check_rho
+from .classify import DefinitionGroup, classify_pipeline, check_tol, DEFAULT_TOLERANCE
 from .errors import InputError, RacError
 from .moments import SampleMoments, compute_moments
 from .report import (
@@ -28,6 +28,7 @@ from .report import (
     json_text,
     render_table,
 )
+from .utility import check_eta
 
 ENV_DATASET = "RAC_DATASET"
 
@@ -57,11 +58,16 @@ def _read(kind: str, path: str, load):
         raise InputError(f"cannot read {kind} file {path!r}: {exc.strerror}") from None
 
 
-def _read_text(path: str) -> str:
+def _read_config_text(path: str) -> str:
     """The file's UTF-8 text, without a leading byte order mark (as datasets
     are read, so a decode error's offset stays a file offset)."""
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read().removeprefix("\ufeff")
+        try:
+            return fh.read().removeprefix("\ufeff")
+        except UnicodeDecodeError as exc:
+            raise InputError(
+                f"config file is not UTF-8 text ({exc.reason} at offset {exc.start})"
+            ) from None
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -69,12 +75,9 @@ def _load_config_file(path: str | None) -> dict:
         return {}
     import json  # loaded only when a config file is given
 
+    text = _read("config", path, _read_config_text)
     try:
-        doc = json.loads(_read("config", path, _read_text))
-    except UnicodeDecodeError as exc:
-        raise InputError(
-            f"config file is not UTF-8 text ({exc.reason} at offset {exc.start})"
-        ) from None
+        doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
         # JSONDecodeError, an integer over the int-string digit limit, or
         # nesting too deep for the parser
@@ -128,21 +131,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise InputError(f"variant must be realized, projected, or both, got {variant!r}")
     if fmt_name not in ("text", "csv", "json"):
         raise InputError(f"format must be text, csv, or json, got {fmt_name!r}")
-    beta = _number("beta", _merge(args.beta, cfg.get("beta"), 0.99))
-    tol = _number("tol", _merge(args.tol, cfg.get("tol"), DEFAULT_TOLERANCE))
+    beta = check_beta(_number("beta", _merge(args.beta, cfg.get("beta"), 0.99)))
+    tol = check_tol(_number("tol", _merge(args.tol, cfg.get("tol"), DEFAULT_TOLERANCE)))
     eta = _merge(args.eta, cfg.get("eta"), None)
     rho = _merge(args.rho, cfg.get("rho"), None)
-    eta = None if eta is None else _number("eta", eta)
-    rho = None if rho is None else _number("rho", rho)
-    lo, hi = RHO_REGION
-    if not 0.0 < beta <= 1.0:
-        raise InputError(f"beta must be in (0, 1], got {beta}")
-    if tol < 0:
-        raise InputError(f"tol must be >= 0, got {tol}")
-    if eta is not None and eta <= 0:
-        raise InputError(f"eta must be positive, got {eta}")
-    if rho is not None and not lo <= rho <= hi:
-        raise InputError(f"rho {rho} outside the supported range [{lo:g}, {hi:g}]")
+    eta = None if eta is None else check_eta(_number("eta", eta))
+    rho = None if rho is None else check_rho(_number("rho", rho))
     return RunConfig(
         dataset_path=dataset_path,
         projection_path=projection_path,

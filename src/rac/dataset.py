@@ -32,7 +32,6 @@ import functools
 import io
 import math
 from collections import namedtuple
-from importlib import resources
 from pathlib import Path
 
 from .errors import InputError, MissingYear, NonPositiveValue, SchemaError
@@ -40,8 +39,8 @@ from .errors import InputError, MissingYear, NonPositiveValue, SchemaError
 _HEADER = ["year", "consumption_per_capita", "equity_gross_return", "riskfree_gross_return"]
 _PROJECTION_HEADER = ["nondurables_bn", "services_bn", "gnp_deflator", "population"]
 
-BUNDLED_DATASET = "mehra_prescott_1889_1978.csv"
-BUNDLED_PROJECTION = "projection_1978.csv"
+# The package's data directory; rac is installed as files, not as a zip.
+_DATA = Path(__file__).with_name("data")
 
 
 class _Record:
@@ -312,10 +311,9 @@ def with_final_consumption(d: MarketDataset, value: float) -> MarketDataset:
     """A copy of `d` whose final consumption entry is replaced by `value`.
 
     Everything else (returns, span, all earlier consumption) is untouched.
-    Used to swap the realized final year for a projected one.
+    Used to swap the realized final year for a projected one. A value that
+    is not positive and finite is rejected by AnnualSeries (NonPositiveValue).
     """
-    if value <= 0:
-        raise NonPositiveValue("replacement consumption must be positive")
     new_values = d.consumption.values[:-1] + (float(value),)
     return MarketDataset(
         consumption=AnnualSeries(d.consumption.start_year, new_values),
@@ -324,23 +322,13 @@ def with_final_consumption(d: MarketDataset, value: float) -> MarketDataset:
     )
 
 
-def bundled_dataset_path() -> Path:
-    """Filesystem path of the packaged reference dataset."""
-    return Path(str(resources.files("rac").joinpath("data", BUNDLED_DATASET)))
-
-
-def bundled_projection_path() -> Path:
-    """Filesystem path of the packaged projection-inputs file."""
-    return Path(str(resources.files("rac").joinpath("data", BUNDLED_PROJECTION)))
-
-
 # Package data does not change under a running process and the parsed
 # records are frozen, so each bundled file is parsed once per process.
 @functools.cache
 def load_bundled_dataset() -> MarketDataset:
-    return load_dataset(bundled_dataset_path())
+    return load_dataset(_DATA / "mehra_prescott_1889_1978.csv")
 
 
 @functools.cache
 def load_bundled_projection() -> ProjectionInputs:
-    return load_projection(bundled_projection_path())
+    return load_projection(_DATA / "projection_1978.csv")

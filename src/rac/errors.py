@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
-Two families matter to the CLI: input problems (bad files, bad schema) exit
-with code 1, computation problems (non-finite moments, degenerate systems,
-unclassifiable comparisons) exit with code 2.
+Two families matter to the CLI: input problems (bad files, bad schema, a
+parameter out of range) exit with code 1, computation problems (non-finite
+moments, degenerate systems, unclassifiable comparisons) exit with code 2.
+InputError is also a ValueError, the type Python gives a bad argument value.
 """
 
 
@@ -10,7 +11,7 @@ class RacError(Exception):
     """Base class for all package errors."""
 
 
-class InputError(RacError):
+class InputError(RacError, ValueError):
     """A problem with user-supplied data or arguments. CLI exit code 1."""
 
 

@@ -20,7 +20,7 @@ from itertools import repeat
 from operator import mul, sub, truediv
 
 from .dataset import MarketDataset
-from .errors import NegativeVariance, NonFiniteMoment
+from .errors import InputError, NegativeVariance, NonFiniteMoment
 
 
 _MOMENT_FIELDS = "mu_x sigma2_x mean_x mean_Re mean_Rf mu_z sigma2_z"
@@ -43,7 +43,7 @@ class SampleMoments(namedtuple("SampleMoments", _MOMENT_FIELDS)):
         if m.sigma2_x < 0 or m.sigma2_z < 0:
             raise NegativeVariance("variances must be nonnegative")
         if min(m.mean_x, m.mean_Re, m.mean_Rf) <= 0:
-            raise ValueError("gross means must be positive")
+            raise InputError("gross means must be positive")
         return m
 
 

@@ -12,7 +12,8 @@ import math
 from collections import namedtuple
 from typing import NamedTuple
 
-from .errors import NonPositiveConsumption, UtilityOverflow
+from .calibration import check_beta
+from .errors import InputError, NonPositiveConsumption, UtilityOverflow
 from .moments import SampleMoments
 
 
@@ -23,7 +24,7 @@ class UtilitySpec(namedtuple("UtilitySpec", "rho")):
 
     def __new__(cls, rho: float):
         if not (rho >= 0 and math.isfinite(rho)):
-            raise ValueError("rho must be finite and >= 0")
+            raise InputError("rho must be finite and >= 0")
         return super().__new__(cls, rho)
 
 
@@ -76,13 +77,22 @@ def _expm1_over(a: float, x: float) -> float:
         ) from None
 
 
+def check_eta(eta: float) -> float:
+    """eta, if it is positive."""
+    if not eta > 0:
+        raise InputError(f"eta must be positive, got {eta}")
+    return eta
+
+
 def uncertain_utility(expected_u: float, beta: float, eta: float) -> float:
     """beta * eta * expected_u, the factor-scaled discounted expectation."""
-    if not 0.0 < beta <= 1.0:
-        raise ValueError(f"beta must be in (0, 1], got {beta}")
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    return beta * eta * expected_u
+    u = check_beta(beta) * check_eta(eta) * expected_u
+    if not math.isfinite(u):
+        raise UtilityOverflow(
+            f"uncertain utility leaves the floating-point range "
+            f"(beta {beta:g} * eta {eta:g} * E[u] {expected_u:.6g})"
+        )
+    return u
 
 
 def make_comparison(

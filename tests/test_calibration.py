@@ -214,6 +214,13 @@ def test_no_convergence_when_factors_leave_region():
     m = SampleMoments(0.02, 1.0, math.exp(0.52 + 1e-6), 1.07, 1.01, 7.0, 0.1)
     with pytest.raises(NoConvergence):
         solve_system(0.99, m, rho=60.0)
+    # both log-factors past exp's range: mean log growth 12.5 at rho = 60,
+    # and -ln beta for a subnormal beta
+    m = SampleMoments(12.5, 0.01, math.exp(12.5 + 0.006), 1.05, 1.01, 31.0, 100.0)
+    with pytest.raises(NoConvergence, match=r"factors \(inf, inf\)"):
+        solve_system(0.99, m, rho=60.0)
+    with pytest.raises(NoConvergence, match=r"factors \(inf, inf\)"):
+        solve_system(5e-324, m)
 
 
 # -- calibrate_variant --------------------------------------------------------

@@ -1,17 +1,22 @@
 """CLI behavior: subcommands, config precedence, exit codes, determinism."""
 
 import argparse
+import contextlib
 import importlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rac import dataset as ds
-from rac import load_bundled_dataset, parse_csv
+from rac import errors, load_bundled_dataset, parse_csv
 from rac.cli import ENV_DATASET, main
 
 from conftest import serialize_dataset
@@ -240,6 +245,39 @@ def test_utility_overflow_exits_2(capsys, tmp_path, eta):
     assert err.startswith("error: UtilityOverflow: ")
 
 
+def test_huge_eta_overflow_exits_2(capsys):
+    # beta * eta * E[u] passes the float range: a typed error, not an
+    # Infinity in the JSON
+    argv = ["--group", "one", "--eta", "1e308", "--variant", "realized", "--format", "json"]
+    code, out, err = run(capsys, "classify", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: UtilityOverflow: uncertain utility leaves the floating-point")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["calibrate", "--beta", "1e-320", "--variant", "realized"], ["classify", "--beta", "5e-324"]],
+)
+def test_factor_overflow_at_tiny_beta_exits_2(capsys, argv):
+    # -ln beta is past exp's range, so both factors are far above the region
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: NoConvergence: closed-form factors (inf, inf) leave the search region (0, 10.0]\n"
+    )
+
+
+def test_factor_overflow_at_large_growth_exits_2(capsys, tmp_path):
+    # log growth about 12.5 a year at rho = 60 puts both log-factors past exp's range
+    rows = [f"{1900 + i},{math.exp(12.5 * i + 0.1 * (i % 2))!r},1.05,1.01" for i in range(6)]
+    path = tmp_path / "growth.csv"
+    path.write_text(HEADER + "\n" + "\n".join(rows) + "\n")
+    argv = ["calibrate", "--dataset", str(path), "--rho", "60", "--variant", "realized"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: NoConvergence: closed-form factors (inf, inf)")
+
+
 @pytest.mark.parametrize("variant", ["projected", "both"])
 @pytest.mark.parametrize("projection", ["missing", "overflow"])
 def test_input_error_wins_over_compute_error(capsys, tmp_path, variant, projection):
@@ -300,7 +338,7 @@ def test_non_finite_number_is_input_error(capsys, tmp_path, name, value, source)
     ],
 )
 def test_out_of_range_number_is_input_error(capsys, tmp_path, name, value, message, source):
-    # checked in build_config, so no command gets as far as a bare ValueError
+    # checked in build_config, by the same functions the library calls
     if source == "flag":
         argv = [f"--{name}={value}"]
     else:
@@ -541,6 +579,67 @@ def test_bad_flag_value(capsys):
             main(argv)
         assert exc_info.value.code == 1
         assert fragment in capsys.readouterr().err
+
+
+# -- any flags ----------------------------------------------------------------
+
+_RAC_ERRORS = {
+    name
+    for name, obj in vars(errors).items()
+    if isinstance(obj, type) and issubclass(obj, errors.RacError)
+}
+# Each flag with ordinary values and adversarial ones: NaN, negative zero,
+# huge, subnormal, unparseable and out-of-range numbers, and bad choices.
+_ADVERSARIAL = ["nan", "-0", "1e308", "1e-320", "5e-324", "inf", "-inf", "-1", "0", "abc"]
+_FLAG_VALUES = {
+    "--beta": ["0.99", "1", "0.5", *_ADVERSARIAL],
+    "--tol": ["1e-9", "0.1", "1e3", *_ADVERSARIAL],
+    "--eta": ["0.9", "1", "1.05", "10", *_ADVERSARIAL],
+    "--rho": ["0.5", "1", "2", "60", "61", *_ADVERSARIAL],
+    "--group": ["one", "two", "three", ""],
+    "--variant": ["realized", "projected", "both", "none"],
+    "--format": ["text", "csv", "json", "xml"],
+}
+_FLAG_PAIR = st.one_of(
+    *(st.tuples(st.just(flag), st.sampled_from(values)) for flag, values in _FLAG_VALUES.items())
+)
+_ARGV = st.builds(
+    lambda command, pairs: [command, *(token for pair in pairs for token in pair)],
+    st.sampled_from(["ingest", "calibrate", "classify"]),
+    st.lists(_FLAG_PAIR, max_size=5),
+)
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@settings(max_examples=300)
+@given(argv=_ARGV)
+@example(argv=["classify", "--group", "one", "--eta", "1e308", "--variant", "realized",
+               "--format", "json"])
+@example(argv=["calibrate", "--beta", "1e-320", "--variant", "realized"])
+def test_main_on_any_flags_exits_cleanly(argv):
+    # on the bundled data every flag combination ends in 0, a typed error
+    # (exit 1 or 2, one "error: <RacError subclass>: ..." line, no output) or
+    # an argparse usage error (SystemExit 1); JSON output is standard JSON
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 1
+            return
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    if code:
+        assert out == ""
+        assert err.endswith("\n") and err.count("\n") == 1
+        assert err.startswith("error: ") and err.split(": ")[1] in _RAC_ERRORS
+    else:
+        assert err == ""
+        if dict(zip(argv[1::2], argv[2::2])).get("--format") == "json":
+            json.loads(out, parse_constant=_no_constant)
 
 
 # -- determinism --------------------------------------------------------------

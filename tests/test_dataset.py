@@ -258,6 +258,63 @@ def test_round_trip_random(start, cons, data):
     assert load_dataset(io.BytesIO(serialize_dataset(d))) == d
 
 
+# Cells that float() and int() read in surprising ways, beside random ones.
+_ODD_CELLS = st.one_of(
+    st.sampled_from(["0", "-0", "-1", "nan", "inf", "-inf", "1e309", "1e-400", "5e-324", "1e308",
+                     "", " 7 ", "1_0", "0x10", "\u0661", '"3"', "1,5", "\x00", "9" * 5000]),
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def csv_documents(draw):
+    """CSV text for either loader, mostly well formed (contiguous years,
+    positive cells) so that some documents load, with about one part in ten
+    broken: an odd cell, a wrong year, a missing or extra cell, a wrong header."""
+
+    def odd():
+        return draw(st.integers(min_value=0, max_value=9)) == 0
+
+    projection = draw(st.booleans())
+    header = PROJECTION_HEADER if projection else HEADER
+    if odd():
+        header = draw(st.sampled_from([HEADER, PROJECTION_HEADER, "year", ""]))
+    start = draw(st.integers(min_value=-3, max_value=3000))
+    lines = [header]
+    for i in range(draw(st.integers(min_value=0, max_value=2 if projection else 6))):
+        cells = [draw(_ODD_CELLS) if odd() else repr(draw(st.floats(1e-3, 1e6)))
+                 for _ in range(4 if projection else 3)]
+        if not projection:
+            year = draw(st.sampled_from(["", "x", str(start)])) if odd() else str(start + i)
+            cells.insert(0, year)
+        if odd():
+            cells = cells[:-1] if draw(st.booleans()) else [*cells, "1.0"]
+        lines.append(",".join(cells))
+    return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)
+
+
+@pytest.mark.parametrize("load", [load_dataset, load_projection])
+@given(
+    document=st.one_of(st.text(), st.binary(), csv_documents(), csv_documents().map(str.encode))
+)
+def test_any_document_loads_finite_or_is_input_error(load, document):
+    # text or bytes content either loads into positive finite values or is
+    # rejected as an InputError, never another exception
+    source = io.BytesIO(document) if isinstance(document, bytes) else io.StringIO(document)
+    try:
+        record = load(source)
+    except InputError:
+        return
+    if isinstance(record, MarketDataset):
+        series = (record.consumption, record.equity_return, record.riskfree_return)
+        values = [v for s in series for v in s.values]
+    else:
+        values = list(record)
+    assert values and all(0.0 < v < math.inf for v in values)
+
+
 # -- projection ---------------------------------------------------------------
 
 def test_projected_consumption_reference():

@@ -24,7 +24,7 @@ from rac import (
     UtilitySpec,
 )
 from rac.cli import RunConfig
-from rac.errors import NegativeVariance, NonPositiveValue, SchemaError
+from rac.errors import InputError, NegativeVariance, NonPositiveValue, SchemaError
 
 SERIES = AnnualSeries(1900, (1.0, 2.0))
 MOMENTS = dict(
@@ -118,18 +118,23 @@ def test_different_values_compare_unequal():
          "variances must be nonnegative"),
         (lambda: SampleMoments(0.0, -1.0, 1.0, 1.0, 1.0, 0.0, 0.0), NegativeVariance,
          "variances must be nonnegative"),
-        (lambda: SampleMoments(**{**MOMENTS, "mean_Rf": 0.0}), ValueError,
+        (lambda: SampleMoments(**{**MOMENTS, "mean_Rf": 0.0}), InputError,
          "gross means must be positive"),
-        (lambda: SufficiencyFactors(0.0, 1.0), ValueError, "sufficiency factors must be positive"),
-        (lambda: SufficiencyFactors(zeta=1.0, xi=-2.0), ValueError,
+        (lambda: SufficiencyFactors(0.0, 1.0), InputError, "sufficiency factors must be positive"),
+        (lambda: SufficiencyFactors(zeta=1.0, xi=-2.0), InputError,
          "sufficiency factors must be positive"),
         (lambda: CalibrationResult(SufficiencyFactors(1.0, 1.0), 1.0, (0.0, math.inf, 0.0), 0),
-         ValueError, "residuals must be finite"),
-        (lambda: UtilitySpec(-0.5), ValueError, "rho must be finite and >= 0"),
-        (lambda: UtilitySpec(rho=math.nan), ValueError, "rho must be finite and >= 0"),
+         InputError, "residuals must be finite"),
+        (lambda: UtilitySpec(-0.5), InputError, "rho must be finite and >= 0"),
+        (lambda: UtilitySpec(rho=math.nan), InputError, "rho must be finite and >= 0"),
     ],
 )
 def test_validation_keeps_error_type_and_message(build, error, message):
     with pytest.raises(error) as info:
         build()
     assert (type(info.value), str(info.value)) == (error, message)
+
+
+def test_input_error_is_a_value_error():
+    # a bad argument to the library is typed, and still caught as ValueError
+    assert issubclass(InputError, ValueError)

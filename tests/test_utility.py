@@ -176,6 +176,15 @@ def test_uncertain_utility_validation():
         uncertain_utility(5.0, 0.99, 0.0)
 
 
+@pytest.mark.parametrize("eta, expected_u", [(1e308, 8.1), (1e308, -8.1), (2.0, 1e308)])
+def test_uncertain_utility_overflow_is_typed(eta, expected_u):
+    # beta * eta * E[u] past the float range is an error, not an inf output
+    with pytest.raises(UtilityOverflow, match="uncertain utility leaves the floating-point range"):
+        uncertain_utility(expected_u, 0.99, eta)
+    with pytest.raises(UtilityOverflow):
+        make_comparison(7.1, expected_u, 0.99, eta)
+
+
 def test_make_comparison_fields():
     cmp = make_comparison(7.1, 6.5, 0.99, 0.96)
     assert cmp.certain == 7.1
