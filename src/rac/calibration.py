@@ -79,7 +79,7 @@ class SufficiencyFactors(namedtuple("SufficiencyFactors", "zeta xi")):
     __slots__ = ()
 
     def __new__(cls, zeta: float, xi: float):
-        if zeta <= 0 or xi <= 0:
+        if not (zeta > 0 and xi > 0):
             raise InputError("sufficiency factors must be positive")
         return super().__new__(cls, zeta, xi)
 
@@ -127,7 +127,8 @@ def system_residuals(
 
 
 def _closed_form(rho: float, beta: float, m: SampleMoments) -> tuple[float, float]:
-    """(ln zeta, ln xi) zeroing eqs A and B at this rho, unchecked."""
+    """(zeta, xi) zeroing eqs A and B at this rho, unchecked, except that a
+    log-factor too large to exponentiate gives inf (and so does NaN)."""
     ln_xi = (
         -math.log(m.mean_Rf) - math.log(beta) + rho * m.mu_x - 0.5 * rho**2 * m.sigma2_x
     )
@@ -138,14 +139,20 @@ def _closed_form(rho: float, beta: float, m: SampleMoments) -> tuple[float, floa
         - 0.5 * (1.0 - rho) ** 2 * m.sigma2_x
         - math.log(m.mean_Re)
     )
-    return ln_zeta, ln_xi
+    return tuple(math.exp(v) if v < _LN_FLOAT_MAX else math.inf for v in (ln_zeta, ln_xi))
 
 
 def solve_closed_form_given_rho(
     rho: float, beta: float, m: SampleMoments
 ) -> SufficiencyFactors:
-    """The (zeta, xi) that zero eqs A and B exactly at this rho."""
-    return SufficiencyFactors(*map(math.exp, _closed_form(rho, check_beta(beta), m)))
+    """The (zeta, xi) that zero eqs A and B exactly at this rho.
+
+    Raises NoConvergence when a factor is too large for a float.
+    """
+    zeta, xi = _closed_form(rho, check_beta(beta), m)
+    if math.inf in (zeta, xi):
+        raise NoConvergence(f"closed-form factors ({zeta:.6g}, {xi:.6g}) overflow a float")
+    return SufficiencyFactors(zeta, xi)
 
 
 def solve_system(beta: float, m: SampleMoments, rho: float = 1.0) -> CalibrationResult:
@@ -168,9 +175,9 @@ def solve_system(beta: float, m: SampleMoments, rho: float = 1.0) -> Calibration
             "eq B - eq A, every rho solves the system, no unique triple exists"
         )
     rho = check_rho(rho)
-    # A log-factor above ln(FACTOR_REGION_MAX) leaves the region; one too
-    # large to exponentiate shows as inf. Written so that NaN fails too.
-    zeta, xi = (math.exp(v) if v < _LN_FLOAT_MAX else math.inf for v in _closed_form(rho, beta, m))
+    # A factor above FACTOR_REGION_MAX leaves the region, and so does one
+    # that _closed_form gives as inf.
+    zeta, xi = _closed_form(rho, beta, m)
     if not (0.0 < zeta <= FACTOR_REGION_MAX and 0.0 < xi <= FACTOR_REGION_MAX):
         raise NoConvergence(
             f"closed-form factors ({zeta:.6g}, {xi:.6g}) "

@@ -158,7 +158,7 @@ def classify(
 def curvature_from_rho(rho: float) -> Curvature:
     """Curvature of the shifted power utility: concave for rho > 0, linear
     at rho = 0."""
-    if rho < 0:
+    if not rho >= 0:
         raise InputError(f"rho must be >= 0, got {rho}")
     return Curvature.STRICTLY_CONCAVE if rho > 0 else Curvature.LINEAR
 
@@ -183,7 +183,7 @@ def classify_pipeline(
     """
     spec = UtilitySpec(rho)
     m = compute_moments(d) if moments is None else moments
-    certain = crra_utility(d.consumption.values[-2], spec)
+    certain = crra_utility(d.consumption[-2], spec)
     expected = expected_utility_unconditional(m, spec)
     cmp = make_comparison(certain, expected, beta, eta)
     return cmp, classify(cmp, curvature_from_rho(rho), group, tol)

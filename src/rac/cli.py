@@ -169,14 +169,14 @@ def cmd_ingest(cfg: RunConfig, out) -> int:
     m = compute_moments(d)
     if cfg.fmt is ReportFormat.JSON:
         doc = {
-            "years": len(d),
+            "years": len(d.consumption),
             "start_year": d.start_year,
             "end_year": d.end_year,
             "moments": m._asdict(),
         }
         out.write(json_text(doc))
         return 0
-    out.write(f"{len(d)} years, {d.start_year}-{d.end_year}\n")
+    out.write(f"{len(d.consumption)} years, {d.start_year}-{d.end_year}\n")
     out.write(f"mean gross consumption growth {m.mean_x:.6f}\n")
     out.write(f"log-growth mean {m.mu_x:.6f}, variance {m.sigma2_x:.8f}\n")
     out.write(f"mean equity gross return {m.mean_Re:.6f}\n")
@@ -199,7 +199,8 @@ def _calibrations(cfg: RunConfig) -> _Calibrations:
     names = ("realized", "projected") if cfg.variant == "both" else (cfg.variant,)
     datasets = dict.fromkeys(names, d)
     if "projected" in datasets:
-        datasets["projected"] = ds.with_final_consumption(d, ds.project(_open_projection(cfg)))
+        c = ds.projected_consumption(*_open_projection(cfg))
+        datasets["projected"] = ds.with_final_consumption(d, c)
     results: _Calibrations = {}
     for name, dv in datasets.items():
         m = compute_moments(dv)
@@ -257,8 +258,8 @@ def _classify_rows(
                 ReportRow(
                     year_certain=dv.end_year - 1,
                     year_uncertain=f"{dv.end_year} ({name})",
-                    consumption_certain=dv.consumption.values[-2],
-                    consumption_uncertain=dv.consumption.values[-1],
+                    consumption_certain=dv.consumption[-2],
+                    consumption_uncertain=dv.consumption[-1],
                     certain_utility=cmp.certain,
                     uncertain_utility=cmp.uncertain,
                     allocation_text=alloc_text[attitude.allocation.value],

@@ -10,6 +10,11 @@ gross return realized from t to t+1, so the final row's returns look one year
 past the consumption span. Returns stay aligned this way so that every row is
 complete; statistics over returns use all rows.
 
+A MarketDataset is a named tuple: the start year and three equal-length
+column tuples. Each value is checked once: by load_dataset cell by cell (its
+errors name the file line), or by the MarketDataset constructor for a record
+built by hand. with_final_consumption checks only the value it puts in.
+
 The bundled reference file is a synthetic reconstruction of the 1889-1978
 Mehra-Prescott annual series, built to match the published summary statistics
 (mean gross consumption growth about 1.018 with standard deviation about
@@ -43,93 +48,32 @@ _PROJECTION_HEADER = ["nondurables_bn", "services_bn", "gnp_deflator", "populati
 _DATA = Path(__file__).with_name("data")
 
 
-class _Record:
-    """Immutable, compared by value: a subclass names its fields in __slots__
-    and sets each once, through object.__setattr__, in its __init__."""
+# typing.NamedTuple may not override __new__, so the records that validate
+# their fields subclass a collections.namedtuple instead.
+_DATASET_FIELDS = "start_year consumption equity_return riskfree_return"
+_PROJECTION_FIELDS = "nominal_nondurables_bn nominal_services_bn gnp_deflator population"
+
+
+class MarketDataset(namedtuple("MarketDataset", _DATASET_FIELDS)):
+    """Consumption, equity return and risk-free return for each year from
+    start_year on: three tuples of one length, at least two, of positive
+    finite values."""
 
     __slots__ = ()
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def _immutable(self, name, value=None):
-        raise AttributeError(f"cannot assign to or delete field {name!r}")
-
-    __setattr__ = __delattr__ = _immutable
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, which the blocked
-        # __setattr__ would otherwise stop
-        return type(self), self._values()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-
-class AnnualSeries(_Record):
-    """A contiguous annual series of positive finite values."""
-
-    __slots__ = ("start_year", "values")
-
-    def __init__(self, start_year: int, values: tuple[float, ...]):
-        if len(values) < 2:
+    def __new__(cls, start_year: int, consumption, equity_return, riskfree_return):
+        series = (tuple(consumption), tuple(equity_return), tuple(riskfree_return))
+        if min(map(len, series)) < 2:
             raise SchemaError("annual series needs at least two years")
-        if not all(0.0 < v < math.inf for v in values):
+        if not all(0.0 < v < math.inf for values in series for v in values):
             raise NonPositiveValue("annual series values must be positive and finite")
-        object.__setattr__(self, "start_year", start_year)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def years(self) -> range:
-        return range(self.start_year, self.start_year + len(self.values))
-
-    @property
-    def end_year(self) -> int:
-        return self.start_year + len(self.values) - 1
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-class MarketDataset(_Record):
-    """Consumption, equity return, and risk-free return series on one span."""
-
-    __slots__ = ("consumption", "equity_return", "riskfree_return")
-
-    def __init__(
-        self, consumption: AnnualSeries, equity_return: AnnualSeries, riskfree_return: AnnualSeries
-    ):
-        spans = {(s.start_year, len(s)) for s in (consumption, equity_return, riskfree_return)}
-        if len(spans) != 1:
+        if len(set(map(len, series))) != 1:
             raise SchemaError("the three series must cover the same years")
-        object.__setattr__(self, "consumption", consumption)
-        object.__setattr__(self, "equity_return", equity_return)
-        object.__setattr__(self, "riskfree_return", riskfree_return)
-
-    @property
-    def start_year(self) -> int:
-        return self.consumption.start_year
+        return super().__new__(cls, start_year, *series)
 
     @property
     def end_year(self) -> int:
-        return self.consumption.end_year
-
-    def __len__(self) -> int:
-        return len(self.consumption)
-
-
-# typing.NamedTuple may not override __new__, so the records that validate
-# their fields subclass a collections.namedtuple instead.
-_PROJECTION_FIELDS = "nominal_nondurables_bn nominal_services_bn gnp_deflator population"
+        return self.start_year + len(self.consumption) - 1
 
 
 class ProjectionInputs(namedtuple("ProjectionInputs", _PROJECTION_FIELDS)):
@@ -240,11 +184,10 @@ def load_dataset(source) -> MarketDataset:
     if len(cons) < 2:
         raise SchemaError("need at least two data rows")
 
-    return MarketDataset(
-        consumption=AnnualSeries(start, tuple(cons)),
-        equity_return=AnnualSeries(start, tuple(equity)),
-        riskfree_return=AnnualSeries(start, tuple(riskfree)),
-    )
+    # Every cell passed the check above, there are at least two rows and the
+    # three lists grew together, so MarketDataset.__new__ would accept these
+    # fields as they are: _make skips its second pass over them.
+    return MarketDataset._make((start, tuple(cons), tuple(equity), tuple(riskfree)))
 
 
 def load_projection(source) -> ProjectionInputs:
@@ -287,39 +230,30 @@ def projected_consumption(
     Either spending component may be zero as long as the total is positive;
     the deflator and population must be strictly positive.
     """
-    if nominal_nondurables_bn < 0 or nominal_services_bn < 0:
+    # written so that NaN fails each check
+    if not (nominal_nondurables_bn >= 0 and nominal_services_bn >= 0):
         raise NonPositiveValue("spending components must be nonnegative")
-    if nominal_nondurables_bn + nominal_services_bn <= 0:
+    if not nominal_nondurables_bn + nominal_services_bn > 0:
         raise NonPositiveValue("total nominal spending must be positive")
-    if gnp_deflator <= 0 or population <= 0:
+    if not (gnp_deflator > 0 and population > 0):
         raise NonPositiveValue("deflator and population must be positive")
     nominal_total = (nominal_nondurables_bn + nominal_services_bn) * 1e9
     return nominal_total / (gnp_deflator / 100.0) / population
-
-
-def project(inputs: ProjectionInputs) -> float:
-    """projected_consumption over a ProjectionInputs record."""
-    return projected_consumption(
-        inputs.nominal_nondurables_bn,
-        inputs.nominal_services_bn,
-        inputs.gnp_deflator,
-        inputs.population,
-    )
 
 
 def with_final_consumption(d: MarketDataset, value: float) -> MarketDataset:
     """A copy of `d` whose final consumption entry is replaced by `value`.
 
     Everything else (returns, span, all earlier consumption) is untouched.
-    Used to swap the realized final year for a projected one. A value that
-    is not positive and finite is rejected by AnnualSeries (NonPositiveValue).
+    Used to swap the realized final year for a projected one. Only `value`
+    is checked, since `d` was checked when it was built: one that is not
+    positive and finite (a projection that overflowed to inf or underflowed
+    to 0) raises NonPositiveValue.
     """
-    new_values = d.consumption.values[:-1] + (float(value),)
-    return MarketDataset(
-        consumption=AnnualSeries(d.consumption.start_year, new_values),
-        equity_return=d.equity_return,
-        riskfree_return=d.riskfree_return,
-    )
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise NonPositiveValue("annual series values must be positive and finite")
+    return d._replace(consumption=d.consumption[:-1] + (value,))
 
 
 # Package data does not change under a running process and the parsed

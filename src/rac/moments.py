@@ -40,9 +40,10 @@ class SampleMoments(namedtuple("SampleMoments", _MOMENT_FIELDS)):
 
     def __new__(cls, *args, **kwargs):
         m = super().__new__(cls, *args, **kwargs)
-        if m.sigma2_x < 0 or m.sigma2_z < 0:
+        # written so that NaN fails each check
+        if not (m.sigma2_x >= 0 and m.sigma2_z >= 0):
             raise NegativeVariance("variances must be nonnegative")
-        if min(m.mean_x, m.mean_Re, m.mean_Rf) <= 0:
+        if not (m.mean_x > 0 and m.mean_Re > 0 and m.mean_Rf > 0):
             raise InputError("gross means must be positive")
         return m
 
@@ -62,7 +63,7 @@ def compute_moments(d: MarketDataset) -> SampleMoments:
     sum outside the floating-point range). `d` has at least two years, so
     there is always a growth ratio.
     """
-    c = d.consumption.values
+    c = d.consumption
     n = len(c)
     try:
         x = list(map(truediv, c[1:], c))
@@ -72,8 +73,8 @@ def compute_moments(d: MarketDataset) -> SampleMoments:
             mu_x,
             sigma2_x,
             math.fsum(x) / (n - 1),
-            math.fsum(d.equity_return.values) / n,
-            math.fsum(d.riskfree_return.values) / n,
+            math.fsum(d.equity_return) / n,
+            math.fsum(d.riskfree_return) / n,
             mu_z,
             sigma2_z,
         )
@@ -87,7 +88,7 @@ def compute_moments(d: MarketDataset) -> SampleMoments:
 
 def lognormal_moment(a: float, mu: float, sigma2: float) -> float:
     """E[z^a] for ln z ~ N(mu, sigma2): exp(a*mu + a^2*sigma2/2)."""
-    if sigma2 < 0:
+    if not sigma2 >= 0:
         raise NegativeVariance("sigma2 must be nonnegative")
     return math.exp(a * mu + 0.5 * a * a * sigma2)
 

@@ -47,7 +47,7 @@ def crra_utility(c: float, spec: UtilitySpec) -> float:
     Computed as expm1((1-rho) ln c)/(1-rho), which stays accurate arbitrarily
     close to the log limit.
     """
-    if c <= 0:
+    if not c > 0:
         raise NonPositiveConsumption(f"consumption must be positive, got {c}")
     a = 1.0 - spec.rho
     if a == 0.0:

@@ -11,7 +11,7 @@ from rac import (
     compute_moments,
     load_bundled_dataset,
     load_bundled_projection,
-    project,
+    projected_consumption,
     with_final_consumption,
 )
 
@@ -30,7 +30,7 @@ def bundled():
 
 @pytest.fixture(scope="session")
 def projected_dataset(bundled):
-    return with_final_consumption(bundled, project(load_bundled_projection()))
+    return with_final_consumption(bundled, projected_consumption(*load_bundled_projection()))
 
 
 @pytest.fixture(scope="session")
@@ -48,13 +48,7 @@ def serialize_dataset(d):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["year", "consumption_per_capita", "equity_gross_return", "riskfree_gross_return"])
-    for i, year in enumerate(d.consumption.years):
-        writer.writerow(
-            [
-                year,
-                repr(d.consumption.values[i]),
-                repr(d.equity_return.values[i]),
-                repr(d.riskfree_return.values[i]),
-            ]
-        )
+    rows = zip(d.consumption, d.equity_return, d.riskfree_return)
+    for year, values in enumerate(rows, d.start_year):
+        writer.writerow([year, *map(repr, values)])
     return buf.getvalue().encode("utf-8")

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from rac import (
     AllocationSign,
-    AnnualSeries,
     Curvature,
     DefinitionGroup,
     Label,
@@ -49,12 +48,8 @@ def cmp_with(certain, uncertain, eta):
 
 
 def constant_dataset(level=100.0, years=5):
-    flat = AnnualSeries(1970, tuple([1.0] * years))
-    return MarketDataset(
-        consumption=AnnualSeries(1970, tuple([level] * years)),
-        equity_return=flat,
-        riskfree_return=flat,
-    )
+    flat = [1.0] * years
+    return MarketDataset(1970, [level] * years, flat, flat)
 
 
 # -- allocation sign and curvature_from_rho ----------------------------------

@@ -8,14 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rac import (
-    AnnualSeries,
     MarketDataset,
     ProjectionInputs,
     load_bundled_dataset,
     load_bundled_projection,
     load_dataset,
     load_projection,
-    project,
     projected_consumption,
     with_final_consumption,
 )
@@ -38,10 +36,10 @@ def simple_rows(years, consumption=None):
 # -- loading and validation ---------------------------------------------------
 
 def test_bundled_span(bundled):
-    assert len(bundled) == 90
+    assert len(bundled.consumption) == 90
     assert bundled.start_year == 1889
     assert bundled.end_year == 1978
-    assert bundled.consumption.values[-2:] == (3340.0, 3450.0)
+    assert bundled.consumption[-2:] == (3340.0, 3450.0)
 
 
 def test_load_from_file_like_matches_path(bundled, tmp_path):
@@ -213,27 +211,27 @@ def test_bundled_inputs_parsed_once():
         load_bundled_dataset().consumption = None
 
 
-def test_annual_series_validation():
+def test_market_dataset_validation():
     with pytest.raises(SchemaError):
-        AnnualSeries(1900, (1.0,))
+        MarketDataset(1900, (1.0,), (1.0,), (1.0,))
     with pytest.raises(NonPositiveValue):
-        AnnualSeries(1900, (1.0, 0.0))
+        MarketDataset(1900, (1.0, 0.0), (1.0, 1.0), (1.0, 1.0))
 
 
 def test_mismatched_spans_rejected():
-    a = AnnualSeries(1900, (1.0, 2.0, 3.0))
-    b = AnnualSeries(1900, (1.0, 2.0))
+    a = (1.0, 2.0, 3.0)
+    b = (1.0, 2.0)
     with pytest.raises(SchemaError):
-        MarketDataset(consumption=a, equity_return=b, riskfree_return=b)
+        MarketDataset(1900, consumption=a, equity_return=b, riskfree_return=b)
 
 
 # -- round-trips --------------------------------------------------------------
 
 def test_round_trip_bundled(bundled):
     again = load_dataset(io.BytesIO(serialize_dataset(bundled)))
-    assert again.consumption.values == bundled.consumption.values
-    assert again.equity_return.values == bundled.equity_return.values
-    assert again.riskfree_return.values == bundled.riskfree_return.values
+    assert again.consumption == bundled.consumption
+    assert again.equity_return == bundled.equity_return
+    assert again.riskfree_return == bundled.riskfree_return
     assert again.start_year == bundled.start_year
 
 
@@ -250,11 +248,7 @@ positive_floats = st.floats(
 def test_round_trip_random(start, cons, data):
     n = len(cons)
     returns = data.draw(st.lists(positive_floats, min_size=n, max_size=n))
-    d = MarketDataset(
-        consumption=AnnualSeries(start, tuple(cons)),
-        equity_return=AnnualSeries(start, tuple(returns)),
-        riskfree_return=AnnualSeries(start, tuple(returns)),
-    )
+    d = MarketDataset(start, cons, returns, returns)
     assert load_dataset(io.BytesIO(serialize_dataset(d))) == d
 
 
@@ -301,15 +295,16 @@ def csv_documents(draw):
 )
 def test_any_document_loads_finite_or_is_input_error(load, document):
     # text or bytes content either loads into positive finite values or is
-    # rejected as an InputError, never another exception
+    # rejected as an InputError, never another exception; a loaded dataset
+    # is one the validating constructor accepts as it stands
     source = io.BytesIO(document) if isinstance(document, bytes) else io.StringIO(document)
     try:
         record = load(source)
     except InputError:
         return
     if isinstance(record, MarketDataset):
-        series = (record.consumption, record.equity_return, record.riskfree_return)
-        values = [v for s in series for v in s.values]
+        assert MarketDataset(*record) == record
+        values = [v for s in record[1:] for v in s]
     else:
         values = list(record)
     assert values and all(0.0 < v < math.inf for v in values)
@@ -360,7 +355,7 @@ def test_projection_inputs_strictly_positive():
 def test_load_projection_bundled():
     inp = load_bundled_projection()
     assert inp == ProjectionInputs(515.4, 613.7, 150.0, 219441872.0)
-    assert abs(project(inp) - 3430) <= 1.0
+    assert abs(projected_consumption(*inp) - 3430) <= 1.0
     text = "nondurables_bn,services_bn,gnp_deflator,population\n515.4,613.7,150,219441872\n"
     assert load_projection(io.BytesIO(b"\xef\xbb\xbf" + text.encode("utf-8"))) == inp
 
@@ -380,14 +375,14 @@ def test_load_projection_extra_row():
 
 def test_with_final_consumption_reference(bundled):
     swapped = with_final_consumption(bundled, 3430.0)
-    assert swapped.consumption.values[-1] == 3430.0
-    assert swapped.consumption.values[:-1] == bundled.consumption.values[:-1]
-    assert swapped.equity_return.values == bundled.equity_return.values
-    assert swapped.riskfree_return.values == bundled.riskfree_return.values
+    assert swapped.consumption[-1] == 3430.0
+    assert swapped.consumption[:-1] == bundled.consumption[:-1]
+    assert swapped.equity_return == bundled.equity_return
+    assert swapped.riskfree_return == bundled.riskfree_return
 
 
 def test_with_final_consumption_identity(bundled):
-    assert with_final_consumption(bundled, bundled.consumption.values[-1]) == bundled
+    assert with_final_consumption(bundled, bundled.consumption[-1]) == bundled
 
 
 def test_with_final_consumption_rejects_nonpositive(bundled):
@@ -399,7 +394,7 @@ def test_with_final_consumption_changes_exactly_one_number(bundled):
     swapped = with_final_consumption(bundled, 9999.0)
     changed = 0
     for series in ("consumption", "equity_return", "riskfree_return"):
-        old = getattr(bundled, series).values
-        new = getattr(swapped, series).values
+        old = getattr(bundled, series)
+        new = getattr(swapped, series)
         changed += sum(1 for a, b in zip(old, new) if a != b)
     assert changed == 1

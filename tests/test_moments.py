@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from _frozen_reference import FROZEN
 from rac import (
-    AnnualSeries,
     MarketDataset,
     SampleMoments,
     compute_moments,
@@ -22,12 +21,7 @@ from rac.errors import NegativeVariance, NonFiniteMoment
 
 def make_dataset(consumption, start=1900):
     n = len(consumption)
-    flat = AnnualSeries(start, tuple([1.05] * n))
-    return MarketDataset(
-        consumption=AnnualSeries(start, tuple(consumption)),
-        equity_return=flat,
-        riskfree_return=AnnualSeries(start, tuple([1.01] * n)),
-    )
+    return MarketDataset(start, consumption, [1.05] * n, [1.01] * n)
 
 
 def brute_force_moments(consumption, equity, riskfree):
@@ -59,9 +53,9 @@ def brute_force_moments(consumption, equity, riskfree):
 def test_bundled_matches_brute_force(bundled):
     m = compute_moments(bundled)
     ref = brute_force_moments(
-        bundled.consumption.values,
-        bundled.equity_return.values,
-        bundled.riskfree_return.values,
+        bundled.consumption,
+        bundled.equity_return,
+        bundled.riskfree_return,
     )
     for field, want in ref.items():
         got = getattr(m, field)
@@ -133,11 +127,7 @@ def test_matches_exact_rational_reference(cons):
 )
 def test_non_finite_moments_raise(consumption, equity):
     n = len(consumption)
-    d = MarketDataset(
-        consumption=AnnualSeries(1900, tuple(consumption)),
-        equity_return=AnnualSeries(1900, tuple(equity)),
-        riskfree_return=AnnualSeries(1900, (1.01,) * n),
-    )
+    d = MarketDataset(1900, consumption, equity, (1.01,) * n)
     with pytest.raises(NonFiniteMoment):
         compute_moments(d)
 
@@ -150,7 +140,7 @@ def test_bundled_published_stats(bundled):
     m = compute_moments(bundled)
     assert abs(m.mean_x - 1.018) < 1e-3
     assert abs(m.sigma2_x - (0.036 / 1.018) ** 2) < 5e-5
-    x = np.asarray(bundled.consumption.values)
+    x = np.asarray(bundled.consumption)
     growth = x[1:] / x[:-1]
     assert abs(float(growth.std()) - 0.036) < 1e-4
 

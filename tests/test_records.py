@@ -1,5 +1,6 @@
 """Record semantics: every record is immutable, compares by value and keeps
-its validation errors (type and message), however it is constructed."""
+its validation errors (type and message), however it is constructed; the
+library checks beside them reject NaN as they reject other bad values."""
 
 import copy
 import math
@@ -9,7 +10,6 @@ import pytest
 
 from rac import (
     AllocationSign,
-    AnnualSeries,
     CalibrationResult,
     DefinitionGroup,
     Label,
@@ -22,11 +22,23 @@ from rac import (
     SufficiencyFactors,
     UtilityComparison,
     UtilitySpec,
+    crra_utility,
+    curvature_from_rho,
+    lognormal_moment,
+    projected_consumption,
+    solve_closed_form_given_rho,
 )
 from rac.cli import RunConfig
-from rac.errors import InputError, NegativeVariance, NonPositiveValue, SchemaError
+from rac.errors import (
+    InputError,
+    NegativeVariance,
+    NoConvergence,
+    NonPositiveConsumption,
+    NonPositiveValue,
+    SchemaError,
+)
 
-SERIES = AnnualSeries(1900, (1.0, 2.0))
+SERIES = (1.0, 2.0)
 MOMENTS = dict(
     mu_x=0.017, sigma2_x=0.0013, mean_x=1.018, mean_Re=1.0698, mean_Rf=1.008, mu_z=7.3,
     sigma2_z=0.16,
@@ -34,8 +46,7 @@ MOMENTS = dict(
 
 # (a field name, a builder that returns a fresh record with the same values)
 RECORDS = {
-    "AnnualSeries": ("values", lambda: AnnualSeries(1900, (1.0, 2.0))),
-    "MarketDataset": ("consumption", lambda: MarketDataset(SERIES, SERIES, SERIES)),
+    "MarketDataset": ("consumption", lambda: MarketDataset(1900, SERIES, SERIES, SERIES)),
     "ProjectionInputs": ("population", lambda: ProjectionInputs(515.4, 613.7, 150.0, 219441872.0)),
     "SampleMoments": ("mean_x", lambda: SampleMoments(**MOMENTS)),
     "SufficiencyFactors": ("zeta", lambda: SufficiencyFactors(0.96, 1.02)),
@@ -94,21 +105,22 @@ def test_record_copies_and_pickles(name):
 
 
 def test_different_values_compare_unequal():
-    assert AnnualSeries(1900, (1.0, 2.0)) != AnnualSeries(1901, (1.0, 2.0))
+    assert MarketDataset(1900, SERIES, SERIES, SERIES) != MarketDataset(1901, *[SERIES] * 3)
     assert SufficiencyFactors(0.96, 1.02) != SufficiencyFactors(0.96, 1.03)
 
 
 @pytest.mark.parametrize(
     "build, error, message",
     [
-        (lambda: AnnualSeries(1900, (1.0,)), SchemaError, "annual series needs at least two years"),
-        (lambda: AnnualSeries(1900, (1.0, 0.0)), NonPositiveValue,
+        (lambda: MarketDataset(1900, (1.0,), (1.0,), (1.0,)), SchemaError,
+         "annual series needs at least two years"),
+        (lambda: MarketDataset(1900, SERIES, (1.0, 0.0), SERIES), NonPositiveValue,
          "annual series values must be positive and finite"),
-        (lambda: AnnualSeries(start_year=1900, values=(1.0, math.nan)), NonPositiveValue,
-         "annual series values must be positive and finite"),
-        (lambda: MarketDataset(AnnualSeries(1900, (1.0, 2.0, 3.0)), SERIES, SERIES), SchemaError,
+        (lambda: MarketDataset(1900, SERIES, SERIES, riskfree_return=(1.0, math.nan)),
+         NonPositiveValue, "annual series values must be positive and finite"),
+        (lambda: MarketDataset(1900, (1.0, 2.0, 3.0), SERIES, SERIES), SchemaError,
          "the three series must cover the same years"),
-        (lambda: MarketDataset(SERIES, SERIES, riskfree_return=AnnualSeries(1901, (1.0, 2.0))),
+        (lambda: MarketDataset(1900, SERIES, SERIES, riskfree_return=(1.0, 2.0, 3.0)),
          SchemaError, "the three series must cover the same years"),
         (lambda: ProjectionInputs(0.0, 613.7, 150.0, 219441872.0), NonPositiveValue,
          "nominal_nondurables_bn must be positive and finite"),
@@ -118,15 +130,32 @@ def test_different_values_compare_unequal():
          "variances must be nonnegative"),
         (lambda: SampleMoments(0.0, -1.0, 1.0, 1.0, 1.0, 0.0, 0.0), NegativeVariance,
          "variances must be nonnegative"),
+        (lambda: SampleMoments(**{**MOMENTS, "sigma2_x": math.nan}), NegativeVariance,
+         "variances must be nonnegative"),
         (lambda: SampleMoments(**{**MOMENTS, "mean_Rf": 0.0}), InputError,
+         "gross means must be positive"),
+        (lambda: SampleMoments(**{**MOMENTS, "mean_x": math.nan}), InputError,
          "gross means must be positive"),
         (lambda: SufficiencyFactors(0.0, 1.0), InputError, "sufficiency factors must be positive"),
         (lambda: SufficiencyFactors(zeta=1.0, xi=-2.0), InputError,
          "sufficiency factors must be positive"),
+        (lambda: SufficiencyFactors(math.nan, 1.0), InputError,
+         "sufficiency factors must be positive"),
+        (lambda: solve_closed_form_given_rho(1.0, 1e-320, SampleMoments(**MOMENTS)),
+         NoConvergence, "closed-form factors (inf, inf) overflow a float"),
         (lambda: CalibrationResult(SufficiencyFactors(1.0, 1.0), 1.0, (0.0, math.inf, 0.0), 0),
          InputError, "residuals must be finite"),
         (lambda: UtilitySpec(-0.5), InputError, "rho must be finite and >= 0"),
         (lambda: UtilitySpec(rho=math.nan), InputError, "rho must be finite and >= 0"),
+        (lambda: curvature_from_rho(math.nan), InputError, "rho must be >= 0, got nan"),
+        (lambda: projected_consumption(math.nan, 1, 100, 1e9), NonPositiveValue,
+         "spending components must be nonnegative"),
+        (lambda: projected_consumption(1, 0, 100, math.nan), NonPositiveValue,
+         "deflator and population must be positive"),
+        (lambda: lognormal_moment(1, 0, math.nan), NegativeVariance,
+         "sigma2 must be nonnegative"),
+        (lambda: crra_utility(math.nan, UtilitySpec(2.0)), NonPositiveConsumption,
+         "consumption must be positive, got nan"),
     ],
 )
 def test_validation_keeps_error_type_and_message(build, error, message):

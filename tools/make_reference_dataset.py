@@ -65,7 +65,12 @@ from rac.calibration import (  # noqa: E402
     system_residuals,
 )
 from rac.classify import DefinitionGroup, classify_pipeline  # noqa: E402
-from rac.dataset import load_dataset, load_projection, project, with_final_consumption  # noqa: E402
+from rac.dataset import (  # noqa: E402
+    load_dataset,
+    load_projection,
+    projected_consumption,
+    with_final_consumption,
+)
 from rac.moments import compute_moments, consistency_gap  # noqa: E402
 from rac.utility import UtilitySpec, crra_utility, expected_utility_unconditional  # noqa: E402
 
@@ -288,11 +293,11 @@ def verify_and_freeze(dataset_path: Path, projection_path: Path) -> dict:
     """Recompute every published-value window through the package itself."""
     d = load_dataset(dataset_path)
     proj_inputs = load_projection(projection_path)
-    c_projected = project(proj_inputs)
+    c_projected = projected_consumption(*proj_inputs)
     d_proj = with_final_consumption(d, c_projected)
 
-    assert len(d) == N_YEARS and d.start_year == START_YEAR
-    assert d.consumption.values[-2] == C_1977 and d.consumption.values[-1] == C_1978
+    assert len(d.consumption) == N_YEARS and d.start_year == START_YEAR
+    assert d.consumption[-2:] == (C_1977, C_1978)
     assert abs(c_projected - 3430.0) <= 1.0
 
     # The published projected (zeta, xi) pair is not exactly on the closed
@@ -311,7 +316,7 @@ def verify_and_freeze(dataset_path: Path, projection_path: Path) -> dict:
         calib = calibrate_variant(m, BETA, variant)
         spec = UtilitySpec(rho=calib.rho)
         expected_u = expected_utility_unconditional(m, spec)
-        certain = crra_utility(dv.consumption.values[-2], spec)
+        certain = crra_utility(dv.consumption[-2], spec)
         unc_equity = BETA * calib.factors.zeta * expected_u
         unc_riskfree = BETA * calib.factors.xi * expected_u
 
