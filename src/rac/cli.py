@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from . import dataset as ds
 from .calibration import CalibrationResult, Variant, calibrate_variant, check_beta, check_rho
-from .classify import DefinitionGroup, classify_pipeline, check_tol, DEFAULT_TOLERANCE
+from .classify import AllocationSign, DefinitionGroup, classify_pipeline, check_tol, DEFAULT_TOLERANCE
 from .errors import InputError, RacError
 from .moments import SampleMoments, compute_moments
 from .report import (
@@ -193,7 +193,10 @@ def _calibrations(cfg: RunConfig) -> _Calibrations:
 
     Every input is read and every variant dataset built before any moment is
     computed, so an input error (exit 1) wins over a computation error
-    (exit 2) whatever the variant.
+    (exit 2) whatever the variant. A user dataset without --projection takes
+    its projected final year from the bundled 1978 projection, and without
+    --rho each variant takes rho from RHO_ANCHORS; both are fitted to the
+    bundled series.
     """
     d = _open_dataset(cfg)
     names = ("realized", "projected") if cfg.variant == "both" else (cfg.variant,)
@@ -230,27 +233,29 @@ def cmd_calibrate(cfg: RunConfig, out) -> int:
     return 0
 
 
-def _classify_rows(
-    cfg: RunConfig,
-    eta_of: dict[str, float | None],
-    results: _Calibrations,
-) -> list[tuple[str, list[ReportRow]]]:
-    """One (investor, rows) table per entry of eta_of (None = per-variant)."""
-    alloc_text = {
-        "negative": "allocates extra negative utility",
-        "positive": "allocates extra positive utility",
-        "zero": "allocates no extra utility",
-    }
+# investor -> (title of its text table, the calibrated factor that is its
+# eta); with --eta the single custom investor takes that value instead
+_INVESTORS = {
+    "equity": ("Equity investors (eta = zeta)", "zeta"),
+    "risk-free": ("Risk-free investors (eta = xi)", "xi"),
+}
+_CUSTOM_INVESTOR = {"custom": ("Custom eta investors", None)}
+
+_ALLOCATION_TEXT = {
+    AllocationSign.NEGATIVE: "allocates extra negative utility",
+    AllocationSign.POSITIVE: "allocates extra positive utility",
+    AllocationSign.ZERO: "allocates no extra utility",
+}
+
+
+def cmd_classify(cfg: RunConfig, out) -> int:
+    investors = _INVESTORS if cfg.eta is None else _CUSTOM_INVESTOR
+    results = _calibrations(cfg)
     tables: list[tuple[str, list[ReportRow]]] = []
-    for investor, eta_fixed in eta_of.items():
+    for investor, (_, factor) in investors.items():
         rows: list[ReportRow] = []
         for name, (dv, m, calib) in results.items():
-            if eta_fixed is not None:
-                eta = eta_fixed
-            elif investor == "equity":
-                eta = calib.factors.zeta
-            else:
-                eta = calib.factors.xi
+            eta = cfg.eta if factor is None else getattr(calib.factors, factor)
             cmp, attitude = classify_pipeline(
                 dv, eta, calib.rho, cfg.beta, cfg.group, cfg.tolerance, moments=m
             )
@@ -262,38 +267,21 @@ def _classify_rows(
                     consumption_uncertain=dv.consumption[-1],
                     certain_utility=cmp.certain,
                     uncertain_utility=cmp.uncertain,
-                    allocation_text=alloc_text[attitude.allocation.value],
+                    allocation_text=_ALLOCATION_TEXT[attitude.allocation],
                     label_text=attitude.label.value,
                     rho=calib.rho,
                 )
             )
         tables.append((investor, rows))
-    return tables
-
-
-def cmd_classify(cfg: RunConfig, out) -> int:
-    if cfg.eta is not None:
-        eta_of: dict[str, float | None] = {"custom": cfg.eta}
-    else:
-        eta_of = {"equity": None, "risk-free": None}
-    results = _calibrations(cfg)
-    tables = _classify_rows(cfg, eta_of, results)
     if cfg.fmt is ReportFormat.JSON:
         out.write(export_run({name: c for name, (_, _, c) in results.items()}, tables))
-        return 0
-    if cfg.fmt is ReportFormat.CSV:
-        all_rows = [row for _, rows in tables for row in rows]
-        out.write(render_table(all_rows, ReportFormat.CSV))
-        return 0
-    heading = {
-        "equity": "Equity investors (eta = zeta)",
-        "risk-free": "Risk-free investors (eta = xi)",
-        "custom": "Custom eta investors",
-    }
-    chunks = []
-    for investor, rows in tables:
-        chunks.append(heading[investor] + "\n" + render_table(rows, ReportFormat.TEXT))
-    out.write("\n".join(chunks))
+    elif cfg.fmt is ReportFormat.CSV:
+        out.write(render_table([row for _, rows in tables for row in rows], ReportFormat.CSV))
+    else:
+        out.write("\n".join(
+            investors[investor][0] + "\n" + render_table(rows, ReportFormat.TEXT)
+            for investor, rows in tables
+        ))
     return 0
 
 

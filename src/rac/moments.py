@@ -45,6 +45,8 @@ class SampleMoments(namedtuple("SampleMoments", _MOMENT_FIELDS)):
             raise NegativeVariance("variances must be nonnegative")
         if not (m.mean_x > 0 and m.mean_Re > 0 and m.mean_Rf > 0):
             raise InputError("gross means must be positive")
+        if not all(map(math.isfinite, m)):
+            raise InputError("sample moments must be finite")
         return m
 
 

@@ -1,10 +1,11 @@
 """Tabular rendering of classification results.
 
-render_table writes text, CSV, or JSON. Displayed numbers are fixed at six
-decimal places; CSV and JSON additionally carry full-precision values under
-`*_exact` columns / keys so that parse_csv / parse_json reproduce the rows
-field for field. export_run wraps a calibration block and the rows into the
-machine-readable run document.
+render_table writes text or CSV; export_run writes the machine-readable run
+document, a calibration block per variant and the rows, which is what
+`rac classify --format json` prints. Displayed numbers are fixed at six
+decimal places; CSV rows and the document's rows additionally carry
+full-precision values under `*_exact` columns / keys, so that parse_csv and
+parse_json reproduce the rows field for field.
 """
 
 import csv
@@ -13,7 +14,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .calibration import CalibrationResult
-from .errors import EmptyReport
+from .errors import EmptyReport, InputError
 
 
 class ReportFormat(Enum):
@@ -57,14 +58,12 @@ def _display(r: ReportRow) -> dict:
 
 
 def render_table(rows: list[ReportRow], fmt: ReportFormat = ReportFormat.TEXT) -> str:
-    """Render `rows` in the requested format. Raises EmptyReport on []."""
+    """Render `rows` as text or CSV. Raises EmptyReport on []."""
+    if fmt not in (ReportFormat.TEXT, ReportFormat.CSV):
+        raise InputError(f"render_table writes text or CSV, not {fmt}; use export_run for JSON")
     if not rows:
         raise EmptyReport("no rows to render")
-    if fmt is ReportFormat.TEXT:
-        return _render_text(rows)
-    if fmt is ReportFormat.CSV:
-        return _render_csv(rows)
-    return json_text([_row_to_json(r) for r in rows])
+    return _render_text(rows) if fmt is ReportFormat.TEXT else _render_csv(rows)
 
 
 def json_text(doc) -> str:
@@ -94,12 +93,6 @@ def _render_csv(rows: list[ReportRow]) -> str:
     return buf.getvalue()
 
 
-def _row_to_json(r: ReportRow) -> dict:
-    doc = _display(r)
-    doc.update((f"{c}_exact", getattr(r, c)) for c in _NUMERIC)
-    return doc
-
-
 def _row_from_record(rec: dict) -> ReportRow:
     values = {c: float(rec[f"{c}_exact"]) if c in _NUMERIC else rec[c] for c in _COLUMNS}
     values["year_certain"] = int(values["year_certain"])
@@ -113,10 +106,11 @@ def parse_csv(text: str) -> list[ReportRow]:
 
 
 def parse_json(text: str) -> list[ReportRow]:
-    """Inverse of render_table(..., JSON)."""
+    """The rows of an export_run document (`rac classify --format json`), in
+    order; exact fields reconstruct them, and the investor tag is dropped."""
     import json
 
-    return [_row_from_record(rec) for rec in json.loads(text)]
+    return [_row_from_record(rec) for rec in json.loads(text)["classifications"]]
 
 
 def calibration_block(c: CalibrationResult) -> dict:
@@ -140,12 +134,11 @@ def export_run(
     `classifications` is a flat array of row objects, each tagged with the
     investor whose table it came from.
     """
-    rows_out = []
-    for investor, rows in tables:
-        for r in rows:
-            rec = {"investor": investor}
-            rec.update(_row_to_json(r))
-            rows_out.append(rec)
+    rows_out = [
+        {"investor": investor, **_display(r), **{f"{c}_exact": getattr(r, c) for c in _NUMERIC}}
+        for investor, rows in tables
+        for r in rows
+    ]
     doc = {
         "calibration": {
             name: calibration_block(c) for name, c in calibrations.items()

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rac import dataset as ds
-from rac import errors, load_bundled_dataset, parse_csv
+from rac import errors, load_bundled_dataset, parse_csv, parse_json
 from rac.cli import ENV_DATASET, main
 
 from conftest import serialize_dataset
@@ -413,6 +413,19 @@ def test_classify_csv(capsys):
     assert {r.label_text for r in rows} == {"Risk-averse", "Not enough risk-loving"}
 
 
+@pytest.mark.parametrize(
+    "flags", [[], ["--eta", "1.05"], ["--variant", "projected"]], ids=["default", "eta", "projected"]
+)
+def test_classify_json_parses_to_the_csv_rows(capsys, flags):
+    # the JSON document and the CSV table carry the same rows, exactly
+    code, json_out, _ = run(capsys, "classify", "--format", "json", *flags)
+    assert code == 0
+    code, csv_out, _ = run(capsys, "classify", "--format", "csv", *flags)
+    assert code == 0
+    rows = parse_json(json_out)
+    assert rows and rows == parse_csv(csv_out)
+
+
 def test_classify_variant_projected_only(capsys):
     code, out, _ = run(capsys, "classify", "--variant", "projected", "--format", "json")
     assert code == 0
@@ -551,9 +564,13 @@ def test_config_missing(capsys):
         (b'\xef\xbb\xbf{"beta": \xff}',
          "config file is not UTF-8 text (invalid start byte at offset 12)"),
         ("[" * 100_000, "config file is not valid JSON: maximum recursion depth exceeded"),
+        # argparse rejects a bad choice flag first, so only a config reaches these
+        ('{"group": "three"}', "group must be 'one' or 'two', got 'three'"),
+        ('{"variant": "none"}', "variant must be realized, projected, or both, got 'none'"),
+        ('{"format": "xml"}', "format must be text, csv, or json, got 'xml'"),
     ],
     ids=["list", "dict", "text", "huge-int", "int-path", "nul-path", "not-utf8", "bom-not-utf8",
-         "deep"],
+         "deep", "group", "variant", "format"],
 )
 def test_bad_config_value_is_input_error(capsys, tmp_path, content, message):
     # each config value is converted in build_config, and the file decoded in

@@ -1,5 +1,10 @@
 """The package's public names: `from rac import *` works and every entry of
-`__all__` resolves, so a name deleted from a module cannot linger there."""
+`__all__` resolves, so a name deleted from a module cannot linger there; and
+every function the benchmark traces still exists where it looks for it."""
+
+import importlib
+import runpy
+from pathlib import Path
 
 import rac
 
@@ -17,3 +22,26 @@ def test_all_has_no_duplicates():
 def test_every_name_resolves():
     missing = [name for name in rac.__all__ if not hasattr(rac, name)]
     assert missing == []
+
+
+def _traced():
+    """bench/tracer.py's TRACED table: defining module -> function names
+    (run from source, so no bytecode is cached beside it)."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    return runpy.run_path(str(path))["TRACED"]
+
+
+# Traced by the benchmark but deleted with the closed-form calibration; the
+# name leaves TRACED with the next change to bench/.
+_GONE_FROM_RAC = {"calibration.condition_diagnostic"}
+
+
+def test_every_traced_function_resolves():
+    # a renamed or moved function would silently drop its per-layer metric
+    missing = {
+        f"{module}.{name}"
+        for module, names in _traced().items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"rac.{module}"), name, None))
+    }
+    assert missing - _GONE_FROM_RAC == set()

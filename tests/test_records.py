@@ -136,6 +136,12 @@ def test_different_values_compare_unequal():
          "gross means must be positive"),
         (lambda: SampleMoments(**{**MOMENTS, "mean_x": math.nan}), InputError,
          "gross means must be positive"),
+        (lambda: SampleMoments(math.nan, 0.001, 1.018, 1.07, 1.008, math.nan, 0.16), InputError,
+         "sample moments must be finite"),
+        (lambda: SampleMoments(**{**MOMENTS, "mean_x": math.inf}), InputError,
+         "sample moments must be finite"),
+        (lambda: SampleMoments(**{**MOMENTS, "sigma2_x": math.inf}), InputError,
+         "sample moments must be finite"),
         (lambda: SufficiencyFactors(0.0, 1.0), InputError, "sufficiency factors must be positive"),
         (lambda: SufficiencyFactors(zeta=1.0, xi=-2.0), InputError,
          "sufficiency factors must be positive"),

@@ -17,7 +17,7 @@ from rac import (
     parse_json,
     render_table,
 )
-from rac.errors import EmptyReport
+from rac.errors import EmptyReport, InputError
 
 
 def equity_rows():
@@ -88,14 +88,20 @@ def test_text_riskfree_label():
 
 def test_rendering_is_deterministic():
     rows = equity_rows()
-    for fmt in ReportFormat:
+    for fmt in (ReportFormat.TEXT, ReportFormat.CSV):
         assert render_table(rows, fmt) == render_table(rows, fmt)
 
 
 def test_empty_report():
-    for fmt in ReportFormat:
+    for fmt in (ReportFormat.TEXT, ReportFormat.CSV):
         with pytest.raises(EmptyReport):
             render_table([], fmt)
+
+
+def test_render_table_has_no_json():
+    # the one JSON encoding of a row is export_run's document
+    with pytest.raises(InputError, match="export_run"):
+        render_table(equity_rows(), ReportFormat.JSON)
 
 
 def test_six_decimal_display():
@@ -106,9 +112,9 @@ def test_six_decimal_display():
     csv_text = render_table([row], ReportFormat.CSV)
     assert "1.234568" in csv_text
     assert repr(1.23456789) in csv_text
-    doc = json.loads(render_table([row], ReportFormat.JSON))
-    assert doc[0]["consumption_certain"] == "1.234568"
-    assert doc[0]["consumption_certain_exact"] == 1.23456789
+    doc = json.loads(export_run({}, [("custom", [row])]))
+    assert doc["classifications"][0]["consumption_certain"] == "1.234568"
+    assert doc["classifications"][0]["consumption_certain_exact"] == 1.23456789
 
 
 # -- round-trips --------------------------------------------------------------
@@ -119,8 +125,9 @@ def test_csv_round_trip():
 
 
 def test_json_round_trip():
-    rows = equity_rows() + riskfree_rows()
-    assert parse_json(render_table(rows, ReportFormat.JSON)) == rows
+    tables = [("equity", equity_rows()), ("risk-free", riskfree_rows())]
+    doc = export_run({"realized": sample_calibration()}, tables)
+    assert parse_json(doc) == equity_rows() + riskfree_rows()
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -147,7 +154,7 @@ def test_round_trip_random_rows(year, tag, nums):
         rho=nums[4],
     )
     assert parse_csv(render_table([row], ReportFormat.CSV)) == [row]
-    assert parse_json(render_table([row], ReportFormat.JSON)) == [row]
+    assert parse_json(export_run({}, [("custom", [row])])) == [row]
 
 
 # -- run export ---------------------------------------------------------------
