@@ -4,6 +4,10 @@ Configuration precedence is flags > config file (--config, JSON) > defaults.
 The dataset path falls back to the RAC_DATASET environment variable, when it
 is not empty, and then to the bundled reconstruction. Exit codes: 0 success,
 1 input problem (usage errors included), 2 computation problem.
+
+main() may run many times in one process: the parser and each bundled
+variant's dataset and moments are built once per process, while files the
+user names are read, and their moments computed, on every call.
 """
 
 from __future__ import annotations
@@ -13,13 +17,14 @@ import functools
 import math
 import os
 import sys
+from collections.abc import Iterator
 from typing import NamedTuple
 
 from . import dataset as ds
 from .calibration import CalibrationResult, Variant, calibrate_variant, check_beta, check_rho
 from .classify import AllocationSign, DefinitionGroup, classify_pipeline, check_tol, DEFAULT_TOLERANCE
 from .errors import InputError, RacError
-from .moments import SampleMoments, compute_moments
+from .moments import SampleMoments, compute_variant_moments
 from .report import (
     ReportFormat,
     ReportRow,
@@ -107,6 +112,8 @@ def _path(name: str, value):
 
 def _number(name: str, value) -> float:
     """`value` (a flag or a JSON config value) as a finite float."""
+    if isinstance(value, bool):  # float() would take JSON true/false as 1/0
+        raise InputError(f"{name} must be a number, got {value!r}")
     try:
         number = float(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -150,23 +157,63 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _open_dataset(cfg: RunConfig) -> ds.MarketDataset:
-    if cfg.dataset_path is None:
+def _open_dataset(path: str | None) -> ds.MarketDataset:
+    if path is None:
         return ds.load_bundled_dataset()
-    return _read("dataset", cfg.dataset_path, ds.load_dataset)
+    return _read("dataset", path, ds.load_dataset)
 
 
-def _open_projection(cfg: RunConfig) -> ds.ProjectionInputs:
-    if cfg.projection_path is None:
+def _open_projection(path: str | None) -> ds.ProjectionInputs:
+    if path is None:
         return ds.load_bundled_projection()
-    return _read("projection", cfg.projection_path, ds.load_projection)
+    return _read("projection", path, ds.load_projection)
+
+
+_Variant = tuple[str, ds.MarketDataset, SampleMoments]
+
+
+def _build_variants(
+    dataset_path: str | None, projection_path: str | None, names: tuple[str, ...]
+) -> Iterator[_Variant]:
+    """Per variant name, in order: the name, the variant's dataset and its moments.
+
+    Every input is read and every variant dataset built here, before any
+    moment is computed, so an input error (exit 1) wins over a computation
+    error (exit 2) whatever the variant. The moments of all variants come
+    from one shared pass and are handed out one variant at a time, so a
+    variant's moment error comes after the caller has used the variants
+    before it. A user dataset without --projection takes its projected final
+    year from the bundled 1978 projection.
+    """
+    d = _open_dataset(dataset_path)
+    datasets = dict.fromkeys(names, d)
+    if "projected" in datasets:
+        c = ds.projected_consumption(*_open_projection(projection_path))
+        datasets["projected"] = ds.with_final_consumption(d, c)
+    finals = [dv.consumption[-1] for dv in datasets.values()]
+    return zip(datasets, datasets.values(), compute_variant_moments(d, finals))
+
+
+# The bundled inputs do not change under a running process and every part of
+# a variant is immutable, so each bundled variant is built once per process.
+@functools.cache
+def _bundled_variant(name: str) -> _Variant:
+    (variant,) = _build_variants(None, None, (name,))
+    return variant
+
+
+def _variants(cfg: RunConfig, names: tuple[str, ...]) -> Iterator[_Variant]:
+    """_build_variants for cfg's input files; user files are read and
+    computed on every call."""
+    if cfg.dataset_path is None and cfg.projection_path is None:
+        return map(_bundled_variant, names)
+    return _build_variants(cfg.dataset_path, cfg.projection_path, names)
 
 
 # -- commands ----------------------------------------------------------------
 
 def cmd_ingest(cfg: RunConfig, out) -> int:
-    d = _open_dataset(cfg)
-    m = compute_moments(d)
+    ((_, d, m),) = _variants(cfg, ("realized",))
     if cfg.fmt is ReportFormat.JSON:
         doc = {
             "years": len(d.consumption),
@@ -191,24 +238,15 @@ _Calibrations = dict[str, tuple[ds.MarketDataset, SampleMoments, CalibrationResu
 def _calibrations(cfg: RunConfig) -> _Calibrations:
     """Per variant name, the variant's dataset, its moments and its calibration.
 
-    Every input is read and every variant dataset built before any moment is
-    computed, so an input error (exit 1) wins over a computation error
-    (exit 2) whatever the variant. A user dataset without --projection takes
-    its projected final year from the bundled 1978 projection, and without
-    --rho each variant takes rho from RHO_ANCHORS; both are fitted to the
-    bundled series.
+    Each variant is calibrated before the next one's moments are handed out,
+    so errors come in variant order. Without --rho each variant takes rho
+    from RHO_ANCHORS, which are fitted to the bundled series.
     """
-    d = _open_dataset(cfg)
     names = ("realized", "projected") if cfg.variant == "both" else (cfg.variant,)
-    datasets = dict.fromkeys(names, d)
-    if "projected" in datasets:
-        c = ds.projected_consumption(*_open_projection(cfg))
-        datasets["projected"] = ds.with_final_consumption(d, c)
-    results: _Calibrations = {}
-    for name, dv in datasets.items():
-        m = compute_moments(dv)
-        results[name] = (dv, m, calibrate_variant(m, cfg.beta, Variant(name), rho=cfg.rho))
-    return results
+    return {
+        name: (dv, m, calibrate_variant(m, cfg.beta, Variant(name), rho=cfg.rho))
+        for name, dv, m in _variants(cfg, names)
+    }
 
 
 def cmd_calibrate(cfg: RunConfig, out) -> int:

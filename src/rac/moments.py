@@ -10,13 +10,19 @@ The arithmetic is plain Python. Sums are math.fsum, so each is correctly
 rounded whatever the series length, and variances are two-pass: squared
 deviations from the mean, less the square of the summed deviations over n,
 which cancels the rounding of the mean itself (the corrected two-pass form).
+
+The realized and projected variants of a dataset differ only in the final
+consumption value, so compute_variant_moments takes the moments of several
+final values in one pass over what they share; compute_moments is that pass
+with the dataset's own final value.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import repeat
+from collections.abc import Iterator, Sequence
+from itertools import chain, repeat
 from operator import mul, sub, truediv
 
 from .dataset import MarketDataset
@@ -50,12 +56,63 @@ class SampleMoments(namedtuple("SampleMoments", _MOMENT_FIELDS)):
         return m
 
 
-def _mean_var(values: list[float]) -> tuple[float, float]:
-    """Mean and population variance of `values` (corrected two-pass)."""
-    n = len(values)
-    mean = math.fsum(values) / n
+def _mean_var(values: list[float], last: float) -> tuple[float, float]:
+    """Mean and population variance of values + [last] (corrected two-pass)."""
+    n = len(values) + 1
+    mean = math.fsum(chain(values, (last,))) / n
     dev = list(map(sub, values, repeat(mean)))
+    dev.append(last - mean)
     return mean, (math.fsum(map(mul, dev, dev)) - math.fsum(dev) ** 2 / n) / n
+
+
+def _growth(ratios: list[float], logs: list[float], last: float) -> tuple[float, float, float]:
+    """mu_x, sigma2_x and mean_x of the growth ratios + [last], given their logs."""
+    return (*_mean_var(logs, math.log(last)), math.fsum(chain(ratios, (last,))) / (len(ratios) + 1))
+
+
+def _or_nan(fn, *args) -> tuple[float, ...]:
+    """fn(*args), or (nan,) when fsum overflowed or met inf - inf, or a
+    ratio underflowed to 0 (no log)."""
+    try:
+        return fn(*args)
+    except (OverflowError, ValueError):
+        return (math.nan,)
+
+
+def compute_variant_moments(d: MarketDataset, finals: Sequence[float]) -> Iterator[SampleMoments]:
+    """compute_moments(with_final_consumption(d, v)) for each v in `finals`
+    (positive finite values), in order, from one pass.
+
+    What the variants share is computed once: the n-2 growth ratios before
+    the last and their logs, the logs of the levels before the last, and the
+    return means. The deviation passes stay per variant, since each has its
+    own means. Every variant's growth side is done and freed before the
+    level side starts, so memory peaks as for a single variant.
+
+    All of this runs at the first next(). A variant whose moments are not
+    finite raises NonFiniteMoment when its turn comes, so a caller that uses
+    each variant before asking for the next sees errors in variant order.
+    """
+    c = d.consumption
+    n = len(c)
+    try:
+        ratios = list(map(truediv, c[1:-1], c))
+        logs = list(map(math.log, ratios))
+        growth = [_or_nan(_growth, ratios, logs, v / c[-2]) for v in finals]
+        del ratios, logs
+        returns = (math.fsum(d.equity_return) / n, math.fsum(d.riskfree_return) / n)
+        logs = list(map(math.log, c[:-1]))
+        levels = [_or_nan(_mean_var, logs, math.log(v)) for v in finals]
+        del logs
+    except (OverflowError, ValueError):
+        # a shared ratio underflowed to 0, or a return sum overflowed
+        growth = levels = [(math.nan,)] * len(finals)
+        returns = ()
+    for g, z in zip(growth, levels):
+        values = (*g, *returns, *z)
+        if not all(map(math.isfinite, values)):
+            raise NonFiniteMoment("a sample moment is not finite: values span too wide a range")
+        yield SampleMoments(*values)
 
 
 def compute_moments(d: MarketDataset) -> SampleMoments:
@@ -65,27 +122,7 @@ def compute_moments(d: MarketDataset) -> SampleMoments:
     sum outside the floating-point range). `d` has at least two years, so
     there is always a growth ratio.
     """
-    c = d.consumption
-    n = len(c)
-    try:
-        x = list(map(truediv, c[1:], c))
-        mu_x, sigma2_x = _mean_var(list(map(math.log, x)))
-        mu_z, sigma2_z = _mean_var(list(map(math.log, c)))
-        values = (
-            mu_x,
-            sigma2_x,
-            math.fsum(x) / (n - 1),
-            math.fsum(d.equity_return) / n,
-            math.fsum(d.riskfree_return) / n,
-            mu_z,
-            sigma2_z,
-        )
-    except (OverflowError, ValueError):
-        # fsum overflowed or met inf - inf, or a ratio underflowed to 0 (no log)
-        values = (math.nan,)
-    if not all(map(math.isfinite, values)):
-        raise NonFiniteMoment("a sample moment is not finite: values span too wide a range")
-    return SampleMoments(*values)
+    return next(compute_variant_moments(d, d.consumption[-1:]))
 
 
 def lognormal_moment(a: float, mu: float, sigma2: float) -> float:

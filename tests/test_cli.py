@@ -56,6 +56,14 @@ def degenerate_file(tmp_path):
     return path
 
 
+def _clear_caches():
+    """Empty every per-process cache of the CLI, so the next call builds all."""
+    cli = importlib.import_module("rac.cli")
+    for cached in (cli.make_parser, cli._bundled_variant, ds.load_bundled_dataset,
+                   ds.load_bundled_projection):
+        cached.cache_clear()
+
+
 # -- ingest -------------------------------------------------------------------
 
 def test_ingest_default(capsys):
@@ -279,15 +287,16 @@ def test_factor_overflow_at_large_growth_exits_2(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("variant", ["projected", "both"])
-@pytest.mark.parametrize("projection", ["missing", "overflow"])
+@pytest.mark.parametrize("projection", ["missing", "overflow", "underflow"])
 def test_input_error_wins_over_compute_error(capsys, tmp_path, variant, projection):
     # every input is read before any moment is computed, so a bad projection
     # exits 1 even when the realized moments would overflow (exit 2)
     wide = tmp_path / "wide.csv"
     wide.write_text(HEADER + "\n1900,1e300,1.05,1.01\n1901,1e-300,1.05,1.01\n")
     proj = tmp_path / "projection.csv"
-    if projection == "overflow":
-        proj.write_text(PROJECTION_HEADER + "\n1e308,1e308,150,219441872\n")
+    if projection != "missing":
+        cells = "1e308,1e308,150,219441872" if projection == "overflow" else "1e-300,1e-300,1e300,1e300"
+        proj.write_text(f"{PROJECTION_HEADER}\n{cells}\n")
         message = "NonPositiveValue: annual series values must be positive and finite"
     else:
         message = f"InputError: projection file not found: {proj}"
@@ -295,6 +304,20 @@ def test_input_error_wins_over_compute_error(capsys, tmp_path, variant, projecti
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == f"error: {message}\n"
+
+
+def test_variant_errors_come_in_variant_order(capsys, tmp_path):
+    # the projected moments overflow (the bundled 1978 projection over
+    # 1e-306) and the realized calibration fails; under both the realized
+    # variant is finished first, so its error wins
+    tiny = tmp_path / "tiny.csv"
+    tiny.write_text(HEADER + "\n1900,1.0,1.05,1.01\n1901,1e-306,1.05,1.01\n1902,1e-300,1.05,1.01\n")
+    realized = "NoConvergence: closed-form factors (1.45004e-31, 0) leave the search region"
+    for variant, error in (("projected", "NonFiniteMoment: a sample moment is not finite"),
+                           ("realized", realized), ("both", realized)):
+        code, out, err = run(capsys, "calibrate", "--dataset", str(tiny), "--variant", variant)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {error}")
 
 
 def test_calibrate_bad_beta(capsys):
@@ -368,21 +391,28 @@ def test_classify_default_labels(capsys):
     assert "7.103787" in out
 
 
-def test_classify_computes_moments_once_per_variant(capsys, monkeypatch):
-    # classify_pipeline reuses the moments each variant was calibrated from;
-    # importlib, because the package attribute rac.classify is the function
-    calls = []
-    for module in (importlib.import_module("rac.cli"), importlib.import_module("rac.classify")):
-        counted = module.compute_moments
-
-        def counting(d, _fn=counted):
-            calls.append(d)
-            return _fn(d)
-
-        monkeypatch.setattr(module, "compute_moments", counting)
-    code, _, _ = run(capsys, "classify")
-    assert code == 0
-    assert len(calls) == 2
+def test_bundled_moments_computed_once_per_process(capsys, monkeypatch, bundled_copy):
+    # the CLI takes every variant's moments from compute_variant_moments, and
+    # classify_pipeline reuses them; importlib, because the package attribute
+    # rac.classify is the function
+    cli = importlib.import_module("rac.cli")
+    finals, calls = [], []
+    shared = cli.compute_variant_moments
+    monkeypatch.setattr(cli, "compute_variant_moments", lambda d, v: finals.extend(v) or shared(d, v))
+    classify_module = importlib.import_module("rac.classify")
+    single = classify_module.compute_moments
+    monkeypatch.setattr(classify_module, "compute_moments", lambda d: calls.append(d) or single(d))
+    _clear_caches()
+    for _ in range(2):
+        assert run(capsys, "classify")[0] == 0
+    realized = load_bundled_dataset().consumption[-1]
+    projected = ds.projected_consumption(*ds.load_bundled_projection())
+    assert finals == [realized, projected]
+    # a user file is read and its variants computed on every call
+    for _ in range(2):
+        assert run(capsys, "classify", "--dataset", str(bundled_copy))[0] == 0
+    assert finals == [realized, projected] * 3
+    assert calls == []
 
 
 def test_classify_eta_one(capsys):
@@ -585,6 +615,17 @@ def test_bad_config_value_is_input_error(capsys, tmp_path, content, message):
     assert err.startswith(f"error: InputError: {message}")
 
 
+@pytest.mark.parametrize("value", ["true", "false"])
+@pytest.mark.parametrize("name", ["beta", "rho", "eta", "tol"])
+def test_config_boolean_is_input_error(capsys, tmp_path, name, value):
+    # float() takes True and False as 1 and 0, which are in range for some keys
+    config = tmp_path / "config.json"
+    config.write_text(f'{{"{name}": {value}}}')
+    code, out, err = run(capsys, "calibrate", "--config", str(config))
+    assert (code, out) == (1, "")
+    assert err == f"error: InputError: {name} must be a number, got {value.title()}\n"
+
+
 def test_bad_flag_value(capsys):
     # argparse rejects bad choices and a missing command itself; a usage
     # error is an input problem
@@ -694,7 +735,30 @@ def test_warm_main_rebuilds_nothing(capsys, monkeypatch):
     assert (built, loads) == ([], [])
 
 
-def test_user_files_read_on_every_call(capsys, tmp_path):
+_WARM_GRID = [
+    [command, "--variant", variant, "--format", fmt, "--group", group, *rho, *eta]
+    for command in ("ingest", "calibrate", "classify")
+    for variant in ("realized", "projected", "both")
+    for fmt in ("text", "csv", "json")
+    for group in ("one", "two")
+    for rho in ([], ["--rho", "5"])
+    for eta in ([], ["--eta", "1.05"])
+]
+
+
+def test_warm_main_matches_cold(capsys):
+    # a cached bundled variant gives the output a fresh process gives, on
+    # every grid point (classify with --rho 5 and group two exits 2)
+    cold = []
+    for argv in _WARM_GRID:
+        _clear_caches()
+        cold.append(run(capsys, *argv))
+    warm = [run(capsys, *argv) for argv in _WARM_GRID]
+    assert warm == cold
+    assert {code for code, _, _ in cold} == {0, 2}
+
+
+def test_user_files_read_on_every_call(capsys, monkeypatch, tmp_path, bundled_copy):
     # files the user names are read again on each call, so an edit between
     # two calls in one process shows in the second output
     data = tmp_path / "data.csv"
@@ -705,16 +769,31 @@ def test_user_files_read_on_every_call(capsys, tmp_path):
     assert json.loads(first[1])["moments"]["mean_x"] == pytest.approx(1.1)
     assert json.loads(second[1])["moments"]["mean_x"] == pytest.approx(1.2)
 
+    # a RAC_DATASET copy of the bundled file is a user file, not the bundled
+    # data, although it holds the same numbers
+    monkeypatch.setenv(ENV_DATASET, str(bundled_copy))
+    argv = ["calibrate", "--format", "json"]
+    first = run(capsys, *argv)
+    bundled = load_bundled_dataset()
+    bundled_copy.write_bytes(serialize_dataset(ds.with_final_consumption(bundled, 3500.0)))
+    second = run(capsys, *argv)
+    monkeypatch.delenv(ENV_DATASET)
+    assert first == run(capsys, *argv)
+    assert first[0] == second[0] == 0 and first[1] != second[1]
+
     proj = tmp_path / "projection.csv"
-    argv = ["classify", "--variant", "projected", "--eta", "0.9", "--format", "json",
-            "--projection", str(proj)]
-    consumption = []
-    for population in (219441872, 2 * 219441872):
-        proj.write_text(f"{PROJECTION_HEADER}\n515.4,613.7,150,{population}\n")
-        code, out, _ = run(capsys, *argv)
-        assert code == 0
-        consumption.append(json.loads(out)["classifications"][0]["consumption_uncertain_exact"])
-    assert consumption[1] == pytest.approx(consumption[0] / 2)
+    for variant in ("projected", "both"):
+        argv = ["classify", "--variant", variant, "--eta", "0.9", "--format", "json",
+                "--projection", str(proj)]
+        rows = []
+        for population in (219441872, 2 * 219441872):
+            proj.write_text(f"{PROJECTION_HEADER}\n515.4,613.7,150,{population}\n")
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            rows.append({row["year_uncertain"]: row["consumption_uncertain_exact"]
+                         for row in json.loads(out)["classifications"]})
+        assert rows[1]["1978 (projected)"] == pytest.approx(rows[0]["1978 (projected)"] / 2)
+        assert rows[0].get("1978 (realized)") == rows[1].get("1978 (realized)")
 
 
 # -- start-up -----------------------------------------------------------------

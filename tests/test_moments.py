@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from _frozen_reference import FROZEN
@@ -15,8 +15,10 @@ from rac import (
     compute_moments,
     consistency_gap,
     lognormal_moment,
+    with_final_consumption,
 )
-from rac.errors import NegativeVariance, NonFiniteMoment
+from rac.errors import NegativeVariance, NonFiniteMoment, RacError
+from rac.moments import compute_variant_moments
 
 
 def make_dataset(consumption, start=1900):
@@ -130,6 +132,66 @@ def test_non_finite_moments_raise(consumption, equity):
     d = MarketDataset(1900, consumption, equity, (1.01,) * n)
     with pytest.raises(NonFiniteMoment):
         compute_moments(d)
+
+
+def one_pass_reference(d):
+    """compute_moments arithmetic over the whole series, nothing shared
+    between variants (the shared pass must equal it bit for bit)."""
+    c, n = d.consumption, len(d.consumption)
+
+    def mean_var(values):
+        mean = math.fsum(values) / len(values)
+        dev = [v - mean for v in values]
+        return mean, (math.fsum(v * v for v in dev) - math.fsum(dev) ** 2 / len(values)) / len(values)
+
+    try:
+        x = [b / a for a, b in zip(c, c[1:])]
+        values = (*mean_var([math.log(v) for v in x]), math.fsum(x) / (n - 1),
+                  math.fsum(d.equity_return) / n, math.fsum(d.riskfree_return) / n,
+                  *mean_var([math.log(v) for v in c]))
+    except (OverflowError, ValueError):
+        raise NonFiniteMoment("reference") from None
+    if not all(map(math.isfinite, values)):
+        raise NonFiniteMoment("reference")
+    return SampleMoments(*values)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type of the RacError it raises."""
+    try:
+        return fn(*args)
+    except RacError as exc:
+        return type(exc)
+
+
+# Levels far enough apart that a ratio overflows to inf or underflows to 0.
+_LEVELS = st.one_of(
+    st.floats(min_value=1e-3, max_value=1e6),
+    st.sampled_from([1e-306, 1e-300, 1e300, 1e306]),
+)
+
+
+@given(
+    cons=st.lists(_LEVELS, min_size=2, max_size=30),
+    finals=st.lists(_LEVELS, min_size=1, max_size=3),
+    equity=st.sampled_from([1.05, 1e308]),
+)
+@example(cons=[1.0, 1e-306, 1e-300], finals=[1e-300, 3430.2], equity=1.05)  # 2nd ratio inf
+@example(cons=[1.0, 1e300, 1e300], finals=[1e300, 1e-300], equity=1.05)  # 2nd ratio 0
+@example(cons=[1e300, 1e-300], finals=[1e-300, 1.0], equity=1.05)  # only the 1st fails
+@example(cons=[100.0, 101.0, 102.0], finals=[102.0, 103.0], equity=1e308)  # both fail
+def test_shared_pass_equals_one_pass_per_variant(cons, finals, equity):
+    n = len(cons)
+    d = MarketDataset(1900, cons, [equity] * n, [1.01] * n)
+    want = [outcome(one_pass_reference, with_final_consumption(d, v)) for v in finals]
+    # the shared pass hands out the variants before the first that fails,
+    # then raises for that one
+    failed = [isinstance(w, type) for w in want]
+    want = want[: failed.index(True) + 1] if any(failed) else want
+    moments = compute_variant_moments(d, finals)
+    got = [outcome(next, moments) for _ in want]
+    assert got == want
+    assert outcome(compute_moments, d) == outcome(one_pass_reference, d)
 
 
 def test_bundled_published_stats(bundled):
