@@ -46,12 +46,20 @@ RHO_REGION = (0.0, 60.0)
 FACTOR_REGION_MAX = 10.0
 # ln of the largest float, rounded down: exp of a larger log-factor overflows.
 _LN_FLOAT_MAX = 709.78
+DEFAULT_BETA = 0.99
+
+
+def check_beta(beta: float) -> float:
+    """beta, if it lies in (0, 1]."""
+    if not 0.0 < beta <= 1.0:
+        raise InputError(f"beta must be in (0, 1], got {beta}")
+    return beta
 
 
 def check_rho(rho: float) -> float:
     """rho as a float, if it lies in RHO_REGION."""
     lo, hi = RHO_REGION
-    rho = float(rho)
+    rho = float(rho) + 0.0  # -0.0 becomes 0.0, so it prints as 0
     if not lo <= rho <= hi:
         raise InputError(f"rho {rho} outside the supported range [{lo:g}, {hi:g}]")
     return rho
@@ -94,13 +102,6 @@ class CalibrationResult(namedtuple("CalibrationResult", "factors rho residuals c
         if not all(math.isfinite(r) for r in c.residuals):
             raise InputError("residuals must be finite")
         return c
-
-
-def check_beta(beta: float) -> float:
-    """beta, if it lies in (0, 1]."""
-    if not 0.0 < beta <= 1.0:
-        raise InputError(f"beta must be in (0, 1], got {beta}")
-    return beta
 
 
 def system_residuals(
@@ -194,7 +195,7 @@ def solve_system(beta: float, m: SampleMoments, rho: float = 1.0) -> Calibration
 
 def calibrate_variant(
     m: SampleMoments,
-    beta: float = 0.99,
+    beta: float = DEFAULT_BETA,
     variant: Variant = Variant.REALIZED,
     rho: float | None = None,
 ) -> CalibrationResult:

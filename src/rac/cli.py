@@ -1,9 +1,9 @@
 """Command-line interface: ingest, calibrate, classify.
 
-Configuration precedence is flags > config file (--config, JSON) > defaults.
-The dataset path falls back to the RAC_DATASET environment variable, when it
-is not empty, and then to the bundled reconstruction. Exit codes: 0 success,
-1 input problem (usage errors included), 2 computation problem.
+Each run option takes the first value that is set of: its flag, its key in
+the --config file (JSON), the RAC_DATASET environment variable when not empty
+(dataset only), and its default (the bundled inputs, for the two paths).
+Exit codes: 0 success, 1 input problem (usage errors included), 2 computation problem.
 
 main() may run many times in one process: the parser and each bundled
 variant's dataset and moments are built once per process, while files the
@@ -17,11 +17,12 @@ import functools
 import math
 import os
 import sys
-from collections.abc import Iterator
-from typing import NamedTuple
+from collections import namedtuple
+from collections.abc import Callable, Iterator
 
 from . import dataset as ds
-from .calibration import CalibrationResult, Variant, calibrate_variant, check_beta, check_rho
+from .calibration import DEFAULT_BETA, CalibrationResult, Variant, calibrate_variant
+from .calibration import check_beta, check_rho
 from .classify import AllocationSign, DefinitionGroup, classify_pipeline, check_tol, DEFAULT_TOLERANCE
 from .errors import InputError, RacError
 from .moments import SampleMoments, compute_variant_moments
@@ -36,20 +37,6 @@ from .report import (
 from .utility import check_eta
 
 ENV_DATASET = "RAC_DATASET"
-
-_CONFIG_KEYS = ("dataset", "projection", "beta", "group", "tol", "variant", "eta", "rho", "format")
-
-
-class RunConfig(NamedTuple):
-    dataset_path: str | None
-    projection_path: str | None
-    beta: float
-    group: DefinitionGroup
-    tolerance: float
-    variant: str
-    eta: float | None
-    rho: float | None
-    fmt: ReportFormat
 
 
 def _read(kind: str, path: str, load):
@@ -75,6 +62,63 @@ def _read_config_text(path: str) -> str:
             ) from None
 
 
+# -- run options -------------------------------------------------------------
+# A kind turns a flag or config value into the option's value by the option's
+# rule, or raises InputError naming the option.
+
+def _path(name: str, value, rule=None):
+    """`value` if it is None or a path string open() accepts (no NUL byte)."""
+    if value is None or isinstance(value, str) and "\0" not in value:
+        return value
+    raise InputError(f"{name} must be a path string, got {value!r}")
+
+
+def _choice(name: str, value, rule: dict):
+    """rule[value], if `value` is one of rule's names."""
+    if isinstance(value, str) and value in rule:
+        return rule[value]
+    *names, last = rule
+    listed = ", ".join(names) + ("," if len(names) > 1 else "")
+    raise InputError(f"{name} must be {listed} or {last}, got {value!r}")
+
+
+def _number(name: str, value, rule: Callable[[float], float]) -> float:
+    """`value` as a finite float, passed through the option's check_* rule."""
+    if isinstance(value, bool):  # float() would take JSON true/false as 1/0
+        raise InputError(f"{name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{name} must be a number ({exc})") from None
+    if not math.isfinite(number):
+        raise InputError(f"{name} must be finite, got {number}")
+    return rule(number)
+
+
+# A run option: `name` is its flag, its config key and its RunConfig field;
+# `kind` is _path, _choice or _number; `default` is the value itself (for a
+# choice, not its name); `rule` is a choice's {name: value} or a number's check_*.
+_Option = namedtuple("_Option", "name kind help default rule", defaults=(None, None))
+_GROUPS, _FORMATS = ({m.value: m for m in enum} for enum in (DefinitionGroup, ReportFormat))
+_VARIANTS = {**{v.value: (v,) for v in Variant}, "both": tuple(Variant)}
+_OPTIONS = (
+    _Option("dataset", _path, f"market data CSV (default: ${ENV_DATASET} or bundled)"),
+    _Option("projection", _path, "projection inputs CSV (default: bundled)"),
+    _Option("beta", _number, "subjective discount factor", DEFAULT_BETA, check_beta),
+    _Option("group", _choice, "definition group", DefinitionGroup.TWO, _GROUPS),
+    _Option("tol", _number, "risk-neutrality tolerance", DEFAULT_TOLERANCE, check_tol),
+    _Option("variant", _choice, "final-year variant(s) to run", tuple(Variant), _VARIANTS),
+    _Option("eta", _number, "override the sufficiency factor", rule=check_eta),
+    _Option("rho", _number, "override the risk-aversion coefficient", rule=check_rho),
+    _Option("format", _choice, "output format", ReportFormat.TEXT, _FORMATS),
+)
+# build_config checks paths, then choices, then numbers, each in table order,
+# so which of several bad values is reported does not depend on their source
+_CHECK_ORDER = sorted(_OPTIONS, key=lambda opt: (_path, _choice, _number).index(opt.kind))
+# each run option's value as its kind makes it, or its default
+RunConfig = namedtuple("RunConfig", [opt.name for opt in _OPTIONS])
+
+
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
@@ -89,72 +133,23 @@ def _load_config_file(path: str | None) -> dict:
         raise InputError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InputError("config file must hold a JSON object")
-    unknown = set(doc) - set(_CONFIG_KEYS)
+    unknown = set(doc).difference(RunConfig._fields)
     if unknown:
         raise InputError(f"unknown config keys: {sorted(unknown)}")
-    return doc
-
-
-def _merge(flag, config_value, default):
-    if flag is not None:
-        return flag
-    if config_value is not None:
-        return config_value
-    return default
-
-
-def _path(name: str, value):
-    """`value` if it is None or a path string open() accepts (no NUL byte)."""
-    if value is None or isinstance(value, str) and "\0" not in value:
-        return value
-    raise InputError(f"{name} must be a path string, got {value!r}")
-
-
-def _number(name: str, value) -> float:
-    """`value` (a flag or a JSON config value) as a finite float."""
-    if isinstance(value, bool):  # float() would take JSON true/false as 1/0
-        raise InputError(f"{name} must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"{name} must be a number ({exc})") from None
-    if not math.isfinite(number):
-        raise InputError(f"{name} must be finite, got {number}")
-    return number
+    return {key: value for key, value in doc.items() if value is not None}  # null is unset
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
+    """The run options' values; `args` as make_parser parses them, without unset flags."""
     cfg = _load_config_file(_path("config", getattr(args, "config", None)))
-    # an empty RAC_DATASET counts as unset, not as the path "" (the cwd)
-    env_dataset = os.environ.get(ENV_DATASET) or None
-    dataset_path = _path("dataset", _merge(args.dataset, cfg.get("dataset"), env_dataset))
-    projection_path = _path("projection", _merge(args.projection, cfg.get("projection"), None))
-    group_name = _merge(args.group, cfg.get("group"), "two")
-    variant = _merge(args.variant, cfg.get("variant"), "both")
-    fmt_name = _merge(args.format, cfg.get("format"), "text")
-    if group_name not in ("one", "two"):
-        raise InputError(f"group must be 'one' or 'two', got {group_name!r}")
-    if variant not in ("realized", "projected", "both"):
-        raise InputError(f"variant must be realized, projected, or both, got {variant!r}")
-    if fmt_name not in ("text", "csv", "json"):
-        raise InputError(f"format must be text, csv, or json, got {fmt_name!r}")
-    beta = check_beta(_number("beta", _merge(args.beta, cfg.get("beta"), 0.99)))
-    tol = check_tol(_number("tol", _merge(args.tol, cfg.get("tol"), DEFAULT_TOLERANCE)))
-    eta = _merge(args.eta, cfg.get("eta"), None)
-    rho = _merge(args.rho, cfg.get("rho"), None)
-    eta = None if eta is None else check_eta(_number("eta", eta))
-    rho = None if rho is None else check_rho(_number("rho", rho))
-    return RunConfig(
-        dataset_path=dataset_path,
-        projection_path=projection_path,
-        beta=beta,
-        group=DefinitionGroup.ONE if group_name == "one" else DefinitionGroup.TWO,
-        tolerance=tol,
-        variant=variant,
-        eta=eta,
-        rho=rho,
-        fmt=ReportFormat(fmt_name),
-    )
+    env = os.environ.get(ENV_DATASET)  # an empty one is unset, not the path "" (the cwd)
+    # a later source wins: RAC_DATASET (dataset only), the config file, the flags
+    given = {**({"dataset": env} if env else {}), **cfg, **vars(args)}
+    values = {}
+    for opt in _CHECK_ORDER:
+        value = given.get(opt.name)
+        values[opt.name] = opt.default if value is None else opt.kind(opt.name, value, opt.rule)
+    return RunConfig(**values)
 
 
 def _open_dataset(path: str | None) -> ds.MarketDataset:
@@ -169,13 +164,13 @@ def _open_projection(path: str | None) -> ds.ProjectionInputs:
     return _read("projection", path, ds.load_projection)
 
 
-_Variant = tuple[str, ds.MarketDataset, SampleMoments]
+_Variant = tuple[Variant, ds.MarketDataset, SampleMoments]
 
 
 def _build_variants(
-    dataset_path: str | None, projection_path: str | None, names: tuple[str, ...]
+    dataset_path: str | None, projection_path: str | None, variants: tuple[Variant, ...]
 ) -> Iterator[_Variant]:
-    """Per variant name, in order: the name, the variant's dataset and its moments.
+    """Per variant, in order: the variant, its dataset and its moments.
 
     Every input is read and every variant dataset built here, before any
     moment is computed, so an input error (exit 1) wins over a computation
@@ -186,10 +181,10 @@ def _build_variants(
     year from the bundled 1978 projection.
     """
     d = _open_dataset(dataset_path)
-    datasets = dict.fromkeys(names, d)
-    if "projected" in datasets:
+    datasets = dict.fromkeys(variants, d)
+    if Variant.PROJECTED in datasets:
         c = ds.projected_consumption(*_open_projection(projection_path))
-        datasets["projected"] = ds.with_final_consumption(d, c)
+        datasets[Variant.PROJECTED] = ds.with_final_consumption(d, c)
     finals = [dv.consumption[-1] for dv in datasets.values()]
     return zip(datasets, datasets.values(), compute_variant_moments(d, finals))
 
@@ -197,24 +192,23 @@ def _build_variants(
 # The bundled inputs do not change under a running process and every part of
 # a variant is immutable, so each bundled variant is built once per process.
 @functools.cache
-def _bundled_variant(name: str) -> _Variant:
-    (variant,) = _build_variants(None, None, (name,))
-    return variant
+def _bundled_variant(variant: Variant) -> _Variant:
+    return next(_build_variants(None, None, (variant,)))
 
 
-def _variants(cfg: RunConfig, names: tuple[str, ...]) -> Iterator[_Variant]:
+def _variants(cfg: RunConfig, variants: tuple[Variant, ...]) -> Iterator[_Variant]:
     """_build_variants for cfg's input files; user files are read and
     computed on every call."""
-    if cfg.dataset_path is None and cfg.projection_path is None:
-        return map(_bundled_variant, names)
-    return _build_variants(cfg.dataset_path, cfg.projection_path, names)
+    if cfg.dataset is None and cfg.projection is None:
+        return map(_bundled_variant, variants)
+    return _build_variants(cfg.dataset, cfg.projection, variants)
 
 
 # -- commands ----------------------------------------------------------------
 
 def cmd_ingest(cfg: RunConfig, out) -> int:
-    ((_, d, m),) = _variants(cfg, ("realized",))
-    if cfg.fmt is ReportFormat.JSON:
+    ((_, d, m),) = _variants(cfg, (Variant.REALIZED,))
+    if cfg.format is ReportFormat.JSON:
         doc = {
             "years": len(d.consumption),
             "start_year": d.start_year,
@@ -242,20 +236,19 @@ def _calibrations(cfg: RunConfig) -> _Calibrations:
     so errors come in variant order. Without --rho each variant takes rho
     from RHO_ANCHORS, which are fitted to the bundled series.
     """
-    names = ("realized", "projected") if cfg.variant == "both" else (cfg.variant,)
     return {
-        name: (dv, m, calibrate_variant(m, cfg.beta, Variant(name), rho=cfg.rho))
-        for name, dv, m in _variants(cfg, names)
+        variant.value: (dv, m, calibrate_variant(m, cfg.beta, variant, rho=cfg.rho))
+        for variant, dv, m in _variants(cfg, cfg.variant)
     }
 
 
 def cmd_calibrate(cfg: RunConfig, out) -> int:
     results = _calibrations(cfg)
-    if cfg.fmt is ReportFormat.JSON:
+    if cfg.format is ReportFormat.JSON:
         doc = {"calibration": {name: calibration_block(c) for name, (_, _, c) in results.items()}}
         out.write(json_text(doc))
         return 0
-    if cfg.fmt is ReportFormat.CSV:
+    if cfg.format is ReportFormat.CSV:
         out.write("variant,zeta,xi,rho,residual_a,residual_b,residual_c,consistency_gap\n")
         for name, (_, _, c) in results.items():
             values = (c.factors.zeta, c.factors.xi, c.rho, *c.residuals, c.consistency_gap)
@@ -295,7 +288,7 @@ def cmd_classify(cfg: RunConfig, out) -> int:
         for name, (dv, m, calib) in results.items():
             eta = cfg.eta if factor is None else getattr(calib.factors, factor)
             cmp, attitude = classify_pipeline(
-                dv, eta, calib.rho, cfg.beta, cfg.group, cfg.tolerance, moments=m
+                dv, eta, calib.rho, cfg.beta, cfg.group, cfg.tol, moments=m
             )
             rows.append(
                 ReportRow(
@@ -311,9 +304,9 @@ def cmd_classify(cfg: RunConfig, out) -> int:
                 )
             )
         tables.append((investor, rows))
-    if cfg.fmt is ReportFormat.JSON:
+    if cfg.format is ReportFormat.JSON:
         out.write(export_run({name: c for name, (_, _, c) in results.items()}, tables))
-    elif cfg.fmt is ReportFormat.CSV:
+    elif cfg.format is ReportFormat.CSV:
         out.write(render_table([row for _, rows in tables for row in rows], ReportFormat.CSV))
     else:
         out.write("\n".join(
@@ -325,20 +318,22 @@ def cmd_classify(cfg: RunConfig, out) -> int:
 
 # -- argument parsing --------------------------------------------------------
 
+def _help(opt: _Option) -> str:
+    """The option's help text, with its default unless that is None."""
+    if opt.default is None:
+        return opt.help
+    if opt.kind is _choice:
+        shown = next(name for name, value in opt.rule.items() if value == opt.default)
+    else:
+        shown = f"{opt.default:g}".replace("e-0", "e-")  # unpadded exponent: "e-9", not "e-09"
+    return f"{opt.help} (default {shown})"
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dataset", help=f"market data CSV (default: ${ENV_DATASET} or bundled)")
-    p.add_argument("--projection", help="projection inputs CSV (default: bundled)")
-    p.add_argument("--beta", type=float, help="subjective discount factor (default 0.99)")
-    p.add_argument("--group", choices=["one", "two"], help="definition group (default two)")
-    p.add_argument("--tol", type=float, help="risk-neutrality tolerance (default 1e-9)")
-    p.add_argument(
-        "--variant",
-        choices=["realized", "projected", "both"],
-        help="final-year variant(s) to run (default both)",
-    )
-    p.add_argument("--eta", type=float, help="override the sufficiency factor")
-    p.add_argument("--rho", type=float, help="override the risk-aversion coefficient")
-    p.add_argument("--format", choices=["text", "csv", "json"], help="output format (default text)")
+    for opt in _OPTIONS:
+        choices = list(opt.rule) if opt.kind is _choice else None
+        convert = float if opt.kind is _number else None
+        p.add_argument(f"--{opt.name}", type=convert, choices=choices, help=_help(opt))
     p.add_argument("--config", help="JSON config file (flags win over its values)")
 
 
@@ -362,7 +357,8 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in (("ingest", cmd_ingest), ("calibrate", cmd_calibrate), ("classify", cmd_classify)):
-        p = sub.add_parser(name)
+        # an unset flag is left out of the namespace, so build_config can tell it
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         _add_common(p)
         p.set_defaults(func=fn)
     return parser

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -379,6 +380,16 @@ def test_range_endpoints_accepted(capsys, name, value):
     assert (code, err) == (0, "")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_negative_zero_rho_is_zero(capsys, tmp_path, fmt):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"rho": -0.0}))
+    zero = run(capsys, "calibrate", "--format", fmt, "--rho", "0")
+    assert zero[0] == 0
+    assert run(capsys, "calibrate", "--format", fmt, "--rho", "-0") == zero
+    assert run(capsys, "calibrate", "--format", fmt, "--config", str(config)) == zero
+
+
 # -- classify -----------------------------------------------------------------
 
 def test_classify_default_labels(capsys):
@@ -511,32 +522,93 @@ def test_classify_custom_eta_table(capsys):
 
 # -- config file --------------------------------------------------------------
 
-def test_config_beta_applies(capsys, tmp_path):
+@pytest.fixture()
+def option_files(tmp_path, bundled_copy):
+    """Named input files: the bundled dataset, a 30-row prefix of it, and two
+    projections."""
+    short = tmp_path / "short.csv"
+    short.write_text("".join(bundled_copy.read_text().splitlines(keepends=True)[:31]))
+    projection = tmp_path / "projection.csv"
+    projection.write_text(PROJECTION_HEADER + "\n515.4,613.7,150,219441872\n")
+    other = tmp_path / "other_projection.csv"
+    other.write_text(PROJECTION_HEADER + "\n600.1,700.2,160,220000000\n")
+    return {"copy": str(bundled_copy), "short": str(short), "projection": str(projection),
+            "other": str(other)}
+
+
+# per run option: a command (with any flag it needs for the option to show),
+# a value other than the default and a second value with another output
+_PRECEDENCE = {
+    "dataset": (["ingest"], "short", "copy"),
+    "projection": (["calibrate", "--format", "json"], "other", "projection"),
+    "beta": (["calibrate"], "0.5", "0.9"),
+    "group": (["classify", "--rho", "0"], "one", "two"),
+    "tol": (["classify"], "10.0", "0"),
+    "variant": (["calibrate"], "realized", "projected"),
+    "eta": (["classify"], "0.9", "1.05"),
+    "rho": (["calibrate"], "2", "3"),
+    "format": (["calibrate"], "csv", "json"),
+}
+
+
+def _config_value(text: str):
+    """text as JSON config would give it: a number, or else a string."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+@pytest.mark.parametrize("name", _PRECEDENCE)
+def test_flag_beats_config(capsys, tmp_path, option_files, name):
+    argv, value, other = _PRECEDENCE[name]
+    value, other = option_files.get(value, value), option_files.get(other, other)
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"beta": 0.5}))
-    _, out_default, _ = run(capsys, "calibrate", "--format", "json")
-    _, out_config, _ = run(capsys, "calibrate", "--format", "json", "--config", str(config))
-    zeta_default = json.loads(out_default)["calibration"]["realized"]["zeta"]
-    zeta_config = json.loads(out_config)["calibration"]["realized"]["zeta"]
-    assert zeta_config != zeta_default
+    config.write_text(json.dumps({name: _config_value(value)}))
+    with_flag = run(capsys, *argv, f"--{name}", value)
+    with_other_flag = run(capsys, *argv, f"--{name}", other)
+    assert with_flag != with_other_flag
+    assert run(capsys, *argv, "--config", str(config)) == with_flag
+    assert run(capsys, *argv, "--config", str(config), f"--{name}", other) == with_other_flag
 
 
-def test_flag_beats_config(capsys, tmp_path):
+def test_config_dataset_beats_env(capsys, monkeypatch, tmp_path, option_files):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"beta": 0.5}))
-    _, out_default, _ = run(capsys, "calibrate", "--format", "json")
-    _, out_flag, _ = run(
-        capsys, "calibrate", "--format", "json", "--config", str(config), "--beta", "0.99"
-    )
-    assert out_flag == out_default
+    config.write_text(json.dumps({"dataset": option_files["short"]}))
+    monkeypatch.setenv(ENV_DATASET, option_files["copy"])
+    with_config = run(capsys, "ingest", "--config", str(config))
+    assert with_config == run(capsys, "ingest", "--dataset", option_files["short"])
+    assert with_config != run(capsys, "ingest")
 
 
-def test_config_sets_format_and_variant(capsys, tmp_path):
+def test_config_null_is_unset(capsys, monkeypatch, tmp_path, option_files):
+    # a null config value leaves the next source (RAC_DATASET, a default) to
+    # decide, as if the key were absent
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"format": "json", "variant": "realized"}))
-    code, out, _ = run(capsys, "calibrate", "--config", str(config))
-    assert code == 0
-    assert set(json.loads(out)["calibration"]) == {"realized"}
+    config.write_text(json.dumps({"dataset": None, "format": None, "beta": None}))
+    monkeypatch.setenv(ENV_DATASET, option_files["short"])
+    with_config = run(capsys, "calibrate", "--config", str(config))
+    assert with_config == run(capsys, "calibrate", "--dataset", option_files["short"])
+    assert with_config[0] == 0
+
+
+@pytest.mark.parametrize(
+    "config, flags, reported",
+    [
+        ({"group": "three", "beta": 2}, [], "group"),
+        ({"projection": 5, "format": "xml"}, [], "projection"),
+        ({"variant": "none"}, ["--beta", "2"], "variant"),
+    ],
+    ids=["choice-before-number", "path-before-choice", "config-choice-before-flag-number"],
+)
+def test_first_bad_value_is_reported(capsys, tmp_path, config, flags, reported):
+    # paths are checked before choices and choices before numbers, whatever
+    # the source of each value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(capsys, "classify", "--config", str(path), *flags)
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert err.startswith(f"error: InputError: {reported} must be ")
 
 
 def test_config_unknown_key(capsys, tmp_path):
@@ -595,7 +667,7 @@ def test_config_missing(capsys):
          "config file is not UTF-8 text (invalid start byte at offset 12)"),
         ("[" * 100_000, "config file is not valid JSON: maximum recursion depth exceeded"),
         # argparse rejects a bad choice flag first, so only a config reaches these
-        ('{"group": "three"}', "group must be 'one' or 'two', got 'three'"),
+        ('{"group": "three"}', "group must be one or two, got 'three'"),
         ('{"variant": "none"}', "variant must be realized, projected, or both, got 'none'"),
         ('{"format": "xml"}', "format must be text, csv, or json, got 'xml'"),
     ],
@@ -637,6 +709,38 @@ def test_bad_flag_value(capsys):
             main(argv)
         assert exc_info.value.code == 1
         assert fragment in capsys.readouterr().err
+
+
+_HELP_OPTIONS = [
+    ("-h, --help", "show this help message and exit"),
+    ("--dataset DATASET", "market data CSV (default: $RAC_DATASET or bundled)"),
+    ("--projection PROJECTION", "projection inputs CSV (default: bundled)"),
+    ("--beta BETA", "subjective discount factor (default 0.99)"),
+    ("--group {one,two}", "definition group (default two)"),
+    ("--tol TOL", "risk-neutrality tolerance (default 1e-9)"),
+    ("--variant {realized,projected,both}", "final-year variant(s) to run (default both)"),
+    ("--eta ETA", "override the sufficiency factor"),
+    ("--rho RHO", "override the risk-aversion coefficient"),
+    ("--format {text,csv,json}", "output format (default text)"),
+    ("--config CONFIG", "JSON config file (flags win over its values)"),
+]
+
+
+@pytest.mark.parametrize("command", ["ingest", "calibrate", "classify"])
+def test_help_lists_each_option(capsys, monkeypatch, command):
+    # wide enough that no help text wraps; an option whose flag and metavar
+    # are too long for the help column still puts its help on the next line
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exc_info:
+        main([command, "--help"])
+    assert exc_info.value.code == 0
+    entries: list[str] = []
+    for line in capsys.readouterr().out.split("\noptions:\n")[1].splitlines():
+        if line.startswith("  -"):
+            entries.append(line.strip())
+        else:
+            entries[-1] += "  " + line.strip()
+    assert [tuple(re.split(r"\s{2,}", entry, maxsplit=1)) for entry in entries] == _HELP_OPTIONS
 
 
 # -- any flags ----------------------------------------------------------------

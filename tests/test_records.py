@@ -22,6 +22,7 @@ from rac import (
     SufficiencyFactors,
     UtilityComparison,
     UtilitySpec,
+    Variant,
     crra_utility,
     curvature_from_rho,
     lognormal_moment,
@@ -66,8 +67,8 @@ RECORDS = {
     ),
     "RunConfig": (
         "beta",
-        lambda: RunConfig(None, None, 0.99, DefinitionGroup.TWO, 1e-9, "both", None, None,
-                          ReportFormat.TEXT),
+        lambda: RunConfig(None, None, 0.99, DefinitionGroup.TWO, 1e-9, tuple(Variant), None,
+                          None, ReportFormat.TEXT),
     ),
 }
 
