@@ -5,6 +5,10 @@ the --config file (JSON), the RAC_DATASET environment variable when not empty
 (dataset only), and its default (the bundled inputs, for the two paths).
 Exit codes: 0 success, 1 input problem (usage errors included), 2 computation problem.
 
+A run goes in phases: it reads every input, then computes every variant's
+moments, then calibrates each variant, then classifies. The first error in
+that order is the one reported, so an input problem always wins.
+
 main() may run many times in one process: the parser and each bundled
 variant's dataset and moments are built once per process, while files the
 user names are read, and their moments computed, on every call.
@@ -18,7 +22,7 @@ import math
 import os
 import sys
 from collections import namedtuple
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 
 from . import dataset as ds
 from .calibration import DEFAULT_BETA, CalibrationResult, Variant, calibrate_variant
@@ -152,55 +156,42 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
-def _open_dataset(path: str | None) -> ds.MarketDataset:
-    if path is None:
-        return ds.load_bundled_dataset()
-    return _read("dataset", path, ds.load_dataset)
-
-
-def _open_projection(path: str | None) -> ds.ProjectionInputs:
-    if path is None:
-        return ds.load_bundled_projection()
-    return _read("projection", path, ds.load_projection)
-
-
 _Variant = tuple[Variant, ds.MarketDataset, SampleMoments]
 
 
 def _build_variants(
-    dataset_path: str | None, projection_path: str | None, variants: tuple[Variant, ...]
-) -> Iterator[_Variant]:
+    dataset: str | None, projection: str | None, variants: tuple[Variant, ...]
+) -> list[_Variant]:
     """Per variant, in order: the variant, its dataset and its moments.
 
-    Every input is read and every variant dataset built here, before any
-    moment is computed, so an input error (exit 1) wins over a computation
-    error (exit 2) whatever the variant. The moments of all variants come
-    from one shared pass and are handed out one variant at a time, so a
-    variant's moment error comes after the caller has used the variants
-    before it. A user dataset without --projection takes its projected final
-    year from the bundled 1978 projection.
+    A None path is the bundled file. A user dataset without --projection
+    takes its projected final year from the bundled 1978 projection.
     """
-    d = _open_dataset(dataset_path)
+    d = ds.load_bundled_dataset() if dataset is None else _read("dataset", dataset, ds.load_dataset)
     datasets = dict.fromkeys(variants, d)
     if Variant.PROJECTED in datasets:
-        c = ds.projected_consumption(*_open_projection(projection_path))
+        if projection is None:
+            inputs = ds.load_bundled_projection()
+        else:
+            inputs = _read("projection", projection, ds.load_projection)
+        c = ds.projected_consumption(*inputs)
         datasets[Variant.PROJECTED] = ds.with_final_consumption(d, c)
     finals = [dv.consumption[-1] for dv in datasets.values()]
-    return zip(datasets, datasets.values(), compute_variant_moments(d, finals))
+    return list(zip(datasets, datasets.values(), compute_variant_moments(d, finals)))
 
 
 # The bundled inputs do not change under a running process and every part of
 # a variant is immutable, so each bundled variant is built once per process.
 @functools.cache
 def _bundled_variant(variant: Variant) -> _Variant:
-    return next(_build_variants(None, None, (variant,)))
+    return _build_variants(None, None, (variant,))[0]
 
 
-def _variants(cfg: RunConfig, variants: tuple[Variant, ...]) -> Iterator[_Variant]:
+def _variants(cfg: RunConfig, variants: tuple[Variant, ...]) -> list[_Variant]:
     """_build_variants for cfg's input files; user files are read and
     computed on every call."""
     if cfg.dataset is None and cfg.projection is None:
-        return map(_bundled_variant, variants)
+        return [_bundled_variant(v) for v in variants]
     return _build_variants(cfg.dataset, cfg.projection, variants)
 
 
@@ -232,9 +223,8 @@ _Calibrations = dict[str, tuple[ds.MarketDataset, SampleMoments, CalibrationResu
 def _calibrations(cfg: RunConfig) -> _Calibrations:
     """Per variant name, the variant's dataset, its moments and its calibration.
 
-    Each variant is calibrated before the next one's moments are handed out,
-    so errors come in variant order. Without --rho each variant takes rho
-    from RHO_ANCHORS, which are fitted to the bundled series.
+    Without --rho each variant takes rho from RHO_ANCHORS, which are fitted
+    to the bundled series.
     """
     return {
         variant.value: (dv, m, calibrate_variant(m, cfg.beta, variant, rho=cfg.rho))
@@ -329,8 +319,8 @@ def _help(opt: _Option) -> str:
     return f"{opt.help} (default {shown})"
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    for opt in _OPTIONS:
+def _add_common(p: argparse.ArgumentParser, skip: tuple[str, ...]) -> None:
+    for opt in (opt for opt in _OPTIONS if opt.name not in skip):
         choices = list(opt.rule) if opt.kind is _choice else None
         convert = float if opt.kind is _number else None
         p.add_argument(f"--{opt.name}", type=convert, choices=choices, help=_help(opt))
@@ -356,10 +346,12 @@ def make_parser() -> argparse.ArgumentParser:
         "from an annual consumption/returns dataset.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # ingest reads the realized dataset only, so it takes no --projection or
+    # --variant; config keys are shared, and each command uses those it reads
     for name, fn in (("ingest", cmd_ingest), ("calibrate", cmd_calibrate), ("classify", cmd_classify)):
         # an unset flag is left out of the namespace, so build_config can tell it
         p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
-        _add_common(p)
+        _add_common(p, ("projection", "variant") if name == "ingest" else ())
         p.set_defaults(func=fn)
     return parser
 

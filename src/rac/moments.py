@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from itertools import chain, repeat
 from operator import mul, sub, truediv
 
@@ -70,18 +70,9 @@ def _growth(ratios: list[float], logs: list[float], last: float) -> tuple[float,
     return (*_mean_var(logs, math.log(last)), math.fsum(chain(ratios, (last,))) / (len(ratios) + 1))
 
 
-def _or_nan(fn, *args) -> tuple[float, ...]:
-    """fn(*args), or (nan,) when fsum overflowed or met inf - inf, or a
-    ratio underflowed to 0 (no log)."""
-    try:
-        return fn(*args)
-    except (OverflowError, ValueError):
-        return (math.nan,)
-
-
-def compute_variant_moments(d: MarketDataset, finals: Sequence[float]) -> Iterator[SampleMoments]:
-    """compute_moments(with_final_consumption(d, v)) for each v in `finals`
-    (positive finite values), in order, from one pass.
+def compute_variant_moments(d: MarketDataset, finals: Sequence[float]) -> list[SampleMoments]:
+    """[compute_moments(with_final_consumption(d, v)) for v in finals], for
+    positive finite values `finals`, from one pass.
 
     What the variants share is computed once: the n-2 growth ratios before
     the last and their logs, the logs of the levels before the last, and the
@@ -89,30 +80,26 @@ def compute_variant_moments(d: MarketDataset, finals: Sequence[float]) -> Iterat
     own means. Every variant's growth side is done and freed before the
     level side starts, so memory peaks as for a single variant.
 
-    All of this runs at the first next(). A variant whose moments are not
-    finite raises NonFiniteMoment when its turn comes, so a caller that uses
-    each variant before asking for the next sees errors in variant order.
+    Raises NonFiniteMoment when any variant's moment is not finite.
     """
     c = d.consumption
     n = len(c)
     try:
         ratios = list(map(truediv, c[1:-1], c))
         logs = list(map(math.log, ratios))
-        growth = [_or_nan(_growth, ratios, logs, v / c[-2]) for v in finals]
+        growth = [_growth(ratios, logs, v / c[-2]) for v in finals]
         del ratios, logs
         returns = (math.fsum(d.equity_return) / n, math.fsum(d.riskfree_return) / n)
         logs = list(map(math.log, c[:-1]))
-        levels = [_or_nan(_mean_var, logs, math.log(v)) for v in finals]
+        levels = [_mean_var(logs, math.log(v)) for v in finals]
         del logs
+        values = [(*g, *returns, *z) for g, z in zip(growth, levels)]
     except (OverflowError, ValueError):
-        # a shared ratio underflowed to 0, or a return sum overflowed
-        growth = levels = [(math.nan,)] * len(finals)
-        returns = ()
-    for g, z in zip(growth, levels):
-        values = (*g, *returns, *z)
-        if not all(map(math.isfinite, values)):
-            raise NonFiniteMoment("a sample moment is not finite: values span too wide a range")
-        yield SampleMoments(*values)
+        # an fsum overflowed or met inf - inf, or a ratio underflowed to 0 (no log)
+        values = [(math.nan,)]
+    if not all(map(math.isfinite, chain.from_iterable(values))):
+        raise NonFiniteMoment("a sample moment is not finite: values span too wide a range")
+    return [SampleMoments(*v) for v in values]
 
 
 def compute_moments(d: MarketDataset) -> SampleMoments:
@@ -122,7 +109,7 @@ def compute_moments(d: MarketDataset) -> SampleMoments:
     sum outside the floating-point range). `d` has at least two years, so
     there is always a growth ratio.
     """
-    return next(compute_variant_moments(d, d.consumption[-1:]))
+    return compute_variant_moments(d, d.consumption[-1:])[0]
 
 
 def lognormal_moment(a: float, mu: float, sigma2: float) -> float:

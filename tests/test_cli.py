@@ -103,6 +103,22 @@ def test_ingest_flag_beats_env(capsys, monkeypatch, bundled_copy, gapped_file):
     assert "90 years" in out
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--projection", "/no/such.csv", "--variant", "projected"],
+     ["--projection", "/no/such.csv"],
+     ["--variant", "projected"]],
+)
+def test_ingest_rejects_projection_and_variant(capsys, flags):
+    # ingest reads neither input, so the flags are usage errors, not ignored
+    with pytest.raises(SystemExit) as exc_info:
+        main(["ingest", *flags])
+    assert exc_info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: unrecognized arguments: {' '.join(flags)}\n" in captured.err
+
+
 def test_ingest_missing_file(capsys):
     code, _, err = run(capsys, "ingest", "--dataset", "/no/such/file.csv")
     assert code == 1
@@ -307,15 +323,15 @@ def test_input_error_wins_over_compute_error(capsys, tmp_path, variant, projecti
     assert err == f"error: {message}\n"
 
 
-def test_variant_errors_come_in_variant_order(capsys, tmp_path):
+def test_errors_come_in_phase_order(capsys, tmp_path):
     # the projected moments overflow (the bundled 1978 projection over
-    # 1e-306) and the realized calibration fails; under both the realized
-    # variant is finished first, so its error wins
+    # 1e-306) and the realized calibration fails; under both every variant's
+    # moments come before any calibration, so the moment error wins
     tiny = tmp_path / "tiny.csv"
     tiny.write_text(HEADER + "\n1900,1.0,1.05,1.01\n1901,1e-306,1.05,1.01\n1902,1e-300,1.05,1.01\n")
+    moments = "NonFiniteMoment: a sample moment is not finite"
     realized = "NoConvergence: closed-form factors (1.45004e-31, 0) leave the search region"
-    for variant, error in (("projected", "NonFiniteMoment: a sample moment is not finite"),
-                           ("realized", realized), ("both", realized)):
+    for variant, error in (("projected", moments), ("realized", realized), ("both", moments)):
         code, out, err = run(capsys, "calibrate", "--dataset", str(tiny), "--variant", variant)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {error}")
@@ -740,7 +756,10 @@ def test_help_lists_each_option(capsys, monkeypatch, command):
             entries.append(line.strip())
         else:
             entries[-1] += "  " + line.strip()
-    assert [tuple(re.split(r"\s{2,}", entry, maxsplit=1)) for entry in entries] == _HELP_OPTIONS
+    # ingest reads the realized dataset only, so it takes no --projection or --variant
+    skip = ("--projection", "--variant") if command == "ingest" else ()
+    want = [entry for entry in _HELP_OPTIONS if entry[0].split()[0] not in skip]
+    assert [tuple(re.split(r"\s{2,}", entry, maxsplit=1)) for entry in entries] == want
 
 
 # -- any flags ----------------------------------------------------------------
@@ -840,9 +859,11 @@ def test_warm_main_rebuilds_nothing(capsys, monkeypatch):
 
 
 _WARM_GRID = [
-    [command, "--variant", variant, "--format", fmt, "--group", group, *rho, *eta]
+    [command, *variant, "--format", fmt, "--group", group, *rho, *eta]
     for command in ("ingest", "calibrate", "classify")
-    for variant in ("realized", "projected", "both")
+    # ingest takes no --variant
+    for variant in ([[]] if command == "ingest" else
+                    [["--variant", v] for v in ("realized", "projected", "both")])
     for fmt in ("text", "csv", "json")
     for group in ("one", "two")
     for rho in ([], ["--rho", "5"])
