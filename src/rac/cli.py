@@ -1,4 +1,6 @@
-"""Command-line interface: ingest, calibrate, classify.
+"""Command-line interface: ingest, calibrate, classify. It parses the
+options, reads the inputs and runs the phases; report.py renders each
+command's report, and main writes it once.
 
 Each run option takes the first value that is set of: its flag, its key in
 the --config file (JSON), the RAC_DATASET environment variable when not empty
@@ -8,10 +10,6 @@ Exit codes: 0 success, 1 input problem (usage errors included), 2 computation pr
 A run goes in phases: it reads every input, then computes every variant's
 moments, then calibrates each variant, then classifies. The first error in
 that order is the one reported, so an input problem always wins.
-
-main() may run many times in one process: the parser and each bundled
-variant's dataset and moments are built once per process, while files the
-user names are read, and their moments computed, on every call.
 """
 
 from __future__ import annotations
@@ -27,17 +25,11 @@ from collections.abc import Callable
 from . import dataset as ds
 from .calibration import DEFAULT_BETA, CalibrationResult, Variant, calibrate_variant
 from .calibration import check_beta, check_rho
-from .classify import AllocationSign, DefinitionGroup, classify_pipeline, check_tol, DEFAULT_TOLERANCE
+from .classify import DefinitionGroup, classify_pipeline, check_tol, DEFAULT_TOLERANCE
 from .errors import InputError, RacError
 from .moments import SampleMoments, compute_variant_moments
-from .report import (
-    ReportFormat,
-    ReportRow,
-    calibration_block,
-    export_run,
-    json_text,
-    render_table,
-)
+from .report import ReportFormat, calibration_report, classification_report, ingest_report
+from .report import report_row
 from .utility import check_eta
 
 ENV_DATASET = "RAC_DATASET"
@@ -197,113 +189,39 @@ def _variants(cfg: RunConfig, variants: tuple[Variant, ...]) -> list[_Variant]:
 
 # -- commands ----------------------------------------------------------------
 
-def cmd_ingest(cfg: RunConfig, out) -> int:
+def cmd_ingest(cfg: RunConfig) -> str:
     ((_, d, m),) = _variants(cfg, (Variant.REALIZED,))
-    if cfg.format is ReportFormat.JSON:
-        doc = {
-            "years": len(d.consumption),
-            "start_year": d.start_year,
-            "end_year": d.end_year,
-            "moments": m._asdict(),
-        }
-        out.write(json_text(doc))
-        return 0
-    out.write(f"{len(d.consumption)} years, {d.start_year}-{d.end_year}\n")
-    out.write(f"mean gross consumption growth {m.mean_x:.6f}\n")
-    out.write(f"log-growth mean {m.mu_x:.6f}, variance {m.sigma2_x:.8f}\n")
-    out.write(f"mean equity gross return {m.mean_Re:.6f}\n")
-    out.write(f"mean risk-free gross return {m.mean_Rf:.6f}\n")
-    out.write(f"log-level mean {m.mu_z:.6f}, variance {m.sigma2_z:.6f}\n")
-    return 0
+    return ingest_report(d, m, cfg.format)
 
 
-_Calibrations = dict[str, tuple[ds.MarketDataset, SampleMoments, CalibrationResult]]
+def _calibrations(cfg: RunConfig, variants: list[_Variant]) -> dict[str, CalibrationResult]:
+    """Per variant name, in order, the variant's calibrate_variant result."""
+    return {v.value: calibrate_variant(m, cfg.beta, v, rho=cfg.rho) for v, _, m in variants}
 
 
-def _calibrations(cfg: RunConfig) -> _Calibrations:
-    """Per variant name, the variant's dataset, its moments and its calibration.
-
-    Without --rho each variant takes rho from RHO_ANCHORS, which are fitted
-    to the bundled series.
-    """
-    return {
-        variant.value: (dv, m, calibrate_variant(m, cfg.beta, variant, rho=cfg.rho))
-        for variant, dv, m in _variants(cfg, cfg.variant)
-    }
+def cmd_calibrate(cfg: RunConfig) -> str:
+    return calibration_report(_calibrations(cfg, _variants(cfg, cfg.variant)), cfg.format)
 
 
-def cmd_calibrate(cfg: RunConfig, out) -> int:
-    results = _calibrations(cfg)
-    if cfg.format is ReportFormat.JSON:
-        doc = {"calibration": {name: calibration_block(c) for name, (_, _, c) in results.items()}}
-        out.write(json_text(doc))
-        return 0
-    if cfg.format is ReportFormat.CSV:
-        out.write("variant,zeta,xi,rho,residual_a,residual_b,residual_c,consistency_gap\n")
-        for name, (_, _, c) in results.items():
-            values = (c.factors.zeta, c.factors.xi, c.rho, *c.residuals, c.consistency_gap)
-            out.write(",".join([name, *map(repr, values)]) + "\n")
-        return 0
-    for name, (_, _, c) in results.items():
-        out.write(f"{name}: zeta {c.factors.zeta:.6f}, xi {c.factors.xi:.6f}, rho {c.rho:.6f}\n")
-        out.write(
-            "  residuals "
-            + " ".join(f"{r:.3e}" for r in c.residuals)
-            + f", consistency gap {c.consistency_gap:.3e}\n"
-        )
-    return 0
+# investor -> the calibrated factor that is its eta; --eta makes one "custom" investor
+_INVESTORS = {"equity": "zeta", "risk-free": "xi"}
 
 
-# investor -> (title of its text table, the calibrated factor that is its
-# eta); with --eta the single custom investor takes that value instead
-_INVESTORS = {
-    "equity": ("Equity investors (eta = zeta)", "zeta"),
-    "risk-free": ("Risk-free investors (eta = xi)", "xi"),
-}
-_CUSTOM_INVESTOR = {"custom": ("Custom eta investors", None)}
-
-_ALLOCATION_TEXT = {
-    AllocationSign.NEGATIVE: "allocates extra negative utility",
-    AllocationSign.POSITIVE: "allocates extra positive utility",
-    AllocationSign.ZERO: "allocates no extra utility",
-}
-
-
-def cmd_classify(cfg: RunConfig, out) -> int:
-    investors = _INVESTORS if cfg.eta is None else _CUSTOM_INVESTOR
-    results = _calibrations(cfg)
-    tables: list[tuple[str, list[ReportRow]]] = []
-    for investor, (_, factor) in investors.items():
-        rows: list[ReportRow] = []
-        for name, (dv, m, calib) in results.items():
+def cmd_classify(cfg: RunConfig) -> str:
+    eta_factors = _INVESTORS if cfg.eta is None else {"custom": None}
+    variants = _variants(cfg, cfg.variant)
+    calibrations = _calibrations(cfg, variants)
+    tables = []
+    for investor, factor in eta_factors.items():
+        rows = []
+        for (variant, dv, m), calib in zip(variants, calibrations.values()):
             eta = cfg.eta if factor is None else getattr(calib.factors, factor)
             cmp, attitude = classify_pipeline(
                 dv, eta, calib.rho, cfg.beta, cfg.group, cfg.tol, moments=m
             )
-            rows.append(
-                ReportRow(
-                    year_certain=dv.end_year - 1,
-                    year_uncertain=f"{dv.end_year} ({name})",
-                    consumption_certain=dv.consumption[-2],
-                    consumption_uncertain=dv.consumption[-1],
-                    certain_utility=cmp.certain,
-                    uncertain_utility=cmp.uncertain,
-                    allocation_text=_ALLOCATION_TEXT[attitude.allocation],
-                    label_text=attitude.label.value,
-                    rho=calib.rho,
-                )
-            )
+            rows.append(report_row(variant.value, dv, calib.rho, cmp, attitude))
         tables.append((investor, rows))
-    if cfg.format is ReportFormat.JSON:
-        out.write(export_run({name: c for name, (_, _, c) in results.items()}, tables))
-    elif cfg.format is ReportFormat.CSV:
-        out.write(render_table([row for _, rows in tables for row in rows], ReportFormat.CSV))
-    else:
-        out.write("\n".join(
-            investors[investor][0] + "\n" + render_table(rows, ReportFormat.TEXT)
-            for investor, rows in tables
-        ))
-    return 0
+    return classification_report(calibrations, tables, cfg.format)
 
 
 # -- argument parsing --------------------------------------------------------
@@ -360,10 +278,12 @@ def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
         cfg = build_config(args)
-        return args.func(cfg, sys.stdout)
+        report = args.func(cfg)
     except RacError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, InputError) else 2
+    sys.stdout.write(report)
+    return 0
 
 
 if __name__ == "__main__":

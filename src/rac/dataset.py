@@ -227,8 +227,9 @@ def projected_consumption(
 
         1e9 * (nondurables + services) / (deflator / 100) / population
 
-    Either spending component may be zero as long as the total is positive;
-    the deflator and population must be strictly positive.
+    This is the library rule: either spending component may be zero as long
+    as the total is positive, and the deflator and population must be strictly
+    positive. A projection file is stricter (load_projection): no cell may be 0.
     """
     # written so that NaN fails each check
     if not (nominal_nondurables_bn >= 0 and nominal_services_bn >= 0):

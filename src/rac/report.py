@@ -1,11 +1,12 @@
-"""Tabular rendering of classification results.
+"""The text of every report rac prints, one function per command:
+ingest_report (JSON, or text for both `text` and `csv`), calibration_report
+(text, CSV or JSON) and classification_report (a titled text table per
+investor, one CSV table, or the export_run document as JSON).
 
-render_table writes text or CSV; export_run writes the machine-readable run
-document, a calibration block per variant and the rows, which is what
-`rac classify --format json` prints. Displayed numbers are fixed at six
-decimal places; CSV rows and the document's rows additionally carry
-full-precision values under `*_exact` columns / keys, so that parse_csv and
-parse_json reproduce the rows field for field.
+Displayed numbers are fixed at six decimal places; CSV rows and the
+document's rows additionally carry full-precision values under `*_exact`
+columns / keys, so that parse_csv and parse_json reproduce the rows field
+for field.
 """
 
 import csv
@@ -14,6 +15,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .calibration import CalibrationResult
+from .classify import AllocationSign
 from .errors import EmptyReport, InputError
 
 
@@ -50,6 +52,32 @@ _HEADERS = (
     "attitude",
     "rho",
 )
+# investor -> the title of its text table; "custom" is the one investor of --eta
+_INVESTOR_TITLES = {
+    "equity": "Equity investors (eta = zeta)",
+    "risk-free": "Risk-free investors (eta = xi)",
+    "custom": "Custom eta investors",
+}
+_ALLOCATION_TEXT = {
+    AllocationSign.NEGATIVE: "allocates extra negative utility",
+    AllocationSign.POSITIVE: "allocates extra positive utility",
+    AllocationSign.ZERO: "allocates no extra utility",
+}
+
+
+def report_row(variant: str, d, rho: float, cmp, attitude) -> ReportRow:
+    """The row of `d`'s last year: `cmp` and `attitude` are classify_pipeline's at `rho`."""
+    return ReportRow(
+        year_certain=d.end_year - 1,
+        year_uncertain=f"{d.end_year} ({variant})",
+        consumption_certain=d.consumption[-2],
+        consumption_uncertain=d.consumption[-1],
+        certain_utility=cmp.certain,
+        uncertain_utility=cmp.uncertain,
+        allocation_text=_ALLOCATION_TEXT[attitude.allocation],
+        label_text=attitude.label.value,
+        rho=rho,
+    )
 
 
 def _display(r: ReportRow) -> dict:
@@ -123,6 +151,10 @@ def calibration_block(c: CalibrationResult) -> dict:
     }
 
 
+def _calibration_document(calibrations: dict[str, CalibrationResult]) -> dict:
+    return {"calibration": {name: calibration_block(c) for name, c in calibrations.items()}}
+
+
 def export_run(
     calibrations: dict[str, CalibrationResult],
     tables: list[tuple[str, list[ReportRow]]],
@@ -139,10 +171,57 @@ def export_run(
         for investor, rows in tables
         for r in rows
     ]
-    doc = {
-        "calibration": {
-            name: calibration_block(c) for name, c in calibrations.items()
-        },
-        "classifications": rows_out,
-    }
-    return json_text(doc)
+    return json_text({**_calibration_document(calibrations), "classifications": rows_out})
+
+
+def ingest_report(d, m, fmt: ReportFormat) -> str:
+    """The span of dataset `d` and its moments `m`."""
+    if fmt is ReportFormat.JSON:
+        return json_text({
+            "years": len(d.consumption),
+            "start_year": d.start_year,
+            "end_year": d.end_year,
+            "moments": m._asdict(),
+        })
+    return (
+        f"{len(d.consumption)} years, {d.start_year}-{d.end_year}\n"
+        f"mean gross consumption growth {m.mean_x:.6f}\n"
+        f"log-growth mean {m.mu_x:.6f}, variance {m.sigma2_x:.8f}\n"
+        f"mean equity gross return {m.mean_Re:.6f}\n"
+        f"mean risk-free gross return {m.mean_Rf:.6f}\n"
+        f"log-level mean {m.mu_z:.6f}, variance {m.sigma2_z:.6f}\n"
+    )
+
+
+def calibration_report(calibrations: dict[str, CalibrationResult], fmt: ReportFormat) -> str:
+    if fmt is ReportFormat.JSON:
+        return json_text(_calibration_document(calibrations))
+    if fmt is ReportFormat.CSV:
+        lines = ["variant,zeta,xi,rho,residual_a,residual_b,residual_c,consistency_gap\n"]
+        for name, c in calibrations.items():
+            values = (c.factors.zeta, c.factors.xi, c.rho, *c.residuals, c.consistency_gap)
+            lines.append(",".join([name, *map(repr, values)]) + "\n")
+        return "".join(lines)
+    lines = []
+    for name, c in calibrations.items():
+        residuals = " ".join(f"{r:.3e}" for r in c.residuals)
+        lines.append(
+            f"{name}: zeta {c.factors.zeta:.6f}, xi {c.factors.xi:.6f}, rho {c.rho:.6f}\n"
+            f"  residuals {residuals}, consistency gap {c.consistency_gap:.3e}\n"
+        )
+    return "".join(lines)
+
+
+def classification_report(
+    calibrations: dict[str, CalibrationResult],
+    tables: list[tuple[str, list[ReportRow]]],
+    fmt: ReportFormat,
+) -> str:
+    if fmt is ReportFormat.JSON:
+        return export_run(calibrations, tables)
+    if fmt is ReportFormat.CSV:
+        return render_table([row for _, rows in tables for row in rows], ReportFormat.CSV)
+    return "\n".join(
+        _INVESTOR_TITLES[investor] + "\n" + render_table(rows, ReportFormat.TEXT)
+        for investor, rows in tables
+    )
