@@ -18,6 +18,7 @@ import argparse
 import functools
 import math
 import os
+import re
 import sys
 from collections import namedtuple
 from collections.abc import Callable
@@ -248,6 +249,12 @@ def _add_common(p: argparse.ArgumentParser, skip: tuple[str, ...]) -> None:
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 1, the input-problem code, not argparse's 2 (the
     computation-problem code here). Subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's private pattern for an argument that is a value, not an option: its
+        # own takes only -N and -N.N; this, a "-" and then what float() reads (-1e-3, -inf)
+        self._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message: str):
         self.print_usage(sys.stderr)

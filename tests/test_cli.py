@@ -727,6 +727,31 @@ def test_bad_flag_value(capsys):
         assert fragment in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, option, value",
+    [("calibrate", "--tol", "-1e-3"), ("calibrate", "--beta", "-inf"),
+     ("calibrate", "--rho", "-1e5"), ("classify", "--eta", "-NaN")],
+)
+def test_negative_value_after_a_space_is_a_value(capsys, command, option, value):
+    # argparse takes "-1e-3" or "-inf" for an option unless the parser widens
+    # its private negative-number pattern; this fails if a Python ignores that
+    spaced = run(capsys, command, option, value)
+    assert spaced == run(capsys, command, f"{option}={value}")
+    code, out, err = spaced
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: InputError: {option[2:]} ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--bogus", "-1"], ["-x"]])
+def test_unknown_option_is_still_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["calibrate", *argv])
+    assert exc_info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: unrecognized arguments: {' '.join(argv)}\n" in captured.err
+
+
 _HELP_OPTIONS = [
     ("-h, --help", "show this help message and exit"),
     ("--dataset DATASET", "market data CSV (default: $RAC_DATASET or bundled)"),
