@@ -127,9 +127,17 @@ def system_residuals(
     return (r_a, r_b, r_c)
 
 
-def _closed_form(rho: float, beta: float, m: SampleMoments) -> tuple[float, float]:
-    """(zeta, xi) zeroing eqs A and B at this rho, unchecked, except that a
-    log-factor too large to exponentiate gives inf (and so does NaN)."""
+def solve_closed_form_given_rho(
+    rho: float, beta: float, m: SampleMoments
+) -> SufficiencyFactors:
+    """The (zeta, xi) that zero eqs A and B exactly at this rho.
+
+    Raises InputError for beta outside (0, 1] or rho outside RHO_REGION, and
+    NoConvergence when a factor falls outside (0, FACTOR_REGION_MAX]: one
+    that underflows to 0, exceeds the bound, or is too large for a float.
+    """
+    check_beta(beta)
+    rho = check_rho(rho)
     ln_xi = (
         -math.log(m.mean_Rf) - math.log(beta) + rho * m.mu_x - 0.5 * rho**2 * m.sigma2_x
     )
@@ -140,33 +148,27 @@ def _closed_form(rho: float, beta: float, m: SampleMoments) -> tuple[float, floa
         - 0.5 * (1.0 - rho) ** 2 * m.sigma2_x
         - math.log(m.mean_Re)
     )
-    return tuple(math.exp(v) if v < _LN_FLOAT_MAX else math.inf for v in (ln_zeta, ln_xi))
-
-
-def solve_closed_form_given_rho(
-    rho: float, beta: float, m: SampleMoments
-) -> SufficiencyFactors:
-    """The (zeta, xi) that zero eqs A and B exactly at this rho.
-
-    Raises NoConvergence when a factor is too large for a float.
-    """
-    zeta, xi = _closed_form(rho, check_beta(beta), m)
-    if math.inf in (zeta, xi):
-        raise NoConvergence(f"closed-form factors ({zeta:.6g}, {xi:.6g}) overflow a float")
+    # a log-factor too large to exponentiate (or NaN) gives inf, outside the region
+    zeta, xi = (math.exp(v) if v < _LN_FLOAT_MAX else math.inf for v in (ln_zeta, ln_xi))
+    if not (0.0 < zeta <= FACTOR_REGION_MAX and 0.0 < xi <= FACTOR_REGION_MAX):
+        raise NoConvergence(
+            f"closed-form factors ({zeta:.6g}, {xi:.6g}) "
+            f"leave the search region (0, {FACTOR_REGION_MAX}]"
+        )
     return SufficiencyFactors(zeta, xi)
 
 
-def solve_system(beta: float, m: SampleMoments, rho: float = 1.0) -> CalibrationResult:
+def solve_system(beta: float, m: SampleMoments, rho: float) -> CalibrationResult:
     """The closed-form factors at `rho` and the residuals of all three equations.
 
-    rho defaults to 1 (log utility) and is taken as given: the equations
-    cannot identify it (module docstring). Residuals A and B are zero and
-    residual C equals the consistency gap, each up to rounding.
+    rho is taken as given: the equations cannot identify it (module
+    docstring). Residuals A and B are zero and residual C equals the
+    consistency gap, each up to rounding.
 
     Raises InputError for beta outside (0, 1] or rho outside RHO_REGION;
     DegenerateSystem when |gap| < DEGENERACY_TOL, because a one-parameter
     family then solves the system and no single triple is meaningful; and
-    NoConvergence when a factor falls outside (0, FACTOR_REGION_MAX].
+    NoConvergence as solve_closed_form_given_rho does.
     """
     check_beta(beta)
     gap = consistency_gap(m)
@@ -176,15 +178,7 @@ def solve_system(beta: float, m: SampleMoments, rho: float = 1.0) -> Calibration
             "eq B - eq A, every rho solves the system, no unique triple exists"
         )
     rho = check_rho(rho)
-    # A factor above FACTOR_REGION_MAX leaves the region, and so does one
-    # that _closed_form gives as inf.
-    zeta, xi = _closed_form(rho, beta, m)
-    if not (0.0 < zeta <= FACTOR_REGION_MAX and 0.0 < xi <= FACTOR_REGION_MAX):
-        raise NoConvergence(
-            f"closed-form factors ({zeta:.6g}, {xi:.6g}) "
-            f"leave the search region (0, {FACTOR_REGION_MAX}]"
-        )
-    factors = SufficiencyFactors(zeta, xi)
+    factors = solve_closed_form_given_rho(rho, beta, m)
     return CalibrationResult(
         factors=factors,
         rho=rho,

@@ -157,17 +157,15 @@ def _build_variants(
 ) -> list[_Variant]:
     """Per variant, in order: the variant, its dataset and its moments.
 
-    A None path is the bundled file. A user dataset without --projection
-    takes its projected final year from the bundled 1978 projection.
+    A None path is the bundled file. A named projection is read whatever the
+    variants, as every input is; the bundled one only for the projected
+    variant, which a user dataset without --projection takes from it.
     """
     d = ds.load_bundled_dataset() if dataset is None else _read("dataset", dataset, ds.load_dataset)
+    inputs = None if projection is None else _read("projection", projection, ds.load_projection)
     datasets = dict.fromkeys(variants, d)
     if Variant.PROJECTED in datasets:
-        if projection is None:
-            inputs = ds.load_bundled_projection()
-        else:
-            inputs = _read("projection", projection, ds.load_projection)
-        c = ds.projected_consumption(*inputs)
+        c = ds.projected_consumption(*(inputs or ds.load_bundled_projection()))
         datasets[Variant.PROJECTED] = ds.with_final_consumption(d, c)
     finals = [dv.consumption[-1] for dv in datasets.values()]
     return list(zip(datasets, datasets.values(), compute_variant_moments(d, finals)))
@@ -191,7 +189,8 @@ def _variants(cfg: RunConfig, variants: tuple[Variant, ...]) -> list[_Variant]:
 # -- commands ----------------------------------------------------------------
 
 def cmd_ingest(cfg: RunConfig) -> str:
-    ((_, d, m),) = _variants(cfg, (Variant.REALIZED,))
+    # ingest reads no projection, even one a shared config file names
+    ((_, d, m),) = _variants(cfg._replace(projection=None), (Variant.REALIZED,))
     return ingest_report(d, m, cfg.format)
 
 

@@ -227,17 +227,11 @@ def projected_consumption(
 
         1e9 * (nondurables + services) / (deflator / 100) / population
 
-    This is the library rule: either spending component may be zero as long
-    as the total is positive, and the deflator and population must be strictly
-    positive. A projection file is stricter (load_projection): no cell may be 0.
+    The four arguments are checked as a ProjectionInputs, the rule every
+    projection file meets: each must be positive and finite, or
+    NonPositiveValue names the first that is not.
     """
-    # written so that NaN fails each check
-    if not (nominal_nondurables_bn >= 0 and nominal_services_bn >= 0):
-        raise NonPositiveValue("spending components must be nonnegative")
-    if not nominal_nondurables_bn + nominal_services_bn > 0:
-        raise NonPositiveValue("total nominal spending must be positive")
-    if not (gnp_deflator > 0 and population > 0):
-        raise NonPositiveValue("deflator and population must be positive")
+    ProjectionInputs(nominal_nondurables_bn, nominal_services_bn, gnp_deflator, population)
     nominal_total = (nominal_nondurables_bn + nominal_services_bn) * 1e9
     return nominal_total / (gnp_deflator / 100.0) / population
 

@@ -1,5 +1,5 @@
 """Shared fixtures: the bundled dataset, its projected variant, and moments;
-and serialize_dataset, which writes a dataset back to CSV."""
+the two CSV headers; and serialize_dataset, which writes a dataset back to CSV."""
 
 import csv
 import io
@@ -14,6 +14,10 @@ from rac import (
     projected_consumption,
     with_final_consumption,
 )
+
+# the two CSV headers, as the files carry them
+HEADER = "year,consumption_per_capita,equity_gross_return,riskfree_gross_return"
+PROJECTION_HEADER = "nondurables_bn,services_bn,gnp_deflator,population"
 
 settings.register_profile(
     "suite",
@@ -47,7 +51,7 @@ def serialize_dataset(d):
     """CSV bytes for `d`, shortest-repr floats (parse/serialize round-trips)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["year", "consumption_per_capita", "equity_gross_return", "riskfree_gross_return"])
+    writer.writerow(HEADER.split(","))
     rows = zip(d.consumption, d.equity_return, d.riskfree_return)
     for year, values in enumerate(rows, d.start_year):
         writer.writerow([year, *map(repr, values)])

@@ -101,12 +101,14 @@ def test_residuals_beta_validation():
     beta=st.floats(min_value=0.5, max_value=1.0),
 )
 def test_closed_form_exact_fit_identity(mu, s2, gap, gap_sign, mean_re, mean_rf, rho, beta):
-    # For any moments and any rho in range, solve_system returns the closed
-    # form with residuals A, B at zero and C at the gap: the system has rank 2
-    # and rho is not identified.
+    # For any moments and any rho in range, both entry points give the same
+    # closed-form factors, or both raise NoConvergence; solve_system's
+    # residuals A, B are zero and C is the gap: the system has rank 2 and rho
+    # is not identified.
     m = SampleMoments(mu, s2, math.exp(mu + s2 / 2.0 + gap_sign * gap), mean_re, mean_rf, 7.0, 0.1)
-    f = solve_closed_form_given_rho(rho, beta, m)
-    if not (f.zeta <= FACTOR_REGION_MAX and f.xi <= FACTOR_REGION_MAX):
+    try:
+        f = solve_closed_form_given_rho(rho, beta, m)
+    except NoConvergence:
         with pytest.raises(NoConvergence):
             solve_system(beta, m, rho)
         return
@@ -170,11 +172,6 @@ def test_solve_resubstitution_idempotent(variant_moments):
     assert np.allclose(again, result.residuals, rtol=0, atol=1e-14)
 
 
-def test_solve_default_init_is_log_utility(variant_moments):
-    result = solve_system(0.99, variant_moments["realized"])
-    assert result.rho == 1.0
-
-
 def test_solve_init_outside_region():
     rng = np.random.default_rng(17)
     m = random_moments(rng)
@@ -189,7 +186,7 @@ def test_degenerate_system_raised():
     m = SampleMoments(mu, s2, math.exp(mu + s2 / 2.0), 1.07, 1.01, 7.0, 0.1)
     assert abs(consistency_gap(m)) < 1e-12
     with pytest.raises(DegenerateSystem):
-        solve_system(0.99, m)
+        solve_system(0.99, m, rho=1.0)
 
 
 def test_tiny_gap_accepted_as_root():
@@ -209,7 +206,7 @@ def test_no_convergence_when_factors_leave_region():
     # xi far above FACTOR_REGION_MAX
     m = SampleMoments(0.02, 0.001, 1.0205, 1.07, 1e-3, 7.0, 0.1)
     with pytest.raises(NoConvergence):
-        solve_system(0.99, m)
+        solve_system(0.99, m, rho=1.0)
     # both factors underflow to zero at a large rho and a large variance
     m = SampleMoments(0.02, 1.0, math.exp(0.52 + 1e-6), 1.07, 1.01, 7.0, 0.1)
     with pytest.raises(NoConvergence):
@@ -220,7 +217,7 @@ def test_no_convergence_when_factors_leave_region():
     with pytest.raises(NoConvergence, match=r"factors \(inf, inf\)"):
         solve_system(0.99, m, rho=60.0)
     with pytest.raises(NoConvergence, match=r"factors \(inf, inf\)"):
-        solve_system(5e-324, m)
+        solve_system(5e-324, m, rho=1.0)
 
 
 # -- calibrate_variant --------------------------------------------------------
@@ -262,6 +259,6 @@ def test_calibration_result_validation():
 
 def test_solve_beta_validation(variant_moments):
     with pytest.raises(ValueError):
-        solve_system(0.0, variant_moments["realized"])
+        solve_system(0.0, variant_moments["realized"], rho=1.0)
     with pytest.raises(ValueError):
-        solve_system(1.0001, variant_moments["realized"])
+        solve_system(1.0001, variant_moments["realized"], rho=1.0)

@@ -20,10 +20,7 @@ from rac import dataset as ds
 from rac import errors, load_bundled_dataset, parse_csv, parse_json
 from rac.cli import ENV_DATASET, main
 
-from conftest import serialize_dataset
-
-HEADER = "year,consumption_per_capita,equity_gross_return,riskfree_gross_return"
-PROJECTION_HEADER = "nondurables_bn,services_bn,gnp_deflator,population"
+from conftest import HEADER, PROJECTION_HEADER, serialize_dataset
 
 
 def run(capsys, *argv):
@@ -527,6 +524,35 @@ def test_classify_missing_projection(capsys):
     code, _, err = run(capsys, "classify", "--projection", "/no/such/proj.csv")
     assert code == 1
     assert "not found" in err
+
+
+@pytest.mark.parametrize("command", ["calibrate", "classify"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("projection", ["missing", "malformed"])
+def test_named_projection_is_read_on_realized_runs(capsys, tmp_path, command, source, projection):
+    # a run reads every input first, so a realized-only run reads a named
+    # projection too, and a bad one exits 1
+    proj = tmp_path / "projection.csv"
+    if projection == "missing":
+        message = f"InputError: projection file not found: {proj}"
+    else:
+        proj.write_text("a,b,c,d\n1,2,3,4\n")
+        message = f"SchemaError: expected header {PROJECTION_HEADER!r}, got 'a,b,c,d'"
+    argv = [command, "--variant", "realized"]
+    if source == "flag":
+        argv += ["--projection", str(proj)]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"projection": str(proj)}))
+        argv += ["--config", str(config)]
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+def test_ingest_reads_no_projection(capsys, tmp_path):
+    # the config keys are shared, and ingest does not read the projection one
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"projection": "/no/such.csv"}))
+    assert run(capsys, "ingest", "--config", str(config)) == run(capsys, "ingest")
 
 
 def test_classify_custom_eta_table(capsys):

@@ -19,9 +19,7 @@ from rac import (
 )
 from rac.errors import InputError, MissingYear, NonPositiveValue, SchemaError
 
-from conftest import serialize_dataset
-
-HEADER = "year,consumption_per_capita,equity_gross_return,riskfree_gross_return"
+from conftest import HEADER, PROJECTION_HEADER, serialize_dataset
 
 
 def csv_text(rows):
@@ -152,7 +150,6 @@ def test_earliest_error_line_wins():
     )
 
 
-PROJECTION_HEADER = "nondurables_bn,services_bn,gnp_deflator,population"
 BIG_CELL = "9" * 140_000  # over the csv module's default field limit of 131,072
 
 
@@ -317,7 +314,10 @@ def test_projected_consumption_reference():
 
 
 def test_projected_consumption_unit_case():
-    assert projected_consumption(1, 0, 100, 1e9) == 1.0
+    assert projected_consumption(0.5, 0.5, 100, 1e9) == 1.0
+    # every component must be positive, as in a projection file
+    with pytest.raises(NonPositiveValue, match="nominal_services_bn"):
+        projected_consumption(1, 0, 100, 1e9)
 
 
 def test_projected_consumption_hand_case():
@@ -356,7 +356,7 @@ def test_load_projection_bundled():
     inp = load_bundled_projection()
     assert inp == ProjectionInputs(515.4, 613.7, 150.0, 219441872.0)
     assert abs(projected_consumption(*inp) - 3430) <= 1.0
-    text = "nondurables_bn,services_bn,gnp_deflator,population\n515.4,613.7,150,219441872\n"
+    text = f"{PROJECTION_HEADER}\n515.4,613.7,150,219441872\n"
     assert load_projection(io.BytesIO(b"\xef\xbb\xbf" + text.encode("utf-8"))) == inp
 
 
@@ -366,7 +366,7 @@ def test_load_projection_bad_header():
 
 
 def test_load_projection_extra_row():
-    text = "nondurables_bn,services_bn,gnp_deflator,population\n1,2,3,4\n5,6,7,8\n"
+    text = f"{PROJECTION_HEADER}\n1,2,3,4\n5,6,7,8\n"
     with pytest.raises(SchemaError):
         load_projection(io.StringIO(text))
 

@@ -149,16 +149,21 @@ def test_different_values_compare_unequal():
         (lambda: SufficiencyFactors(math.nan, 1.0), InputError,
          "sufficiency factors must be positive"),
         (lambda: solve_closed_form_given_rho(1.0, 1e-320, SampleMoments(**MOMENTS)),
-         NoConvergence, "closed-form factors (inf, inf) overflow a float"),
+         NoConvergence, "closed-form factors (inf, inf) leave the search region (0, 10.0]"),
+        # both factors underflow to 0 at rho 60 and sigma2_x 1
+        (lambda: solve_closed_form_given_rho(60, 0.99, SampleMoments(**{**MOMENTS, "sigma2_x": 1})),
+         NoConvergence, "closed-form factors (0, 0) leave the search region (0, 10.0]"),
+        (lambda: solve_closed_form_given_rho(math.nan, 0.99, SampleMoments(**MOMENTS)),
+         InputError, "rho nan outside the supported range [0, 60]"),
         (lambda: CalibrationResult(SufficiencyFactors(1.0, 1.0), 1.0, (0.0, math.inf, 0.0), 0),
          InputError, "residuals must be finite"),
         (lambda: UtilitySpec(-0.5), InputError, "rho must be finite and >= 0"),
         (lambda: UtilitySpec(rho=math.nan), InputError, "rho must be finite and >= 0"),
         (lambda: curvature_from_rho(math.nan), InputError, "rho must be >= 0, got nan"),
-        (lambda: projected_consumption(math.nan, 1, 100, 1e9), NonPositiveValue,
-         "spending components must be nonnegative"),
+        (lambda: projected_consumption(1, 1, math.nan, 1e9), NonPositiveValue,
+         "gnp_deflator must be positive and finite"),
         (lambda: projected_consumption(1, 0, 100, math.nan), NonPositiveValue,
-         "deflator and population must be positive"),
+         "nominal_services_bn must be positive and finite"),
         (lambda: lognormal_moment(1, 0, math.nan), NegativeVariance,
          "sigma2 must be nonnegative"),
         (lambda: crra_utility(math.nan, UtilitySpec(2.0)), NonPositiveConsumption,

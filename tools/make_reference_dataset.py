@@ -108,7 +108,7 @@ PUB = {
     "certain_projected": 7.827697,
 }
 
-PROJECTION_ROW = (515.4, 613.7, 150.0, 219441872.0)
+PROJECTION_ROW = (515.4, 613.7, 150, 219441872)
 
 # Log-normal growth moments implied by (MEAN_X, STD_X); used to seed the
 # fixed-point iteration before any path exists.
@@ -410,11 +410,7 @@ def emit_frozen(frozen: dict, path: Path) -> None:
 
 
 def main() -> None:
-    c_proj = (
-        (PROJECTION_ROW[0] + PROJECTION_ROW[1]) * 1e9
-        / (PROJECTION_ROW[2] / 100.0)
-        / PROJECTION_ROW[3]
-    )
+    c_proj = projected_consumption(*PROJECTION_ROW)
     levels, m_target, v_target = build_levels(c_proj)
     consumption = np.round(np.exp(levels), 2)
     assert consumption[-2] == C_1977 and consumption[-1] == C_1978
@@ -434,7 +430,7 @@ def main() -> None:
     projection_path = data_dir / "projection_1978.csv"
     projection_path.write_text(
         "nondurables_bn,services_bn,gnp_deflator,population\n"
-        + "515.4,613.7,150,219441872\n",
+        + ",".join(map(str, PROJECTION_ROW)) + "\n",
         encoding="utf-8",
     )
 
