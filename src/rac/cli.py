@@ -10,6 +10,10 @@ Exit codes: 0 success, 1 input problem (usage errors included), 2 computation pr
 A run goes in phases: it reads every input, then computes every variant's
 moments, then calibrates each variant, then classifies. The first error in
 that order is the one reported, so an input problem always wins.
+
+main may run many times in one process. The parser and the bundled variants
+are built once; a user dataset is parsed, and its variants' moments computed,
+once per file content (see _UserSeries).
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import math
 import os
 import re
 import sys
+import types
 from collections import namedtuple
 from collections.abc import Callable
 
@@ -27,7 +32,7 @@ from . import dataset as ds
 from .calibration import DEFAULT_BETA, CalibrationResult, Variant, calibrate_variant
 from .calibration import check_beta, check_rho
 from .classify import DefinitionGroup, classify_pipeline, check_tol, DEFAULT_TOLERANCE
-from .errors import InputError, RacError
+from .errors import InputError, RacError, SchemaError
 from .moments import SampleMoments, compute_variant_moments
 from .report import ReportFormat, calibration_report, classification_report, ingest_report
 from .report import report_row
@@ -45,18 +50,6 @@ def _read(kind: str, path: str, load):
         raise InputError(f"{kind} file not found: {path}") from None
     except OSError as exc:
         raise InputError(f"cannot read {kind} file {path!r}: {exc.strerror}") from None
-
-
-def _read_config_text(path: str) -> str:
-    """The file's UTF-8 text, without a leading byte order mark (as datasets
-    are read, so a decode error's offset stays a file offset)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return fh.read().removeprefix("\ufeff")
-        except UnicodeDecodeError as exc:
-            raise InputError(
-                f"config file is not UTF-8 text ({exc.reason} at offset {exc.start})"
-            ) from None
 
 
 # -- run options -------------------------------------------------------------
@@ -121,7 +114,10 @@ def _load_config_file(path: str | None) -> dict:
         return {}
     import json  # loaded only when a config file is given
 
-    text = _read("config", path, _read_config_text)
+    try:
+        text = _read("config", path, ds.read_text).removeprefix("\ufeff")
+    except SchemaError as exc:  # not UTF-8: "config file is not UTF-8 text (...)"
+        raise InputError(f"config {exc}") from None
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -152,6 +148,37 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 _Variant = tuple[Variant, ds.MarketDataset, SampleMoments]
 
 
+class _UserSeries:
+    """The last user dataset parsed in this process, keyed by its file's full
+    text, with the variants built from it: {final consumption: (dataset,
+    moments)}, the realized one and at most one other.
+
+    The file is still read on every call, so an edit, a deleted file or a
+    decode error shows at once; a path, an mtime or a hash could match
+    changed content. No error is kept: a failed parse is redone next call.
+    """
+
+    def __init__(self):
+        self.cache_clear()
+
+    def cache_clear(self) -> None:
+        self.text, self.series, self.variants = None, None, {}
+
+    def read(self, path: str) -> tuple[ds.MarketDataset, dict]:
+        """The series in the file at `path`, and the variants kept for it."""
+        text = _read("dataset", path, ds.read_text)
+        if text != self.text:
+            self.cache_clear()  # the old series goes before the new one is parsed
+            # load_dataset takes a file-like object; this one hands over the
+            # text as it is, without the copies an io.StringIO would make
+            self.series = ds.load_dataset(types.SimpleNamespace(read=lambda: text))
+            self.text = text
+        return self.series, self.variants
+
+
+_USER_SERIES = _UserSeries()
+
+
 def _build_variants(
     dataset: str | None, projection: str | None, variants: tuple[Variant, ...]
 ) -> list[_Variant]:
@@ -159,16 +186,23 @@ def _build_variants(
 
     A None path is the bundled file. A named projection is read whatever the
     variants, as every input is; the bundled one only for the projected
-    variant, which a user dataset without --projection takes from it.
+    variant, which a user dataset without --projection takes from it. The
+    moments of a user dataset's final value are computed once per content.
     """
-    d = ds.load_bundled_dataset() if dataset is None else _read("dataset", dataset, ds.load_dataset)
+    d, known = (ds.load_bundled_dataset(), {}) if dataset is None else _USER_SERIES.read(dataset)
     inputs = None if projection is None else _read("projection", projection, ds.load_projection)
-    datasets = dict.fromkeys(variants, d)
-    if Variant.PROJECTED in datasets:
-        c = ds.projected_consumption(*(inputs or ds.load_bundled_projection()))
-        datasets[Variant.PROJECTED] = ds.with_final_consumption(d, c)
-    finals = [dv.consumption[-1] for dv in datasets.values()]
-    return list(zip(datasets, datasets.values(), compute_variant_moments(d, finals)))
+    realized = d.consumption[-1]
+    finals = dict.fromkeys(variants, realized)
+    if Variant.PROJECTED in finals:
+        finals[Variant.PROJECTED] = ds.projected_consumption(*(inputs or ds.load_bundled_projection()))
+    new = [c for c in dict.fromkeys(finals.values()) if c not in known]
+    if new:
+        datasets = [d if c == realized else ds.with_final_consumption(d, c) for c in new]
+        known.update(zip(new, zip(datasets, compute_variant_moments(d, new))))
+        # the realized variant and this call's: a sweep over projections keeps two
+        for c in known.keys() - {realized, *finals.values()}:
+            del known[c]
+    return [(v, *known[c]) for v, c in finals.items()]
 
 
 # The bundled inputs do not change under a running process and every part of
@@ -179,8 +213,7 @@ def _bundled_variant(variant: Variant) -> _Variant:
 
 
 def _variants(cfg: RunConfig, variants: tuple[Variant, ...]) -> list[_Variant]:
-    """_build_variants for cfg's input files; user files are read and
-    computed on every call."""
+    """_build_variants for cfg's input files, which are read on every call."""
     if cfg.dataset is None and cfg.projection is None:
         return [_bundled_variant(v) for v in variants]
     return _build_variants(cfg.dataset, cfg.projection, variants)

@@ -36,8 +36,8 @@ import csv
 import functools
 import io
 import math
+import os
 from collections import namedtuple
-from pathlib import Path
 
 from .errors import InputError, MissingYear, NonPositiveValue, SchemaError
 
@@ -45,7 +45,7 @@ _HEADER = ["year", "consumption_per_capita", "equity_gross_return", "riskfree_gr
 _PROJECTION_HEADER = ["nondurables_bn", "services_bn", "gnp_deflator", "population"]
 
 # The package's data directory; rac is installed as files, not as a zip.
-_DATA = Path(__file__).with_name("data")
+_DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 # typing.NamedTuple may not override __new__, so the records that validate
@@ -89,22 +89,34 @@ class ProjectionInputs(namedtuple("ProjectionInputs", _PROJECTION_FIELDS)):
         return p
 
 
-def _reader(source, header: list[str]):
-    """csv.reader over a path or a file-like object, past a checked header.
+def read_text(source) -> str:
+    """The UTF-8 text of a path (a string or os.PathLike), read with
+    universal newlines, or of a file-like object (text or bytes). A byte
+    order mark is left in place.
 
-    Blank lines are skipped; a leading UTF-8 BOM is dropped. Raises
-    SchemaError for text that is not UTF-8 and for a header the csv module
-    cannot parse.
+    Raises SchemaError for bytes that are not UTF-8, naming the offset of
+    the first bad one in the file, and OSError for a path that cannot be
+    opened or read.
     """
     try:
         if hasattr(source, "read"):
             raw = source.read()
-            text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-        else:
-            text = Path(source).read_text(encoding="utf-8")
+            return raw.decode("utf-8") if isinstance(raw, bytes) else raw
+        with open(source, encoding="utf-8") as fh:
+            return fh.read()
     except UnicodeDecodeError as exc:
         raise SchemaError(f"file is not UTF-8 text ({exc.reason} at offset {exc.start})") from None
-    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
+
+
+def _reader(source, header: list[str]):
+    """csv.reader over a path or a file-like object, past a checked header.
+
+    Blank lines are skipped. A leading UTF-8 BOM is dropped here, once, so
+    text that read_text gave and that comes back as a file-like object
+    parses as its file does. Raises SchemaError for text that is not UTF-8
+    and for a header the csv module cannot parse.
+    """
+    reader = csv.reader(io.StringIO(read_text(source).removeprefix("\ufeff")))
     try:
         row = next((row for row in reader if row), None)
     except csv.Error as exc:
@@ -255,9 +267,9 @@ def with_final_consumption(d: MarketDataset, value: float) -> MarketDataset:
 # records are frozen, so each bundled file is parsed once per process.
 @functools.cache
 def load_bundled_dataset() -> MarketDataset:
-    return load_dataset(_DATA / "mehra_prescott_1889_1978.csv")
+    return load_dataset(os.path.join(_DATA, "mehra_prescott_1889_1978.csv"))
 
 
 @functools.cache
 def load_bundled_projection() -> ProjectionInputs:
-    return load_projection(_DATA / "projection_1978.csv")
+    return load_projection(os.path.join(_DATA, "projection_1978.csv"))

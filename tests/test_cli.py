@@ -57,8 +57,8 @@ def degenerate_file(tmp_path):
 def _clear_caches():
     """Empty every per-process cache of the CLI, so the next call builds all."""
     cli = importlib.import_module("rac.cli")
-    for cached in (cli.make_parser, cli._bundled_variant, ds.load_bundled_dataset,
-                   ds.load_bundled_projection):
+    for cached in (cli.make_parser, cli._bundled_variant, cli._USER_SERIES,
+                   ds.load_bundled_dataset, ds.load_bundled_projection):
         cached.cache_clear()
 
 
@@ -432,10 +432,22 @@ def test_bundled_moments_computed_once_per_process(capsys, monkeypatch, bundled_
     realized = load_bundled_dataset().consumption[-1]
     projected = ds.projected_consumption(*ds.load_bundled_projection())
     assert finals == [realized, projected]
-    # a user file is read and its variants computed on every call
+    # a user file is parsed and its variants computed once per content: the
+    # same text written again costs no parse and no moments, a changed one does
+    loads = []
+    parse = ds.load_dataset
+    monkeypatch.setattr(ds, "load_dataset", lambda source: loads.append(source) or parse(source))
+    content = bundled_copy.read_bytes()
     for _ in range(2):
+        bundled_copy.write_bytes(content)
         assert run(capsys, "classify", "--dataset", str(bundled_copy))[0] == 0
-    assert finals == [realized, projected] * 3
+    assert finals == [realized, projected] * 2
+    assert len(loads) == 1
+    changed = ds.with_final_consumption(load_bundled_dataset(), 3500.0)
+    bundled_copy.write_bytes(serialize_dataset(changed))
+    assert run(capsys, "classify", "--dataset", str(bundled_copy))[0] == 0
+    assert finals == [realized, projected] * 2 + [3500.0, projected]
+    assert len(loads) == 2
     assert calls == []
 
 
@@ -922,16 +934,72 @@ _WARM_GRID = [
 ]
 
 
-def test_warm_main_matches_cold(capsys):
-    # a cached bundled variant gives the output a fresh process gives, on
-    # every grid point (classify with --rho 5 and group two exits 2)
+def test_warm_main_matches_cold(capsys, bundled_copy):
+    # a cached bundled variant, or a user series kept from an earlier call,
+    # gives the output a fresh process gives, on every grid point (classify
+    # with --rho 5 and group two exits 2)
+    grid = [*_WARM_GRID, ["classify", "--dataset", str(bundled_copy), "--format", "json"]]
     cold = []
-    for argv in _WARM_GRID:
+    for argv in grid:
         _clear_caches()
         cold.append(run(capsys, *argv))
-    warm = [run(capsys, *argv) for argv in _WARM_GRID]
+    warm = [run(capsys, *argv) for argv in grid]
     assert warm == cold
     assert {code for code, _, _ in cold} == {0, 2}
+    assert cold[-1] == cold[_WARM_GRID.index(["classify", "--variant", "both", "--format",
+                                              "json", "--group", "two"])]
+
+
+@pytest.mark.parametrize("fault", ["deleted", "invalid", "not-utf8"])
+def test_kept_series_never_outlives_its_file(capsys, bundled_copy, fault):
+    # the file is read on every call: after a run that keeps its series, a
+    # deleted, invalid or undecodable file fails as it does in a fresh process
+    argv = ["classify", "--dataset", str(bundled_copy)]
+    assert run(capsys, *argv)[0] == 0
+    content = bundled_copy.read_bytes()
+    if fault == "deleted":
+        bundled_copy.unlink()
+    elif fault == "invalid":
+        bundled_copy.write_bytes(content.replace(b"\n1890,", b"\n1891,"))
+    else:
+        bundled_copy.write_bytes(b"\xff" + content)
+    warm = run(capsys, *argv)
+    _clear_caches()
+    cold = run(capsys, *argv)
+    assert warm == cold
+    assert cold[:2] == (1, "")
+    message = {"deleted": "InputError: dataset file not found", "invalid": "MissingYear: line 3",
+               "not-utf8": "SchemaError: file is not UTF-8 text (invalid start byte at offset 0)"}
+    assert cold[2].startswith(f"error: {message[fault]}")
+
+
+def test_no_error_is_kept(capsys, tmp_path):
+    # a series whose moments are not finite fails on every call, not only the first
+    path = tmp_path / "wide.csv"
+    path.write_text(HEADER + "\n1900,1e300,1.05,1.01\n1901,1e-300,1.05,1.01\n")
+    for _ in range(2):
+        code, out, err = run(capsys, "calibrate", "--dataset", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: NonFiniteMoment: ")
+
+
+def test_kept_variants_do_not_grow(capsys, tmp_path, bundled_copy):
+    # one series is kept, with its realized variant and one other, however
+    # many datasets and projection files a process reads
+    cli = importlib.import_module("rac.cli")
+    proj = tmp_path / "projection.csv"
+    for population in range(219441872, 219441872 + 5):
+        proj.write_text(f"{PROJECTION_HEADER}\n515.4,613.7,150,{population}\n")
+        assert run(capsys, "calibrate", "--dataset", str(bundled_copy),
+                   "--projection", str(proj))[0] == 0
+        assert len(cli._USER_SERIES.variants) == 2
+    assert run(capsys, "ingest", "--dataset", str(bundled_copy))[0] == 0
+    assert len(cli._USER_SERIES.variants) == 2  # a realized-only run drops nothing
+    other = tmp_path / "other.csv"
+    other.write_text(HEADER + "\n1900,100.0,1.05,1.01\n1901,110.0,1.05,1.01\n")
+    assert run(capsys, "ingest", "--dataset", str(other))[0] == 0
+    assert cli._USER_SERIES.text == other.read_text()
+    assert list(cli._USER_SERIES.variants) == [110.0]
 
 
 def test_user_files_read_on_every_call(capsys, monkeypatch, tmp_path, bundled_copy):
@@ -995,3 +1063,18 @@ def test_cli_import_leaves_numpy_out(tmp_path):
         timeout=60,
     )
     assert (probe.returncode, probe.stdout, probe.stderr) == (0, "[]\n0 False\n", "")
+
+
+def test_cli_import_leaves_pathlib_out(tmp_path):
+    # in a clean interpreter (no site, which imports pathlib itself) the CLI
+    # does not load pathlib: files are named by plain strings and os.path
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, rac.cli; print('pathlib' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (probe.returncode, probe.stdout, probe.stderr) == (0, "False\n", "")

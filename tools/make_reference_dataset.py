@@ -66,6 +66,8 @@ from rac.calibration import (  # noqa: E402
 )
 from rac.classify import DefinitionGroup, classify_pipeline  # noqa: E402
 from rac.dataset import (  # noqa: E402
+    _HEADER,
+    _PROJECTION_HEADER,
     load_dataset,
     load_projection,
     projected_consumption,
@@ -283,10 +285,14 @@ def return_series(rng: np.random.Generator, mean: float, std: float) -> np.ndarr
 
 def format_dataset_csv(years, consumption, equity, riskfree) -> str:
     buf = io.StringIO()
-    buf.write("year,consumption_per_capita,equity_gross_return,riskfree_gross_return\n")
+    buf.write(",".join(_HEADER) + "\n")
     for y, c, re_, rf in zip(years, consumption, equity, riskfree):
         buf.write(f"{y},{c:.2f},{re_:.6f},{rf:.6f}\n")
     return buf.getvalue()
+
+
+def format_projection_csv(row) -> str:
+    return ",".join(_PROJECTION_HEADER) + "\n" + ",".join(map(str, row)) + "\n"
 
 
 def verify_and_freeze(dataset_path: Path, projection_path: Path) -> dict:
@@ -428,11 +434,7 @@ def main() -> None:
         format_dataset_csv(years, consumption, equity, riskfree), encoding="utf-8"
     )
     projection_path = data_dir / "projection_1978.csv"
-    projection_path.write_text(
-        "nondurables_bn,services_bn,gnp_deflator,population\n"
-        + ",".join(map(str, PROJECTION_ROW)) + "\n",
-        encoding="utf-8",
-    )
+    projection_path.write_text(format_projection_csv(PROJECTION_ROW), encoding="utf-8")
 
     frozen = verify_and_freeze(dataset_path, projection_path)
     emit_frozen(frozen, ROOT / "tests" / "_frozen_reference.py")
