@@ -57,7 +57,8 @@ def check_beta(beta: float) -> float:
 
 
 def check_rho(rho: float) -> float:
-    """rho as a float, if it lies in RHO_REGION."""
+    """rho as a float, if it lies in RHO_REGION: the package's one rho rule,
+    which every public function that takes rho applies."""
     lo, hi = RHO_REGION
     rho = float(rho) + 0.0  # -0.0 becomes 0.0, so it prints as 0
     if not lo <= rho <= hi:
@@ -107,10 +108,14 @@ class CalibrationResult(namedtuple("CalibrationResult", "factors rho residuals c
 def system_residuals(
     f: SufficiencyFactors, rho: float, beta: float, m: SampleMoments
 ) -> tuple[float, float, float]:
-    """LHS - RHS of eqs A, B, C at (f, rho)."""
+    """LHS - RHS of eqs A, B, C at (f, rho).
+
+    Raises InputError for beta outside (0, 1] or rho outside RHO_REGION.
+    """
     ln_zeta = math.log(f.zeta)
     ln_xi = math.log(f.xi)
     ln_beta = math.log(check_beta(beta))
+    rho = check_rho(rho)
     r_a = math.log(m.mean_Rf) - (
         -ln_beta - ln_xi + rho * m.mu_x - 0.5 * rho**2 * m.sigma2_x
     )

@@ -20,9 +20,10 @@ except that not-enough-risk-averse is rejected outright (InvalidCombination).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from enum import Enum
-from typing import NamedTuple
 
+from .calibration import check_rho
 from .dataset import MarketDataset
 from .errors import InputError, InvalidCombination, Unclassifiable
 from .moments import SampleMoments, compute_moments
@@ -71,11 +72,9 @@ class Label(Enum):
     RISK_NEUTRAL = "Risk-neutral"
 
 
-class RiskAttitude(NamedTuple):
-    label: Label
-    group: DefinitionGroup
-    defining_equation: int
-    allocation: AllocationSign
+# The label a comparison earns, under which group and defining equation, and
+# the allocation sign it was read from.
+RiskAttitude = namedtuple("RiskAttitude", "label group defining_equation allocation")
 
 
 def _sign_from_eta(eta: float) -> AllocationSign:
@@ -156,11 +155,9 @@ def classify(
 
 
 def curvature_from_rho(rho: float) -> Curvature:
-    """Curvature of the shifted power utility: concave for rho > 0, linear
-    at rho = 0."""
-    if not rho >= 0:
-        raise InputError(f"rho must be >= 0, got {rho}")
-    return Curvature.STRICTLY_CONCAVE if rho > 0 else Curvature.LINEAR
+    """Curvature of the shifted power utility at a rho check_rho accepts:
+    concave for rho > 0, linear at rho = 0."""
+    return Curvature.STRICTLY_CONCAVE if check_rho(rho) > 0 else Curvature.LINEAR
 
 
 def classify_pipeline(

@@ -48,8 +48,6 @@ _PROJECTION_HEADER = ["nondurables_bn", "services_bn", "gnp_deflator", "populati
 _DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
-# typing.NamedTuple may not override __new__, so the records that validate
-# their fields subclass a collections.namedtuple instead.
 _DATASET_FIELDS = "start_year consumption equity_return riskfree_return"
 _PROJECTION_FIELDS = "nominal_nondurables_bn nominal_services_bn gnp_deflator population"
 
@@ -90,9 +88,9 @@ class ProjectionInputs(namedtuple("ProjectionInputs", _PROJECTION_FIELDS)):
 
 
 def read_text(source) -> str:
-    """The UTF-8 text of a path (a string or os.PathLike), read with
-    universal newlines, or of a file-like object (text or bytes). A byte
-    order mark is left in place.
+    """The UTF-8 text of a path (a string or os.PathLike) or of a file-like
+    object (text or bytes), with universal newlines: from either, CRLF and
+    CR line ends read as LF. A byte order mark is left in place.
 
     Raises SchemaError for bytes that are not UTF-8, naming the offset of
     the first bad one in the file, and OSError for a path that cannot be
@@ -101,7 +99,9 @@ def read_text(source) -> str:
     try:
         if hasattr(source, "read"):
             raw = source.read()
-            return raw.decode("utf-8") if isinstance(raw, bytes) else raw
+            text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+            # as open() reads a path; text without a "\r" is passed on uncopied
+            return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
         with open(source, encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:

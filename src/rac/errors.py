@@ -78,9 +78,3 @@ class Unclassifiable(ComputeError):
 class InvalidCombination(ComputeError):
     """The combination is explicitly rejected (not-enough-risk-averse under a
     horizontal certain-utility curve)."""
-
-
-# -- report -----------------------------------------------------------------
-
-class EmptyReport(ComputeError):
-    """render_table called with no rows."""

@@ -11,12 +11,12 @@ for field.
 
 import csv
 import io
+from collections import namedtuple
 from enum import Enum
-from typing import NamedTuple
 
 from .calibration import CalibrationResult
 from .classify import AllocationSign
-from .errors import EmptyReport, InputError
+from .errors import InputError
 
 
 class ReportFormat(Enum):
@@ -25,22 +25,20 @@ class ReportFormat(Enum):
     JSON = "json"
 
 
-class ReportRow(NamedTuple):
-    year_certain: int
-    year_uncertain: str
-    consumption_certain: float
-    consumption_uncertain: float
-    certain_utility: float
-    uncertain_utility: float
-    allocation_text: str
-    label_text: str
-    rho: float
-
-
+ReportRow = namedtuple(
+    "ReportRow",
+    "year_certain year_uncertain consumption_certain consumption_uncertain "
+    "certain_utility uncertain_utility allocation_text label_text rho",
+)
 _COLUMNS = ReportRow._fields
-# This module does not postpone annotations, so a field's annotation is the
-# type itself (under postponed evaluation NamedTuple would hold a ForwardRef).
-_NUMERIC = tuple(c for c in _COLUMNS if ReportRow.__annotations__[c] is float)
+# the float columns: shown at six decimals, and carried exactly as `*_exact`
+_NUMERIC = (
+    "consumption_certain",
+    "consumption_uncertain",
+    "certain_utility",
+    "uncertain_utility",
+    "rho",
+)
 _HEADERS = (
     "certain year",
     "uncertain year",
@@ -86,11 +84,9 @@ def _display(r: ReportRow) -> dict:
 
 
 def render_table(rows: list[ReportRow], fmt: ReportFormat = ReportFormat.TEXT) -> str:
-    """Render `rows` as text or CSV. Raises EmptyReport on []."""
+    """Render `rows` as text or CSV; [] renders the header alone."""
     if fmt not in (ReportFormat.TEXT, ReportFormat.CSV):
         raise InputError(f"render_table writes text or CSV, not {fmt}; use export_run for JSON")
-    if not rows:
-        raise EmptyReport("no rows to render")
     return _render_text(rows) if fmt is ReportFormat.TEXT else _render_csv(rows)
 
 

@@ -10,35 +10,24 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import NamedTuple
 
-from .calibration import check_beta
+from .calibration import check_beta, check_rho
 from .errors import InputError, NonPositiveConsumption, UtilityOverflow
 from .moments import SampleMoments
 
 
 class UtilitySpec(namedtuple("UtilitySpec", "rho")):
-    """Curvature parameter of the utility function."""
+    """Curvature parameter of the utility function, checked by check_rho."""
 
     __slots__ = ()
 
     def __new__(cls, rho: float):
-        if not (rho >= 0 and math.isfinite(rho)):
-            raise InputError("rho must be finite and >= 0")
-        return super().__new__(cls, rho)
+        return super().__new__(cls, check_rho(rho))
 
 
-class UtilityComparison(NamedTuple):
-    """A certain utility next to the discounted, factor-scaled expectation.
-
-    uncertain is beta * eta * expected_u by construction.
-    """
-
-    certain: float
-    uncertain: float
-    eta: float
-    beta: float
-    expected_u: float
+# A certain utility next to the discounted, factor-scaled expectation:
+# uncertain is beta * eta * expected_u by construction (make_comparison).
+UtilityComparison = namedtuple("UtilityComparison", "certain uncertain eta beta expected_u")
 
 
 def crra_utility(c: float, spec: UtilitySpec) -> float:

@@ -13,15 +13,17 @@ from rac import (
     RHO_ANCHORS,
     SampleMoments,
     SufficiencyFactors,
+    UtilitySpec,
     Variant,
     calibrate_variant,
     consistency_gap,
+    curvature_from_rho,
     solve_closed_form_given_rho,
     solve_system,
     system_residuals,
 )
 from rac.calibration import FACTOR_REGION_MAX, RHO_REGION
-from rac.errors import DegenerateSystem, NoConvergence
+from rac.errors import DegenerateSystem, InputError, NoConvergence
 
 
 def residuals_oracle(zeta, xi, rho, beta, m):
@@ -262,3 +264,34 @@ def test_solve_beta_validation(variant_moments):
         solve_system(0.0, variant_moments["realized"], rho=1.0)
     with pytest.raises(ValueError):
         solve_system(1.0001, variant_moments["realized"], rho=1.0)
+
+
+# -- the one rho rule ---------------------------------------------------------
+
+def rho_takers(m):
+    """Each public function that takes rho, called with the rho it is given."""
+    return (
+        UtilitySpec,
+        curvature_from_rho,
+        lambda rho: solve_closed_form_given_rho(rho, 0.99, m),
+        lambda rho: solve_system(0.99, m, rho),
+        lambda rho: system_residuals(SufficiencyFactors(1.0, 1.0), rho, 0.99, m),
+    )
+
+
+@pytest.mark.parametrize("rho", [math.nan, math.inf, -0.5, 60.5])
+def test_one_rho_rule_rejects(variant_moments, rho):
+    errors = set()
+    for take in rho_takers(variant_moments["realized"]):
+        with pytest.raises(InputError) as info:
+            take(rho)
+        errors.add((type(info.value), str(info.value)))
+    assert errors == {(InputError, f"rho {rho} outside the supported range [0, 60]")}
+
+
+@pytest.mark.parametrize("rho", [0, -0.0, 60])
+def test_one_rho_rule_accepts(variant_moments, rho):
+    spec, _, _, result, _ = (take(rho) for take in rho_takers(variant_moments["realized"]))
+    # -0.0 reads as 0.0, so it prints as 0
+    assert math.copysign(1.0, spec.rho) == math.copysign(1.0, result.rho) == 1.0
+    assert spec.rho == result.rho == rho

@@ -1066,15 +1066,47 @@ def test_cli_import_leaves_numpy_out(tmp_path):
 
 
 def test_cli_import_leaves_pathlib_out(tmp_path):
-    # in a clean interpreter (no site, which imports pathlib itself) the CLI
-    # does not load pathlib: files are named by plain strings and os.path
+    # in a clean interpreter (no site, which imports both itself) the CLI
+    # loads neither pathlib nor typing: files are named by plain strings and
+    # os.path, and records are collections.namedtuple
     src = Path(__file__).resolve().parents[1] / "src"
     probe = subprocess.run(
-        [sys.executable, "-S", "-c", "import sys, rac.cli; print('pathlib' in sys.modules)"],
+        [sys.executable, "-S", "-c",
+         "import sys, rac.cli; print('pathlib' in sys.modules, 'typing' in sys.modules)"],
         env=dict(os.environ, PYTHONPATH=str(src)),
         cwd=tmp_path,
         capture_output=True,
         text=True,
         timeout=60,
     )
-    assert (probe.returncode, probe.stdout, probe.stderr) == (0, "False\n", "")
+    assert (probe.returncode, probe.stdout, probe.stderr) == (0, "False False\n", "")
+
+
+def test_default_classify_check_counts(capsys, monkeypatch):
+    # every rac binding of each check_* is counted; the CLI passes its
+    # checked values on, and each public function checks its own arguments
+    from rac.calibration import check_beta, check_rho
+    from rac.classify import check_tol
+    from rac.utility import check_eta
+
+    checks = {f.__name__: f for f in (check_beta, check_rho, check_eta, check_tol)}
+    counts = dict.fromkeys(checks, 0)
+
+    def counted(name):
+        def check(value):
+            counts[name] += 1
+            return checks[name](value)
+        return check
+
+    rac_modules = [m for n, m in sys.modules.items() if n == "rac" or n.startswith("rac.")]
+    for module in rac_modules:
+        for name, original in checks.items():
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted(name))
+    code, _, _ = run(capsys, "classify")
+    assert code == 0
+    # 2 variants x (solve_system, the closed form, system_residuals) check
+    # beta and rho; 4 investor rows x uncertain_utility check beta once more,
+    # UtilitySpec and curvature_from_rho rho twice, the allocation sign and
+    # uncertain_utility eta twice, and classify tol once
+    assert counts == {"check_beta": 10, "check_rho": 14, "check_eta": 8, "check_tol": 4}

@@ -54,6 +54,22 @@ def test_load_from_file_like_matches_path(bundled, tmp_path):
     assert load_dataset(io.StringIO("\ufeff" + text)) == bundled
 
 
+@pytest.mark.parametrize("newline", ["\r", "\r\n"])
+def test_line_ends_read_alike_from_path_and_file_like(bundled, tmp_path, newline):
+    # open() reads a path with universal newlines; a file-like object's text
+    # is translated the same way, so a CR-only file loads from either
+    projection = f"{PROJECTION_HEADER}\n515.4,613.7,150,219441872\n"
+    for load, text, want in (
+        (load_dataset, serialize_dataset(bundled).decode("utf-8"), bundled),
+        (load_projection, projection, load_bundled_projection()),
+    ):
+        data = text.replace("\n", newline).encode("utf-8")
+        path = tmp_path / "file.csv"
+        path.write_bytes(data)
+        got = [load(path), load(io.StringIO(data.decode("utf-8"), newline="")), load(io.BytesIO(data))]
+        assert got == [want] * 3
+
+
 def load_error(text):
     """(type, message) of the InputError that loading `text` raises."""
     with pytest.raises(InputError) as exc_info:

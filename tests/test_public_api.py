@@ -1,12 +1,15 @@
 """The package's public names: `from rac import *` works and every entry of
-`__all__` resolves, so a name deleted from a module cannot linger there; and
-every function the benchmark traces still exists where it looks for it."""
+`__all__` resolves, so a name deleted from a module cannot linger there;
+every function the benchmark traces still exists where it looks for it; and
+every concrete error type is raised somewhere in the package."""
 
 import importlib
+import inspect
 import runpy
 from pathlib import Path
 
 import rac
+from rac import errors
 
 
 def test_star_import():
@@ -45,3 +48,17 @@ def test_every_traced_function_resolves():
         if not callable(getattr(importlib.import_module(f"rac.{module}"), name, None))
     }
     assert missing - _GONE_FROM_RAC == set()
+
+
+def test_every_leaf_error_is_raised():
+    # an error type no code raises is dead API: a caller would catch it in vain
+    source = "".join(
+        path.read_text(encoding="utf-8") for path in Path(rac.__file__).parent.glob("*.py")
+    )
+    leaves = [
+        name
+        for name, cls in inspect.getmembers(errors, inspect.isclass)
+        if issubclass(cls, errors.RacError) and not cls.__subclasses__()
+    ]
+    assert leaves
+    assert [name for name in leaves if f"raise {name}(" not in source] == []

@@ -157,9 +157,11 @@ def test_different_values_compare_unequal():
          InputError, "rho nan outside the supported range [0, 60]"),
         (lambda: CalibrationResult(SufficiencyFactors(1.0, 1.0), 1.0, (0.0, math.inf, 0.0), 0),
          InputError, "residuals must be finite"),
-        (lambda: UtilitySpec(-0.5), InputError, "rho must be finite and >= 0"),
-        (lambda: UtilitySpec(rho=math.nan), InputError, "rho must be finite and >= 0"),
-        (lambda: curvature_from_rho(math.nan), InputError, "rho must be >= 0, got nan"),
+        (lambda: UtilitySpec(-0.5), InputError, "rho -0.5 outside the supported range [0, 60]"),
+        (lambda: UtilitySpec(rho=math.nan), InputError,
+         "rho nan outside the supported range [0, 60]"),
+        (lambda: curvature_from_rho(math.nan), InputError,
+         "rho nan outside the supported range [0, 60]"),
         (lambda: projected_consumption(1, 1, math.nan, 1e9), NonPositiveValue,
          "gnp_deflator must be positive and finite"),
         (lambda: projected_consumption(1, 0, 100, math.nan), NonPositiveValue,

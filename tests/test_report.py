@@ -17,7 +17,7 @@ from rac import (
     parse_json,
     render_table,
 )
-from rac.errors import EmptyReport, InputError
+from rac.errors import InputError
 
 
 def equity_rows():
@@ -92,10 +92,13 @@ def test_rendering_is_deterministic():
         assert render_table(rows, fmt) == render_table(rows, fmt)
 
 
-def test_empty_report():
-    for fmt in (ReportFormat.TEXT, ReportFormat.CSV):
-        with pytest.raises(EmptyReport):
-            render_table([], fmt)
+def test_empty_report_renders_header_alone():
+    headers = ("certain year", "uncertain year", "c (certain)", "c (uncertain)", "u certain",
+               "u uncertain", "allocation", "attitude", "rho")
+    rules = "  ".join("-" * len(h) for h in headers)
+    assert render_table([], ReportFormat.TEXT) == "  ".join(headers) + "\n" + rules + "\n"
+    csv_header = render_table(equity_rows(), ReportFormat.CSV).splitlines(keepends=True)[0]
+    assert render_table([], ReportFormat.CSV) == csv_header
 
 
 def test_render_table_has_no_json():
