@@ -11,9 +11,10 @@ A run goes in phases: it reads every input, then computes every variant's
 moments, then calibrates each variant, then classifies. The first error in
 that order is the one reported, so an input problem always wins.
 
-main may run many times in one process. The parser and the bundled variants
-are built once; a user dataset is parsed, and its variants' moments computed,
-once per file content (see _UserSeries).
+main may run many times in one process. The parser is built once. The
+bundled series and a user series keep their variants by one rule (see
+_build_variants), and a user dataset is parsed once per file content (see
+_UserSeries).
 """
 
 from __future__ import annotations
@@ -177,6 +178,9 @@ class _UserSeries:
 
 
 _USER_SERIES = _UserSeries()
+# The bundled series' variants, kept as a user series' are: the bundled
+# inputs do not change under a running process.
+_BUNDLED_VARIANTS: dict[float, tuple[ds.MarketDataset, SampleMoments]] = {}
 
 
 def _build_variants(
@@ -186,10 +190,14 @@ def _build_variants(
 
     A None path is the bundled file. A named projection is read whatever the
     variants, as every input is; the bundled one only for the projected
-    variant, which a user dataset without --projection takes from it. The
-    moments of a user dataset's final value are computed once per content.
+    variant, which a user dataset without --projection takes from it. A
+    series keeps the variant of its realized value and of the last other
+    final value asked for, so each is built once while it is kept.
     """
-    d, known = (ds.load_bundled_dataset(), {}) if dataset is None else _USER_SERIES.read(dataset)
+    if dataset is None:
+        d, known = ds.load_bundled_dataset(), _BUNDLED_VARIANTS
+    else:
+        d, known = _USER_SERIES.read(dataset)
     inputs = None if projection is None else _read("projection", projection, ds.load_projection)
     realized = d.consumption[-1]
     finals = dict.fromkeys(variants, realized)
@@ -205,25 +213,11 @@ def _build_variants(
     return [(v, *known[c]) for v, c in finals.items()]
 
 
-# The bundled inputs do not change under a running process and every part of
-# a variant is immutable, so each bundled variant is built once per process.
-@functools.cache
-def _bundled_variant(variant: Variant) -> _Variant:
-    return _build_variants(None, None, (variant,))[0]
-
-
-def _variants(cfg: RunConfig, variants: tuple[Variant, ...]) -> list[_Variant]:
-    """_build_variants for cfg's input files, which are read on every call."""
-    if cfg.dataset is None and cfg.projection is None:
-        return [_bundled_variant(v) for v in variants]
-    return _build_variants(cfg.dataset, cfg.projection, variants)
-
-
 # -- commands ----------------------------------------------------------------
 
 def cmd_ingest(cfg: RunConfig) -> str:
     # ingest reads no projection, even one a shared config file names
-    ((_, d, m),) = _variants(cfg._replace(projection=None), (Variant.REALIZED,))
+    ((_, d, m),) = _build_variants(cfg.dataset, None, (Variant.REALIZED,))
     return ingest_report(d, m, cfg.format)
 
 
@@ -233,7 +227,8 @@ def _calibrations(cfg: RunConfig, variants: list[_Variant]) -> dict[str, Calibra
 
 
 def cmd_calibrate(cfg: RunConfig) -> str:
-    return calibration_report(_calibrations(cfg, _variants(cfg, cfg.variant)), cfg.format)
+    variants = _build_variants(cfg.dataset, cfg.projection, cfg.variant)
+    return calibration_report(_calibrations(cfg, variants), cfg.format)
 
 
 # investor -> the calibrated factor that is its eta; --eta makes one "custom" investor
@@ -242,7 +237,7 @@ _INVESTORS = {"equity": "zeta", "risk-free": "xi"}
 
 def cmd_classify(cfg: RunConfig) -> str:
     eta_factors = _INVESTORS if cfg.eta is None else {"custom": None}
-    variants = _variants(cfg, cfg.variant)
+    variants = _build_variants(cfg.dataset, cfg.projection, cfg.variant)
     calibrations = _calibrations(cfg, variants)
     tables = []
     for investor, factor in eta_factors.items():

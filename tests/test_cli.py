@@ -57,9 +57,10 @@ def degenerate_file(tmp_path):
 def _clear_caches():
     """Empty every per-process cache of the CLI, so the next call builds all."""
     cli = importlib.import_module("rac.cli")
-    for cached in (cli.make_parser, cli._bundled_variant, cli._USER_SERIES,
-                   ds.load_bundled_dataset, ds.load_bundled_projection):
+    for cached in (cli.make_parser, cli._USER_SERIES, ds.load_bundled_dataset,
+                   ds.load_bundled_projection):
         cached.cache_clear()
+    cli._BUNDLED_VARIANTS.clear()
 
 
 # -- ingest -------------------------------------------------------------------
@@ -415,14 +416,15 @@ def test_classify_default_labels(capsys):
     assert "7.103787" in out
 
 
-def test_bundled_moments_computed_once_per_process(capsys, monkeypatch, bundled_copy):
-    # the CLI takes every variant's moments from compute_variant_moments, and
-    # classify_pipeline reuses them; importlib, because the package attribute
-    # rac.classify is the function
+def test_bundled_moments_computed_once_per_process(capsys, monkeypatch, tmp_path, bundled_copy):
+    # the CLI takes every variant's moments from compute_variant_moments, one
+    # call per run at most, and classify_pipeline reuses them; importlib,
+    # because the package attribute rac.classify is the function
     cli = importlib.import_module("rac.cli")
     finals, calls = [], []
     shared = cli.compute_variant_moments
-    monkeypatch.setattr(cli, "compute_variant_moments", lambda d, v: finals.extend(v) or shared(d, v))
+    monkeypatch.setattr(cli, "compute_variant_moments",
+                        lambda d, v: finals.append(list(v)) or shared(d, v))
     classify_module = importlib.import_module("rac.classify")
     single = classify_module.compute_moments
     monkeypatch.setattr(classify_module, "compute_moments", lambda d: calls.append(d) or single(d))
@@ -431,7 +433,16 @@ def test_bundled_moments_computed_once_per_process(capsys, monkeypatch, bundled_
         assert run(capsys, "classify")[0] == 0
     realized = load_bundled_dataset().consumption[-1]
     projected = ds.projected_consumption(*ds.load_bundled_projection())
-    assert finals == [realized, projected]
+    assert finals == [[realized, projected]]
+    # the bundled data with a projection file: its projected variant is built
+    # once per projected value, however often the same content is read
+    proj = tmp_path / "projection.csv"
+    for _ in range(2):
+        proj.write_text(f"{PROJECTION_HEADER}\n515.4,613.7,150,219000000\n")
+        assert run(capsys, "classify", "--projection", str(proj))[0] == 0
+    other = ds.projected_consumption(515.4, 613.7, 150, 219000000)
+    assert finals == [[realized, projected], [other]]
+    finals.clear()
     # a user file is parsed and its variants computed once per content: the
     # same text written again costs no parse and no moments, a changed one does
     loads = []
@@ -441,14 +452,30 @@ def test_bundled_moments_computed_once_per_process(capsys, monkeypatch, bundled_
     for _ in range(2):
         bundled_copy.write_bytes(content)
         assert run(capsys, "classify", "--dataset", str(bundled_copy))[0] == 0
-    assert finals == [realized, projected] * 2
+    assert finals == [[realized, projected]]
     assert len(loads) == 1
     changed = ds.with_final_consumption(load_bundled_dataset(), 3500.0)
     bundled_copy.write_bytes(serialize_dataset(changed))
     assert run(capsys, "classify", "--dataset", str(bundled_copy))[0] == 0
-    assert finals == [realized, projected] * 2 + [3500.0, projected]
+    assert finals == [[realized, projected], [3500.0, projected]]
     assert len(loads) == 2
     assert calls == []
+
+
+@pytest.mark.parametrize("variant", ["realized", "projected"])
+@pytest.mark.parametrize("rho", ["0", "0.5", "1.4", "1.42"])
+def test_headline_labels_hold_only_inside_the_rho_interval(capsys, variant, rho):
+    # the paper's labels for the bundled data under the defaults hold for rho
+    # in (0, ~1.407) (realized) and (0, ~1.408) (projected); rho = 0, and a
+    # rho past the edge and the Risk-neutral band just above it, exit 2
+    code, out, err = run(capsys, "classify", "--variant", variant, "--rho", rho, "--format", "json")
+    if rho in ("0", "1.42"):
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Unclassifiable: ")
+    else:
+        assert (code, err) == (0, "")
+        labels = [r["label_text"] for r in json.loads(out)["classifications"]]
+        assert labels == ["Risk-averse", "Not enough risk-loving"]
 
 
 def test_classify_eta_one(capsys):
@@ -934,11 +961,14 @@ _WARM_GRID = [
 ]
 
 
-def test_warm_main_matches_cold(capsys, bundled_copy):
-    # a cached bundled variant, or a user series kept from an earlier call,
-    # gives the output a fresh process gives, on every grid point (classify
-    # with --rho 5 and group two exits 2)
-    grid = [*_WARM_GRID, ["classify", "--dataset", str(bundled_copy), "--format", "json"]]
+def test_warm_main_matches_cold(capsys, tmp_path, bundled_copy):
+    # a variant or a user series kept from an earlier call gives the output a
+    # fresh process gives, on every grid point (classify with --rho 5 and
+    # group two exits 2)
+    proj = tmp_path / "projection.csv"
+    proj.write_text(f"{PROJECTION_HEADER}\n515.4,613.7,150,219000000\n")
+    grid = [*_WARM_GRID, ["classify", "--projection", str(proj), "--format", "json"],
+            ["classify", "--dataset", str(bundled_copy), "--format", "json"]]
     cold = []
     for argv in grid:
         _clear_caches()
@@ -984,8 +1014,9 @@ def test_no_error_is_kept(capsys, tmp_path):
 
 
 def test_kept_variants_do_not_grow(capsys, tmp_path, bundled_copy):
-    # one series is kept, with its realized variant and one other, however
-    # many datasets and projection files a process reads
+    # one user series is kept, and each series, the bundled one too, keeps its
+    # realized variant and one other, however many datasets and projection
+    # files a process reads
     cli = importlib.import_module("rac.cli")
     proj = tmp_path / "projection.csv"
     for population in range(219441872, 219441872 + 5):
@@ -993,6 +1024,8 @@ def test_kept_variants_do_not_grow(capsys, tmp_path, bundled_copy):
         assert run(capsys, "calibrate", "--dataset", str(bundled_copy),
                    "--projection", str(proj))[0] == 0
         assert len(cli._USER_SERIES.variants) == 2
+        assert run(capsys, "calibrate", "--projection", str(proj))[0] == 0
+        assert len(cli._BUNDLED_VARIANTS) == 2
     assert run(capsys, "ingest", "--dataset", str(bundled_copy))[0] == 0
     assert len(cli._USER_SERIES.variants) == 2  # a realized-only run drops nothing
     other = tmp_path / "other.csv"
