@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import math
 import os
 import re
 import sys
-import types
 from collections import namedtuple
 from collections.abc import Callable
 
@@ -51,6 +51,11 @@ def _read(kind: str, path: str, load):
         raise InputError(f"{kind} file not found: {path}") from None
     except OSError as exc:
         raise InputError(f"cannot read {kind} file {path!r}: {exc.strerror}") from None
+
+
+def _read_bytes(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 # -- run options -------------------------------------------------------------
@@ -150,30 +155,31 @@ _Variant = tuple[Variant, ds.MarketDataset, SampleMoments]
 
 
 class _UserSeries:
-    """The last user dataset parsed in this process, keyed by its file's full
-    text, with the variants built from it: {final consumption: (dataset,
+    """The last user dataset parsed in this process, keyed by its file's
+    bytes, with the variants built from it: {final consumption: (dataset,
     moments)}, the realized one and at most one other.
 
     The file is still read on every call, so an edit, a deleted file or a
     decode error shows at once; a path, an mtime or a hash could match
-    changed content. No error is kept: a failed parse is redone next call.
+    changed content. Equal bytes decode to equal text, so a hit neither
+    decodes nor parses; bytes that differ only in line ends or a byte order
+    mark are parsed afresh. No error is kept: a failed parse is redone next
+    call.
     """
 
     def __init__(self):
         self.cache_clear()
 
     def cache_clear(self) -> None:
-        self.text, self.series, self.variants = None, None, {}
+        self.data, self.series, self.variants = None, None, {}
 
     def read(self, path: str) -> tuple[ds.MarketDataset, dict]:
         """The series in the file at `path`, and the variants kept for it."""
-        text = _read("dataset", path, ds.read_text)
-        if text != self.text:
+        data = _read("dataset", path, _read_bytes)
+        if data != self.data:
             self.cache_clear()  # the old series goes before the new one is parsed
-            # load_dataset takes a file-like object; this one hands over the
-            # text as it is, without the copies an io.StringIO would make
-            self.series = ds.load_dataset(types.SimpleNamespace(read=lambda: text))
-            self.text = text
+            self.series = ds.load_dataset(io.BytesIO(data))  # shares `data`, copies nothing
+            self.data = data
         return self.series, self.variants
 
 

@@ -90,7 +90,9 @@ class ProjectionInputs(namedtuple("ProjectionInputs", _PROJECTION_FIELDS)):
 def read_text(source) -> str:
     """The UTF-8 text of a path (a string or os.PathLike) or of a file-like
     object (text or bytes), with universal newlines: from either, CRLF and
-    CR line ends read as LF. A byte order mark is left in place.
+    CR line ends read as LF. A byte order mark is left in place. So a file's
+    bytes from a file-like object decode to exactly the text its path gives,
+    and bytes that are not UTF-8 fail with the same message.
 
     Raises SchemaError for bytes that are not UTF-8, naming the offset of
     the first bad one in the file, and OSError for a path that cannot be
@@ -112,9 +114,9 @@ def _reader(source, header: list[str]):
     """csv.reader over a path or a file-like object, past a checked header.
 
     Blank lines are skipped. A leading UTF-8 BOM is dropped here, once, so
-    text that read_text gave and that comes back as a file-like object
-    parses as its file does. Raises SchemaError for text that is not UTF-8
-    and for a header the csv module cannot parse.
+    a file parses alike from its path, its bytes or its decoded text.
+    Raises SchemaError for text that is not UTF-8 and for a header the csv
+    module cannot parse.
     """
     reader = csv.reader(io.StringIO(read_text(source).removeprefix("\ufeff")))
     try:

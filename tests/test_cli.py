@@ -1003,6 +1003,62 @@ def test_kept_series_never_outlives_its_file(capsys, bundled_copy, fault):
     assert cold[2].startswith(f"error: {message[fault]}")
 
 
+def _count_loads(monkeypatch):
+    """The list that each later ds.load_dataset call appends its argument to."""
+    loads = []
+    load = ds.load_dataset
+    monkeypatch.setattr(ds, "load_dataset", lambda source: loads.append(source) or load(source))
+    return loads
+
+
+def test_same_bytes_under_another_path_is_a_hit(capsys, monkeypatch, tmp_path, bundled_copy):
+    # the key is the file's bytes, not its path: a copy is not parsed again
+    assert run(capsys, "classify", "--dataset", str(bundled_copy))[0] == 0
+    copy = tmp_path / "second.csv"
+    copy.write_bytes(bundled_copy.read_bytes())
+    loads = _count_loads(monkeypatch)
+    warm = run(capsys, "classify", "--dataset", str(copy))
+    assert loads == []
+    _clear_caches()
+    assert warm == run(capsys, "classify", "--dataset", str(copy))
+    assert warm[0] == 0
+
+
+@pytest.mark.parametrize("resave", ["crlf", "bom", "digit"])
+def test_other_bytes_are_parsed_afresh(capsys, monkeypatch, bundled_copy, resave):
+    # a re-save with other line ends or a byte order mark, and a same-length
+    # edit (which a size or mtime key would miss), are parsed again and give
+    # the output a fresh process gives
+    argv = ["classify", "--dataset", str(bundled_copy), "--format", "json"]
+    kept = run(capsys, *argv)
+    content = bundled_copy.read_bytes()
+    edited = {"crlf": content.replace(b"\n", b"\r\n"), "bom": b"\xef\xbb\xbf" + content,
+              "digit": content.replace(b"\n1978,3450.0,", b"\n1978,3450.1,")}[resave]
+    assert edited != content
+    bundled_copy.write_bytes(edited)
+    loads = _count_loads(monkeypatch)
+    warm = run(capsys, *argv)
+    assert len(loads) == 1
+    _clear_caches()
+    assert warm == run(capsys, *argv)
+    assert warm[0] == kept[0] == 0
+    # the same numbers in other bytes give the same report; an edited one does not
+    assert (warm == kept) is (resave != "digit")
+
+
+def test_a_hit_neither_decodes_nor_parses(capsys, monkeypatch, bundled_copy):
+    argv = ["classify", "--dataset", str(bundled_copy)]
+    kept = run(capsys, *argv)
+
+    def fail(*args):
+        raise AssertionError("a kept series was decoded or parsed again")
+
+    for name in ("read_text", "load_dataset"):
+        monkeypatch.setattr(ds, name, fail)
+    assert run(capsys, *argv) == kept
+    assert kept[0] == 0
+
+
 def test_no_error_is_kept(capsys, tmp_path):
     # a series whose moments are not finite fails on every call, not only the first
     path = tmp_path / "wide.csv"
@@ -1031,7 +1087,7 @@ def test_kept_variants_do_not_grow(capsys, tmp_path, bundled_copy):
     other = tmp_path / "other.csv"
     other.write_text(HEADER + "\n1900,100.0,1.05,1.01\n1901,110.0,1.05,1.01\n")
     assert run(capsys, "ingest", "--dataset", str(other))[0] == 0
-    assert cli._USER_SERIES.text == other.read_text()
+    assert cli._USER_SERIES.data == other.read_bytes()
     assert list(cli._USER_SERIES.variants) == [110.0]
 
 

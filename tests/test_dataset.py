@@ -70,6 +70,39 @@ def test_line_ends_read_alike_from_path_and_file_like(bundled, tmp_path, newline
         assert got == [want] * 3
 
 
+def _load_outcome(source):
+    """load_dataset(source), or the (type, message) of the InputError it raises."""
+    try:
+        return load_dataset(source)
+    except InputError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("edit", ["bom-crlf", "bad-byte", "late-bad-byte"])
+def test_path_and_its_bytes_read_alike(bundled, tmp_path, edit):
+    # the CLI parses a user dataset from the bytes it read in binary mode, so
+    # those bytes, as a file-like object, must load as the path does; the
+    # tests above cover CR, CRLF and a BOM on their own
+    data = serialize_dataset(bundled)
+    mid = data.index(b"\n1934,")
+    data = {
+        "bom-crlf": b"\xef\xbb\xbf" + data.replace(b"\n", b"\r\n"),
+        "bad-byte": data[:mid] + b"\xff" + data[mid:],
+        # past the first 8 KiB, in case a reader decodes in chunks
+        "late-bad-byte": data[:mid] + b"\n" * 9000 + b"\xff" + data[mid:],
+    }[edit]
+    path = tmp_path / "file.csv"
+    path.write_bytes(data)
+    with open(path, "rb") as fh:
+        from_bytes = _load_outcome(io.BytesIO(fh.read()))
+    assert _load_outcome(path) == from_bytes
+    if "bad-byte" in edit:
+        offset = data.index(b"\xff")
+        assert from_bytes == (SchemaError, f"file is not UTF-8 text (invalid start byte at offset {offset})")
+    else:
+        assert from_bytes == bundled
+
+
 def load_error(text):
     """(type, message) of the InputError that loading `text` raises."""
     with pytest.raises(InputError) as exc_info:
