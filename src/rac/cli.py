@@ -11,10 +11,10 @@ A run goes in phases: it reads every input, then computes every variant's
 moments, then calibrates each variant, then classifies. The first error in
 that order is the one reported, so an input problem always wins.
 
-main may run many times in one process. The parser is built once. The
-bundled series and a user series keep their variants by one rule (see
-_build_variants), and a user dataset is parsed once per file content (see
-_UserSeries).
+main may run many times in one process. The parser is built once. One
+series is kept, the bundled one or a user one: a user dataset is parsed once
+per file content (see _Series), and the kept series keeps its variants (see
+_build_variants).
 """
 
 from __future__ import annotations
@@ -53,17 +53,12 @@ def _read(kind: str, path: str, load):
         raise InputError(f"cannot read {kind} file {path!r}: {exc.strerror}") from None
 
 
-def _read_bytes(path: str) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
 # -- run options -------------------------------------------------------------
 # A kind turns a flag or config value into the option's value by the option's
 # rule, or raises InputError naming the option.
 
 def _path(name: str, value, rule=None):
-    """`value` if it is None or a path string open() accepts (no NUL byte)."""
+    """`value` if it is None or a path string read_bytes accepts (no NUL byte)."""
     if value is None or isinstance(value, str) and "\0" not in value:
         return value
     raise InputError(f"{name} must be a path string, got {value!r}")
@@ -121,7 +116,7 @@ def _load_config_file(path: str | None) -> dict:
     import json  # loaded only when a config file is given
 
     try:
-        text = _read("config", path, ds.read_text).removeprefix("\ufeff")
+        text = _read("config", path, ds.read_text)
     except SchemaError as exc:  # not UTF-8: "config file is not UTF-8 text (...)"
         raise InputError(f"config {exc}") from None
     try:
@@ -154,17 +149,18 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 _Variant = tuple[Variant, ds.MarketDataset, SampleMoments]
 
 
-class _UserSeries:
-    """The last user dataset parsed in this process, keyed by its file's
-    bytes, with the variants built from it: {final consumption: (dataset,
-    moments)}, the realized one and at most one other.
+class _Series:
+    """The last dataset read in this process, keyed by its file's bytes, or
+    by None for the bundled file, with the variants built from it: {final
+    consumption: (dataset, moments)}, the realized one and at most one other.
 
-    The file is still read on every call, so an edit, a deleted file or a
-    decode error shows at once; a path, an mtime or a hash could match
+    A named file is still read on every call, so an edit, a deleted file or
+    a decode error shows at once; a path, an mtime or a hash could match
     changed content. Equal bytes decode to equal text, so a hit neither
     decodes nor parses; bytes that differ only in line ends or a byte order
-    mark are parsed afresh. No error is kept: a failed parse is redone next
-    call.
+    mark are parsed afresh. The bundled file, package data, is not read
+    again; a process that alternates it and a user file parses the user file
+    at each switch. No error is kept: a failed parse is redone next call.
     """
 
     def __init__(self):
@@ -173,20 +169,19 @@ class _UserSeries:
     def cache_clear(self) -> None:
         self.data, self.series, self.variants = None, None, {}
 
-    def read(self, path: str) -> tuple[ds.MarketDataset, dict]:
-        """The series in the file at `path`, and the variants kept for it."""
-        data = _read("dataset", path, _read_bytes)
-        if data != self.data:
+    def read(self, path: str | None) -> tuple[ds.MarketDataset, dict]:
+        """The series in the file at `path`, or the bundled one for None, and
+        the variants kept for it."""
+        data = None if path is None else _read("dataset", path, ds.read_bytes)
+        if self.series is None or data != self.data:  # the empty slot's key is None too
             self.cache_clear()  # the old series goes before the new one is parsed
-            self.series = ds.load_dataset(io.BytesIO(data))  # shares `data`, copies nothing
+            self.series = (ds.load_bundled_dataset() if data is None
+                           else ds.load_dataset(io.BytesIO(data)))  # shares `data`, copies nothing
             self.data = data
         return self.series, self.variants
 
 
-_USER_SERIES = _UserSeries()
-# The bundled series' variants, kept as a user series' are: the bundled
-# inputs do not change under a running process.
-_BUNDLED_VARIANTS: dict[float, tuple[ds.MarketDataset, SampleMoments]] = {}
+_SERIES = _Series()
 
 
 def _build_variants(
@@ -196,14 +191,11 @@ def _build_variants(
 
     A None path is the bundled file. A named projection is read whatever the
     variants, as every input is; the bundled one only for the projected
-    variant, which a user dataset without --projection takes from it. A
-    series keeps the variant of its realized value and of the last other
-    final value asked for, so each is built once while it is kept.
+    variant, which a user dataset without --projection takes from it. The
+    kept series keeps the variant of its realized value and of the last
+    other final value asked for, so each is built once while it is kept.
     """
-    if dataset is None:
-        d, known = ds.load_bundled_dataset(), _BUNDLED_VARIANTS
-    else:
-        d, known = _USER_SERIES.read(dataset)
+    d, known = _SERIES.read(dataset)
     inputs = None if projection is None else _read("projection", projection, ds.load_projection)
     realized = d.consumption[-1]
     finals = dict.fromkeys(variants, realized)

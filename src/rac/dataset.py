@@ -87,38 +87,41 @@ class ProjectionInputs(namedtuple("ProjectionInputs", _PROJECTION_FIELDS)):
         return p
 
 
+def read_bytes(path) -> bytes:
+    """The bytes of the file at `path` (a string or os.PathLike). Raises
+    OSError for a path that cannot be opened or read."""
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 def read_text(source) -> str:
-    """The UTF-8 text of a path (a string or os.PathLike) or of a file-like
-    object (text or bytes), with universal newlines: from either, CRLF and
-    CR line ends read as LF. A byte order mark is left in place. So a file's
-    bytes from a file-like object decode to exactly the text its path gives,
-    and bytes that are not UTF-8 fail with the same message.
+    """The UTF-8 text of a path (a string or os.PathLike, read by
+    read_bytes) or of a file-like object (text or bytes), with one leading
+    byte order mark dropped and CRLF and CR line ends read as LF. A path,
+    its bytes and their decoded text so give the same text, and bytes that
+    are not UTF-8 fail with the same message.
 
     Raises SchemaError for bytes that are not UTF-8, naming the offset of
     the first bad one in the file, and OSError for a path that cannot be
     opened or read.
     """
     try:
-        if hasattr(source, "read"):
-            raw = source.read()
-            text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-            # as open() reads a path; text without a "\r" is passed on uncopied
-            return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
-        with open(source, encoding="utf-8") as fh:
-            return fh.read()
+        raw = source.read() if hasattr(source, "read") else read_bytes(source)
+        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
     except UnicodeDecodeError as exc:
         raise SchemaError(f"file is not UTF-8 text ({exc.reason} at offset {exc.start})") from None
+    text = text.removeprefix("\ufeff")
+    # text without a "\r" is passed on uncopied
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _reader(source, header: list[str]):
-    """csv.reader over a path or a file-like object, past a checked header.
+    """csv.reader over read_text(source), past a checked header.
 
-    Blank lines are skipped. A leading UTF-8 BOM is dropped here, once, so
-    a file parses alike from its path, its bytes or its decoded text.
-    Raises SchemaError for text that is not UTF-8 and for a header the csv
-    module cannot parse.
+    Blank lines are skipped. Raises SchemaError for text that is not UTF-8
+    and for a header the csv module cannot parse.
     """
-    reader = csv.reader(io.StringIO(read_text(source).removeprefix("\ufeff")))
+    reader = csv.reader(io.StringIO(read_text(source)))
     try:
         row = next((row for row in reader if row), None)
     except csv.Error as exc:

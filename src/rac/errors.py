@@ -41,8 +41,8 @@ class NegativeVariance(ComputeError):
 
 
 class NonFiniteMoment(ComputeError):
-    """A sample moment is not finite: a growth ratio or a sum left the
-    floating-point range."""
+    """A sample or log-normal moment is not finite: a growth ratio, a sum or
+    an exponential left the floating-point range."""
 
 
 # -- utility ----------------------------------------------------------------
@@ -52,8 +52,8 @@ class NonPositiveConsumption(ComputeError):
 
 
 class UtilityOverflow(ComputeError):
-    """A utility leaves the floating-point range: (1-rho) times a log
-    consumption level is too large to exponentiate."""
+    """A utility is not finite: (1-rho) times a log consumption level is too
+    large to exponentiate, or a utility given or scaled is not finite."""
 
 
 # -- calibration ------------------------------------------------------------

@@ -113,10 +113,21 @@ def compute_moments(d: MarketDataset) -> SampleMoments:
 
 
 def lognormal_moment(a: float, mu: float, sigma2: float) -> float:
-    """E[z^a] for ln z ~ N(mu, sigma2): exp(a*mu + a^2*sigma2/2)."""
+    """E[z^a] for ln z ~ N(mu, sigma2): exp(a*mu + a^2*sigma2/2).
+
+    Raises NegativeVariance for a sigma2 that is not nonnegative, and
+    NonFiniteMoment when the moment is not finite (NaN, or too large).
+    """
     if not sigma2 >= 0:
         raise NegativeVariance("sigma2 must be nonnegative")
-    return math.exp(a * mu + 0.5 * a * a * sigma2)
+    x = a * mu + 0.5 * a * a * sigma2
+    try:
+        value = math.exp(x)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise NonFiniteMoment(f"log-normal moment is not finite (exponent {x:.6g})")
+    return value
 
 
 def consistency_gap(m: SampleMoments) -> float:

@@ -87,10 +87,17 @@ def uncertain_utility(expected_u: float, beta: float, eta: float) -> float:
 def make_comparison(
     certain: float, expected_u: float, beta: float, eta: float
 ) -> UtilityComparison:
-    """Build a UtilityComparison with uncertain = beta*eta*expected_u."""
+    """Build a UtilityComparison with uncertain = beta*eta*expected_u.
+
+    Raises what uncertain_utility raises, and UtilityOverflow for a certain
+    utility that is not finite.
+    """
+    uncertain = uncertain_utility(expected_u, beta, eta)
+    if not math.isfinite(certain):
+        raise UtilityOverflow(f"certain utility is not finite, got {certain}")
     return UtilityComparison(
         certain=certain,
-        uncertain=uncertain_utility(expected_u, beta, eta),
+        uncertain=uncertain,
         eta=eta,
         beta=beta,
         expected_u=expected_u,

@@ -57,10 +57,9 @@ def degenerate_file(tmp_path):
 def _clear_caches():
     """Empty every per-process cache of the CLI, so the next call builds all."""
     cli = importlib.import_module("rac.cli")
-    for cached in (cli.make_parser, cli._USER_SERIES, ds.load_bundled_dataset,
+    for cached in (cli.make_parser, cli._SERIES, ds.load_bundled_dataset,
                    ds.load_bundled_projection):
         cached.cache_clear()
-    cli._BUNDLED_VARIANTS.clear()
 
 
 # -- ingest -------------------------------------------------------------------
@@ -746,6 +745,9 @@ def test_config_missing(capsys):
         # the offset counts the byte order mark, as for a dataset file
         (b'\xef\xbb\xbf{"beta": \xff}',
          "config file is not UTF-8 text (invalid start byte at offset 12)"),
+        # one mark is dropped; json rejects a second
+        (b'\xef\xbb\xbf\xef\xbb\xbf{"beta": 0.5}',
+         "config file is not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
         ("[" * 100_000, "config file is not valid JSON: maximum recursion depth exceeded"),
         # argparse rejects a bad choice flag first, so only a config reaches these
         ('{"group": "three"}', "group must be one or two, got 'three'"),
@@ -753,7 +755,7 @@ def test_config_missing(capsys):
         ('{"format": "xml"}', "format must be text, csv, or json, got 'xml'"),
     ],
     ids=["list", "dict", "text", "huge-int", "int-path", "nul-path", "not-utf8", "bom-not-utf8",
-         "deep", "group", "variant", "format"],
+         "two-boms", "deep", "group", "variant", "format"],
 )
 def test_bad_config_value_is_input_error(capsys, tmp_path, content, message):
     # each config value is converted in build_config, and the file decoded in
@@ -1070,25 +1072,45 @@ def test_no_error_is_kept(capsys, tmp_path):
 
 
 def test_kept_variants_do_not_grow(capsys, tmp_path, bundled_copy):
-    # one user series is kept, and each series, the bundled one too, keeps its
-    # realized variant and one other, however many datasets and projection
-    # files a process reads
+    # one series is kept, bundled or user, and it keeps its realized variant
+    # and one other, however many datasets and projection files a process reads
     cli = importlib.import_module("rac.cli")
     proj = tmp_path / "projection.csv"
     for population in range(219441872, 219441872 + 5):
         proj.write_text(f"{PROJECTION_HEADER}\n515.4,613.7,150,{population}\n")
+        assert run(capsys, "calibrate", "--projection", str(proj))[0] == 0
+        assert cli._SERIES.data is None and len(cli._SERIES.variants) == 2
         assert run(capsys, "calibrate", "--dataset", str(bundled_copy),
                    "--projection", str(proj))[0] == 0
-        assert len(cli._USER_SERIES.variants) == 2
-        assert run(capsys, "calibrate", "--projection", str(proj))[0] == 0
-        assert len(cli._BUNDLED_VARIANTS) == 2
+        assert len(cli._SERIES.variants) == 2
     assert run(capsys, "ingest", "--dataset", str(bundled_copy))[0] == 0
-    assert len(cli._USER_SERIES.variants) == 2  # a realized-only run drops nothing
+    assert len(cli._SERIES.variants) == 2  # a realized-only run drops nothing
     other = tmp_path / "other.csv"
     other.write_text(HEADER + "\n1900,100.0,1.05,1.01\n1901,110.0,1.05,1.01\n")
     assert run(capsys, "ingest", "--dataset", str(other))[0] == 0
-    assert cli._USER_SERIES.data == other.read_bytes()
-    assert list(cli._USER_SERIES.variants) == [110.0]
+    assert cli._SERIES.data == other.read_bytes()
+    assert list(cli._SERIES.variants) == [110.0]
+
+
+def test_alternating_bundled_and_user_series(capsys, bundled_copy):
+    # each switch between the bundled data and a user file builds the new
+    # series afresh, and the slot then holds the last series only
+    cli = importlib.import_module("rac.cli")
+    bundled_copy.write_bytes(
+        bundled_copy.read_bytes().replace(b"\n1978,3450.0,", b"\n1978,3450.1,")
+    )
+    argvs = [["classify", "--format", "json"],
+             ["classify", "--dataset", str(bundled_copy), "--format", "json"]] * 2
+    cold = []
+    for argv in argvs:
+        _clear_caches()
+        cold.append(run(capsys, *argv))
+    _clear_caches()
+    assert [run(capsys, *argv) for argv in argvs] == cold
+    assert [code for code, _, _ in cold] == [0] * 4 and cold[0] != cold[1]
+    user = ds.load_dataset(bundled_copy)
+    assert cli._SERIES.data == bundled_copy.read_bytes() and cli._SERIES.series == user
+    assert {d.consumption[:-1] for d, _ in cli._SERIES.variants.values()} == {user.consumption[:-1]}
 
 
 def test_user_files_read_on_every_call(capsys, monkeypatch, tmp_path, bundled_copy):

@@ -54,20 +54,38 @@ def test_load_from_file_like_matches_path(bundled, tmp_path):
     assert load_dataset(io.StringIO("\ufeff" + text)) == bundled
 
 
-@pytest.mark.parametrize("newline", ["\r", "\r\n"])
-def test_line_ends_read_alike_from_path_and_file_like(bundled, tmp_path, newline):
-    # open() reads a path with universal newlines; a file-like object's text
-    # is translated the same way, so a CR-only file loads from either
+@pytest.mark.parametrize("bom, newline", [("", "\r"), ("", "\r\n"), ("\ufeff", "\n")],
+                         ids=["cr", "crlf", "bom"])
+def test_line_ends_read_alike_from_path_and_file_like(bundled, tmp_path, bom, newline):
+    # read_text drops one leading byte order mark and translates CR and CRLF
+    # by the same lines for a path's bytes and a file-like object's, so a
+    # CR-only file or one with a mark loads from either
     projection = f"{PROJECTION_HEADER}\n515.4,613.7,150,219441872\n"
     for load, text, want in (
         (load_dataset, serialize_dataset(bundled).decode("utf-8"), bundled),
         (load_projection, projection, load_bundled_projection()),
     ):
-        data = text.replace("\n", newline).encode("utf-8")
+        data = (bom + text.replace("\n", newline)).encode("utf-8")
         path = tmp_path / "file.csv"
         path.write_bytes(data)
         got = [load(path), load(io.StringIO(data.decode("utf-8"), newline="")), load(io.BytesIO(data))]
         assert got == [want] * 3
+
+
+@pytest.mark.parametrize(
+    "load, header",
+    [(load_dataset, HEADER), (load_projection, PROJECTION_HEADER)],
+    ids=["dataset", "projection"],
+)
+def test_only_one_byte_order_mark_is_dropped(tmp_path, load, header):
+    # a second mark is text, so the header does not match from any source
+    data = ("\ufeff\ufeff" + header + "\n").encode("utf-8")
+    path = tmp_path / "file.csv"
+    path.write_bytes(data)
+    for source in (path, io.BytesIO(data), io.StringIO(data.decode("utf-8"))):
+        with pytest.raises(SchemaError) as exc_info:
+            load(source)
+        assert str(exc_info.value) == f"expected header {header!r}, got {chr(0xFEFF) + header!r}"
 
 
 def _load_outcome(source):

@@ -1,8 +1,10 @@
 """The package's public names: `from rac import *` works and every entry of
 `__all__` resolves, so a name deleted from a module cannot linger there;
-every function the benchmark traces still exists where it looks for it; and
-every concrete error type is raised somewhere in the package."""
+every function the benchmark traces still exists where it looks for it;
+every concrete error type is raised somewhere in the package; and one
+function opens files."""
 
+import ast
 import importlib
 import inspect
 import runpy
@@ -62,3 +64,26 @@ def test_every_leaf_error_is_raised():
     ]
     assert leaves
     assert [name for name in leaves if f"raise {name}(" not in source] == []
+
+
+def test_one_function_opens_files():
+    # every input file is read by dataset.read_bytes and decoded by read_text,
+    # so a path and a file-like object meet one decoder and one BOM rule
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in Path(rac.__file__).parent.glob("*.py")
+    }
+    opens = [
+        node
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "open" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert len(opens) == 1
+    read_bytes = next(
+        node
+        for node in ast.walk(trees["dataset"])
+        if isinstance(node, ast.FunctionDef) and node.name == "read_bytes"
+    )
+    assert opens[0] in list(ast.walk(read_bytes))

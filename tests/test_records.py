@@ -26,6 +26,7 @@ from rac import (
     crra_utility,
     curvature_from_rho,
     lognormal_moment,
+    make_comparison,
     projected_consumption,
     solve_closed_form_given_rho,
 )
@@ -34,9 +35,11 @@ from rac.errors import (
     InputError,
     NegativeVariance,
     NoConvergence,
+    NonFiniteMoment,
     NonPositiveConsumption,
     NonPositiveValue,
     SchemaError,
+    UtilityOverflow,
 )
 
 SERIES = (1.0, 2.0)
@@ -168,6 +171,16 @@ def test_different_values_compare_unequal():
          "nominal_services_bn must be positive and finite"),
         (lambda: lognormal_moment(1, 0, math.nan), NegativeVariance,
          "sigma2 must be nonnegative"),
+        (lambda: lognormal_moment(1.0, math.nan, 0.0), NonFiniteMoment,
+         "log-normal moment is not finite (exponent nan)"),
+        (lambda: lognormal_moment(1.0, math.inf, 0.0), NonFiniteMoment,
+         "log-normal moment is not finite (exponent inf)"),
+        (lambda: lognormal_moment(1000.0, 1000.0, 0.0), NonFiniteMoment,
+         "log-normal moment is not finite (exponent 1e+06)"),
+        (lambda: make_comparison(math.inf, 1.0, 0.99, 0.9), UtilityOverflow,
+         "certain utility is not finite, got inf"),
+        (lambda: make_comparison(math.nan, 1.0, 0.99, 0.9), UtilityOverflow,
+         "certain utility is not finite, got nan"),
         (lambda: crra_utility(math.nan, UtilitySpec(2.0)), NonPositiveConsumption,
          "consumption must be positive, got nan"),
     ],

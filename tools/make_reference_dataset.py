@@ -59,6 +59,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from rac.calibration import (  # noqa: E402
+    DEFAULT_BETA,
+    RHO_ANCHORS,
     SufficiencyFactors,
     Variant,
     calibrate_variant,
@@ -78,7 +80,6 @@ from rac.utility import UtilitySpec, crra_utility, expected_utility_unconditiona
 
 N_YEARS = 90
 START_YEAR = 1889
-BETA = 0.99
 
 MEAN_X = 1.018
 STD_X = 0.036
@@ -90,9 +91,6 @@ MEAN_RE = 1.0698
 STD_RE = 0.1654
 MEAN_RF = 1.008
 STD_RF = 0.0567
-
-RHO_R = 1.033526
-RHO_P = 1.0089
 
 # Published reference values the final dataset must reproduce through the
 # package's own pipeline (windows narrower than the acceptance tolerances,
@@ -126,15 +124,15 @@ def solve_level_targets(c_proj: float) -> tuple[float, float]:
     (M, V) by the final-year swap. Newton iteration on the 2x2 system.
     """
     e_r = (PUB["uncertain_equity_realized"] / PUB["zeta_realized"]
-           + PUB["uncertain_riskfree_realized"] / PUB["xi_realized"]) / (2.0 * BETA)
+           + PUB["uncertain_riskfree_realized"] / PUB["xi_realized"]) / (2.0 * DEFAULT_BETA)
     e_p = (PUB["uncertain_equity_projected"] / PUB["zeta_projected"]
-           + PUB["uncertain_riskfree_projected"] / PUB["xi_projected"]) / (2.0 * BETA)
+           + PUB["uncertain_riskfree_projected"] / PUB["xi_projected"]) / (2.0 * DEFAULT_BETA)
 
     delta = math.log(C_1978) - math.log(c_proj)
     l_last = math.log(C_1978)
     n = N_YEARS
-    a_r = 1.0 - RHO_R
-    a_p = 1.0 - RHO_P
+    a_r = 1.0 - RHO_ANCHORS[Variant.REALIZED]
+    a_p = 1.0 - RHO_ANCHORS[Variant.PROJECTED]
 
     def expected(a: float, m: float, v: float) -> float:
         return math.expm1(a * m + 0.5 * a * a * v) / a
@@ -319,12 +317,12 @@ def verify_and_freeze(dataset_path: Path, projection_path: Path) -> dict:
         gap = consistency_gap(m)
         if not 1e-8 <= abs(gap) <= 1e-4:
             raise SystemExit(f"{name}: consistency gap {gap:.3e} outside window")
-        calib = calibrate_variant(m, BETA, variant)
+        calib = calibrate_variant(m, DEFAULT_BETA, variant)
         spec = UtilitySpec(rho=calib.rho)
         expected_u = expected_utility_unconditional(m, spec)
         certain = crra_utility(dv.consumption[-2], spec)
-        unc_equity = BETA * calib.factors.zeta * expected_u
-        unc_riskfree = BETA * calib.factors.xi * expected_u
+        unc_equity = DEFAULT_BETA * calib.factors.zeta * expected_u
+        unc_riskfree = DEFAULT_BETA * calib.factors.xi * expected_u
 
         windows = [
             ("zeta", calib.factors.zeta, PUB[f"zeta_{name}"], factor_tol[name]),
@@ -338,8 +336,7 @@ def verify_and_freeze(dataset_path: Path, projection_path: Path) -> dict:
                 raise SystemExit(f"{name}: {label} = {got!r}, want {want} +- {tol}")
 
         pub_triple = SufficiencyFactors(PUB[f"zeta_{name}"], PUB[f"xi_{name}"])
-        pub_rho = RHO_R if name == "realized" else RHO_P
-        res = system_residuals(pub_triple, pub_rho, BETA, m)
+        res = system_residuals(pub_triple, RHO_ANCHORS[variant], DEFAULT_BETA, m)
         if np.abs(res).max() > 1e-3:
             raise SystemExit(f"{name}: published-triple residuals {res} too large")
 
@@ -348,7 +345,7 @@ def verify_and_freeze(dataset_path: Path, projection_path: Path) -> dict:
             (calib.factors.xi, "Not enough risk-loving"),
         ):
             cmp, att = classify_pipeline(
-                dv, eta, calib.rho, BETA, DefinitionGroup.TWO, moments=m
+                dv, eta, calib.rho, DEFAULT_BETA, DefinitionGroup.TWO, moments=m
             )
             if att.label.value != want_label:
                 raise SystemExit(f"{name}: eta={eta} gave {att.label.value!r}")
