@@ -14,7 +14,8 @@ that order is the one reported, so an input problem always wins.
 main may run many times in one process. The parser is built once. One
 series is kept, the bundled one or a user one: a user dataset is parsed once
 per file content (see _Series), and the kept series keeps its variants (see
-_build_variants).
+_build_variants). A repeat read compares the file with the kept bytes as it
+is read, so an unchanged file is not copied.
 """
 
 from __future__ import annotations
@@ -156,7 +157,9 @@ class _Series:
 
     A named file is still read on every call, so an edit, a deleted file or
     a decode error shows at once; a path, an mtime or a hash could match
-    changed content. Equal bytes decode to equal text, so a hit neither
+    changed content. The read compares the file with the kept bytes as it
+    goes and returns those same bytes when they match, so an unchanged file
+    is not copied. Equal bytes decode to equal text, so a hit neither
     decodes nor parses; bytes that differ only in line ends or a byte order
     mark are parsed afresh. The bundled file, package data, is not read
     again; a process that alternates it and a user file parses the user file
@@ -172,8 +175,9 @@ class _Series:
     def read(self, path: str | None) -> tuple[ds.MarketDataset, dict]:
         """The series in the file at `path`, or the bundled one for None, and
         the variants kept for it."""
-        data = None if path is None else _read("dataset", path, ds.read_bytes)
-        if self.series is None or data != self.data:  # the empty slot's key is None too
+        read = functools.partial(ds.read_bytes, kept=self.data)  # a hit returns self.data itself
+        data = None if path is None else _read("dataset", path, read)
+        if self.series is None or data is not self.data:  # the empty slot's key is None too
             self.cache_clear()  # the old series goes before the new one is parsed
             self.series = (ds.load_bundled_dataset() if data is None
                            else ds.load_dataset(io.BytesIO(data)))  # shares `data`, copies nothing

@@ -87,11 +87,27 @@ class ProjectionInputs(namedtuple("ProjectionInputs", _PROJECTION_FIELDS)):
         return p
 
 
-def read_bytes(path) -> bytes:
+_CHUNK = 256 * 1024  # how much of a file read_bytes compares with `kept` per read
+
+
+def read_bytes(path, kept: bytes | None = None) -> bytes:
     """The bytes of the file at `path` (a string or os.PathLike). Raises
-    OSError for a path that cannot be opened or read."""
+    OSError for a path that cannot be opened or read.
+
+    With `kept`, the file is compared with it as it is read, one _CHUNK at
+    a time into one reused buffer, and `kept` itself is returned when the
+    file holds exactly those bytes: an unchanged file is never copied.
+    """
     with open(path, "rb") as fh:
-        return fh.read()
+        if kept is None:
+            return fh.read()
+        view = memoryview(bytearray(_CHUNK))
+        at = 0
+        while n := fh.readinto(view):
+            if not kept.startswith(view[:n], at):  # compares in place, copies nothing
+                return b"".join((kept[:at], view[:n], fh.read()))
+            at += n
+        return kept if at == len(kept) else kept[:at]
 
 
 def read_text(source) -> str:

@@ -1061,6 +1061,28 @@ def test_a_hit_neither_decodes_nor_parses(capsys, monkeypatch, bundled_copy):
     assert kept[0] == 0
 
 
+def test_a_hit_does_not_copy_the_file(capsys, tmp_path):
+    # a hit compares the file with the kept bytes chunk by chunk: its memory
+    # peak is one chunk and the report, not the file's size
+    import tracemalloc
+
+    path = tmp_path / "long.csv"
+    path.write_text(HEADER + "\n" + "".join(
+        f"{1000 + i},{100 + i % 7:.15f},1.050000000000000,1.010000000000000\n"
+        for i in range(50_000)))
+    assert path.stat().st_size > 2 * 2**20  # twice the bound below
+    argv = ["ingest", "--dataset", str(path), "--format", "json"]
+    kept = run(capsys, *argv)
+    tracemalloc.start()
+    try:
+        hit = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hit == kept and kept[0] == 0
+    assert peak < 2**20
+
+
 def test_no_error_is_kept(capsys, tmp_path):
     # a series whose moments are not finite fails on every call, not only the first
     path = tmp_path / "wide.csv"
@@ -1153,9 +1175,10 @@ def test_user_files_read_on_every_call(capsys, monkeypatch, tmp_path, bundled_co
 
 # -- start-up -----------------------------------------------------------------
 
-def test_cli_import_leaves_numpy_out(tmp_path):
+def test_cli_import_leaves_numpy_out(tmp_path, bundled_copy):
     # a cold command pays only for what it uses: no numpy, no dataclasses
-    # (which loads inspect, ast and dis), and json only for JSON I/O
+    # (which loads inspect, ast and dis), and json only for JSON I/O; a kept
+    # user series is checked against its file without mmap
     src = Path(__file__).resolve().parents[1] / "src"
     probe = subprocess.run(
         [
@@ -1165,7 +1188,11 @@ def test_cli_import_leaves_numpy_out(tmp_path):
             "print(sorted({'numpy', 'dataclasses', 'inspect', 'json'} & set(sys.modules)))\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    code = rac.cli.main(['ingest'])\n"
-            "print(code, 'json' in sys.modules)",
+            "print(code, 'json' in sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [rac.cli.main(['ingest', '--dataset', {str(bundled_copy)!r}])\n"
+            "             for _ in range(2)]\n"
+            "print(codes, 'mmap' in sys.modules)",
         ],
         env=dict(os.environ, PYTHONPATH=str(src)),
         cwd=tmp_path,
@@ -1173,7 +1200,8 @@ def test_cli_import_leaves_numpy_out(tmp_path):
         text=True,
         timeout=60,
     )
-    assert (probe.returncode, probe.stdout, probe.stderr) == (0, "[]\n0 False\n", "")
+    assert (probe.returncode, probe.stdout, probe.stderr) == (
+        0, "[]\n0 False\n[0, 0] False\n", "")
 
 
 def test_cli_import_leaves_pathlib_out(tmp_path):

@@ -2,9 +2,10 @@
 
 import io
 import math
+import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rac import (
@@ -17,6 +18,7 @@ from rac import (
     projected_consumption,
     with_final_consumption,
 )
+from rac.dataset import _CHUNK, read_bytes
 from rac.errors import InputError, MissingYear, NonPositiveValue, SchemaError
 
 from conftest import HEADER, PROJECTION_HEADER, serialize_dataset
@@ -465,3 +467,66 @@ def test_with_final_consumption_changes_exactly_one_number(bundled):
         new = getattr(swapped, series)
         changed += sum(1 for a, b in zip(old, new) if a != b)
     assert changed == 1
+
+
+# -- read_bytes against kept bytes --------------------------------------------
+
+# seeded bytes without a short period, so a chunk compared at the wrong offset
+# does not match by chance
+_NOISE = random.Random(0).randbytes(3 * _CHUNK + 1)
+
+
+def _check_read_against(path, kept, content):
+    """read_bytes(path, kept) with `content` in the file: the plain read's
+    bytes, and `kept` itself exactly when the file holds those bytes."""
+    path.write_bytes(content)
+    got = read_bytes(path, kept)
+    assert got == read_bytes(path) == content
+    assert (got is kept) is (content == kept)
+
+
+def _flip(data, at):
+    return data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
+
+
+@pytest.mark.parametrize("case", [
+    "equal", "at-byte-0", "last-of-chunk", "at-chunk-edge", "in-last-partial-chunk",
+    "strict-prefix", "prefix-at-chunk-edge", "longer", "empty",
+])
+def test_read_bytes_against_kept(tmp_path, case):
+    kept = _NOISE[:2 * _CHUNK + 1000]
+    content = {
+        "equal": kept,
+        "at-byte-0": _flip(kept, 0),
+        "last-of-chunk": _flip(kept, _CHUNK - 1),
+        "at-chunk-edge": _flip(kept, _CHUNK),
+        "in-last-partial-chunk": _flip(kept, len(kept) - 1),
+        "strict-prefix": kept[:-1],
+        "prefix-at-chunk-edge": kept[:_CHUNK],
+        "longer": kept + b"\n",
+        "empty": b"",
+    }[case]
+    _check_read_against(tmp_path / "file.bin", kept, content)
+
+
+def test_read_bytes_against_empty_kept(tmp_path):
+    _check_read_against(tmp_path / "file.bin", b"", b"")
+    _check_read_against(tmp_path / "file.bin", b"", b"x")
+
+
+_LENGTHS = st.one_of(
+    st.integers(0, 3 * _CHUNK),
+    st.sampled_from([k * _CHUNK + d for k in range(1, 4) for d in (-1, 0, 1)]),
+)
+
+
+@given(kept_len=_LENGTHS, file_len=_LENGTHS, flip=st.none() | st.floats(0, 1, exclude_max=True))
+@example(kept_len=_CHUNK, file_len=_CHUNK, flip=None)
+@example(kept_len=3 * _CHUNK, file_len=3 * _CHUNK, flip=2 / 3)
+def test_read_bytes_against_kept_property(tmp_path_factory, kept_len, file_len, flip):
+    # kept and file share a prefix; the file may also differ in one byte
+    content = _NOISE[:file_len]
+    if flip is not None and content:
+        content = _flip(content, int(flip * file_len))
+    path = tmp_path_factory.getbasetemp() / "read_bytes_property.bin"
+    _check_read_against(path, _NOISE[:kept_len], content)
