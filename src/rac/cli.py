@@ -11,6 +11,11 @@ A run goes in phases: it reads every input, then computes every variant's
 moments, then calibrates each variant, then classifies. The first error in
 that order is the one reported, so an input problem always wins.
 
+main(argv) reads sys.argv[1:] when argv is None. When the first word is a
+command, the command's own parser parses the rest, so each word is parsed
+once; the whole parser parses them again only to print help or a usage
+error, which it words as it always has.
+
 main may run many times in one process. The parser is built once. One
 series is kept, the bundled one or a user one: a user dataset is parsed once
 per file content (see _Series), and the kept series keeps its variants (see
@@ -300,6 +305,7 @@ def make_parser() -> argparse.ArgumentParser:
         "from an annual consumption/returns dataset.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # {name: its parser}; main hands a command's words to it
     # ingest reads the realized dataset only, so it takes no --projection or
     # --variant; config keys are shared, and each command uses those it reads
     for name, fn in (("ingest", cmd_ingest), ("calibrate", cmd_calibrate), ("classify", cmd_classify)):
@@ -311,7 +317,15 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = make_parser().parse_args(argv)
+    """Run one command; argv defaults to sys.argv[1:]. A command's words go to
+    its own parser; the whole parser runs only for help and usage errors."""
+    argv = sys.argv[1:] if argv is None else argv
+    parser = make_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:  # the whole parser hands every word after a command to it
+        args, left = command.parse_known_args(argv[1:])
+    if command is None or left:  # help, or a usage error worded by the whole parser
+        args = parser.parse_args(argv)
     try:
         cfg = build_config(args)
         report = args.func(cfg)

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from rac import dataset as ds
 from rac import errors, load_bundled_dataset, parse_csv, parse_json
-from rac.cli import ENV_DATASET, main
+from rac.cli import ENV_DATASET, main, make_parser
 
 from conftest import HEADER, PROJECTION_HEADER, serialize_dataset
 
@@ -915,6 +916,104 @@ def test_main_on_any_flags_exits_cleanly(argv):
             json.loads(out, parse_constant=_no_constant)
 
 
+# -- one parse per command --------------------------------------------------
+
+def _outcome(argv):
+    """main(argv): its return value or SystemExit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = ("return", main(list(argv)))
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+@contextlib.contextmanager
+def _whole_parser():
+    """main with no command to hand words to: make_parser().parse_args(argv)
+    parses every call, and the same command body runs."""
+    parser = make_parser()
+    commands, parser.commands = parser.commands, {}
+    try:
+        yield
+    finally:
+        parser.commands = commands
+
+
+# words that send main to the whole parser (help, no or an unknown command, an
+# unknown option, a stray word or "--"), and prefixes of options
+_STRAY_WORDS = [("-h",), ("--help",), ("--he",), ("--",), ("bogus",), ("Classify",), ("-x",),
+                ("--bogus",), ("extra",), ("classify",), ("ingest",), ("-",), ("-1",),
+                ("--r", "2"), ("--proj", "x"), ("--conf", "x")]
+
+
+def _insert(argv, inserts):
+    for at, words in inserts:
+        argv[at:at] = words
+    return argv
+
+
+_ANY_ARGV = st.one_of(
+    st.just([]),
+    _ARGV,
+    st.builds(_insert, _ARGV, st.lists(st.tuples(st.integers(0, 11), st.sampled_from(_STRAY_WORDS)),
+                                       min_size=1, max_size=3)),
+)
+# where the two parses could part: no or a wrong first word, words left over,
+# "--", prefixes, values that look like options, missing values, repeats
+_EDGE_ARGV = [
+    [], ["-h"], ["--help"], ["--he"], ["bogus"], ["Classify"], ["--bogus"], ["--bogus", "classify"],
+    ["-x"], ["-"], ["--"], ["--", "classify"], ["--rho", "2", "classify"],
+    ["classify", "-h"], ["ingest", "--help"], ["calibrate", "--he"],
+    ["classify", "extra"], ["classify", "--rho", "2", "extra"], ["classify", "calibrate"],
+    ["classify", "--"], ["classify", "--", "--rho", "2"], ["classify", "-1"], ["classify", "-x"],
+    ["classify", "-"], ["classify", "--r", "2"], ["calibrate", "--proj", "x"],
+    ["calibrate", "--rho=-1e-3"], ["classify", "--eta", "-inf"], ["classify", "--rho"],
+    ["classify", "--format"], ["classify", "--group", "three"], ["ingest", "--variant", "both"],
+    ["classify", "--bogus", "--group", "three"], ["classify", "--conf", "x"],
+    ["classify", "--rho", "2", "--rho", "3"], ["classify", "--format", "json", "--format", "csv"],
+    ["classify", "--bogus"],
+]
+
+
+def _with_edge_examples(test):
+    for argv in reversed(_EDGE_ARGV):
+        test = example(argv=argv)(test)
+    return test
+
+
+@settings(max_examples=300)
+@given(argv=_ANY_ARGV)
+@_with_edge_examples
+def test_main_matches_the_whole_parser(argv):
+    # handing a command's words to its own parser changes no exit code and no
+    # byte of stdout or stderr; this fails if an argparse release passes "--"
+    # or leftover words to a subparser otherwise
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        got = _outcome(argv)
+        with _whole_parser():
+            want = _outcome(argv)
+    assert got == want
+
+
+@pytest.mark.parametrize("argv", [["classify", "--bogus"], ["--help"], ["ingest", "--format", "csv"]])
+def test_cold_entry_point_reads_sys_argv(monkeypatch, tmp_path, argv):
+    # python -m rac.cli calls main() with no argv, so it reads sys.argv[1:]
+    monkeypatch.setenv("COLUMNS", "80")
+    src = Path(__file__).resolve().parents[1] / "src"
+    cold = subprocess.run(
+        [sys.executable, "-m", "rac.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    (_, code), out, err = _outcome(argv)
+    assert (cold.returncode, cold.stdout, cold.stderr) == (code, out, err)
+
+
 # -- determinism --------------------------------------------------------------
 
 def test_classify_runs_byte_identical(capsys):
@@ -980,6 +1079,29 @@ def test_warm_main_matches_cold(capsys, tmp_path, bundled_copy):
     assert {code for code, _, _ in cold} == {0, 2}
     assert cold[-1] == cold[_WARM_GRID.index(["classify", "--variant", "both", "--format",
                                               "json", "--group", "two"])]
+
+
+def test_a_command_parses_its_words_once(capsys, monkeypatch):
+    # on every grid point the whole parser is never called; words a command
+    # does not take still reach it, and it reports them under its usage line
+    monkeypatch.setenv("COLUMNS", "80")
+    before = [run(capsys, *argv) for argv in _WARM_GRID]
+    parser = make_parser()
+    calls = []
+    monkeypatch.setattr(parser, "parse_args",
+                        lambda argv, _fn=parser.parse_args: calls.append(argv) or _fn(argv))
+    assert _outcome(["classify", "--bogus"]) == (
+        ("SystemExit", 1), "",
+        "usage: rac [-h] {ingest,calibrate,classify} ...\n"
+        "rac: error: unrecognized arguments: --bogus\n")
+    assert calls == [["classify", "--bogus"]]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the whole parser parsed a command's words")
+
+    for name in ("parse_args", "parse_known_args"):
+        monkeypatch.setattr(parser, name, refuse)
+    assert [run(capsys, *argv) for argv in _WARM_GRID] == before
 
 
 @pytest.mark.parametrize("fault", ["deleted", "invalid", "not-utf8"])

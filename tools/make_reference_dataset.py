@@ -43,6 +43,8 @@ least-squares solution depends on the scipy and numpy versions: scipy
 1.17.1 with numpy 2.4.6 moves the rounded 1927 cell from 1599.74 to 1599.75
 and the 1969 cell from 2995.18 to 2995.19, and rewrites the frozen
 reference to match, so the bundled files are not reproduced bit for bit.
+generate() builds both CSV texts without writing them; with RAC_REGENERATE=1,
+tests/test_generator.py compares them with the bundled files, cell by cell.
 """
 
 from __future__ import annotations
@@ -262,12 +264,11 @@ def solve_levels(
     return levels
 
 
-def build_levels(c_proj: float) -> tuple[np.ndarray, float, float]:
+def build_levels(c_proj: float) -> np.ndarray:
     """Back-solve the level targets, then solve the path against them."""
     base = base_levels()
     m_t, v_t = solve_level_targets(c_proj)
-    levels = solve_levels(base, base[:-2].copy(), m_t, v_t)
-    return levels, m_t, v_t
+    return solve_levels(base, base[:-2].copy(), m_t, v_t)
 
 
 def return_series(rng: np.random.Generator, mean: float, std: float) -> np.ndarray:
@@ -412,9 +413,9 @@ def emit_frozen(frozen: dict, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def main() -> None:
-    c_proj = projected_consumption(*PROJECTION_ROW)
-    levels, m_target, v_target = build_levels(c_proj)
+def generate() -> tuple[str, str]:
+    """The dataset CSV and the projection CSV text, built afresh; writes nothing."""
+    levels = build_levels(projected_consumption(*PROJECTION_ROW))
     consumption = np.round(np.exp(levels), 2)
     assert consumption[-2] == C_1977 and consumption[-1] == C_1978
     assert consumption.min() > 0
@@ -422,16 +423,19 @@ def main() -> None:
     rng = np.random.default_rng(19781889)
     equity = return_series(rng, MEAN_RE, STD_RE)
     riskfree = return_series(rng, MEAN_RF, STD_RF)
+    years = range(START_YEAR, START_YEAR + N_YEARS)
+    return (format_dataset_csv(years, consumption, equity, riskfree),
+            format_projection_csv(PROJECTION_ROW))
 
+
+def main() -> None:
+    dataset_csv, projection_csv = generate()
     data_dir = ROOT / "src" / "rac" / "data"
     data_dir.mkdir(parents=True, exist_ok=True)
     dataset_path = data_dir / "mehra_prescott_1889_1978.csv"
-    years = range(START_YEAR, START_YEAR + N_YEARS)
-    dataset_path.write_text(
-        format_dataset_csv(years, consumption, equity, riskfree), encoding="utf-8"
-    )
+    dataset_path.write_text(dataset_csv, encoding="utf-8")
     projection_path = data_dir / "projection_1978.csv"
-    projection_path.write_text(format_projection_csv(PROJECTION_ROW), encoding="utf-8")
+    projection_path.write_text(projection_csv, encoding="utf-8")
 
     frozen = verify_and_freeze(dataset_path, projection_path)
     emit_frozen(frozen, ROOT / "tests" / "_frozen_reference.py")
@@ -439,7 +443,6 @@ def main() -> None:
     print(f"wrote {dataset_path.relative_to(ROOT)} ({N_YEARS} rows)")
     print(f"wrote {projection_path.relative_to(ROOT)}")
     print("wrote tests/_frozen_reference.py")
-    print(f"level targets M {m_target!r} V {v_target!r}")
     for name in ("realized", "projected"):
         blk = frozen[name]
         print(
