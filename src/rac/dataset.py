@@ -262,11 +262,15 @@ def projected_consumption(
 
     The four arguments are checked as a ProjectionInputs, the rule every
     projection file meets: each must be positive and finite, or
-    NonPositiveValue names the first that is not.
+    NonPositiveValue names the first that is not. So is a result that is
+    not (inf or 0), with the message with_final_consumption gives it.
     """
     ProjectionInputs(nominal_nondurables_bn, nominal_services_bn, gnp_deflator, population)
     nominal_total = (nominal_nondurables_bn + nominal_services_bn) * 1e9
-    return nominal_total / (gnp_deflator / 100.0) / population
+    c = nominal_total / (gnp_deflator / 100.0) / population
+    if not 0.0 < c < math.inf:
+        raise NonPositiveValue("annual series values must be positive and finite")
+    return c
 
 
 def with_final_consumption(d: MarketDataset, value: float) -> MarketDataset:
@@ -275,8 +279,7 @@ def with_final_consumption(d: MarketDataset, value: float) -> MarketDataset:
     Everything else (returns, span, all earlier consumption) is untouched.
     Used to swap the realized final year for a projected one. Only `value`
     is checked, since `d` was checked when it was built: one that is not
-    positive and finite (a projection that overflowed to inf or underflowed
-    to 0) raises NonPositiveValue.
+    positive and finite raises NonPositiveValue.
     """
     value = float(value)
     if not 0.0 < value < math.inf:

@@ -34,12 +34,14 @@ def crra_utility(c: float, spec: UtilitySpec) -> float:
     """u(c) = (c^(1-rho) - 1)/(1-rho) under `spec`, equal to ln(c) at rho = 1.
 
     Computed as expm1((1-rho) ln c)/(1-rho), which stays accurate arbitrarily
-    close to the log limit.
+    close to the log limit. c = inf at rho <= 1 raises UtilityOverflow.
     """
     if not c > 0:
         raise NonPositiveConsumption(f"consumption must be positive, got {c}")
     a = 1.0 - spec.rho
     if a == 0.0:
+        if c == math.inf:
+            raise UtilityOverflow("utility leaves the floating-point range (ln c = inf at rho = 1)")
         return math.log(c)
     return _expm1_over(a, a * math.log(c))
 
@@ -57,13 +59,16 @@ def expected_utility_unconditional(m: SampleMoments, spec: UtilitySpec) -> float
 
 
 def _expm1_over(a: float, x: float) -> float:
-    """expm1(x)/a, with an x too large to exponentiate as UtilityOverflow."""
+    """expm1(x)/a, with a result that is not finite as UtilityOverflow."""
     try:
-        return math.expm1(x) / a
+        u = math.expm1(x) / a
     except OverflowError:
+        u = math.inf
+    if not math.isfinite(u):
         raise UtilityOverflow(
             f"utility leaves the floating-point range (exponent {x:.6g} at 1 - rho = {a:g})"
-        ) from None
+        )
+    return u
 
 
 def check_eta(eta: float) -> float:

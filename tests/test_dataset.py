@@ -440,6 +440,13 @@ def test_load_projection_extra_row():
         load_projection(io.StringIO(text))
 
 
+def test_load_projection_non_numeric_cell():
+    text = f"{PROJECTION_HEADER}\n1,2,x,4\n"
+    with pytest.raises(SchemaError) as info:
+        load_projection(io.StringIO(text))
+    assert str(info.value) == "non-numeric cell (could not convert string to float: 'x')"
+
+
 # -- final-year replacement ---------------------------------------------------
 
 def test_with_final_consumption_reference(bundled):

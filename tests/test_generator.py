@@ -1,16 +1,15 @@
 """The dataset generator still checks out against the frozen reference.
 
 tools/make_reference_dataset.py recomputes every published-value window
-through the package. Running its verify_and_freeze on the two bundled files
-(it only reads them) keeps a change to the package's API from silently
-breaking the generator. Its two CSV writers must reproduce the bundled
-files byte for byte from the values they hold. With RAC_REGENERATE=1 the
-generator also builds both files afresh, in memory, and each cell must be
-within one cent of the bundled one.
+through the package. Running its verify_and_freeze on the texts of the two
+bundled files keeps a change to the package's API from silently breaking
+the generator. Its three writers must reproduce the bundled files and the
+frozen reference byte for byte from the values they hold. The generator
+also builds both files afresh, in memory, and each cell must be within one
+cent of the bundled one; a failed verification writes no file.
 """
 
 import math
-import os
 import runpy
 from pathlib import Path
 
@@ -40,7 +39,8 @@ def tool():
 
 def test_generator_reproduces_frozen_reference(tool):
     frozen = tool["verify_and_freeze"](
-        DATA / "mehra_prescott_1889_1978.csv", DATA / "projection_1978.csv"
+        (DATA / "mehra_prescott_1889_1978.csv").read_text(encoding="utf-8"),
+        (DATA / "projection_1978.csv").read_text(encoding="utf-8"),
     )
     assert frozen.keys() == {"projected_consumption", *FROZEN}
     assert math.isclose(frozen["projected_consumption"], PROJECTED_CONSUMPTION, rel_tol=1e-9)
@@ -61,8 +61,27 @@ def test_generator_writers_reproduce_bundled_files(tool):
     assert projection_csv.encode("utf-8") == (DATA / "projection_1978.csv").read_bytes()
 
 
-@pytest.mark.skipif(os.environ.get("RAC_REGENERATE") != "1",
-                    reason="set RAC_REGENERATE=1 to regenerate the bundled files in memory")
+def test_generator_writer_reproduces_frozen_reference(tool, tmp_path):
+    path = tmp_path / "_frozen_reference.py"
+    tool["emit_frozen"]({"projected_consumption": PROJECTED_CONSUMPTION, **FROZEN}, path)
+    assert path.read_bytes() == (ROOT / "tests" / "_frozen_reference.py").read_bytes()
+
+
+def test_generator_writes_nothing_when_verification_fails(tool, tmp_path, monkeypatch):
+    # main() verifies the texts in memory before it writes any of the files
+    bundled = (DATA / "mehra_prescott_1889_1978.csv").read_text(encoding="utf-8")
+    corrupted = bundled.replace("\n1889,746.10,", "\n1889,9746.10,")
+    assert corrupted != bundled
+    projection = (DATA / "projection_1978.csv").read_text(encoding="utf-8")
+    main = tool["main"]
+    monkeypatch.setitem(main.__globals__, "ROOT", tmp_path)
+    monkeypatch.setitem(main.__globals__, "generate", lambda: (corrupted, projection))
+    with pytest.raises(SystemExit) as info:
+        main()
+    assert str(info.value) == "realized: consistency gap -1.764e-02 outside window"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_generator_regenerates_bundled_files(tool):
     # the least-squares fit depends on the scipy and numpy versions, so the
     # cells may drift; the bundled files are never rewritten to follow them

@@ -25,6 +25,7 @@ from rac import (
     Variant,
     crra_utility,
     curvature_from_rho,
+    expected_utility_unconditional,
     lognormal_moment,
     make_comparison,
     projected_consumption,
@@ -169,6 +170,11 @@ def test_different_values_compare_unequal():
          "gnp_deflator must be positive and finite"),
         (lambda: projected_consumption(1, 0, 100, math.nan), NonPositiveValue,
          "nominal_services_bn must be positive and finite"),
+        # inputs the projection accepts, with a result that overflows or underflows
+        (lambda: projected_consumption(1e308, 1e308, 100, 1), NonPositiveValue,
+         "annual series values must be positive and finite"),
+        (lambda: projected_consumption(1e-300, 1e-300, 1e300, 1e300), NonPositiveValue,
+         "annual series values must be positive and finite"),
         (lambda: lognormal_moment(1, 0, math.nan), NegativeVariance,
          "sigma2 must be nonnegative"),
         (lambda: lognormal_moment(1.0, math.nan, 0.0), NonFiniteMoment,
@@ -183,6 +189,19 @@ def test_different_values_compare_unequal():
          "certain utility is not finite, got nan"),
         (lambda: crra_utility(math.nan, UtilitySpec(2.0)), NonPositiveConsumption,
          "consumption must be positive, got nan"),
+        # math.expm1 returns inf or nan for an inf or nan exponent without raising
+        (lambda: crra_utility(math.inf, UtilitySpec(0.5)), UtilityOverflow,
+         "utility leaves the floating-point range (exponent inf at 1 - rho = 0.5)"),
+        (lambda: crra_utility(math.inf, UtilitySpec(0.0)), UtilityOverflow,
+         "utility leaves the floating-point range (exponent inf at 1 - rho = 1)"),
+        (lambda: crra_utility(math.inf, UtilitySpec(1.0)), UtilityOverflow,
+         "utility leaves the floating-point range (ln c = inf at rho = 1)"),
+        (lambda: expected_utility_unconditional(
+            SampleMoments(0.01, 0.001, 1.01, 1.07, 1.008, 1e308, 1e308), UtilitySpec(60)),
+         UtilityOverflow, "utility leaves the floating-point range (exponent nan at 1 - rho = -59)"),
+        (lambda: expected_utility_unconditional(
+            SampleMoments(0.01, 0.001, 1.01, 1.07, 1.008, 7.0, 1e308), UtilitySpec(60)),
+         UtilityOverflow, "utility leaves the floating-point range (exponent inf at 1 - rho = -59)"),
     ],
 )
 def test_validation_keeps_error_type_and_message(build, error, message):

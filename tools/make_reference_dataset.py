@@ -38,13 +38,15 @@ Outputs:
     tests/_frozen_reference.py   (exact post-rounding statistics)
 
 Run from the repository root: python3 tools/make_reference_dataset.py
-Requires scipy (dev extra). Fixed RNG seeds throughout, but the
-least-squares solution depends on the scipy and numpy versions: scipy
-1.17.1 with numpy 2.4.6 moves the rounded 1927 cell from 1599.74 to 1599.75
-and the 1969 cell from 2995.18 to 2995.19, and rewrites the frozen
-reference to match, so the bundled files are not reproduced bit for bit.
-generate() builds both CSV texts without writing them; with RAC_REGENERATE=1,
-tests/test_generator.py compares them with the bundled files, cell by cell.
+Requires scipy (dev extra). main() generates both CSV texts in memory,
+verifies them through the package, and only then writes the three files,
+so a failed verification leaves every file as it was. Fixed RNG seeds
+throughout, but the least-squares solution depends on the scipy and numpy
+versions: scipy 1.17.1 with numpy 2.4.6 moves the rounded 1927 cell from
+1599.74 to 1599.75 and the 1969 cell from 2995.18 to 2995.19. Never run
+this tool to follow such drift: the bundled files and the frozen reference
+stay as shipped, and tests/test_generator.py checks that every cell
+generate() builds is within one cent of the bundled one.
 """
 
 from __future__ import annotations
@@ -78,7 +80,6 @@ from rac.dataset import (  # noqa: E402
     with_final_consumption,
 )
 from rac.moments import compute_moments, consistency_gap  # noqa: E402
-from rac.utility import UtilitySpec, crra_utility, expected_utility_unconditional  # noqa: E402
 
 N_YEARS = 90
 START_YEAR = 1889
@@ -264,13 +265,6 @@ def solve_levels(
     return levels
 
 
-def build_levels(c_proj: float) -> np.ndarray:
-    """Back-solve the level targets, then solve the path against them."""
-    base = base_levels()
-    m_t, v_t = solve_level_targets(c_proj)
-    return solve_levels(base, base[:-2].copy(), m_t, v_t)
-
-
 def return_series(rng: np.random.Generator, mean: float, std: float) -> np.ndarray:
     """90 gross returns, 6-decimal values, sample mean on target."""
     draws = rng.normal(size=N_YEARS)
@@ -294,11 +288,11 @@ def format_projection_csv(row) -> str:
     return ",".join(_PROJECTION_HEADER) + "\n" + ",".join(map(str, row)) + "\n"
 
 
-def verify_and_freeze(dataset_path: Path, projection_path: Path) -> dict:
-    """Recompute every published-value window through the package itself."""
-    d = load_dataset(dataset_path)
-    proj_inputs = load_projection(projection_path)
-    c_projected = projected_consumption(*proj_inputs)
+def verify_and_freeze(dataset_csv: str, projection_csv: str) -> dict:
+    """Recompute every published-value window through the package itself,
+    from the dataset and projection CSV texts."""
+    d = load_dataset(io.StringIO(dataset_csv))
+    c_projected = projected_consumption(*load_projection(io.StringIO(projection_csv)))
     d_proj = with_final_consumption(d, c_projected)
 
     assert len(d.consumption) == N_YEARS and d.start_year == START_YEAR
@@ -319,18 +313,19 @@ def verify_and_freeze(dataset_path: Path, projection_path: Path) -> dict:
         if not 1e-8 <= abs(gap) <= 1e-4:
             raise SystemExit(f"{name}: consistency gap {gap:.3e} outside window")
         calib = calibrate_variant(m, DEFAULT_BETA, variant)
-        spec = UtilitySpec(rho=calib.rho)
-        expected_u = expected_utility_unconditional(m, spec)
-        certain = crra_utility(dv.consumption[-2], spec)
-        unc_equity = DEFAULT_BETA * calib.factors.zeta * expected_u
-        unc_riskfree = DEFAULT_BETA * calib.factors.xi * expected_u
+        # one comparison per factor: (zeta, equity) and (xi, riskfree)
+        pipelines = [
+            classify_pipeline(dv, eta, calib.rho, DEFAULT_BETA, DefinitionGroup.TWO, moments=m)
+            for eta in calib.factors
+        ]
+        (equity, _), (riskfree, _) = pipelines
 
         windows = [
             ("zeta", calib.factors.zeta, PUB[f"zeta_{name}"], factor_tol[name]),
             ("xi", calib.factors.xi, PUB[f"xi_{name}"], factor_tol[name]),
-            ("uncertain equity", unc_equity, PUB[f"uncertain_equity_{name}"], 3e-3),
-            ("uncertain riskfree", unc_riskfree, PUB[f"uncertain_riskfree_{name}"], 3e-3),
-            ("certain", certain, PUB[f"certain_{name}"], 1e-5),
+            ("uncertain equity", equity.uncertain, PUB[f"uncertain_equity_{name}"], 3e-3),
+            ("uncertain riskfree", riskfree.uncertain, PUB[f"uncertain_riskfree_{name}"], 3e-3),
+            ("certain", equity.certain, PUB[f"certain_{name}"], 1e-5),
         ]
         for label, got, want, tol in windows:
             if abs(got - want) > tol:
@@ -341,15 +336,9 @@ def verify_and_freeze(dataset_path: Path, projection_path: Path) -> dict:
         if np.abs(res).max() > 1e-3:
             raise SystemExit(f"{name}: published-triple residuals {res} too large")
 
-        for eta, want_label in (
-            (calib.factors.zeta, "Risk-averse"),
-            (calib.factors.xi, "Not enough risk-loving"),
-        ):
-            cmp, att = classify_pipeline(
-                dv, eta, calib.rho, DEFAULT_BETA, DefinitionGroup.TWO, moments=m
-            )
+        for (cmp, att), want_label in zip(pipelines, ("Risk-averse", "Not enough risk-loving")):
             if att.label.value != want_label:
-                raise SystemExit(f"{name}: eta={eta} gave {att.label.value!r}")
+                raise SystemExit(f"{name}: eta={cmp.eta} gave {att.label.value!r}")
             if not cmp.certain > cmp.uncertain + 0.1:
                 raise SystemExit(f"{name}: inequality margin too thin")
 
@@ -357,23 +346,15 @@ def verify_and_freeze(dataset_path: Path, projection_path: Path) -> dict:
             raise SystemExit(f"{name}: residual C {calib.residuals[2]!r} differs from the gap")
 
         frozen[name] = {
-            "moments": {
-                "mu_x": m.mu_x,
-                "sigma2_x": m.sigma2_x,
-                "mean_x": m.mean_x,
-                "mean_Re": m.mean_Re,
-                "mean_Rf": m.mean_Rf,
-                "mu_z": m.mu_z,
-                "sigma2_z": m.sigma2_z,
-            },
+            "moments": m._asdict(),
             "consistency_gap": gap,
             "zeta": calib.factors.zeta,
             "xi": calib.factors.xi,
             "rho": calib.rho,
-            "expected_utility": expected_u,
-            "certain_utility": certain,
-            "uncertain_equity": unc_equity,
-            "uncertain_riskfree": unc_riskfree,
+            "expected_utility": equity.expected_u,
+            "certain_utility": equity.certain,
+            "uncertain_equity": equity.uncertain,
+            "uncertain_riskfree": riskfree.uncertain,
         }
     return frozen
 
@@ -391,23 +372,14 @@ def emit_frozen(frozen: dict, path: Path) -> None:
         "FROZEN = {",
     ]
     for name in ("realized", "projected"):
-        blk = frozen[name]
         lines.append(f'    "{name}": {{')
-        lines.append('        "moments": {')
-        for k, v in blk["moments"].items():
-            lines.append(f'            "{k}": {v!r},')
-        lines.append("        },")
-        for k in (
-            "consistency_gap",
-            "zeta",
-            "xi",
-            "rho",
-            "expected_utility",
-            "certain_utility",
-            "uncertain_equity",
-            "uncertain_riskfree",
-        ):
-            lines.append(f'        "{k}": {blk[k]!r},')
+        for k, v in frozen[name].items():
+            if k == "moments":
+                lines.append('        "moments": {')
+                lines.extend(f'            "{mk}": {mv!r},' for mk, mv in v.items())
+                lines.append("        },")
+            else:
+                lines.append(f'        "{k}": {v!r},')
         lines.append("    },")
     lines.append("}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -415,7 +387,9 @@ def emit_frozen(frozen: dict, path: Path) -> None:
 
 def generate() -> tuple[str, str]:
     """The dataset CSV and the projection CSV text, built afresh; writes nothing."""
-    levels = build_levels(projected_consumption(*PROJECTION_ROW))
+    base = base_levels()
+    m_t, v_t = solve_level_targets(projected_consumption(*PROJECTION_ROW))
+    levels = solve_levels(base, base[:-2].copy(), m_t, v_t)
     consumption = np.round(np.exp(levels), 2)
     assert consumption[-2] == C_1977 and consumption[-1] == C_1978
     assert consumption.min() > 0
@@ -429,19 +403,15 @@ def generate() -> tuple[str, str]:
 
 
 def main() -> None:
-    dataset_csv, projection_csv = generate()
+    """Generate both CSV texts, verify them, and only then write the files."""
+    texts = generate()
+    frozen = verify_and_freeze(*texts)
     data_dir = ROOT / "src" / "rac" / "data"
     data_dir.mkdir(parents=True, exist_ok=True)
-    dataset_path = data_dir / "mehra_prescott_1889_1978.csv"
-    dataset_path.write_text(dataset_csv, encoding="utf-8")
-    projection_path = data_dir / "projection_1978.csv"
-    projection_path.write_text(projection_csv, encoding="utf-8")
-
-    frozen = verify_and_freeze(dataset_path, projection_path)
+    for name, text in zip(("mehra_prescott_1889_1978.csv", "projection_1978.csv"), texts):
+        (data_dir / name).write_text(text, encoding="utf-8")
+        print(f"wrote src/rac/data/{name}")
     emit_frozen(frozen, ROOT / "tests" / "_frozen_reference.py")
-
-    print(f"wrote {dataset_path.relative_to(ROOT)} ({N_YEARS} rows)")
-    print(f"wrote {projection_path.relative_to(ROOT)}")
     print("wrote tests/_frozen_reference.py")
     for name in ("realized", "projected"):
         blk = frozen[name]
