@@ -83,18 +83,19 @@ RHO_ANCHORS: dict[Variant, float] = {
 
 
 class SufficiencyFactors(namedtuple("SufficiencyFactors", "zeta xi")):
-    """Equity factor zeta and risk-free factor xi."""
+    """Equity factor zeta and risk-free factor xi, each positive and finite."""
 
     __slots__ = ()
 
     def __new__(cls, zeta: float, xi: float):
-        if not (zeta > 0 and xi > 0):
-            raise InputError("sufficiency factors must be positive")
+        if not (0 < zeta < math.inf and 0 < xi < math.inf):
+            raise InputError("sufficiency factors must be positive and finite")
         return super().__new__(cls, zeta, xi)
 
 
 class CalibrationResult(namedtuple("CalibrationResult", "factors rho residuals consistency_gap")):
-    """SufficiencyFactors at rho, the (A, B, C) residuals and the consistency gap."""
+    """SufficiencyFactors at rho, the (A, B, C) residuals and the consistency
+    gap; rho, the residuals and the gap must be finite."""
 
     __slots__ = ()
 
@@ -102,6 +103,8 @@ class CalibrationResult(namedtuple("CalibrationResult", "factors rho residuals c
         c = super().__new__(cls, *args, **kwargs)
         if not all(math.isfinite(r) for r in c.residuals):
             raise InputError("residuals must be finite")
+        if not (math.isfinite(c.rho) and math.isfinite(c.consistency_gap)):
+            raise InputError("rho and the consistency gap must be finite")
         return c
 
 

@@ -25,7 +25,7 @@ from enum import Enum
 
 from .calibration import check_rho
 from .dataset import MarketDataset
-from .errors import InputError, InvalidCombination, Unclassifiable
+from .errors import InputError, InvalidCombination, Unclassifiable, UtilityOverflow
 from .moments import SampleMoments, compute_moments
 from .utility import (
     UtilityComparison,
@@ -103,7 +103,8 @@ def classify(
 ) -> RiskAttitude:
     """Map a utility comparison to a risk attitude.
 
-    delta = certain - uncertain. |delta| <= tol is risk-neutral regardless of
+    delta = certain - uncertain must be finite, else UtilityOverflow (after the
+    eta and tol checks). |delta| <= tol is risk-neutral regardless of
     allocation sign (definition 4 or 10). Otherwise a zero allocation
     (eta = 1) matches no definition; the two signs pick a row of _DEFINITIONS
     and the curvature rules of the module docstring accept or reject it.
@@ -111,8 +112,11 @@ def classify(
     delta = cmp.certain - cmp.uncertain
     alloc = _sign_from_eta(cmp.eta)
     one = group is DefinitionGroup.ONE
+    tol = check_tol(tol)
+    if not abs(delta) < float("inf"):  # inf or nan
+        raise UtilityOverflow(f"utility gap certain - uncertain is not finite, got {delta}")
 
-    if abs(delta) <= check_tol(tol):
+    if abs(delta) <= tol:
         return RiskAttitude(Label.RISK_NEUTRAL, group, 4 if one else 10, alloc)
 
     if alloc is AllocationSign.ZERO:

@@ -17,10 +17,10 @@ once; the whole parser parses them again only to print help or a usage
 error, which it words as it always has.
 
 main may run many times in one process. The parser is built once. One
-series is kept, the bundled one or a user one: a user dataset is parsed once
-per file content (see _Series), and the kept series keeps its variants (see
-_build_variants). A repeat read compares the file with the kept bytes as it
-is read, so an unchanged file is not copied.
+series is kept, the bundled one or a user one, with its variants: a user
+dataset is parsed once per file content, and each variant is built once
+while its series is kept (see _Series). A repeat read compares the file with
+the kept bytes as it is read, so an unchanged file is not copied.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from .calibration import check_beta, check_rho
 from .classify import DefinitionGroup, classify_pipeline, check_tol, DEFAULT_TOLERANCE
 from .errors import InputError, RacError, SchemaError
 from .moments import SampleMoments, compute_variant_moments
-from .report import ReportFormat, calibration_report, classification_report, ingest_report
-from .report import report_row
+from .report import INVESTORS, ReportFormat, calibration_report, classification_report
+from .report import ingest_report, report_row
 from .utility import check_eta
 
 ENV_DATASET = "RAC_DATASET"
@@ -158,7 +158,8 @@ _Variant = tuple[Variant, ds.MarketDataset, SampleMoments]
 class _Series:
     """The last dataset read in this process, keyed by its file's bytes, or
     by None for the bundled file, with the variants built from it: {final
-    consumption: (dataset, moments)}, the realized one and at most one other.
+    consumption: (dataset, moments)}, the realized one and the last other
+    one asked for, so each is built once while it is kept.
 
     A named file is still read on every call, so an edit, a deleted file or
     a decode error shows at once; a path, an mtime or a hash could match
@@ -177,54 +178,46 @@ class _Series:
     def cache_clear(self) -> None:
         self.data, self.series, self.variants = None, None, {}
 
-    def read(self, path: str | None) -> tuple[ds.MarketDataset, dict]:
-        """The series in the file at `path`, or the bundled one for None, and
-        the variants kept for it."""
+    def build(self, dataset: str | None, projection: str | None,
+              variants: tuple[Variant, ...]) -> list[_Variant]:
+        """Per variant, in order: the variant, its dataset and its moments.
+
+        A None path is the bundled file. A named projection is read whatever
+        the variants, as every input is; the bundled one only for the
+        projected variant, which a user dataset without --projection takes
+        from it.
+        """
         read = functools.partial(ds.read_bytes, kept=self.data)  # a hit returns self.data itself
-        data = None if path is None else _read("dataset", path, read)
+        data = None if dataset is None else _read("dataset", dataset, read)
         if self.series is None or data is not self.data:  # the empty slot's key is None too
             self.cache_clear()  # the old series goes before the new one is parsed
             self.series = (ds.load_bundled_dataset() if data is None
                            else ds.load_dataset(io.BytesIO(data)))  # shares `data`, copies nothing
             self.data = data
-        return self.series, self.variants
+        d, kept = self.series, self.variants
+        inputs = None if projection is None else _read("projection", projection, ds.load_projection)
+        realized = d.consumption[-1]
+        finals = dict.fromkeys(variants, realized)
+        if Variant.PROJECTED in finals:
+            finals[Variant.PROJECTED] = ds.projected_consumption(*(inputs or ds.load_bundled_projection()))
+        new = [c for c in dict.fromkeys(finals.values()) if c not in kept]
+        if new:
+            datasets = [d if c == realized else ds.with_final_consumption(d, c) for c in new]
+            kept.update(zip(new, zip(datasets, compute_variant_moments(d, new))))
+            # the realized variant and this call's: a sweep over projections keeps two
+            for c in kept.keys() - {realized, *finals.values()}:
+                del kept[c]
+        return [(v, *kept[c]) for v, c in finals.items()]
 
 
 _SERIES = _Series()
-
-
-def _build_variants(
-    dataset: str | None, projection: str | None, variants: tuple[Variant, ...]
-) -> list[_Variant]:
-    """Per variant, in order: the variant, its dataset and its moments.
-
-    A None path is the bundled file. A named projection is read whatever the
-    variants, as every input is; the bundled one only for the projected
-    variant, which a user dataset without --projection takes from it. The
-    kept series keeps the variant of its realized value and of the last
-    other final value asked for, so each is built once while it is kept.
-    """
-    d, known = _SERIES.read(dataset)
-    inputs = None if projection is None else _read("projection", projection, ds.load_projection)
-    realized = d.consumption[-1]
-    finals = dict.fromkeys(variants, realized)
-    if Variant.PROJECTED in finals:
-        finals[Variant.PROJECTED] = ds.projected_consumption(*(inputs or ds.load_bundled_projection()))
-    new = [c for c in dict.fromkeys(finals.values()) if c not in known]
-    if new:
-        datasets = [d if c == realized else ds.with_final_consumption(d, c) for c in new]
-        known.update(zip(new, zip(datasets, compute_variant_moments(d, new))))
-        # the realized variant and this call's: a sweep over projections keeps two
-        for c in known.keys() - {realized, *finals.values()}:
-            del known[c]
-    return [(v, *known[c]) for v, c in finals.items()]
 
 
 # -- commands ----------------------------------------------------------------
 
 def cmd_ingest(cfg: RunConfig) -> str:
     # ingest reads no projection, even one a shared config file names
-    ((_, d, m),) = _build_variants(cfg.dataset, None, (Variant.REALIZED,))
+    ((_, d, m),) = _SERIES.build(cfg.dataset, None, (Variant.REALIZED,))
     return ingest_report(d, m, cfg.format)
 
 
@@ -234,23 +227,20 @@ def _calibrations(cfg: RunConfig, variants: list[_Variant]) -> dict[str, Calibra
 
 
 def cmd_calibrate(cfg: RunConfig) -> str:
-    variants = _build_variants(cfg.dataset, cfg.projection, cfg.variant)
+    variants = _SERIES.build(cfg.dataset, cfg.projection, cfg.variant)
     return calibration_report(_calibrations(cfg, variants), cfg.format)
 
 
-# investor -> the calibrated factor that is its eta; --eta makes one "custom" investor
-_INVESTORS = {"equity": "zeta", "risk-free": "xi"}
-
-
 def cmd_classify(cfg: RunConfig) -> str:
-    eta_factors = _INVESTORS if cfg.eta is None else {"custom": None}
-    variants = _build_variants(cfg.dataset, cfg.projection, cfg.variant)
+    variants = _SERIES.build(cfg.dataset, cfg.projection, cfg.variant)
     calibrations = _calibrations(cfg, variants)
     tables = []
-    for investor, factor in eta_factors.items():
+    for investor, (_, factor) in INVESTORS.items():
+        if (factor is None) is (cfg.eta is None):  # --eta runs the custom investor alone
+            continue
         rows = []
         for (variant, dv, m), calib in zip(variants, calibrations.values()):
-            eta = cfg.eta if factor is None else getattr(calib.factors, factor)
+            eta = getattr(calib.factors, factor) if factor else cfg.eta
             cmp, attitude = classify_pipeline(
                 dv, eta, calib.rho, cfg.beta, cfg.group, cfg.tol, moments=m
             )

@@ -53,7 +53,7 @@ class NonPositiveConsumption(ComputeError):
 
 class UtilityOverflow(ComputeError):
     """A utility is not finite: (1-rho) times a log consumption level is too
-    large to exponentiate, or a utility given or scaled is not finite."""
+    large to exponentiate, or a utility given, scaled or compared is not finite."""
 
 
 # -- calibration ------------------------------------------------------------

@@ -3,10 +3,11 @@ ingest_report (JSON, or text for both `text` and `csv`), calibration_report
 (text, CSV or JSON) and classification_report (a titled text table per
 investor, one CSV table, or the export_run document as JSON).
 
-Displayed numbers are fixed at six decimal places; CSV rows and the
-document's rows additionally carry full-precision values under `*_exact`
-columns / keys, so that parse_csv and parse_json reproduce the rows field
-for field.
+A classification row's columns are stated once, in _COLUMNS, and its
+investors once, in INVESTORS. Displayed numbers are fixed at six decimal
+places; _encode, the one row encoder of CSV and JSON, adds each float's
+full-precision value under a `*_exact` key, so that parse_csv and parse_json
+reproduce the rows field for field.
 """
 
 import csv
@@ -25,36 +26,28 @@ class ReportFormat(Enum):
     JSON = "json"
 
 
-ReportRow = namedtuple(
-    "ReportRow",
-    "year_certain year_uncertain consumption_certain consumption_uncertain "
-    "certain_utility uncertain_utility allocation_text label_text rho",
+# Each column of a report row, in order: its field, its text header and its
+# type. A float is shown at six decimals, and carried exactly under
+# `<field>_exact` in CSV and JSON rows.
+_COLUMNS = (
+    ("year_certain", "certain year", int),
+    ("year_uncertain", "uncertain year", str),
+    ("consumption_certain", "c (certain)", float),
+    ("consumption_uncertain", "c (uncertain)", float),
+    ("certain_utility", "u certain", float),
+    ("uncertain_utility", "u uncertain", float),
+    ("allocation_text", "allocation", str),
+    ("label_text", "attitude", str),
+    ("rho", "rho", float),
 )
-_COLUMNS = ReportRow._fields
-# the float columns: shown at six decimals, and carried exactly as `*_exact`
-_NUMERIC = (
-    "consumption_certain",
-    "consumption_uncertain",
-    "certain_utility",
-    "uncertain_utility",
-    "rho",
-)
-_HEADERS = (
-    "certain year",
-    "uncertain year",
-    "c (certain)",
-    "c (uncertain)",
-    "u certain",
-    "u uncertain",
-    "allocation",
-    "attitude",
-    "rho",
-)
-# investor -> the title of its text table; "custom" is the one investor of --eta
-_INVESTOR_TITLES = {
-    "equity": "Equity investors (eta = zeta)",
-    "risk-free": "Risk-free investors (eta = xi)",
-    "custom": "Custom eta investors",
+ReportRow = namedtuple("ReportRow", [field for field, _, _ in _COLUMNS])
+_EXACT = {field: f"{field}_exact" for field, _, kind in _COLUMNS if kind is float}
+# investor -> (the title of its text table, the calibrated factor that is its
+# eta); --eta replaces the calibrated investors by the one "custom" investor
+INVESTORS = {
+    "equity": ("Equity investors (eta = zeta)", "zeta"),
+    "risk-free": ("Risk-free investors (eta = xi)", "xi"),
+    "custom": ("Custom eta investors", None),
 }
 _ALLOCATION_TEXT = {
     AllocationSign.NEGATIVE: "allocates extra negative utility",
@@ -78,9 +71,11 @@ def report_row(variant: str, d, rho: float, cmp, attitude) -> ReportRow:
     )
 
 
-def _display(r: ReportRow) -> dict:
-    """Column -> display value: numeric fields at six decimals, the rest as stored."""
-    return {c: f"{getattr(r, c):.6f}" if c in _NUMERIC else getattr(r, c) for c in _COLUMNS}
+def _encode(r: ReportRow) -> dict:
+    """Key -> value: each column's display value (a float at six decimals, the
+    rest as stored), then each float column's exact value."""
+    shown = {field: f"{v:.6f}" if field in _EXACT else v for field, v in zip(r._fields, r)}
+    return {**shown, **{key: getattr(r, field) for field, key in _EXACT.items()}}
 
 
 def render_table(rows: list[ReportRow], fmt: ReportFormat = ReportFormat.TEXT) -> str:
@@ -98,29 +93,26 @@ def json_text(doc) -> str:
 
 
 def _render_text(rows: list[ReportRow]) -> str:
-    table = [list(_HEADERS)] + [[str(v) for v in _display(r).values()] for r in rows]
-    widths = [max(len(row[i]) for row in table) for i in range(len(_HEADERS))]
-    lines = []
-    for idx, row in enumerate(table):
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-        if idx == 0:
-            lines.append("  ".join("-" * w for w in widths))
+    # a row's encoding begins with its display values, in column order
+    table = [[header for _, header, _ in _COLUMNS]]
+    table += [[str(v) for v in _encode(r).values()][: len(_COLUMNS)] for r in rows]
+    widths = [max(map(len, column)) for column in zip(*table)]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in table]
+    lines.insert(1, "  ".join("-" * w for w in widths))
     return "\n".join(lines) + "\n"
 
 
 def _render_csv(rows: list[ReportRow]) -> str:
+    # csv.writer writes a float as str, which is its repr: the exact value
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([*_COLUMNS, *(f"{c}_exact" for c in _NUMERIC)])
-    for r in rows:
-        writer.writerow([*_display(r).values(), *(repr(getattr(r, c)) for c in _NUMERIC)])
+    writer.writerow([*ReportRow._fields, *_EXACT.values()])
+    writer.writerows(_encode(r).values() for r in rows)
     return buf.getvalue()
 
 
 def _row_from_record(rec: dict) -> ReportRow:
-    values = {c: float(rec[f"{c}_exact"]) if c in _NUMERIC else rec[c] for c in _COLUMNS}
-    values["year_certain"] = int(values["year_certain"])
-    return ReportRow(**values)
+    return ReportRow(*(kind(rec[_EXACT.get(field, field)]) for field, _, kind in _COLUMNS))
 
 
 def parse_csv(text: str) -> list[ReportRow]:
@@ -162,11 +154,7 @@ def export_run(
     `classifications` is a flat array of row objects, each tagged with the
     investor whose table it came from.
     """
-    rows_out = [
-        {"investor": investor, **_display(r), **{f"{c}_exact": getattr(r, c) for c in _NUMERIC}}
-        for investor, rows in tables
-        for r in rows
-    ]
+    rows_out = [{"investor": investor, **_encode(r)} for investor, rows in tables for r in rows]
     return json_text({**_calibration_document(calibrations), "classifications": rows_out})
 
 
@@ -218,6 +206,6 @@ def classification_report(
     if fmt is ReportFormat.CSV:
         return render_table([row for _, rows in tables for row in rows], ReportFormat.CSV)
     return "\n".join(
-        _INVESTOR_TITLES[investor] + "\n" + render_table(rows, ReportFormat.TEXT)
+        INVESTORS[investor][0] + "\n" + render_table(rows, ReportFormat.TEXT)
         for investor, rows in tables
     )

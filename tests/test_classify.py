@@ -19,7 +19,7 @@ from rac import (
     solve_closed_form_given_rho,
     compute_moments,
 )
-from rac.errors import InvalidCombination, Unclassifiable
+from rac.errors import InputError, InvalidCombination, Unclassifiable, UtilityOverflow
 
 G1, G2 = DefinitionGroup.ONE, DefinitionGroup.TWO
 CONCAVE = Curvature.STRICTLY_CONCAVE
@@ -142,6 +142,19 @@ def test_paper_table_rows():
 def test_negative_tolerance_rejected():
     with pytest.raises(ValueError):
         classify(cmp_with(5.0, 4.0, 0.9), CONCAVE, G2, tol=-1.0)
+
+
+def test_gap_that_is_not_finite():
+    # an eta or tol error is reported first; then a gap that is not finite
+    # overflows, whatever the allocation, curve or group
+    with pytest.raises(InputError, match="eta must be positive"):
+        classify(cmp_with(math.nan, 1.0, -1.0), CONCAVE, G2)
+    with pytest.raises(InputError, match="tol must be >= 0"):
+        classify(cmp_with(math.inf, 1.0, 0.9), CONCAVE, G2, tol=-1.0)
+    for certain, uncertain in ((math.nan, 1.0), (1.0, math.inf), (math.inf, math.inf)):
+        for eta, curvature, group in ((1.0, CONCAVE, G2), (0.9, HORIZONTAL, G1), (1.1, LINEAR, G2)):
+            with pytest.raises(UtilityOverflow):
+                classify(cmp_with(certain, uncertain, eta), curvature, group, tol=math.inf)
 
 
 # -- invariants ---------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""The package's public names: `from rac import *` works and every entry of
-`__all__` resolves, so a name deleted from a module cannot linger there;
+"""The package's public names: `from rac import *` works, every entry of
+`__all__` resolves, so a name deleted from a module cannot linger there, and
+every public name of the package is listed there;
 every function the benchmark traces still exists where it looks for it;
 every concrete error type is raised somewhere in the package; and one
 function opens files."""
@@ -27,6 +28,16 @@ def test_all_has_no_duplicates():
 def test_every_name_resolves():
     missing = [name for name in rac.__all__ if not hasattr(rac, name)]
     assert missing == []
+
+
+def test_every_public_name_is_listed():
+    # the other direction: a re-export left out of __all__ is not star-imported
+    public = {
+        name
+        for name, value in vars(rac).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert sorted(public - set(rac.__all__)) == []
 
 
 def _traced():

@@ -11,6 +11,7 @@ import pytest
 from rac import (
     AllocationSign,
     CalibrationResult,
+    Curvature,
     DefinitionGroup,
     Label,
     MarketDataset,
@@ -23,6 +24,7 @@ from rac import (
     UtilityComparison,
     UtilitySpec,
     Variant,
+    classify,
     crra_utility,
     curvature_from_rho,
     expected_utility_unconditional,
@@ -147,11 +149,14 @@ def test_different_values_compare_unequal():
          "sample moments must be finite"),
         (lambda: SampleMoments(**{**MOMENTS, "sigma2_x": math.inf}), InputError,
          "sample moments must be finite"),
-        (lambda: SufficiencyFactors(0.0, 1.0), InputError, "sufficiency factors must be positive"),
+        (lambda: SufficiencyFactors(0.0, 1.0), InputError,
+         "sufficiency factors must be positive and finite"),
         (lambda: SufficiencyFactors(zeta=1.0, xi=-2.0), InputError,
-         "sufficiency factors must be positive"),
+         "sufficiency factors must be positive and finite"),
         (lambda: SufficiencyFactors(math.nan, 1.0), InputError,
-         "sufficiency factors must be positive"),
+         "sufficiency factors must be positive and finite"),
+        (lambda: SufficiencyFactors(math.inf, 1.0), InputError,
+         "sufficiency factors must be positive and finite"),
         (lambda: solve_closed_form_given_rho(1.0, 1e-320, SampleMoments(**MOMENTS)),
          NoConvergence, "closed-form factors (inf, inf) leave the search region (0, 10.0]"),
         # both factors underflow to 0 at rho 60 and sigma2_x 1
@@ -161,6 +166,12 @@ def test_different_values_compare_unequal():
          InputError, "rho nan outside the supported range [0, 60]"),
         (lambda: CalibrationResult(SufficiencyFactors(1.0, 1.0), 1.0, (0.0, math.inf, 0.0), 0),
          InputError, "residuals must be finite"),
+        (lambda: CalibrationResult(SufficiencyFactors(1, 1), math.nan, (0, 0, 0), math.nan),
+         InputError, "rho and the consistency gap must be finite"),
+        (lambda: CalibrationResult(SufficiencyFactors(1, 1), math.inf, (0, 0, 0), -5e-6),
+         InputError, "rho and the consistency gap must be finite"),
+        (lambda: CalibrationResult(SufficiencyFactors(1, 1), 1.0, (0, 0, 0), math.nan),
+         InputError, "rho and the consistency gap must be finite"),
         (lambda: UtilitySpec(-0.5), InputError, "rho -0.5 outside the supported range [0, 60]"),
         (lambda: UtilitySpec(rho=math.nan), InputError,
          "rho nan outside the supported range [0, 60]"),
@@ -187,6 +198,16 @@ def test_different_values_compare_unequal():
          "certain utility is not finite, got inf"),
         (lambda: make_comparison(math.nan, 1.0, 0.99, 0.9), UtilityOverflow,
          "certain utility is not finite, got nan"),
+        # a hand-built comparison: make_comparison would reject these certain utilities
+        (lambda: classify(UtilityComparison(math.nan, 1.0, 1.05, 0.99, 1.0),
+                          Curvature.STRICTLY_CONCAVE, DefinitionGroup.ONE),
+         UtilityOverflow, "utility gap certain - uncertain is not finite, got nan"),
+        (lambda: classify(UtilityComparison(math.nan, 1.0, 1.05, 0.99, 1.0),
+                          Curvature.STRICTLY_CONVEX_INCREASING),
+         UtilityOverflow, "utility gap certain - uncertain is not finite, got nan"),
+        (lambda: classify(UtilityComparison(math.inf, 1.0, 0.95, 0.99, 1.0),
+                          Curvature.STRICTLY_CONCAVE),
+         UtilityOverflow, "utility gap certain - uncertain is not finite, got inf"),
         (lambda: crra_utility(math.nan, UtilitySpec(2.0)), NonPositiveConsumption,
          "consumption must be positive, got nan"),
         # math.expm1 returns inf or nan for an inf or nan exponent without raising
