@@ -2,8 +2,7 @@
 
 The system ties the risk-free rate, the equity return, and the equity
 premium to the consumption-growth moments through two sufficiency factors
-and the risk-aversion coefficient (log growth treated as normal, residuals
-written LHS - RHS):
+and the risk-aversion coefficient (log growth treated as normal):
 
     eq A:  ln mean_Rf = -ln beta - ln xi   + rho*mu_x     - rho^2*sigma2_x/2
     eq B:  ln mean_Re =  ln mean_x - ln beta - ln zeta
@@ -30,6 +29,11 @@ the published reference values for the two variants of the bundled dataset,
 and calibrate_variant passes them on unless the caller overrides rho.
 Overriding rho changes zeta and xi only through the slowly varying closed
 form.
+
+Eqs A and B are written once, in _log_factors, solved for ln zeta* and
+ln xi*: the closed form, whose factors must lie in [sys.float_info.min,
+FACTOR_REGION_MAX] (a subnormal factor has lost digits). Residuals A and B
+are ln xi - ln xi* and ln zeta - ln zeta*: eqs A and B rearranged.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ RHO_REGION = (0.0, 60.0)
 FACTOR_REGION_MAX = 10.0
 # ln of the largest float, rounded down: exp of a larger log-factor overflows.
 _LN_FLOAT_MAX = 709.78
+_FACTOR_MIN = math.ldexp(1.0, -1022)  # sys.float_info.min: a subnormal factor has lost digits
 DEFAULT_BETA = 0.99
 
 
@@ -95,12 +100,16 @@ class SufficiencyFactors(namedtuple("SufficiencyFactors", "zeta xi")):
 
 class CalibrationResult(namedtuple("CalibrationResult", "factors rho residuals consistency_gap")):
     """SufficiencyFactors at rho, the (A, B, C) residuals and the consistency
-    gap; rho, the residuals and the gap must be finite."""
+    gap; rho, the three residuals and the gap must be finite."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         c = super().__new__(cls, *args, **kwargs)
+        if not isinstance(c.factors, SufficiencyFactors):
+            raise InputError("factors must be SufficiencyFactors")
+        if len(c.residuals) != 3:
+            raise InputError("residuals must be three: A, B and C")
         if not all(math.isfinite(r) for r in c.residuals):
             raise InputError("residuals must be finite")
         if not (math.isfinite(c.rho) and math.isfinite(c.consistency_gap)):
@@ -108,57 +117,48 @@ class CalibrationResult(namedtuple("CalibrationResult", "factors rho residuals c
         return c
 
 
+def _log_factors(rho: float, beta: float, m: SampleMoments) -> tuple[float, float]:
+    """(ln zeta*, ln xi*): eq B and eq A, each solved for its log factor."""
+    ln_zeta = (
+        math.log(m.mean_x) - math.log(beta) - (1.0 - rho) * m.mu_x
+        - 0.5 * (1.0 - rho) ** 2 * m.sigma2_x - math.log(m.mean_Re)
+    )
+    ln_xi = -math.log(m.mean_Rf) - math.log(beta) + rho * m.mu_x - 0.5 * rho**2 * m.sigma2_x
+    return ln_zeta, ln_xi
+
+
 def system_residuals(
     f: SufficiencyFactors, rho: float, beta: float, m: SampleMoments
 ) -> tuple[float, float, float]:
-    """LHS - RHS of eqs A, B, C at (f, rho).
+    """LHS - RHS of eqs A, B, C at (f, rho); A and B as ln xi - ln xi* and
+    ln zeta - ln zeta*, with (zeta*, xi*) the closed form at this rho.
 
     Raises InputError for beta outside (0, 1] or rho outside RHO_REGION.
     """
     ln_zeta = math.log(f.zeta)
     ln_xi = math.log(f.xi)
-    ln_beta = math.log(check_beta(beta))
+    check_beta(beta)
     rho = check_rho(rho)
-    r_a = math.log(m.mean_Rf) - (
-        -ln_beta - ln_xi + rho * m.mu_x - 0.5 * rho**2 * m.sigma2_x
-    )
-    r_b = math.log(m.mean_Re) - (
-        math.log(m.mean_x)
-        - ln_beta
-        - ln_zeta
-        - (1.0 - rho) * m.mu_x
-        - 0.5 * (1.0 - rho) ** 2 * m.sigma2_x
-    )
+    ln_zeta_star, ln_xi_star = _log_factors(rho, beta, m)
     r_c = (math.log(m.mean_Re) - math.log(m.mean_Rf)) - (
         ln_xi - ln_zeta + rho * m.sigma2_x
     )
-    return (r_a, r_b, r_c)
+    return (ln_xi - ln_xi_star, ln_zeta - ln_zeta_star, r_c)
 
 
-def solve_closed_form_given_rho(
-    rho: float, beta: float, m: SampleMoments
-) -> SufficiencyFactors:
+def solve_closed_form_given_rho(rho: float, beta: float, m: SampleMoments) -> SufficiencyFactors:
     """The (zeta, xi) that zero eqs A and B exactly at this rho.
 
     Raises InputError for beta outside (0, 1] or rho outside RHO_REGION, and
-    NoConvergence when a factor falls outside (0, FACTOR_REGION_MAX]: one
-    that underflows to 0, exceeds the bound, or is too large for a float.
+    NoConvergence when a factor falls outside [sys.float_info.min,
+    FACTOR_REGION_MAX]: one that is subnormal or underflows to 0 (its log has
+    lost digits), exceeds the bound, or is too large for a float.
     """
     check_beta(beta)
     rho = check_rho(rho)
-    ln_xi = (
-        -math.log(m.mean_Rf) - math.log(beta) + rho * m.mu_x - 0.5 * rho**2 * m.sigma2_x
-    )
-    ln_zeta = (
-        math.log(m.mean_x)
-        - math.log(beta)
-        - (1.0 - rho) * m.mu_x
-        - 0.5 * (1.0 - rho) ** 2 * m.sigma2_x
-        - math.log(m.mean_Re)
-    )
     # a log-factor too large to exponentiate (or NaN) gives inf, outside the region
-    zeta, xi = (math.exp(v) if v < _LN_FLOAT_MAX else math.inf for v in (ln_zeta, ln_xi))
-    if not (0.0 < zeta <= FACTOR_REGION_MAX and 0.0 < xi <= FACTOR_REGION_MAX):
+    zeta, xi = (math.exp(v) if v < _LN_FLOAT_MAX else math.inf for v in _log_factors(rho, beta, m))
+    if not (_FACTOR_MIN <= zeta <= FACTOR_REGION_MAX and _FACTOR_MIN <= xi <= FACTOR_REGION_MAX):
         raise NoConvergence(
             f"closed-form factors ({zeta:.6g}, {xi:.6g}) "
             f"leave the search region (0, {FACTOR_REGION_MAX}]"

@@ -59,8 +59,8 @@ class UtilityOverflow(ComputeError):
 # -- calibration ------------------------------------------------------------
 
 class NoConvergence(ComputeError):
-    """The closed-form sufficiency factors fall outside (0, FACTOR_REGION_MAX]
-    (above it, or underflowed to zero) at the requested rho."""
+    """A closed-form sufficiency factor at the requested rho is above
+    FACTOR_REGION_MAX, or subnormal, or underflowed to zero."""
 
 
 class DegenerateSystem(ComputeError):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from _frozen_reference import FROZEN
@@ -120,6 +120,44 @@ def test_closed_form_exact_fit_identity(mu, s2, gap, gap_sign, mean_re, mean_rf,
     assert abs(result.residuals[0]) <= 1e-10
     assert abs(result.residuals[1]) <= 1e-10
     assert abs(result.residuals[2] - consistency_gap(m)) <= 1e-10
+
+
+BUNDLED_LIKE = dict(mu=0.017, s2=0.0013, gap=-5e-6, ln_re=math.log(1.0698),
+                   ln_rf=math.log(1.008), ln_beta=math.log(0.99))
+
+
+@given(
+    mu=st.floats(min_value=-1.0, max_value=1.0),
+    s2=st.floats(min_value=0.0, max_value=2.0),
+    gap=st.floats(min_value=-1e-3, max_value=1e-3),
+    ln_re=st.floats(min_value=-30.0, max_value=30.0),
+    ln_rf=st.floats(min_value=-30.0, max_value=30.0),
+    ln_beta=st.floats(min_value=math.log(1e-300), max_value=0.0),
+    rho=st.floats(min_value=RHO_REGION[0], max_value=RHO_REGION[1]),
+)
+@example(**BUNDLED_LIKE, rho=0.0)
+@example(**BUNDLED_LIKE, rho=60.0)
+# eq-B terms near 100: summed twice, residual B was rounding of about 1e-13
+@example(mu=0.3489716610046545, s2=0.7494060410032806, gap=-0.00012207673991087372,
+         ln_re=0.5055892949989094, ln_rf=16.70655690000875, ln_beta=-330.92401746903323,
+         rho=41.79765284892678)
+# both closed-form factors subnormal: their logs have lost digits
+@example(mu=0.8179998393148793, s2=1.3097246789398493, gap=0.0006041739355610897,
+         ln_re=19.182502045097458, ln_rf=-15.289593669383947, ln_beta=-132.4312977254133,
+         rho=37.194348671780624)
+def test_residuals_a_b_vanish_at_the_closed_form(mu, s2, gap, ln_re, ln_rf, ln_beta, rho):
+    # at any factors the closed form returns, residuals A and B show only
+    # the rounding of exp and log, whatever the size of the equations' terms
+    m = SampleMoments(mu, s2, math.exp(mu + s2 / 2.0 + gap), math.exp(ln_re), math.exp(ln_rf),
+                      7.0, 0.1)
+    beta = math.exp(ln_beta)
+    try:
+        f = solve_closed_form_given_rho(rho, beta, m)
+    except NoConvergence:
+        return
+    r_a, r_b, _ = system_residuals(f, rho, beta, m)
+    assert abs(r_a) <= 1e-15
+    assert abs(r_b) <= 1e-15
 
 
 def test_closed_form_trivial_xi():

@@ -245,6 +245,22 @@ def test_calibrate_factor_underflow(capsys, tmp_path):
     assert "NoConvergence" in err
 
 
+@pytest.mark.parametrize("command", ["calibrate", "classify"])
+def test_subnormal_factors_exit_2(capsys, tmp_path, command):
+    # equity returns of 1e13 at rho near 55 put both factors below the
+    # smallest normal float: digits lost, so no residual could be trusted
+    rows = [f"{1900 + i},{1.0 + i % 2},1e13,1.0" for i in range(40)]
+    path = tmp_path / "wild.csv"
+    path.write_text(HEADER + "\n" + "\n".join(rows) + "\n")
+    argv = [command, "--dataset", str(path), "--variant", "realized", "--rho", "54.996"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: NoConvergence: closed-form factors (3.51755e-317, 1.22141e-315) "
+        "leave the search region (0, 10.0]\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["ingest", "calibrate", "classify"])
 def test_non_finite_moments_exit_2(capsys, tmp_path, command):
     path = tmp_path / "wide.csv"

@@ -162,8 +162,15 @@ def test_different_values_compare_unequal():
         # both factors underflow to 0 at rho 60 and sigma2_x 1
         (lambda: solve_closed_form_given_rho(60, 0.99, SampleMoments(**{**MOMENTS, "sigma2_x": 1})),
          NoConvergence, "closed-form factors (0, 0) leave the search region (0, 10.0]"),
+        # a subnormal zeta has lost digits: at rho 1 and beta 1 it is mean_x / mean_Re
+        (lambda: solve_closed_form_given_rho(1.0, 1.0, SampleMoments(**{**MOMENTS, "mean_Re": 1e308})),
+         NoConvergence, "closed-form factors (1.018e-308, 1.00842) leave the search region (0, 10.0]"),
         (lambda: solve_closed_form_given_rho(math.nan, 0.99, SampleMoments(**MOMENTS)),
          InputError, "rho nan outside the supported range [0, 60]"),
+        (lambda: CalibrationResult((math.nan, -1.0), 1.0, (0.0, 0.0, 0.0), 0.1), InputError,
+         "factors must be SufficiencyFactors"),
+        (lambda: CalibrationResult(SufficiencyFactors(1, 1), 1.0, (0.0, 0.0), 0.1), InputError,
+         "residuals must be three: A, B and C"),
         (lambda: CalibrationResult(SufficiencyFactors(1.0, 1.0), 1.0, (0.0, math.inf, 0.0), 0),
          InputError, "residuals must be finite"),
         (lambda: CalibrationResult(SufficiencyFactors(1, 1), math.nan, (0, 0, 0), math.nan),
