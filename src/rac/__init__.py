@@ -75,62 +75,10 @@ from .utility import (
 
 __version__ = "0.1.0"
 
+# Every name imported above, so each is written once. The imports also bind
+# the submodules (errors among them), which are not exported.
 __all__ = [
-    "AllocationSign",
-    "CalibrationResult",
-    "ComputeError",
-    "Curvature",
-    "DEFAULT_TOLERANCE",
-    "DefinitionGroup",
-    "DegenerateSystem",
-    "InputError",
-    "InvalidCombination",
-    "Label",
-    "MarketDataset",
-    "MissingYear",
-    "NegativeVariance",
-    "NoConvergence",
-    "NonPositiveConsumption",
-    "NonFiniteMoment",
-    "NonPositiveValue",
-    "ProjectionInputs",
-    "RacError",
-    "ReportFormat",
-    "ReportRow",
-    "RHO_ANCHORS",
-    "RiskAttitude",
-    "SampleMoments",
-    "SchemaError",
-    "SufficiencyFactors",
-    "Unclassifiable",
-    "UtilityComparison",
-    "UtilityOverflow",
-    "UtilitySpec",
-    "Variant",
-    "calibrate_variant",
-    "classify",
-    "classify_pipeline",
-    "compute_moments",
-    "consistency_gap",
-    "crra_utility",
-    "curvature_from_rho",
-    "expected_utility_unconditional",
-    "calibration_block",
-    "export_run",
-    "load_bundled_dataset",
-    "load_bundled_projection",
-    "load_dataset",
-    "load_projection",
-    "lognormal_moment",
-    "make_comparison",
-    "parse_csv",
-    "parse_json",
-    "projected_consumption",
-    "render_table",
-    "solve_closed_form_given_rho",
-    "solve_system",
-    "system_residuals",
-    "uncertain_utility",
-    "with_final_consumption",
-    "__version__",
-]
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and type(value) is not type(errors)
+] + ["__version__"]

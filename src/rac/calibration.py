@@ -161,7 +161,7 @@ def solve_closed_form_given_rho(rho: float, beta: float, m: SampleMoments) -> Su
     if not (_FACTOR_MIN <= zeta <= FACTOR_REGION_MAX and _FACTOR_MIN <= xi <= FACTOR_REGION_MAX):
         raise NoConvergence(
             f"closed-form factors ({zeta:.6g}, {xi:.6g}) "
-            f"leave the search region (0, {FACTOR_REGION_MAX}]"
+            f"leave the region [{_FACTOR_MIN:.6g}, {FACTOR_REGION_MAX:.6g}]"
         )
     return SufficiencyFactors(zeta, xi)
 

@@ -257,7 +257,7 @@ def test_subnormal_factors_exit_2(capsys, tmp_path, command):
     assert (code, out) == (2, "")
     assert err == (
         "error: NoConvergence: closed-form factors (3.51755e-317, 1.22141e-315) "
-        "leave the search region (0, 10.0]\n"
+        "leave the region [2.22507e-308, 10]\n"
     )
 
 
@@ -302,7 +302,8 @@ def test_factor_overflow_at_tiny_beta_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == (
-        "error: NoConvergence: closed-form factors (inf, inf) leave the search region (0, 10.0]\n"
+        "error: NoConvergence: closed-form factors (inf, inf) "
+        "leave the region [2.22507e-308, 10]\n"
     )
 
 
@@ -344,7 +345,7 @@ def test_errors_come_in_phase_order(capsys, tmp_path):
     tiny = tmp_path / "tiny.csv"
     tiny.write_text(HEADER + "\n1900,1.0,1.05,1.01\n1901,1e-306,1.05,1.01\n1902,1e-300,1.05,1.01\n")
     moments = "NonFiniteMoment: a sample moment is not finite"
-    realized = "NoConvergence: closed-form factors (1.45004e-31, 0) leave the search region"
+    realized = "NoConvergence: closed-form factors (1.45004e-31, 0) leave the region [2.22507e-308, 10]"
     for variant, error in (("projected", moments), ("realized", realized), ("both", moments)):
         code, out, err = run(capsys, "calibrate", "--dataset", str(tiny), "--variant", variant)
         assert (code, out) == (2, "")
@@ -479,19 +480,21 @@ def test_bundled_moments_computed_once_per_process(capsys, monkeypatch, tmp_path
 
 
 @pytest.mark.parametrize("variant", ["realized", "projected"])
-@pytest.mark.parametrize("rho", ["0", "0.5", "1.4", "1.42"])
-def test_headline_labels_hold_only_inside_the_rho_interval(capsys, variant, rho):
-    # the paper's labels for the bundled data under the defaults hold for rho
-    # in (0, ~1.407) (realized) and (0, ~1.408) (projected); rho = 0, and a
-    # rho past the edge and the Risk-neutral band just above it, exit 2
+@pytest.mark.parametrize("rho", ["0", "0.5", "1.4", "1.42", "26.3", "26.7", "27.1"])
+def test_headline_labels_hold_only_inside_the_two_rho_intervals(capsys, variant, rho):
+    # the paper's labels for the bundled data under the defaults hold on two
+    # rho intervals: (0, ~1.407] and [~26.43, ~27.02] (realized), (0, ~1.408]
+    # and [~26.36, ~26.95] (projected). rho = 0, and a rho between the
+    # intervals, exit 2; above the second, xi > 1 makes both rows Risk-averse
     code, out, err = run(capsys, "classify", "--variant", variant, "--rho", rho, "--format", "json")
-    if rho in ("0", "1.42"):
+    if rho in ("0", "1.42", "26.3"):
         assert (code, out) == (2, "")
         assert err.startswith("error: Unclassifiable: ")
     else:
         assert (code, err) == (0, "")
         labels = [r["label_text"] for r in json.loads(out)["classifications"]]
-        assert labels == ["Risk-averse", "Not enough risk-loving"]
+        risk_free = "Risk-averse" if rho == "27.1" else "Not enough risk-loving"
+        assert labels == ["Risk-averse", risk_free]
 
 
 def test_classify_eta_one(capsys):

@@ -2,9 +2,14 @@
 
 tests/golden/NAME.out holds what `rac ARGS` printed for the case NAME below.
 A change that alters a report edits the file by hand and says why; the files
-are never regenerated to make a failing test pass.
+are never regenerated to make a failing test pass. The same cases also run
+under python3.10, python3.12 and python3.13, each where it is installed.
 """
 
+import ast
+import os
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -12,6 +17,7 @@ import pytest
 from rac.cli import ENV_DATASET, main
 
 GOLDEN = Path(__file__).with_name("golden")
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 CASES = {
     **{
@@ -31,3 +37,46 @@ def test_stdout_matches_golden(name, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, "")
     assert captured.out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
+
+
+# Prints a line before it imports rac, so a run that prints nothing is an
+# interpreter that did not start; then {name: (code, stdout, stderr)}.
+_RUN_CASES = """\
+import contextlib, io, sys
+print(sys.version.split()[0])
+import rac.cli
+results = {}
+for name, argv in CASES.items():
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = rac.cli.main(argv)
+    results[name] = (code, out.getvalue(), err.getvalue())
+print(ascii(results))
+"""
+
+
+@pytest.mark.parametrize("python", ["python3.10", "python3.12", "python3.13"])
+def test_stdout_matches_golden_on_other_interpreters(python, tmp_path):
+    executable = shutil.which(python)
+    if executable is None:
+        pytest.skip(f"{python} is not installed")
+    env = {key: value for key, value in os.environ.items() if key != ENV_DATASET}
+    env["PYTHONPATH"] = str(SRC)
+    probe = subprocess.run(
+        [executable, "-S", "-c", f"CASES = {CASES!r}\n{_RUN_CASES}"],
+        env=env,
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    if probe.returncode != 0 and not probe.stdout:
+        first_line = probe.stderr.partition("\n")[0]
+        pytest.skip(f"{python} did not start: {first_line}")
+    version, results = probe.stdout.split("\n", 1)
+    assert (probe.returncode, probe.stderr) == (0, ""), version
+    results = ast.literal_eval(results)
+    assert list(results) == list(CASES)
+    for name, (code, out, err) in results.items():
+        assert (code, err) == (0, ""), (version, name)
+        assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes(), (version, name)

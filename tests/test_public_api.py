@@ -1,6 +1,7 @@
 """The package's public names: `from rac import *` works, every entry of
 `__all__` resolves, so a name deleted from a module cannot linger there, and
 every public name of the package is listed there;
+the build reads its version from `rac.__version__`, with no second copy;
 every function the benchmark traces still exists where it looks for it;
 every concrete error type is raised somewhere in the package; and one
 function opens files."""
@@ -9,7 +10,10 @@ import ast
 import importlib
 import inspect
 import runpy
+import warnings
 from pathlib import Path
+
+import pytest
 
 import rac
 from rac import errors
@@ -38,6 +42,21 @@ def test_every_public_name_is_listed():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert sorted(public - set(rac.__all__)) == []
+
+
+def test_version_is_written_once():
+    # pyproject.toml names rac.__version__ instead of repeating its value;
+    # setuptools reads that assignment statically, without importing rac
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    path = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with warnings.catch_warnings():
+        # some setuptools releases warn that [tool.setuptools] support is beta
+        warnings.filterwarnings("ignore", message=r"Support for `\[tool\.setuptools\]`")
+        raw = pyprojecttoml.read_configuration(path, expand=False)["project"]
+        expanded = pyprojecttoml.read_configuration(path, expand=True)["project"]
+    assert "version" not in raw
+    assert "version" in raw["dynamic"]
+    assert expanded["version"] == rac.__version__
 
 
 def _traced():

@@ -158,13 +158,13 @@ def test_different_values_compare_unequal():
         (lambda: SufficiencyFactors(math.inf, 1.0), InputError,
          "sufficiency factors must be positive and finite"),
         (lambda: solve_closed_form_given_rho(1.0, 1e-320, SampleMoments(**MOMENTS)),
-         NoConvergence, "closed-form factors (inf, inf) leave the search region (0, 10.0]"),
+         NoConvergence, "closed-form factors (inf, inf) leave the region [2.22507e-308, 10]"),
         # both factors underflow to 0 at rho 60 and sigma2_x 1
         (lambda: solve_closed_form_given_rho(60, 0.99, SampleMoments(**{**MOMENTS, "sigma2_x": 1})),
-         NoConvergence, "closed-form factors (0, 0) leave the search region (0, 10.0]"),
+         NoConvergence, "closed-form factors (0, 0) leave the region [2.22507e-308, 10]"),
         # a subnormal zeta has lost digits: at rho 1 and beta 1 it is mean_x / mean_Re
         (lambda: solve_closed_form_given_rho(1.0, 1.0, SampleMoments(**{**MOMENTS, "mean_Re": 1e308})),
-         NoConvergence, "closed-form factors (1.018e-308, 1.00842) leave the search region (0, 10.0]"),
+         NoConvergence, "closed-form factors (1.018e-308, 1.00842) leave the region [2.22507e-308, 10]"),
         (lambda: solve_closed_form_given_rho(math.nan, 0.99, SampleMoments(**MOMENTS)),
          InputError, "rho nan outside the supported range [0, 60]"),
         (lambda: CalibrationResult((math.nan, -1.0), 1.0, (0.0, 0.0, 0.0), 0.1), InputError,
