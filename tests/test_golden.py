@@ -3,7 +3,8 @@
 tests/golden/NAME.out holds what `rac ARGS` printed for the case NAME below.
 A change that alters a report edits the file by hand and says why; the files
 are never regenerated to make a failing test pass. The same cases also run
-under python3.10, python3.12 and python3.13, each where it is installed.
+under python3.10, python3.12 and python3.13, each where it is installed,
+and there the package must also keep its lazy-loading contract.
 """
 
 import ast
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from rac.cli import ENV_DATASET, main
+from test_public_api import lazy_probe
 
 GOLDEN = Path(__file__).with_name("golden")
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -75,6 +77,7 @@ def test_stdout_matches_golden_on_other_interpreters(python, tmp_path):
         pytest.skip(f"{python} did not start: {first_line}")
     version, results = probe.stdout.split("\n", 1)
     assert (probe.returncode, probe.stderr) == (0, ""), version
+    assert lazy_probe(executable, tmp_path) == (0, "ok\n", ""), version
     results = ast.literal_eval(results)
     assert list(results) == list(CASES)
     for name, (code, out, err) in results.items():

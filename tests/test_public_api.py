@@ -1,6 +1,7 @@
 """The package's public names: `from rac import *` works, every entry of
 `__all__` resolves, so a name deleted from a module cannot linger there, and
-every public name of the package is listed there;
+every public name of the package is listed there; `import rac` loads no
+submodule, and each name loads its own on first use;
 the build reads its version from `rac.__version__`, with no second copy;
 every function the benchmark traces still exists where it looks for it;
 every concrete error type is raised somewhere in the package; and one
@@ -9,7 +10,10 @@ function opens files."""
 import ast
 import importlib
 import inspect
+import os
 import runpy
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -35,13 +39,72 @@ def test_every_name_resolves():
 
 
 def test_every_public_name_is_listed():
-    # the other direction: a re-export left out of __all__ is not star-imported
+    # the other direction: a re-export left out of __all__ is not star-imported;
+    # the package binds a name when it is first read, so read them all first
+    for name in rac.__all__:
+        getattr(rac, name)
     public = {
         name
         for name, value in vars(rac).items()
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert sorted(public - set(rac.__all__)) == []
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Run in a fresh interpreter; prints "ok" when the package loads lazily and
+# `rac.classify` stays the function however the submodule was first loaded.
+LAZY_PROBE = """\
+import sys
+import rac
+
+assert [name for name in sys.modules if name.startswith("rac")] == ["rac"], sys.modules
+assert not {"csv", "argparse", "enum", "re"} & set(sys.modules), sys.modules
+assert set(dir(rac)) >= set(rac.__all__)
+assert rac.errors.InputError.__module__ == "rac.errors"
+try:
+    rac.nope
+except AttributeError as error:
+    assert str(error) == "module 'rac' has no attribute 'nope'", error
+else:
+    raise AssertionError("rac.nope resolved")
+
+function = rac.classify
+assert type(function) is type(lambda: 0) and function.__name__ == "classify", function
+import rac.cli
+assert rac.classify is function, rac.classify
+import rac.classify as m
+assert m is function, m
+import importlib
+module = importlib.import_module("rac.classify")
+assert type(module) is type(sys) and module.classify is function, module
+
+# a fresh package whose classify submodule is first loaded by rac.cli's import
+for name in [name for name in sys.modules if name == "rac" or name.startswith("rac.")]:
+    del sys.modules[name]
+import rac.cli
+from rac import classify
+assert classify is sys.modules["rac.classify"].classify, classify
+print("ok")
+"""
+
+
+def lazy_probe(executable, cwd):
+    """(exit code, stdout, stderr) of LAZY_PROBE under `executable -S`."""
+    probe = subprocess.run(
+        [executable, "-S", "-c", LAZY_PROBE],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        cwd=cwd,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    return probe.returncode, probe.stdout, probe.stderr
+
+
+def test_submodules_load_on_first_use(tmp_path):
+    assert lazy_probe(sys.executable, tmp_path) == (0, "ok\n", "")
 
 
 def test_version_is_written_once():
