@@ -64,9 +64,14 @@ def _read(kind: str, path: str, load):
 # rule, or raises InputError naming the option.
 
 def _path(name: str, value, rule=None):
-    """`value` if it is None or a path string read_bytes accepts (no NUL byte)."""
-    if value is None or isinstance(value, str) and "\0" not in value:
-        return value
+    """`value` if it is None or a path string read_bytes accepts: one the file
+    system encoding can encode (a JSON config may hold any lone surrogate), with
+    no NUL byte."""
+    try:
+        if value is None or isinstance(value, str) and b"\0" not in os.fsencode(value):
+            return value
+    except UnicodeEncodeError:
+        pass
     raise InputError(f"{name} must be a path string, got {value!r}")
 
 

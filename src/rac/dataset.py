@@ -54,12 +54,14 @@ _PROJECTION_FIELDS = "nominal_nondurables_bn nominal_services_bn gnp_deflator po
 
 class MarketDataset(namedtuple("MarketDataset", _DATASET_FIELDS)):
     """Consumption, equity return and risk-free return for each year from
-    start_year on: three tuples of one length, at least two, of positive
-    finite values."""
+    start_year (an int) on: three tuples of one length, at least two, of
+    positive finite values."""
 
     __slots__ = ()
 
     def __new__(cls, start_year: int, consumption, equity_return, riskfree_return):
+        if not isinstance(start_year, int) or isinstance(start_year, bool):
+            raise SchemaError(f"start_year must be an int, got {start_year!r}")
         series = (tuple(consumption), tuple(equity_return), tuple(riskfree_return))
         if min(map(len, series)) < 2:
             raise SchemaError("annual series needs at least two years")

@@ -761,6 +761,9 @@ def test_config_missing(capsys):
         ('{"beta": 1' + "0" * 400 + "}", "beta must be a number (int too large to convert to float)"),
         ('{"dataset": 5}', "dataset must be a path string, got 5"),
         ('{"projection": "a\\u0000b"}', "projection must be a path string, got 'a\\x00b'"),
+        # open() cannot encode a lone surrogate that surrogateescape does not make
+        ('{"dataset": "\\ud800"}', "dataset must be a path string, got '\\ud800'"),
+        ('{"projection": "a\\udc7fb"}', "projection must be a path string, got 'a\\udc7fb'"),
         (b'\xff\xfe{"beta": 0.5}', "config file is not UTF-8 text (invalid start byte at offset 0)"),
         # the offset counts the byte order mark, as for a dataset file
         (b'\xef\xbb\xbf{"beta": \xff}',
@@ -774,7 +777,8 @@ def test_config_missing(capsys):
         ('{"variant": "none"}', "variant must be realized, projected, or both, got 'none'"),
         ('{"format": "xml"}', "format must be text, csv, or json, got 'xml'"),
     ],
-    ids=["list", "dict", "text", "huge-int", "int-path", "nul-path", "not-utf8", "bom-not-utf8",
+    ids=["list", "dict", "text", "huge-int", "int-path", "nul-path", "surrogate-path",
+         "low-surrogate-path", "not-utf8", "bom-not-utf8",
          "two-boms", "deep", "group", "variant", "format"],
 )
 def test_bad_config_value_is_input_error(capsys, tmp_path, content, message):

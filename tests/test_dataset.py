@@ -447,6 +447,14 @@ def test_load_projection_non_numeric_cell():
     assert str(info.value) == "non-numeric cell (could not convert string to float: 'x')"
 
 
+@pytest.mark.parametrize("row", ["1,2,3", "1,2,3,4,5"])
+def test_load_projection_wrong_cell_count(row):
+    with pytest.raises(SchemaError) as info:
+        load_projection(io.StringIO(f"{PROJECTION_HEADER}\n{row}\n"))
+    cells = len(row.split(","))
+    assert (type(info.value), str(info.value)) == (SchemaError, f"expected 4 cells, got {cells}")
+
+
 # -- final-year replacement ---------------------------------------------------
 
 def test_with_final_consumption_reference(bundled):

@@ -9,13 +9,20 @@ also builds both files afresh, in memory, and each cell must be within one
 cent of the bundled one; a failed verification writes no file.
 """
 
+import decimal
 import math
 import runpy
 from pathlib import Path
 
 import pytest
 
-from rac import load_bundled_dataset
+from rac import (
+    UtilitySpec,
+    compute_moments,
+    expected_utility_unconditional,
+    load_bundled_dataset,
+    projected_consumption,
+)
 
 from _frozen_reference import FROZEN, PROJECTED_CONSUMPTION
 
@@ -82,9 +89,49 @@ def test_generator_writes_nothing_when_verification_fails(tool, tmp_path, monkey
     assert list(tmp_path.iterdir()) == []
 
 
+def test_generator_solves_level_targets_exactly(tool):
+    # the targets from the same float inputs, solved at 60 digits from the
+    # swap written out (M_p, V_p) rather than from the tool's expanded rows
+    pub, beta, n = tool["PUB"], tool["DEFAULT_BETA"], tool["N_YEARS"]
+    c_proj = projected_consumption(*tool["PROJECTION_ROW"])
+    e_r, e_p = ((pub[f"uncertain_equity_{k}"] / pub[f"zeta_{k}"]
+                 + pub[f"uncertain_riskfree_{k}"] / pub[f"xi_{k}"]) / (2.0 * beta)
+                for k in ("realized", "projected"))
+    variant, anchors, c_1978 = tool["Variant"], tool["RHO_ANCHORS"], tool["C_1978"]
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        D = decimal.Decimal
+        a_r, a_p = 1 - D(anchors[variant.REALIZED]), 1 - D(anchors[variant.PROJECTED])
+        l_last = D(math.log(c_1978))
+        delta = D(math.log(c_1978) - math.log(c_proj))
+
+        def rows(m, v):  # each variant's a*M + a^2*V/2, affine in (M, V)
+            m_p = m - delta / n
+            v_p = v - 2 * delta * (l_last - m) / n + delta * delta * (n - 1) / (n * n)
+            return a_r * m + a_r * a_r * v / 2, a_p * m_p + a_p * a_p * v_p / 2
+
+        zero, at_m, at_v = rows(0, 0), rows(1, 0), rows(0, 1)
+        (c11, c21), (c12, c22) = ([x - z for x, z in zip(at, zero)] for at in (at_m, at_v))
+        b1 = (1 + a_r * D(e_r)).ln() - zero[0]
+        b2 = (1 + a_p * D(e_p)).ln() - zero[1]
+        det = c11 * c22 - c12 * c21
+        want_m, want_v = float((b1 * c22 - b2 * c12) / det), float((c11 * b2 - c21 * b1) / det)
+
+    m, v = tool["solve_level_targets"](c_proj)
+    assert abs(m - want_m) <= math.ulp(want_m), (m, want_m)
+    assert abs(v - want_v) <= math.ulp(want_v), (v, want_v)
+    # the package's own E[u] at (M, V) and the published realized rho
+    moments = compute_moments(load_bundled_dataset())._replace(mu_z=m, sigma2_z=v)
+    got = expected_utility_unconditional(moments, UtilitySpec(1.033526))
+    assert abs(got - e_r) <= 4 * math.ulp(e_r), (got, e_r)
+
+
 def test_generator_regenerates_bundled_files(tool):
-    # the least-squares fit depends on the scipy and numpy versions, so the
-    # cells may drift; the bundled files are never rewritten to follow them
+    # generate() gives the bundled texts byte for byte under scipy 1.17.1
+    # and numpy 2.4.6, but the least-squares fit pins the levels only to
+    # about 1e-6 relative and the 1927 and 1969 cells lie within 0.011 cents
+    # of a rounding boundary, so another scipy, numpy or BLAS may move them
+    # a cent; the bundled files are never rewritten to follow such drift
     differ, beyond_a_cent = [], []
     for name, text in zip(("mehra_prescott_1889_1978.csv", "projection_1978.csv"),
                           tool["generate"]()):

@@ -1,7 +1,10 @@
-"""The examples in README.md are true: its example session and its Quick start."""
+"""The examples in README.md are true: its example session, its Quick start and
+the headline intervals of its identification caveat."""
 
 import contextlib
 import io
+import json
+import math
 import re
 import shlex
 from pathlib import Path
@@ -53,3 +56,32 @@ def test_example_session_output(monkeypatch, args):
 def test_quick_start_prints_risk_averse():
     _, out = _stdout(exec, _code_after("## Quick start"), {})
     assert out.splitlines()[-1] == "Risk-averse"
+
+
+# Each "| variant | (0, a] | [b, c] |" row of the headline-interval table:
+# variant, and each closed end with the direction outward from its interval.
+_INTERVALS = {
+    variant: ((float(a), math.inf), (float(b), -math.inf), (float(c), math.inf))
+    for variant, a, b, c in re.findall(
+        r"^\| (\w+) \| \(0, ([\d.]+)\] \| \[([\d.]+), ([\d.]+)\] \|$",
+        README[README.index("## Identification caveat"):], re.M,
+    )
+}
+
+
+def _headline(variant: str, rho: float) -> bool:
+    """Whether `rac classify` gives the paper's labels at `rho`."""
+    with contextlib.redirect_stderr(io.StringIO()):
+        code, out = _stdout(main, ["classify", "--variant", variant, "--rho", repr(rho),
+                                   "--format", "json"])
+    labels = [row["label_text"] for row in json.loads(out)["classifications"]] if code == 0 else []
+    return labels == ["Risk-averse", "Not enough risk-loving"]
+
+
+@pytest.mark.parametrize("variant", ["realized", "projected"])
+def test_headline_interval_ends_are_exact(monkeypatch, variant):
+    # each closed end gives the headline, and the next float outward does not
+    monkeypatch.delenv(ENV_DATASET, raising=False)
+    for end, outward in _INTERVALS[variant]:
+        assert _headline(variant, end), end
+        assert not _headline(variant, math.nextafter(end, outward)), end

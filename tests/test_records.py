@@ -121,6 +121,12 @@ def test_different_values_compare_unequal():
     [
         (lambda: MarketDataset(1900, (1.0,), (1.0,), (1.0,)), SchemaError,
          "annual series needs at least two years"),
+        (lambda: MarketDataset("1900", SERIES, SERIES, SERIES), SchemaError,
+         "start_year must be an int, got '1900'"),
+        (lambda: MarketDataset(1900.5, SERIES, SERIES, SERIES), SchemaError,
+         "start_year must be an int, got 1900.5"),
+        (lambda: MarketDataset(True, SERIES, SERIES, SERIES), SchemaError,
+         "start_year must be an int, got True"),
         (lambda: MarketDataset(1900, SERIES, (1.0, 0.0), SERIES), NonPositiveValue,
          "annual series values must be positive and finite"),
         (lambda: MarketDataset(1900, SERIES, SERIES, riskfree_return=(1.0, math.nan)),

@@ -40,17 +40,20 @@ Outputs:
 Run from the repository root: python3 tools/make_reference_dataset.py
 Requires scipy (dev extra). main() generates both CSV texts in memory,
 verifies them through the package, and only then writes the three files,
-so a failed verification leaves every file as it was. Fixed RNG seeds
-throughout, but the least-squares solution depends on the scipy and numpy
-versions: scipy 1.17.1 with numpy 2.4.6 moves the rounded 1927 cell from
-1599.74 to 1599.75 and the 1969 cell from 2995.18 to 2995.19. Never run
-this tool to follow such drift: the bundled files and the frozen reference
-stay as shipped, and tests/test_generator.py checks that every cell
-generate() builds is within one cent of the bundled one.
+so a failed verification leaves every file as it was. The seeds are fixed
+and, under scipy 1.17.1 and numpy 2.4.6, generate() returns both bundled
+texts byte for byte. The least-squares fit pins the levels only to about
+1e-6 relative, though, and the 1927 and 1969 cells lie within 0.011 cents
+of a rounding boundary, so another scipy, numpy or BLAS may move them a
+cent; tests/test_generator.py allows one cent per cell. Never run this
+tool to follow such drift: the bundled files and the frozen reference stay
+as shipped, and main() would rewrite the frozen reference in its last
+digits, since the package's arithmetic has changed since it was frozen.
 """
 
 from __future__ import annotations
 
+import decimal
 import io
 import math
 import sys
@@ -113,54 +116,40 @@ PUB = {
 
 PROJECTION_ROW = (515.4, 613.7, 150, 219441872)
 
-# Log-normal growth moments implied by (MEAN_X, STD_X); used to seed the
-# fixed-point iteration before any path exists.
+# Log-normal growth moments implied by (MEAN_X, STD_X); MU_X_IMPLIED sets
+# the start level of the base path.
 SIGMA2_X_IMPLIED = math.log1p((STD_X / MEAN_X) ** 2)
 MU_X_IMPLIED = math.log(MEAN_X) - 0.5 * SIGMA2_X_IMPLIED
 
 
 def solve_level_targets(c_proj: float) -> tuple[float, float]:
-    """Back-solve the log-level mean M and population variance V.
+    """The log-level mean M and population variance V at which E[u] hits
+    the balanced published target of each variant.
 
-    Chooses (M, V) so the expected utilities hit the balanced published
-    targets for both variants, with the projected level moments tied to
-    (M, V) by the final-year swap. Newton iteration on the 2x2 system.
+    E[u] = expm1(a*M + a^2*V/2)/a is linear in (M, V) after log1p, and so is
+    the projected target under the final-year swap, M_p = M - delta/n and
+    V_p = V - 2*delta*(l_last - M)/n + delta^2*(n-1)/n^2. The 2x2 system is
+    solved in 40-digit decimal and rounded once: in floats, V's small
+    coefficients would magnify right-hand-side rounding some 1e4 times.
     """
     e_r = (PUB["uncertain_equity_realized"] / PUB["zeta_realized"]
            + PUB["uncertain_riskfree_realized"] / PUB["xi_realized"]) / (2.0 * DEFAULT_BETA)
     e_p = (PUB["uncertain_equity_projected"] / PUB["zeta_projected"]
            + PUB["uncertain_riskfree_projected"] / PUB["xi_projected"]) / (2.0 * DEFAULT_BETA)
-
-    delta = math.log(C_1978) - math.log(c_proj)
-    l_last = math.log(C_1978)
     n = N_YEARS
-    a_r = 1.0 - RHO_ANCHORS[Variant.REALIZED]
-    a_p = 1.0 - RHO_ANCHORS[Variant.PROJECTED]
-
-    def expected(a: float, m: float, v: float) -> float:
-        return math.expm1(a * m + 0.5 * a * a * v) / a
-
-    m, v = 7.34, 0.166
-    for _ in range(60):
-        m_p = m - delta / n
-        v_p = v - 2.0 * delta * (l_last - m) / n + delta * delta * (n - 1) / n**2
-        f1 = expected(a_r, m, v) - e_r
-        f2 = expected(a_p, m_p, v_p) - e_p
-        if abs(f1) < 1e-14 and abs(f2) < 1e-14:
-            break
-        g_r = math.exp(a_r * m + 0.5 * a_r * a_r * v)
-        g_p = math.exp(a_p * m_p + 0.5 * a_p * a_p * v_p)
-        # d(m_p)/dm = 1, d(v_p)/dm = 2*delta/n, d(v_p)/dv = 1
-        j11 = g_r
-        j12 = 0.5 * a_r * g_r
-        j21 = g_p * (1.0 + a_p * delta / n)
-        j22 = 0.5 * a_p * g_p
-        det = j11 * j22 - j12 * j21
-        m -= (f1 * j22 - f2 * j12) / det
-        v -= (f2 * j11 - f1 * j21) / det
-    else:
-        raise SystemExit("level-target Newton failed to converge")
-    return m, v
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        a_r, a_p, e_r, e_p, l_last, delta = map(decimal.Decimal, (
+            1.0 - RHO_ANCHORS[Variant.REALIZED], 1.0 - RHO_ANCHORS[Variant.PROJECTED],
+            e_r, e_p, math.log(C_1978), math.log(C_1978) - math.log(c_proj)))
+        s = delta / n
+        # rows: coefficient of M, coefficient of V, right-hand side
+        r11, r12, b1 = a_r, a_r * a_r / 2, (1 + a_r * e_r).ln()
+        r21, r22 = a_p * (1 + a_p * s), a_p * a_p / 2
+        b2 = ((1 + a_p * e_p).ln() + a_p * s
+              + r22 * (2 * s * l_last - delta * delta * (n - 1) / (n * n)))
+        det = r11 * r22 - r12 * r21
+        return float((b1 * r22 - b2 * r12) / det), float((r11 * b2 - r21 * b1) / det)
 
 
 def base_levels() -> np.ndarray:
