@@ -91,6 +91,7 @@ class SufficiencyFactors(namedtuple("SufficiencyFactors", "zeta xi")):
     """Equity factor zeta and risk-free factor xi, each positive and finite."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
     def __new__(cls, zeta: float, xi: float):
         if not (0 < zeta < math.inf and 0 < xi < math.inf):
@@ -103,6 +104,7 @@ class CalibrationResult(namedtuple("CalibrationResult", "factors rho residuals c
     gap; rho, the three residuals and the gap must be finite."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
     def __new__(cls, *args, **kwargs):
         c = super().__new__(cls, *args, **kwargs)

@@ -58,6 +58,7 @@ class MarketDataset(namedtuple("MarketDataset", _DATASET_FIELDS)):
     positive finite values."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
     def __new__(cls, start_year: int, consumption, equity_return, riskfree_return):
         if not isinstance(start_year, int) or isinstance(start_year, bool):
@@ -80,6 +81,7 @@ class ProjectionInputs(namedtuple("ProjectionInputs", _PROJECTION_FIELDS)):
     """Nominal spending aggregates used to project a consumption level."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
     def __new__(cls, *args, **kwargs):
         p = super().__new__(cls, *args, **kwargs)
@@ -93,13 +95,17 @@ _CHUNK = 256 * 1024  # how much of a file read_bytes compares with `kept` per re
 
 
 def read_bytes(path, kept: bytes | None = None) -> bytes:
-    """The bytes of the file at `path` (a string or os.PathLike). Raises
-    OSError for a path that cannot be opened or read.
+    """The bytes of the file at `path` (a str, bytes or os.PathLike). Raises
+    InputError for a `path` of any other type, such as an int, which open()
+    would read and close as a file descriptor, and OSError for a path that
+    cannot be opened or read.
 
     With `kept`, the file is compared with it as it is read, one _CHUNK at
     a time into one reused buffer, and `kept` itself is returned when the
     file holds exactly those bytes: an unchanged file is never copied.
     """
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise InputError(f"path must be a str, bytes or os.PathLike, got {path!r}")
     with open(path, "rb") as fh:
         if kept is None:
             return fh.read()
@@ -113,14 +119,15 @@ def read_bytes(path, kept: bytes | None = None) -> bytes:
 
 
 def read_text(source) -> str:
-    """The UTF-8 text of a path (a string or os.PathLike, read by
+    """The UTF-8 text of a path (a str, bytes or os.PathLike, read by
     read_bytes) or of a file-like object (text or bytes), with one leading
     byte order mark dropped and CRLF and CR line ends read as LF. A path,
     its bytes and their decoded text so give the same text, and bytes that
     are not UTF-8 fail with the same message.
 
     Raises SchemaError for bytes that are not UTF-8, naming the offset of
-    the first bad one in the file, and OSError for a path that cannot be
+    the first bad one in the file, InputError for a source that is neither
+    a path nor a file-like object, and OSError for a path that cannot be
     opened or read.
     """
     try:
@@ -221,8 +228,8 @@ def load_dataset(source) -> MarketDataset:
 
     # Every cell passed the check above, there are at least two rows and the
     # three lists grew together, so MarketDataset.__new__ would accept these
-    # fields as they are: _make skips its second pass over them.
-    return MarketDataset._make((start, tuple(cons), tuple(equity), tuple(riskfree)))
+    # fields as they are: tuple.__new__ skips its second pass over them.
+    return tuple.__new__(MarketDataset, (start, tuple(cons), tuple(equity), tuple(riskfree)))
 
 
 def load_projection(source) -> ProjectionInputs:
@@ -286,7 +293,8 @@ def with_final_consumption(d: MarketDataset, value: float) -> MarketDataset:
     value = float(value)
     if not 0.0 < value < math.inf:
         raise NonPositiveValue("annual series values must be positive and finite")
-    return d._replace(consumption=d.consumption[:-1] + (value,))
+    return tuple.__new__(MarketDataset, (d.start_year, d.consumption[:-1] + (value,),
+                                         d.equity_return, d.riskfree_return))
 
 
 # Package data does not change under a running process and the parsed

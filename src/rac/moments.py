@@ -43,6 +43,7 @@ class SampleMoments(namedtuple("SampleMoments", _MOMENT_FIELDS)):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
     def __new__(cls, *args, **kwargs):
         m = super().__new__(cls, *args, **kwargs)

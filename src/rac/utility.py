@@ -20,6 +20,7 @@ class UtilitySpec(namedtuple("UtilitySpec", "rho")):
     """Curvature parameter of the utility function, checked by check_rho."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
     def __new__(cls, rho: float):
         return super().__new__(cls, check_rho(rho))

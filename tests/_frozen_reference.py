@@ -1,8 +1,10 @@
 """Exact statistics of the bundled dataset, frozen at generation time.
 
-Regenerated by tools/make_reference_dataset.py; tests compare the
-loaded dataset against these values at tight tolerances to catch any
-drift in the data files or the moment computations."""
+Tests compare the loaded dataset against these values at tight tolerances
+to catch any drift in the data files or the moment computations. The file
+is edited by hand only, and each edit says why, as tests/golden/ is: no
+tool writes it, since values rebuilt from the code under check would follow
+that code's drift instead of catching it."""
 
 PROJECTED_CONSUMPTION = 3430.2174260222014
 

@@ -2,6 +2,7 @@
 
 import io
 import math
+import os
 import random
 
 import pytest
@@ -527,6 +528,21 @@ def test_read_bytes_against_kept(tmp_path, case):
 def test_read_bytes_against_empty_kept(tmp_path):
     _check_read_against(tmp_path / "file.bin", b"", b"")
     _check_read_against(tmp_path / "file.bin", b"", b"x")
+
+
+@pytest.mark.parametrize("load", [read_bytes, load_dataset, load_projection])
+def test_file_descriptor_is_not_a_path(load):
+    # open() takes an int as a file descriptor, which it would read and close
+    read_end, write_end = os.pipe()
+    os.write(write_end, b"x")
+    os.close(write_end)
+    try:
+        with pytest.raises(InputError) as info:
+            load(read_end)
+        assert str(info.value) == f"path must be a str, bytes or os.PathLike, got {read_end}"
+        os.fstat(read_end)  # still the caller's, and open
+    finally:
+        os.close(read_end)
 
 
 _LENGTHS = st.one_of(

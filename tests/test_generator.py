@@ -1,17 +1,20 @@
 """The dataset generator still checks out against the frozen reference.
 
 tools/make_reference_dataset.py recomputes every published-value window
-through the package. Running its verify_and_freeze on the texts of the two
-bundled files keeps a change to the package's API from silently breaking
-the generator. Its three writers must reproduce the bundled files and the
-frozen reference byte for byte from the values they hold. The generator
-also builds both files afresh, in memory, and each cell must be within one
-cent of the bundled one; a failed verification writes no file.
+through the package; its verify on the two bundled files' texts must give
+the frozen reference's values, which keeps a change to the package's API
+from silently breaking it. Its generate() builds both files afresh, in
+memory, and each cell must be within one cent of the bundled one. Its
+main() writes no file, pass or fail: the bundled files and the frozen
+reference are edited by hand only, as tests/golden/ is, since rebuilt from
+the code they check they would follow its drift instead of catching it.
 """
 
+import contextlib
 import decimal
 import math
 import runpy
+import shutil
 from pathlib import Path
 
 import pytest
@@ -40,12 +43,12 @@ def _flat(block: dict) -> dict:
 @pytest.fixture(scope="module")
 def tool():
     # run_path compiles the script without caching its bytecode and, under a
-    # name other than __main__, does not run main(), which writes the files
+    # name other than __main__, does not run main(), which rebuilds the files
     return runpy.run_path(str(ROOT / "tools" / "make_reference_dataset.py"))
 
 
 def test_generator_reproduces_frozen_reference(tool):
-    frozen = tool["verify_and_freeze"](
+    frozen = tool["verify"](
         (DATA / "mehra_prescott_1889_1978.csv").read_text(encoding="utf-8"),
         (DATA / "projection_1978.csv").read_text(encoding="utf-8"),
     )
@@ -68,14 +71,8 @@ def test_generator_writers_reproduce_bundled_files(tool):
     assert projection_csv.encode("utf-8") == (DATA / "projection_1978.csv").read_bytes()
 
 
-def test_generator_writer_reproduces_frozen_reference(tool, tmp_path):
-    path = tmp_path / "_frozen_reference.py"
-    tool["emit_frozen"]({"projected_consumption": PROJECTED_CONSUMPTION, **FROZEN}, path)
-    assert path.read_bytes() == (ROOT / "tests" / "_frozen_reference.py").read_bytes()
-
-
 def test_generator_writes_nothing_when_verification_fails(tool, tmp_path, monkeypatch):
-    # main() verifies the texts in memory before it writes any of the files
+    # main() verifies the texts in memory before it reads the bundled files
     bundled = (DATA / "mehra_prescott_1889_1978.csv").read_text(encoding="utf-8")
     corrupted = bundled.replace("\n1889,746.10,", "\n1889,9746.10,")
     assert corrupted != bundled
@@ -126,25 +123,37 @@ def test_generator_solves_level_targets_exactly(tool):
     assert abs(got - e_r) <= 4 * math.ulp(e_r), (got, e_r)
 
 
+@pytest.mark.parametrize("cell, error", [
+    ("1599.74", None),  # the bundled 1927 consumption cell, and two cents up
+    ("1599.76", "1 of 1 differing cells are more than a cent off"),
+], ids=["bundled", "moved"])
+def test_generator_main_writes_nothing(tool, tmp_path, monkeypatch, cell, error):
+    # main() reads a copy of the three references and must leave it as it was
+    for path in (*(DATA / name for name in tool["BUNDLED"]),
+                 ROOT / "tests" / "_frozen_reference.py"):
+        copy = tmp_path / path.relative_to(ROOT)
+        copy.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copyfile(path, copy)
+
+    def tree():  # every path under tmp_path, with a file's bytes
+        return {path: path.is_file() and path.read_bytes() for path in tmp_path.rglob("*")}
+    before = tree()
+    dataset, projection = ((DATA / name).read_text(encoding="utf-8") for name in tool["BUNDLED"])
+    dataset = dataset.replace("\n1927,1599.74,", f"\n1927,{cell},")
+    main = tool["main"]
+    monkeypatch.setitem(main.__globals__, "ROOT", tmp_path)
+    monkeypatch.setitem(main.__globals__, "generate", lambda: (dataset, projection))
+    with pytest.raises(SystemExit, match=error) if error else contextlib.nullcontext():
+        main()
+    assert tree() == before
+
+
 def test_generator_regenerates_bundled_files(tool):
     # generate() gives the bundled texts byte for byte under scipy 1.17.1
     # and numpy 2.4.6, but the least-squares fit pins the levels only to
     # about 1e-6 relative and the 1927 and 1969 cells lie within 0.011 cents
     # of a rounding boundary, so another scipy, numpy or BLAS may move them
     # a cent; the bundled files are never rewritten to follow such drift
-    differ, beyond_a_cent = [], []
-    for name, text in zip(("mehra_prescott_1889_1978.csv", "projection_1978.csv"),
-                          tool["generate"]()):
-        bundled = (DATA / name).read_text(encoding="utf-8").splitlines()
-        got = text.splitlines()
-        assert (len(got), got[0]) == (len(bundled), bundled[0]), name
-        header = bundled[0].split(",")
-        for want_row, got_row in zip(bundled[1:], got[1:]):
-            want_row, got_row = want_row.split(","), got_row.split(",")
-            for column, want, value in zip(header, want_row, got_row):
-                if value != want:
-                    cell = f"{name} {header[0]} {want_row[0]}, {column}: {value} against {want}"
-                    differ.append(cell)
-                    if not abs(float(value) - float(want)) <= 0.01 + 1e-9:
-                        beyond_a_cent.append(cell)
-    assert not beyond_a_cent, "cells that differ:\n" + "\n".join(differ)
+    cells = tool["differing_cells"](tool["generate"]())
+    assert all(distance <= 0.01 + 1e-9 for _, distance in cells), (
+        "cells that differ:\n" + "\n".join(cell for cell, _ in cells))

@@ -186,6 +186,21 @@ def test_different_values_compare_unequal():
         (lambda: CalibrationResult(SufficiencyFactors(1, 1), 1.0, (0, 0, 0), math.nan),
          InputError, "rho and the consistency gap must be finite"),
         (lambda: UtilitySpec(-0.5), InputError, "rho -0.5 outside the supported range [0, 60]"),
+        # _replace builds through _make, and both check as the constructor does
+        (lambda: RECORDS["MarketDataset"][1]()._replace(consumption=(1.0, -5.0)),
+         NonPositiveValue, "annual series values must be positive and finite"),
+        (lambda: RECORDS["ProjectionInputs"][1]()._replace(gnp_deflator=0.0),
+         NonPositiveValue, "gnp_deflator must be positive and finite"),
+        (lambda: RECORDS["SampleMoments"][1]()._replace(sigma2_z=-1.0), NegativeVariance,
+         "variances must be nonnegative"),
+        (lambda: RECORDS["SufficiencyFactors"][1]()._replace(zeta=-1.0), InputError,
+         "sufficiency factors must be positive and finite"),
+        (lambda: RECORDS["CalibrationResult"][1]()._replace(rho=math.nan), InputError,
+         "rho and the consistency gap must be finite"),
+        (lambda: RECORDS["UtilitySpec"][1]()._replace(rho=-0.5), InputError,
+         "rho -0.5 outside the supported range [0, 60]"),
+        (lambda: SampleMoments._make((0.0, -1.0, 1.0, 1.0, 1.0, 0.0, 0.0)), NegativeVariance,
+         "variances must be nonnegative"),
         (lambda: UtilitySpec(rho=math.nan), InputError,
          "rho nan outside the supported range [0, 60]"),
         (lambda: curvature_from_rho(math.nan), InputError,

@@ -1,4 +1,4 @@
-"""Build the bundled synthetic reconstruction of the 1889-1978 annual series.
+"""Rebuild the bundled synthetic 1889-1978 annual series and check it.
 
 The real archival series is not redistributable, so the package ships a
 synthetic one constructed to match the published summary statistics that
@@ -32,23 +32,20 @@ Depression collapse, wartime recovery, a long postwar boom); a unit-weight
 pull toward that base shape keeps the least-squares solution plausible
 while the moment constraints hold exactly.
 
-Outputs:
-    src/rac/data/mehra_prescott_1889_1978.csv
-    src/rac/data/projection_1978.csv
-    tests/_frozen_reference.py   (exact post-rounding statistics)
-
 Run from the repository root: python3 tools/make_reference_dataset.py
-Requires scipy (dev extra). main() generates both CSV texts in memory,
-verifies them through the package, and only then writes the three files,
-so a failed verification leaves every file as it was. The seeds are fixed
-and, under scipy 1.17.1 and numpy 2.4.6, generate() returns both bundled
-texts byte for byte. The least-squares fit pins the levels only to about
-1e-6 relative, though, and the 1927 and 1969 cells lie within 0.011 cents
-of a rounding boundary, so another scipy, numpy or BLAS may move them a
-cent; tests/test_generator.py allows one cent per cell. Never run this
-tool to follow such drift: the bundled files and the frozen reference stay
-as shipped, and main() would rewrite the frozen reference in its last
-digits, since the package's arithmetic has changed since it was frozen.
+(requires scipy, a dev extra). It writes no file: main() builds both CSV
+texts in memory, verifies them through the package, prints each cell that
+differs from the bundled files and exits 1 if any is more than a cent off.
+Under scipy 1.17.1 and numpy 2.4.6 the fixed seeds give both bundled texts
+byte for byte, but the least-squares fit pins the levels only to about
+1e-6 relative and the 1927 and 1969 cells lie within 0.011 cents of a
+rounding boundary, so another scipy, numpy or BLAS may move them a cent.
+
+The bundled files and tests/_frozen_reference.py are edited by hand only,
+as tests/golden/ is: they are what this code is checked against, and
+rebuilt from it they would follow its drift (the package's arithmetic has
+moved in the last digits since the reference was frozen) instead of
+catching it.
 """
 
 from __future__ import annotations
@@ -115,6 +112,9 @@ PUB = {
 }
 
 PROJECTION_ROW = (515.4, 613.7, 150, 219441872)
+
+BUNDLED = ("mehra_prescott_1889_1978.csv", "projection_1978.csv")  # in generate()'s order
+CENT = 0.01 + 1e-9  # how far a rebuilt cell may lie from its bundled value
 
 # Log-normal growth moments implied by (MEAN_X, STD_X); MU_X_IMPLIED sets
 # the start level of the base path.
@@ -277,9 +277,9 @@ def format_projection_csv(row) -> str:
     return ",".join(_PROJECTION_HEADER) + "\n" + ",".join(map(str, row)) + "\n"
 
 
-def verify_and_freeze(dataset_csv: str, projection_csv: str) -> dict:
+def verify(dataset_csv: str, projection_csv: str) -> dict:
     """Recompute every published-value window through the package itself,
-    from the dataset and projection CSV texts."""
+    from the dataset and projection CSV texts, and return the values checked."""
     d = load_dataset(io.StringIO(dataset_csv))
     c_projected = projected_consumption(*load_projection(io.StringIO(projection_csv)))
     d_proj = with_final_consumption(d, c_projected)
@@ -293,7 +293,7 @@ def verify_and_freeze(dataset_csv: str, projection_csv: str) -> dict:
     # rho than the published 1.0089), so the projected windows are wider.
     factor_tol = {"realized": 2e-4, "projected": 5e-4}
 
-    frozen: dict = {"projected_consumption": c_projected}
+    values: dict = {"projected_consumption": c_projected}
     datasets = {"realized": d, "projected": d_proj}
     for name, dv in datasets.items():
         variant = Variant(name)
@@ -334,7 +334,7 @@ def verify_and_freeze(dataset_csv: str, projection_csv: str) -> dict:
         if abs(calib.residuals[2] - gap) > 1e-12:
             raise SystemExit(f"{name}: residual C {calib.residuals[2]!r} differs from the gap")
 
-        frozen[name] = {
+        values[name] = {
             "moments": m._asdict(),
             "consistency_gap": gap,
             "zeta": calib.factors.zeta,
@@ -345,33 +345,7 @@ def verify_and_freeze(dataset_csv: str, projection_csv: str) -> dict:
             "uncertain_equity": equity.uncertain,
             "uncertain_riskfree": riskfree.uncertain,
         }
-    return frozen
-
-
-def emit_frozen(frozen: dict, path: Path) -> None:
-    lines = [
-        '"""Exact statistics of the bundled dataset, frozen at generation time.',
-        "",
-        "Regenerated by tools/make_reference_dataset.py; tests compare the",
-        "loaded dataset against these values at tight tolerances to catch any",
-        'drift in the data files or the moment computations."""',
-        "",
-        f"PROJECTED_CONSUMPTION = {frozen['projected_consumption']!r}",
-        "",
-        "FROZEN = {",
-    ]
-    for name in ("realized", "projected"):
-        lines.append(f'    "{name}": {{')
-        for k, v in frozen[name].items():
-            if k == "moments":
-                lines.append('        "moments": {')
-                lines.extend(f'            "{mk}": {mv!r},' for mk, mv in v.items())
-                lines.append("        },")
-            else:
-                lines.append(f'        "{k}": {v!r},')
-        lines.append("    },")
-    lines.append("}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return values
 
 
 def generate() -> tuple[str, str]:
@@ -391,24 +365,38 @@ def generate() -> tuple[str, str]:
             format_projection_csv(PROJECTION_ROW))
 
 
+def differing_cells(texts: tuple[str, str]) -> list[tuple[str, float]]:
+    """Each cell of the two CSV texts that differs from the bundled file's,
+    as (description, distance from the bundled value). A header or row
+    count that differs, which leaves the cells unpaired, raises SystemExit."""
+    cells = []
+    for name, text in zip(BUNDLED, texts):
+        bundled = (ROOT / "src" / "rac" / "data" / name).read_text(encoding="utf-8").splitlines()
+        got = text.splitlines()
+        if (len(got), got[:1]) != (len(bundled), bundled[:1]):
+            raise SystemExit(f"{name}: header or row count differs from the bundled file")
+        header = bundled[0].split(",")
+        for want_row, got_row in zip(bundled[1:], got[1:]):
+            want_row, got_row = want_row.split(","), got_row.split(",")
+            for column, want, value in zip(header, want_row, got_row):
+                if value != want:
+                    cell = f"{name} {header[0]} {want_row[0]}, {column}: {value} against {want}"
+                    cells.append((cell, abs(float(value) - float(want))))
+    return cells
+
+
 def main() -> None:
-    """Generate both CSV texts, verify them, and only then write the files."""
+    """Rebuild both CSV texts, verify them and compare them with the bundled
+    files; writes nothing. Exits 1 if a cell is more than one cent off."""
     texts = generate()
-    frozen = verify_and_freeze(*texts)
-    data_dir = ROOT / "src" / "rac" / "data"
-    data_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in zip(("mehra_prescott_1889_1978.csv", "projection_1978.csv"), texts):
-        (data_dir / name).write_text(text, encoding="utf-8")
-        print(f"wrote src/rac/data/{name}")
-    emit_frozen(frozen, ROOT / "tests" / "_frozen_reference.py")
-    print("wrote tests/_frozen_reference.py")
-    for name in ("realized", "projected"):
-        blk = frozen[name]
-        print(
-            f"{name}: gap {blk['consistency_gap']:.3e}, "
-            f"zeta {blk['zeta']:.6f}, xi {blk['xi']:.6f}, "
-            f"uncertain {blk['uncertain_equity']:.6f} / {blk['uncertain_riskfree']:.6f}"
-        )
+    verify(*texts)
+    cells = differing_cells(texts)
+    for cell, _ in cells:
+        print(cell)
+    beyond = sum(distance > CENT for _, distance in cells)
+    if beyond:
+        raise SystemExit(f"{beyond} of {len(cells)} differing cells are more than a cent off")
+    print(f"both bundled files rebuild within a cent ({len(cells)} cells differ)")
 
 
 if __name__ == "__main__":
