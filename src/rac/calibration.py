@@ -207,6 +207,9 @@ def calibrate_variant(
 
     This is the calibration entry point the CLI uses: moments come from the
     requested dataset variant, rho from RHO_ANCHORS unless overridden, and
-    zeta/xi from the closed form at that rho.
+    zeta/xi from the closed form at that rho. A variant that is not a
+    Variant is an InputError.
     """
+    if not isinstance(variant, Variant):
+        raise InputError(f"variant must be a Variant, got {variant!r}")
     return solve_system(beta, m, RHO_ANCHORS[variant] if rho is None else rho)

@@ -103,12 +103,17 @@ def classify(
 ) -> RiskAttitude:
     """Map a utility comparison to a risk attitude.
 
+    curvature and group must be members of their enums, else InputError.
     delta = certain - uncertain must be finite, else UtilityOverflow (after the
     eta and tol checks). |delta| <= tol is risk-neutral regardless of
     allocation sign (definition 4 or 10). Otherwise a zero allocation
     (eta = 1) matches no definition; the two signs pick a row of _DEFINITIONS
     and the curvature rules of the module docstring accept or reject it.
     """
+    if not isinstance(curvature, Curvature):
+        raise InputError(f"curvature must be a Curvature, got {curvature!r}")
+    if not isinstance(group, DefinitionGroup):
+        raise InputError(f"group must be a DefinitionGroup, got {group!r}")
     delta = cmp.certain - cmp.uncertain
     alloc = _sign_from_eta(cmp.eta)
     one = group is DefinitionGroup.ONE

@@ -1,15 +1,16 @@
-"""Command-line interface: ingest, calibrate, classify. It parses the
-options, reads the inputs and runs the phases; report.py renders each
-command's report, and main writes it once.
+"""Command-line interface: ingest, calibrate, classify. main parses the
+options, run(cfg, command) runs the command's phases and returns them as a
+Run, report.py renders the Run, and main writes the report once.
 
 Each run option takes the first value that is set of: its flag, its key in
 the --config file (JSON), the RAC_DATASET environment variable when not empty
 (dataset only), and its default (the bundled inputs, for the two paths).
 Exit codes: 0 success, 1 input problem (usage errors included), 2 computation problem.
 
-A run goes in phases: it reads every input, then computes every variant's
-moments, then calibrates each variant, then classifies. The first error in
-that order is the one reported, so an input problem always wins.
+A run goes in phases, and run is the one place they run: it reads every
+input, then computes every variant's moments, then calibrates each variant
+(not for ingest), then classifies each investor and variant (classify only).
+The first error in that order is the one reported, so an input problem wins.
 
 main(argv) reads sys.argv[1:] when argv is None. When the first word is a
 command, the command's own parser parses the rest, so each word is parsed
@@ -36,7 +37,7 @@ from collections import namedtuple
 from collections.abc import Callable
 
 from . import dataset as ds
-from .calibration import DEFAULT_BETA, CalibrationResult, Variant, calibrate_variant
+from .calibration import DEFAULT_BETA, Variant, calibrate_variant
 from .calibration import check_beta, check_rho
 from .classify import DefinitionGroup, classify_pipeline, check_tol, DEFAULT_TOLERANCE
 from .errors import InputError, RacError, SchemaError
@@ -218,27 +219,22 @@ class _Series:
 _SERIES = _Series()
 
 
-# -- commands ----------------------------------------------------------------
+# -- the run -----------------------------------------------------------------
 
-def cmd_ingest(cfg: RunConfig) -> str:
-    # ingest reads no projection, even one a shared config file names
-    ((_, d, m),) = _SERIES.build(cfg.dataset, None, (Variant.REALIZED,))
-    return ingest_report(d, m, cfg.format)
-
-
-def _calibrations(cfg: RunConfig, variants: list[_Variant]) -> dict[str, CalibrationResult]:
-    """Per variant name, in order, the variant's calibrate_variant result."""
-    return {v.value: calibrate_variant(m, cfg.beta, v, rho=cfg.rho) for v, _, m in variants}
+# One field per phase, None if the command did not run it: [(variant, dataset,
+# moments)], {variant name: calibrate_variant result}, [(investor, its rows)].
+Run = namedtuple("Run", "variants calibrations tables", defaults=(None, None))
 
 
-def cmd_calibrate(cfg: RunConfig) -> str:
+def run(cfg: RunConfig, command: str) -> Run:
+    """`command`'s phases in order, each variant's moments, calibration and
+    rows, up to its last phase: moments for ingest, calibrations for calibrate."""
+    if command == "ingest":  # realized only: no projection is read, even one a config file names
+        return Run(_SERIES.build(cfg.dataset, None, (Variant.REALIZED,)))
     variants = _SERIES.build(cfg.dataset, cfg.projection, cfg.variant)
-    return calibration_report(_calibrations(cfg, variants), cfg.format)
-
-
-def cmd_classify(cfg: RunConfig) -> str:
-    variants = _SERIES.build(cfg.dataset, cfg.projection, cfg.variant)
-    calibrations = _calibrations(cfg, variants)
+    calibrations = {v.value: calibrate_variant(m, cfg.beta, v, rho=cfg.rho) for v, _, m in variants}
+    if command == "calibrate":
+        return Run(variants, calibrations)
     tables = []
     for investor, (_, factor) in INVESTORS.items():
         if (factor is None) is (cfg.eta is None):  # --eta runs the custom investor alone
@@ -251,7 +247,11 @@ def cmd_classify(cfg: RunConfig) -> str:
             )
             rows.append(report_row(variant.value, dv, calib.rho, cmp, attitude))
         tables.append((investor, rows))
-    return classification_report(calibrations, tables, cfg.format)
+    return Run(variants, calibrations, tables)
+
+
+# Each command, with the report.py function that renders its Run.
+_REPORTS = dict(ingest=ingest_report, calibrate=calibration_report, classify=classification_report)
 
 
 # -- argument parsing --------------------------------------------------------
@@ -303,17 +303,18 @@ def make_parser() -> argparse.ArgumentParser:
     parser.commands = sub.choices  # {name: its parser}; main hands a command's words to it
     # ingest reads the realized dataset only, so it takes no --projection or
     # --variant; config keys are shared, and each command uses those it reads
-    for name, fn in (("ingest", cmd_ingest), ("calibrate", cmd_calibrate), ("classify", cmd_classify)):
+    for name in _REPORTS:
         # an unset flag is left out of the namespace, so build_config can tell it
         p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         _add_common(p, ("projection", "variant") if name == "ingest" else ())
-        p.set_defaults(func=fn)
+        p.set_defaults(command=name)  # a command's own parser does not set it
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; argv defaults to sys.argv[1:]. A command's words go to
-    its own parser; the whole parser runs only for help and usage errors."""
+    """Run one command and return its exit code; argv defaults to sys.argv[1:].
+    Help raises SystemExit(0) and a usage error SystemExit(1); only these run
+    the whole parser, as a command's words go to its own parser."""
     argv = sys.argv[1:] if argv is None else argv
     parser = make_parser()
     command = parser.commands.get(argv[0]) if argv else None
@@ -323,7 +324,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     try:
         cfg = build_config(args)
-        report = args.func(cfg)
+        report = _REPORTS[args.command](run(cfg, args.command), cfg.format)
     except RacError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, InputError) else 2

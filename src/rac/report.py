@@ -1,7 +1,8 @@
-"""The text of every report rac prints, one function per command:
-ingest_report (JSON, or text for both `text` and `csv`), calibration_report
-(text, CSV or JSON) and classification_report (a titled text table per
-investor, one CSV table, or the export_run document as JSON).
+"""The text of every report rac prints, one function per command, each of
+the Run that cli.run returns: ingest_report (JSON, or text for both `text`
+and `csv`), calibration_report (text, CSV or JSON) and classification_report
+(a titled text table per investor, one CSV table, or the export_run document
+as JSON).
 
 A classification row's columns are stated once, in _COLUMNS, and its
 investors once, in INVESTORS. Displayed numbers are fixed at six decimal
@@ -158,8 +159,9 @@ def export_run(
     return json_text({**_calibration_document(calibrations), "classifications": rows_out})
 
 
-def ingest_report(d, m, fmt: ReportFormat) -> str:
-    """The span of dataset `d` and its moments `m`."""
+def ingest_report(run, fmt: ReportFormat) -> str:
+    """The span of the run's one dataset and its moments."""
+    ((_, d, m),) = run.variants
     if fmt is ReportFormat.JSON:
         return json_text({
             "years": len(d.consumption),
@@ -177,17 +179,17 @@ def ingest_report(d, m, fmt: ReportFormat) -> str:
     )
 
 
-def calibration_report(calibrations: dict[str, CalibrationResult], fmt: ReportFormat) -> str:
+def calibration_report(run, fmt: ReportFormat) -> str:
     if fmt is ReportFormat.JSON:
-        return json_text(_calibration_document(calibrations))
+        return json_text(_calibration_document(run.calibrations))
     if fmt is ReportFormat.CSV:
         lines = ["variant,zeta,xi,rho,residual_a,residual_b,residual_c,consistency_gap\n"]
-        for name, c in calibrations.items():
+        for name, c in run.calibrations.items():
             values = (c.factors.zeta, c.factors.xi, c.rho, *c.residuals, c.consistency_gap)
             lines.append(",".join([name, *map(repr, values)]) + "\n")
         return "".join(lines)
     lines = []
-    for name, c in calibrations.items():
+    for name, c in run.calibrations.items():
         residuals = " ".join(f"{r:.3e}" for r in c.residuals)
         lines.append(
             f"{name}: zeta {c.factors.zeta:.6f}, xi {c.factors.xi:.6f}, rho {c.rho:.6f}\n"
@@ -196,16 +198,12 @@ def calibration_report(calibrations: dict[str, CalibrationResult], fmt: ReportFo
     return "".join(lines)
 
 
-def classification_report(
-    calibrations: dict[str, CalibrationResult],
-    tables: list[tuple[str, list[ReportRow]]],
-    fmt: ReportFormat,
-) -> str:
+def classification_report(run, fmt: ReportFormat) -> str:
     if fmt is ReportFormat.JSON:
-        return export_run(calibrations, tables)
+        return export_run(run.calibrations, run.tables)
     if fmt is ReportFormat.CSV:
-        return render_table([row for _, rows in tables for row in rows], ReportFormat.CSV)
+        return render_table([row for _, rows in run.tables for row in rows], ReportFormat.CSV)
     return "\n".join(
         INVESTORS[investor][0] + "\n" + render_table(rows, ReportFormat.TEXT)
-        for investor, rows in tables
+        for investor, rows in run.tables
     )

@@ -236,4 +236,4 @@ def test_criterion_9_determinism(capsys):
     assert runs[0] == runs[1]
     doc = json.loads(runs[0])
     assert len(doc["classifications"]) == 4
-    print("PASS criterion 9: repeated cmd_classify output is byte-identical")
+    print("PASS criterion 9: repeated classify output is byte-identical")

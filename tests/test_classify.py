@@ -13,6 +13,8 @@ from rac import (
     Label,
     MarketDataset,
     UtilityComparison,
+    Variant,
+    calibrate_variant,
     classify,
     classify_pipeline,
     curvature_from_rho,
@@ -155,6 +157,29 @@ def test_gap_that_is_not_finite():
         for eta, curvature, group in ((1.0, CONCAVE, G2), (0.9, HORIZONTAL, G1), (1.1, LINEAR, G2)):
             with pytest.raises(UtilityOverflow):
                 classify(cmp_with(certain, uncertain, eta), curvature, group, tol=math.inf)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda m: classify(cmp_with(5.0, 4.0, 0.9), CONCAVE, "one"),
+         "group must be a DefinitionGroup, got 'one'"),
+        (lambda m: classify(cmp_with(5.0, 4.0, 0.9), CONCAVE, None),
+         "group must be a DefinitionGroup, got None"),
+        (lambda m: classify(cmp_with(5.0, 4.0, 0.9), "strictly-concave", G2),
+         "curvature must be a Curvature, got 'strictly-concave'"),
+        (lambda m: calibrate_variant(m, 0.99, "realized"),
+         "variant must be a Variant, got 'realized'"),
+        (lambda m: calibrate_variant(m, 0.99, Variant.REALIZED.value, rho=2.0),
+         "variant must be a Variant, got 'realized'"),
+    ],
+)
+def test_enum_argument_of_another_type_is_input_error(bundled, call, message):
+    # a name is not coerced to its member: group two's rules under the name
+    # "one" would be a wrong answer, not an error
+    with pytest.raises(InputError) as info:
+        call(compute_moments(bundled))
+    assert str(info.value) == message
 
 
 # -- invariants ---------------------------------------------------------------

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from rac import dataset as ds
 from rac import errors, load_bundled_dataset, parse_csv, parse_json
-from rac.cli import ENV_DATASET, main, make_parser
+from rac.cli import ENV_DATASET, build_config, main, make_parser
 
 from conftest import HEADER, PROJECTION_HEADER, serialize_dataset
 
@@ -620,6 +620,45 @@ def test_classify_custom_eta_table(capsys):
     assert out.count("Risk-averse") == 2
 
 
+# -- cli.run: a command's phases --------------------------------------------
+
+def _run_phases(*argv):
+    """cli.run of `rac *argv`: the command's Run, on the config main builds."""
+    cli = importlib.import_module("rac.cli")
+    return cli.run(build_config(make_parser().parse_args(argv)), argv[0])
+
+
+@pytest.mark.parametrize(
+    "command, variants, calibrations, investors",
+    [
+        ("ingest", ["realized"], None, None),
+        ("calibrate", ["realized", "projected"], ["realized", "projected"], None),
+        ("classify", ["realized", "projected"], ["realized", "projected"], ["equity", "risk-free"]),
+    ],
+)
+def test_run_holds_the_phases_its_command_ran(command, variants, calibrations, investors):
+    result = _run_phases(command)
+    assert [v.value for v, _, _ in result.variants] == variants
+    assert (result.calibrations and list(result.calibrations)) == calibrations
+    assert (result.tables and [investor for investor, _ in result.tables]) == investors
+
+
+def test_run_rows_are_the_classify_json_rows(capsys):
+    code, out, _ = run(capsys, "classify", "--format", "json")
+    assert code == 0
+    tables = _run_phases("classify", "--format", "json").tables
+    assert [row for _, rows in tables for row in rows] == parse_json(out)
+
+
+def test_run_calibrate_stops_before_classifying():
+    # at rho 2 the calibrations exist, and only classifying them fails
+    result = _run_phases("calibrate", "--rho", "2")
+    assert result.tables is None
+    assert [c.rho for c in result.calibrations.values()] == [2.0, 2.0]
+    with pytest.raises(errors.Unclassifiable):
+        _run_phases("classify", "--rho", "2")
+
+
 # -- config file --------------------------------------------------------------
 
 @pytest.fixture()
@@ -955,7 +994,7 @@ def _outcome(argv):
 @contextlib.contextmanager
 def _whole_parser():
     """main with no command to hand words to: make_parser().parse_args(argv)
-    parses every call, and the same command body runs."""
+    parses every call, and the same run follows."""
     parser = make_parser()
     commands, parser.commands = parser.commands, {}
     try:

@@ -29,6 +29,9 @@ CASES = {
     },
     "classify_eta_text": ["classify", "--eta", "0.9", "--format", "text"],
     "calibrate_projected_csv": ["calibrate", "--variant", "projected", "--format", "csv"],
+    "classify_eta_json": ["classify", "--eta", "0.9", "--format", "json"],
+    "classify_projected_csv": ["classify", "--variant", "projected", "--format", "csv"],
+    "calibrate_rho2_text": ["calibrate", "--rho", "2", "--format", "text"],
 }
 
 

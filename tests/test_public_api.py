@@ -4,8 +4,8 @@ every public name of the package is listed there; `import rac` loads no
 submodule, and each name loads its own on first use;
 the build reads its version from `rac.__version__`, with no second copy;
 every function the benchmark traces still exists where it looks for it;
-every concrete error type is raised somewhere in the package; and one
-function opens files."""
+every concrete error type is raised somewhere in the package; one function
+opens files; and every name a module imports is used there."""
 
 import ast
 import importlib
@@ -180,3 +180,19 @@ def test_one_function_opens_files():
         if isinstance(node, ast.FunctionDef) and node.name == "read_bytes"
     )
     assert opens[0] in list(ast.walk(read_bytes))
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in Path(rac.__file__).parent.glob("*.py") if p.name != "__init__.py")
+)
+def test_every_import_is_used(module):
+    # a name bound by an import and never read is left over from deleted code
+    tree = ast.parse((Path(rac.__file__).parent / module).read_text(encoding="utf-8"))
+    imported = {
+        (alias.asname or alias.name).partition(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - read) == []
