@@ -21,16 +21,17 @@ __version__ = "0.1.0"
 # one string, not a tuple: without cached bytecode this file is compiled at
 # every start, and one string compiles several times faster than 57.
 _EXPORTS = {
-    "calibration": """CalibrationResult RHO_ANCHORS SufficiencyFactors Variant calibrate_variant
+    "calibration": """CalibrationResult RHO_ANCHORS SufficiencyFactors calibrate_variant
         solve_closed_form_given_rho solve_system system_residuals""",
-    "classify": """AllocationSign Curvature DEFAULT_TOLERANCE DefinitionGroup Label RiskAttitude
-        classify classify_pipeline curvature_from_rho""",
+    "classify": """AllocationSign Curvature Label RiskAttitude classify classify_pipeline
+        curvature_from_rho""",
     "dataset": """MarketDataset ProjectionInputs load_bundled_dataset load_bundled_projection
         load_dataset load_projection projected_consumption with_final_consumption""",
     "errors": """ComputeError DegenerateSystem InputError InvalidCombination MissingYear
         NegativeVariance NoConvergence NonPositiveConsumption NonFiniteMoment NonPositiveValue
         RacError SchemaError Unclassifiable UtilityOverflow""",
     "moments": "SampleMoments compute_moments consistency_gap lognormal_moment",
+    "params": "DEFAULT_TOLERANCE DefinitionGroup Variant",
     "report": """ReportFormat ReportRow calibration_block export_run parse_csv parse_json
         render_table""",
     "utility": """UtilityComparison UtilitySpec crra_utility expected_utility_unconditional

@@ -40,42 +40,16 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from enum import Enum
 
 from .errors import DegenerateSystem, InputError, NoConvergence
 from .moments import SampleMoments, consistency_gap
+from .params import DEFAULT_BETA, Variant, check_beta, check_rho
 
 DEGENERACY_TOL = 1e-12
-RHO_REGION = (0.0, 60.0)
 FACTOR_REGION_MAX = 10.0
 # ln of the largest float, rounded down: exp of a larger log-factor overflows.
 _LN_FLOAT_MAX = 709.78
 _FACTOR_MIN = math.ldexp(1.0, -1022)  # sys.float_info.min: a subnormal factor has lost digits
-DEFAULT_BETA = 0.99
-
-
-def check_beta(beta: float) -> float:
-    """beta, if it lies in (0, 1]."""
-    if not 0.0 < beta <= 1.0:
-        raise InputError(f"beta must be in (0, 1], got {beta}")
-    return beta
-
-
-def check_rho(rho: float) -> float:
-    """rho as a float, if it lies in RHO_REGION: the package's one rho rule,
-    which every public function that takes rho applies."""
-    lo, hi = RHO_REGION
-    rho = float(rho) + 0.0  # -0.0 becomes 0.0, so it prints as 0
-    if not lo <= rho <= hi:
-        raise InputError(f"rho {rho} outside the supported range [{lo:g}, {hi:g}]")
-    return rho
-
-
-class Variant(Enum):
-    """Which final consumption year a dataset carries."""
-
-    REALIZED = "realized"
-    PROJECTED = "projected"
 
 
 # Published reference calibration for the bundled 1889-1978 reconstruction.

@@ -23,39 +23,23 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 
-from .calibration import check_rho
 from .dataset import MarketDataset
 from .errors import InputError, InvalidCombination, Unclassifiable, UtilityOverflow
 from .moments import SampleMoments, compute_moments
+from .params import DEFAULT_TOLERANCE, DefinitionGroup, check_eta, check_rho, check_tol
 from .utility import (
     UtilityComparison,
     UtilitySpec,
-    check_eta,
     crra_utility,
     expected_utility_unconditional,
     make_comparison,
 )
-
-DEFAULT_TOLERANCE = 1e-9
-
-
-def check_tol(tol: float) -> float:
-    """tol, if it is nonnegative."""
-    if not tol >= 0:
-        raise InputError(f"tol must be >= 0, got {tol}")
-    return tol
-
 
 class Curvature(Enum):
     STRICTLY_CONCAVE = "strictly-concave"
     STRICTLY_CONVEX_INCREASING = "strictly-convex-increasing"
     LINEAR = "linear"
     HORIZONTAL = "horizontal"
-
-
-class DefinitionGroup(Enum):
-    ONE = "one"
-    TWO = "two"
 
 
 class AllocationSign(Enum):

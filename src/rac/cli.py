@@ -17,11 +17,12 @@ command, the command's own parser parses the rest, so each word is parsed
 once; the whole parser parses them again only to print help or a usage
 error, which it words as it always has.
 
-main may run many times in one process. The parser is built once. One
-series is kept, the bundled one or a user one, with its variants: a user
-dataset is parsed once per file content, and each variant is built once
-while its series is kept (see _Series). A repeat read compares the file with
-the kept bytes as it is read, so an unchanged file is not copied.
+main may run many times in one process. Each parser is built once, one per
+command and the whole one only for help or a usage error. One series is
+kept, the bundled one or a user one, with its variants: a user dataset is
+parsed once per file content, and each variant is built once while its
+series is kept (see _Series). A repeat read compares the file with the kept
+bytes as it is read, so an unchanged file is not copied.
 """
 
 from __future__ import annotations
@@ -37,16 +38,16 @@ from collections import namedtuple
 from collections.abc import Callable
 
 from . import dataset as ds
-from .calibration import DEFAULT_BETA, Variant, calibrate_variant
-from .calibration import check_beta, check_rho
-from .classify import DefinitionGroup, classify_pipeline, check_tol, DEFAULT_TOLERANCE
 from .errors import InputError, RacError, SchemaError
 from .moments import SampleMoments, compute_variant_moments
+from .params import DEFAULT_BETA, DEFAULT_TOLERANCE, DefinitionGroup, Variant
+from .params import check_beta, check_eta, check_rho, check_tol
 from .report import INVESTORS, ReportFormat, calibration_report, classification_report
 from .report import ingest_report, report_row
-from .utility import check_eta
 
 ENV_DATASET = "RAC_DATASET"
+# the package, whose table (PEP 562) loads a phase's module when run first reaches it
+_rac = sys.modules[__package__]
 
 
 def _read(kind: str, path: str, load):
@@ -232,7 +233,7 @@ def run(cfg: RunConfig, command: str) -> Run:
     if command == "ingest":  # realized only: no projection is read, even one a config file names
         return Run(_SERIES.build(cfg.dataset, None, (Variant.REALIZED,)))
     variants = _SERIES.build(cfg.dataset, cfg.projection, cfg.variant)
-    calibrations = {v.value: calibrate_variant(m, cfg.beta, v, rho=cfg.rho) for v, _, m in variants}
+    calibrations = {v.value: _rac.calibrate_variant(m, cfg.beta, v, rho=cfg.rho) for v, _, m in variants}
     if command == "calibrate":
         return Run(variants, calibrations)
     tables = []
@@ -242,7 +243,7 @@ def run(cfg: RunConfig, command: str) -> Run:
         rows = []
         for (variant, dv, m), calib in zip(variants, calibrations.values()):
             eta = getattr(calib.factors, factor) if factor else cfg.eta
-            cmp, attitude = classify_pipeline(
+            cmp, attitude = _rac.classify_pipeline(
                 dv, eta, calib.rho, cfg.beta, cfg.group, cfg.tol, moments=m
             )
             rows.append(report_row(variant.value, dv, calib.rho, cmp, attitude))
@@ -267,12 +268,20 @@ def _help(opt: _Option) -> str:
     return f"{opt.help} (default {shown})"
 
 
-def _add_common(p: argparse.ArgumentParser, skip: tuple[str, ...]) -> None:
+def _add_options(p: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    """p, given `command`'s options: the one definition of both parsers of a
+    command, make_parser's subparser and command_parser's own."""
+    p.argument_default = argparse.SUPPRESS  # an unset flag stays out, so build_config can tell it
+    # ingest reads the realized dataset only, so it takes no --projection or
+    # --variant; config keys are shared, and each command uses those it reads
+    skip = ("projection", "variant") if command == "ingest" else ()
     for opt in (opt for opt in _OPTIONS if opt.name not in skip):
         choices = list(opt.rule) if opt.kind is _choice else None
         convert = float if opt.kind is _number else None
         p.add_argument(f"--{opt.name}", type=convert, choices=choices, help=_help(opt))
     p.add_argument("--config", help="JSON config file (flags win over its values)")
+    p.set_defaults(command=command)  # only the whole parser's subparsers action sets it
+    return p
 
 
 class _Parser(argparse.ArgumentParser):
@@ -290,24 +299,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-# Built once per process: parse_args keeps no state between calls, so main()
-# can run many times in one process on the same parser.
+# Each built once per process: parse_args keeps no state between calls, so
+# main() can run many times in one process on the same parsers.
+@functools.cache
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """`rac NAME`'s own parser, which main hands the command's words to."""
+    return _add_options(_Parser(prog=f"rac {name}"), name)
+
+
 @functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The whole parser, with a subparser per command: help, or a usage error."""
     parser = _Parser(
         prog="rac",
         description="Calibrate sufficiency factors and classify risk attitudes "
         "from an annual consumption/returns dataset.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices  # {name: its parser}; main hands a command's words to it
-    # ingest reads the realized dataset only, so it takes no --projection or
-    # --variant; config keys are shared, and each command uses those it reads
     for name in _REPORTS:
-        # an unset flag is left out of the namespace, so build_config can tell it
-        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
-        _add_common(p, ("projection", "variant") if name == "ingest" else ())
-        p.set_defaults(command=name)  # a command's own parser does not set it
+        _add_options(sub.add_parser(name), name)
     return parser
 
 
@@ -316,12 +326,11 @@ def main(argv: list[str] | None = None) -> int:
     Help raises SystemExit(0) and a usage error SystemExit(1); only these run
     the whole parser, as a command's words go to its own parser."""
     argv = sys.argv[1:] if argv is None else argv
-    parser = make_parser()
-    command = parser.commands.get(argv[0]) if argv else None
+    command = command_parser(argv[0]) if argv and argv[0] in _REPORTS else None
     if command is not None:  # the whole parser hands every word after a command to it
         args, left = command.parse_known_args(argv[1:])
     if command is None or left:  # help, or a usage error worded by the whole parser
-        args = parser.parse_args(argv)
+        args = make_parser().parse_args(argv)
     try:
         cfg = build_config(args)
         report = _REPORTS[args.command](run(cfg, args.command), cfg.format)

@@ -16,8 +16,6 @@ import io
 from collections import namedtuple
 from enum import Enum
 
-from .calibration import CalibrationResult
-from .classify import AllocationSign
 from .errors import InputError
 
 
@@ -50,10 +48,11 @@ INVESTORS = {
     "risk-free": ("Risk-free investors (eta = xi)", "xi"),
     "custom": ("Custom eta investors", None),
 }
+# each AllocationSign's value -> its text
 _ALLOCATION_TEXT = {
-    AllocationSign.NEGATIVE: "allocates extra negative utility",
-    AllocationSign.POSITIVE: "allocates extra positive utility",
-    AllocationSign.ZERO: "allocates no extra utility",
+    "negative": "allocates extra negative utility",
+    "positive": "allocates extra positive utility",
+    "zero": "allocates no extra utility",
 }
 
 
@@ -66,7 +65,7 @@ def report_row(variant: str, d, rho: float, cmp, attitude) -> ReportRow:
         consumption_uncertain=d.consumption[-1],
         certain_utility=cmp.certain,
         uncertain_utility=cmp.uncertain,
-        allocation_text=_ALLOCATION_TEXT[attitude.allocation],
+        allocation_text=_ALLOCATION_TEXT[attitude.allocation.value],
         label_text=attitude.label.value,
         rho=rho,
     )
@@ -81,7 +80,9 @@ def _encode(r: ReportRow) -> dict:
 
 def render_table(rows: list[ReportRow], fmt: ReportFormat = ReportFormat.TEXT) -> str:
     """Render `rows` as text or CSV; [] renders the header alone."""
-    if fmt not in (ReportFormat.TEXT, ReportFormat.CSV):
+    if not isinstance(fmt, ReportFormat):
+        raise InputError(f"fmt must be a ReportFormat, got {fmt!r}")
+    if fmt is ReportFormat.JSON:
         raise InputError(f"render_table writes text or CSV, not {fmt}; use export_run for JSON")
     return _render_text(rows) if fmt is ReportFormat.TEXT else _render_csv(rows)
 
@@ -130,7 +131,8 @@ def parse_json(text: str) -> list[ReportRow]:
     return [_row_from_record(rec) for rec in json.loads(text)["classifications"]]
 
 
-def calibration_block(c: CalibrationResult) -> dict:
+def calibration_block(c) -> dict:
+    """A CalibrationResult's JSON block."""
     return {
         "zeta": c.factors.zeta,
         "xi": c.factors.xi,
@@ -140,14 +142,11 @@ def calibration_block(c: CalibrationResult) -> dict:
     }
 
 
-def _calibration_document(calibrations: dict[str, CalibrationResult]) -> dict:
+def _calibration_document(calibrations: dict) -> dict:
     return {"calibration": {name: calibration_block(c) for name, c in calibrations.items()}}
 
 
-def export_run(
-    calibrations: dict[str, CalibrationResult],
-    tables: list[tuple[str, list[ReportRow]]],
-) -> str:
+def export_run(calibrations: dict, tables: list[tuple[str, list[ReportRow]]]) -> str:
     """Full-run JSON document.
 
     `calibration` maps each requested variant to its {zeta, xi, rho,

@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .calibration import check_beta, check_rho
-from .errors import InputError, NonPositiveConsumption, UtilityOverflow
+from .errors import NonPositiveConsumption, UtilityOverflow
 from .moments import SampleMoments
+from .params import check_beta, check_eta, check_rho
 
 
 class UtilitySpec(namedtuple("UtilitySpec", "rho")):
@@ -70,13 +70,6 @@ def _expm1_over(a: float, x: float) -> float:
             f"utility leaves the floating-point range (exponent {x:.6g} at 1 - rho = {a:g})"
         )
     return u
-
-
-def check_eta(eta: float) -> float:
-    """eta, if it is positive."""
-    if not eta > 0:
-        raise InputError(f"eta must be positive, got {eta}")
-    return eta
 
 
 def uncertain_utility(expected_u: float, beta: float, eta: float) -> float:

@@ -22,8 +22,9 @@ from rac import (
     solve_system,
     system_residuals,
 )
-from rac.calibration import FACTOR_REGION_MAX, RHO_REGION
+from rac.calibration import FACTOR_REGION_MAX
 from rac.errors import DegenerateSystem, InputError, NoConvergence
+from rac.params import RHO_REGION
 
 
 def residuals_oracle(zeta, xi, rho, beta, m):

@@ -12,12 +12,14 @@ from rac import (
     DefinitionGroup,
     Label,
     MarketDataset,
+    ReportFormat,
     UtilityComparison,
     Variant,
     calibrate_variant,
     classify,
     classify_pipeline,
     curvature_from_rho,
+    render_table,
     solve_closed_form_given_rho,
     compute_moments,
 )
@@ -172,6 +174,11 @@ def test_gap_that_is_not_finite():
          "variant must be a Variant, got 'realized'"),
         (lambda m: calibrate_variant(m, 0.99, Variant.REALIZED.value, rho=2.0),
          "variant must be a Variant, got 'realized'"),
+        (lambda m: render_table([], "text"), "fmt must be a ReportFormat, got 'text'"),
+        (lambda m: render_table([], None), "fmt must be a ReportFormat, got None"),
+        # a ReportFormat that render_table does not write keeps its own message
+        (lambda m: render_table([], ReportFormat.JSON),
+         "render_table writes text or CSV, not ReportFormat.JSON; use export_run for JSON"),
     ],
 )
 def test_enum_argument_of_another_type_is_input_error(bundled, call, message):

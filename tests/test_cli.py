@@ -58,7 +58,7 @@ def degenerate_file(tmp_path):
 def _clear_caches():
     """Empty every per-process cache of the CLI, so the next call builds all."""
     cli = importlib.import_module("rac.cli")
-    for cached in (cli.make_parser, cli._SERIES, ds.load_bundled_dataset,
+    for cached in (cli.make_parser, cli.command_parser, cli._SERIES, ds.load_bundled_dataset,
                    ds.load_bundled_projection):
         cached.cache_clear()
 
@@ -991,16 +991,11 @@ def _outcome(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@contextlib.contextmanager
 def _whole_parser():
-    """main with no command to hand words to: make_parser().parse_args(argv)
+    """main with no command parser to hand words to: make_parser().parse_args(argv)
     parses every call, and the same run follows."""
-    parser = make_parser()
-    commands, parser.commands = parser.commands, {}
-    try:
-        yield
-    finally:
-        parser.commands = commands
+    return mock.patch.object(importlib.import_module("rac.cli"), "command_parser",
+                             lambda name: None)
 
 
 # words that send main to the whole parser (help, no or an unknown command, an
@@ -1036,23 +1031,31 @@ _EDGE_ARGV = [
     ["classify", "--bogus", "--group", "three"], ["classify", "--conf", "x"],
     ["classify", "--rho", "2", "--rho", "3"], ["classify", "--format", "json", "--format", "csv"],
     ["classify", "--bogus"],
+    # help and a usage error that a command's own parser prints itself
+    *([command, *words] for command in ("ingest", "calibrate", "classify")
+      for words in (["--help"], ["--rho", "abc"])),
 ]
+# each edge example runs at each of these terminal widths, which help and
+# usage lines wrap to
+_COLUMNS = ["40", "80", "200"]
 
 
 def _with_edge_examples(test):
     for argv in reversed(_EDGE_ARGV):
-        test = example(argv=argv)(test)
+        for columns in reversed(_COLUMNS):
+            test = example(argv=argv, columns=columns)(test)
     return test
 
 
 @settings(max_examples=300)
-@given(argv=_ANY_ARGV)
+@given(argv=_ANY_ARGV, columns=st.sampled_from(_COLUMNS))
 @_with_edge_examples
-def test_main_matches_the_whole_parser(argv):
+def test_main_matches_the_whole_parser(argv, columns):
     # handing a command's words to its own parser changes no exit code and no
-    # byte of stdout or stderr; this fails if an argparse release passes "--"
-    # or leftover words to a subparser otherwise
-    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+    # byte of stdout or stderr, help and usage errors included, at any width;
+    # this fails if an argparse release passes "--" or leftover words to a
+    # subparser otherwise
+    with mock.patch.dict(os.environ, {"COLUMNS": columns}):
         got = _outcome(argv)
         with _whole_parser():
             want = _outcome(argv)
@@ -1092,7 +1095,7 @@ def test_classify_runs_byte_identical(capsys):
 # -- repeated calls in one process -------------------------------------------
 
 def test_warm_main_rebuilds_nothing(capsys, monkeypatch):
-    # the parser and the bundled inputs are built once per process
+    # each parser and the bundled inputs are built once per process
     assert run(capsys, "classify")[0] == 0
     built = []
     parser_init = argparse.ArgumentParser.__init__
@@ -1386,6 +1389,44 @@ def test_cli_import_leaves_numpy_out(tmp_path, bundled_copy):
     )
     assert (probe.returncode, probe.stdout, probe.stderr) == (
         0, "[]\n0 False\n[0, 0] False\n", "")
+
+
+_PHASE_PROBE = """\
+import contextlib, io, sys
+import rac.cli
+
+phases = ["rac.calibration", "rac.classify", "rac.utility"]
+for argv in (["ingest"], ["calibrate"], ["classify"], ["classify", "--bogus"]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = rac.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    loaded = [name for name in phases if name in sys.modules]
+    print(*argv, code, loaded, rac.cli.make_parser.cache_info().currsize)
+"""
+
+
+def test_a_command_loads_only_the_phases_it_runs(tmp_path):
+    # in a clean interpreter, ingest loads no phase module, calibrate only
+    # calibration, classify all three; only a usage error builds the whole parser
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = subprocess.run(
+        [sys.executable, "-S", "-c", _PHASE_PROBE],
+        env={**{k: v for k, v in os.environ.items() if k != ENV_DATASET}, "PYTHONPATH": str(src)},
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (probe.returncode, probe.stderr) == (0, "")
+    every = "['rac.calibration', 'rac.classify', 'rac.utility']"
+    assert probe.stdout.splitlines() == [
+        "ingest 0 [] 0",
+        "calibrate 0 ['rac.calibration'] 0",
+        f"classify 0 {every} 0",
+        f"classify --bogus 1 {every} 1",
+    ]
 
 
 def test_cli_import_leaves_pathlib_out(tmp_path):

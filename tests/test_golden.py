@@ -2,15 +2,18 @@
 
 tests/golden/NAME.out holds what `rac ARGS` printed for the case NAME below.
 A change that alters a report edits the file by hand and says why; the files
-are never regenerated to make a failing test pass. The same cases also run
-under python3.10, python3.12 and python3.13, each where it is installed,
-and there the package must also keep its lazy-loading contract.
+are never regenerated to make a failing test pass. Each case also runs as
+its own `python -S -m rac.cli` process, so a phase module that a command
+fails to load shows even when that command is the first one run. The same
+cases also run under python3.10, python3.12 and python3.13, each where it
+is installed, and there the package must also keep its lazy-loading contract.
 """
 
 import ast
 import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,6 +45,21 @@ def test_stdout_matches_golden(name, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, "")
     assert captured.out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_fresh_process_matches_golden(name, tmp_path):
+    env = {key: value for key, value in os.environ.items() if key != ENV_DATASET}
+    env["PYTHONPATH"] = str(SRC)
+    cold = subprocess.run(
+        [sys.executable, "-S", "-m", "rac.cli", *CASES[name]],
+        env=env,
+        cwd=tmp_path,
+        capture_output=True,
+        timeout=60,
+    )
+    assert (cold.returncode, cold.stderr) == (0, b"")
+    assert cold.stdout == (GOLDEN / f"{name}.out").read_bytes()
 
 
 # Prints a line before it imports rac, so a run that prints nothing is an

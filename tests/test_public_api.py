@@ -80,10 +80,12 @@ import importlib
 module = importlib.import_module("rac.classify")
 assert type(module) is type(sys) and module.classify is function, module
 
-# a fresh package whose classify submodule is first loaded by rac.cli's import
+# a fresh package whose classify submodule is first loaded for another of its
+# names, as a classify run loads it for classify_pipeline
 for name in [name for name in sys.modules if name == "rac" or name.startswith("rac.")]:
     del sys.modules[name]
-import rac.cli
+import rac
+rac.classify_pipeline
 from rac import classify
 assert classify is sys.modules["rac.classify"].classify, classify
 print("ok")
