@@ -39,6 +39,7 @@ are ln xi - ln xi* and ln zeta - ln zeta*: eqs A and B rearranged.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 
 from .errors import DegenerateSystem, InputError, NoConvergence
@@ -49,7 +50,6 @@ DEGENERACY_TOL = 1e-12
 FACTOR_REGION_MAX = 10.0
 # ln of the largest float, rounded down: exp of a larger log-factor overflows.
 _LN_FLOAT_MAX = 709.78
-_FACTOR_MIN = math.ldexp(1.0, -1022)  # sys.float_info.min: a subnormal factor has lost digits
 
 
 # Published reference calibration for the bundled 1889-1978 reconstruction.
@@ -134,10 +134,10 @@ def solve_closed_form_given_rho(rho: float, beta: float, m: SampleMoments) -> Su
     rho = check_rho(rho)
     # a log-factor too large to exponentiate (or NaN) gives inf, outside the region
     zeta, xi = (math.exp(v) if v < _LN_FLOAT_MAX else math.inf for v in _log_factors(rho, beta, m))
-    if not (_FACTOR_MIN <= zeta <= FACTOR_REGION_MAX and _FACTOR_MIN <= xi <= FACTOR_REGION_MAX):
+    lo, hi = sys.float_info.min, FACTOR_REGION_MAX  # a subnormal factor has lost digits
+    if not (lo <= zeta <= hi and lo <= xi <= hi):
         raise NoConvergence(
-            f"closed-form factors ({zeta:.6g}, {xi:.6g}) "
-            f"leave the region [{_FACTOR_MIN:.6g}, {FACTOR_REGION_MAX:.6g}]"
+            f"closed-form factors ({zeta:.6g}, {xi:.6g}) leave the region [{lo:.6g}, {hi:.6g}]"
         )
     return SufficiencyFactors(zeta, xi)
 

@@ -268,22 +268,6 @@ def _help(opt: _Option) -> str:
     return f"{opt.help} (default {shown})"
 
 
-def _add_options(p: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
-    """p, given `command`'s options: the one definition of both parsers of a
-    command, make_parser's subparser and command_parser's own."""
-    p.argument_default = argparse.SUPPRESS  # an unset flag stays out, so build_config can tell it
-    # ingest reads the realized dataset only, so it takes no --projection or
-    # --variant; config keys are shared, and each command uses those it reads
-    skip = ("projection", "variant") if command == "ingest" else ()
-    for opt in (opt for opt in _OPTIONS if opt.name not in skip):
-        choices = list(opt.rule) if opt.kind is _choice else None
-        convert = float if opt.kind is _number else None
-        p.add_argument(f"--{opt.name}", type=convert, choices=choices, help=_help(opt))
-    p.add_argument("--config", help="JSON config file (flags win over its values)")
-    p.set_defaults(command=command)  # only the whole parser's subparsers action sets it
-    return p
-
-
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 1, the input-problem code, not argparse's 2 (the
     computation-problem code here). Subparsers inherit the class."""
@@ -303,13 +287,27 @@ class _Parser(argparse.ArgumentParser):
 # main() can run many times in one process on the same parsers.
 @functools.cache
 def command_parser(name: str) -> argparse.ArgumentParser:
-    """`rac NAME`'s own parser, which main hands the command's words to."""
-    return _add_options(_Parser(prog=f"rac {name}"), name)
+    """`rac NAME`'s own parser, which main hands the command's words to: the
+    one definition of the command's options, which make_parser's subparser
+    shares."""
+    # an unset flag stays out, so build_config can tell it
+    p = _Parser(prog=f"rac {name}", argument_default=argparse.SUPPRESS)
+    # ingest reads the realized dataset only, so it takes no --projection or
+    # --variant; config keys are shared, and each command uses those it reads
+    skip = ("projection", "variant") if name == "ingest" else ()
+    for opt in (opt for opt in _OPTIONS if opt.name not in skip):
+        choices = list(opt.rule) if opt.kind is _choice else None
+        convert = float if opt.kind is _number else None
+        p.add_argument(f"--{opt.name}", type=convert, choices=choices, help=_help(opt))
+    p.add_argument("--config", help="JSON config file (flags win over its values)")
+    p.set_defaults(command=name)  # the whole parser's subparsers action sets it too
+    return p
 
 
 @functools.cache
 def make_parser() -> argparse.ArgumentParser:
-    """The whole parser, with a subparser per command: help, or a usage error."""
+    """The whole parser, with a subparser per command that takes its options
+    from command_parser: help, or a usage error."""
     parser = _Parser(
         prog="rac",
         description="Calibrate sufficiency factors and classify risk attitudes "
@@ -317,7 +315,7 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _REPORTS:
-        _add_options(sub.add_parser(name), name)
+        sub.add_parser(name, parents=[command_parser(name)], add_help=False)
     return parser
 
 

@@ -40,6 +40,7 @@ import os
 from collections import namedtuple
 
 from .errors import InputError, MissingYear, NonPositiveValue, SchemaError
+from .params import holds
 
 _HEADER = ["year", "consumption_per_capita", "equity_gross_return", "riskfree_gross_return"]
 _PROJECTION_HEADER = ["nondurables_bn", "services_bn", "gnp_deflator", "population"]
@@ -287,10 +288,15 @@ def with_final_consumption(d: MarketDataset, value: float) -> MarketDataset:
 
     Everything else (returns, span, all earlier consumption) is untouched.
     Used to swap the realized final year for a projected one. Only `value`
-    is checked, since `d` was checked when it was built: one that is not
-    positive and finite raises NonPositiveValue.
+    is checked, since `d` was checked when it was built: a bool or a value
+    that does not order against a float raises InputError (params.holds),
+    and one that is not positive and finite as a float NonPositiveValue.
     """
-    value = float(value)
+    try:
+        if holds("final consumption", value, lambda v: 0.0 < v < math.inf):
+            value = float(value)
+    except OverflowError:  # an int too large for a float
+        value = math.inf
     if not 0.0 < value < math.inf:
         raise NonPositiveValue("annual series values must be positive and finite")
     return tuple.__new__(MarketDataset, (d.start_year, d.consumption[:-1] + (value,),

@@ -994,8 +994,9 @@ def _outcome(argv):
 def _whole_parser():
     """main with no command parser to hand words to: make_parser().parse_args(argv)
     parses every call, and the same run follows."""
-    return mock.patch.object(importlib.import_module("rac.cli"), "command_parser",
-                             lambda name: None)
+    cli = importlib.import_module("rac.cli")
+    cli.make_parser()  # built first, as its subparsers take their options from command_parser
+    return mock.patch.object(cli, "command_parser", lambda name: None)
 
 
 # words that send main to the whole parser (help, no or an unknown command, an

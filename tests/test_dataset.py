@@ -475,6 +475,24 @@ def test_with_final_consumption_rejects_nonpositive(bundled):
         with_final_consumption(bundled, -1.0)
 
 
+@pytest.mark.parametrize(
+    "value, error, message",
+    [
+        # float() reads "3500" and b"3500", and a bool orders as 0 or 1
+        ("3500", InputError, "final consumption must be a number, got '3500'"),
+        (True, InputError, "final consumption must be a number, got True"),
+        (bytearray(b"3500"), InputError, "final consumption must be a number, got bytearray(b'3500')"),
+        # an int too large for a float is not finite as one
+        (10**400, NonPositiveValue, "annual series values must be positive and finite"),
+    ],
+    ids=["str", "bool", "bytearray", "10**400"],
+)
+def test_with_final_consumption_checks_the_value_as_given(bundled, value, error, message):
+    with pytest.raises(InputError) as info:
+        with_final_consumption(bundled, value)
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
 def test_with_final_consumption_changes_exactly_one_number(bundled):
     swapped = with_final_consumption(bundled, 9999.0)
     changed = 0

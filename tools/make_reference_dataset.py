@@ -63,14 +63,12 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from rac.calibration import (  # noqa: E402
-    DEFAULT_BETA,
     RHO_ANCHORS,
     SufficiencyFactors,
-    Variant,
     calibrate_variant,
     system_residuals,
 )
-from rac.classify import DefinitionGroup, classify_pipeline  # noqa: E402
+from rac.classify import classify_pipeline  # noqa: E402
 from rac.dataset import (  # noqa: E402
     _HEADER,
     _PROJECTION_HEADER,
@@ -80,6 +78,7 @@ from rac.dataset import (  # noqa: E402
     with_final_consumption,
 )
 from rac.moments import compute_moments, consistency_gap  # noqa: E402
+from rac.params import DEFAULT_BETA, DefinitionGroup, Variant  # noqa: E402
 
 N_YEARS = 90
 START_YEAR = 1889
