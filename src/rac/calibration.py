@@ -44,7 +44,7 @@ from collections import namedtuple
 
 from .errors import DegenerateSystem, InputError, NoConvergence
 from .moments import SampleMoments, consistency_gap
-from .params import DEFAULT_BETA, Variant, check_beta, check_rho
+from .params import DEFAULT_BETA, Variant, check_beta, check_rho, not_a_number
 
 DEGENERACY_TOL = 1e-12
 FACTOR_REGION_MAX = 10.0
@@ -68,7 +68,11 @@ class SufficiencyFactors(namedtuple("SufficiencyFactors", "zeta xi")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
     def __new__(cls, zeta: float, xi: float):
-        if not (0 < zeta < math.inf and 0 < xi < math.inf):
+        try:
+            positive = 0 < zeta < math.inf and 0 < xi < math.inf
+        except (TypeError, ArithmeticError):
+            raise not_a_number(zip(cls._fields, (zeta, xi)), lambda v: 0 < v < math.inf) from None
+        if not positive:
             raise InputError("sufficiency factors must be positive and finite")
         return super().__new__(cls, zeta, xi)
 

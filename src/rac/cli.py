@@ -30,18 +30,16 @@ from __future__ import annotations
 import argparse
 import functools
 import io
-import math
 import os
 import re
 import sys
 from collections import namedtuple
-from collections.abc import Callable
 
 from . import dataset as ds
 from .errors import InputError, RacError, SchemaError
 from .moments import SampleMoments, compute_variant_moments
 from .params import DEFAULT_BETA, DEFAULT_TOLERANCE, DefinitionGroup, Variant
-from .params import check_beta, check_eta, check_rho, check_tol
+from .params import check_beta, check_eta, check_rho, check_tol, holds
 from .report import INVESTORS, ReportFormat, calibration_report, classification_report
 from .report import ingest_report, report_row
 
@@ -66,14 +64,10 @@ def _read(kind: str, path: str, load):
 # rule, or raises InputError naming the option.
 
 def _path(name: str, value, rule=None):
-    """`value` if it is None or a path string read_bytes accepts: one the file
-    system encoding can encode (a JSON config may hold any lone surrogate), with
-    no NUL byte."""
-    try:
-        if value is None or isinstance(value, str) and b"\0" not in os.fsencode(value):
-            return value
-    except UnicodeEncodeError:
-        pass
+    """`value` if it is None or a path string read_bytes accepts: a file name
+    (ds.is_file_name; a JSON config may hold any lone surrogate)."""
+    if value is None or isinstance(value, str) and ds.is_file_name(value):
+        return value
     raise InputError(f"{name} must be a path string, got {value!r}")
 
 
@@ -86,17 +80,13 @@ def _choice(name: str, value, rule: dict):
     raise InputError(f"{name} must be {listed} or {last}, got {value!r}")
 
 
-def _number(name: str, value, rule: Callable[[float], float]) -> float:
-    """`value` as a finite float, passed through the option's check_* rule."""
-    if isinstance(value, bool):  # float() would take JSON true/false as 1/0
-        raise InputError(f"{name} must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"{name} must be a number ({exc})") from None
-    if not math.isfinite(number):
-        raise InputError(f"{name} must be finite, got {number}")
-    return rule(number)
+def _number(name: str, value, rule) -> float:
+    """`value`, which argparse (a flag) or JSON (a config value) has parsed,
+    as a float through the option's check_* rule, if params' type rule finds
+    it a number and it is finite as a float."""
+    if holds(name, value, lambda v: abs(v) <= sys.float_info.max):
+        return rule(float(value))
+    raise InputError(f"{name} must be finite, got {value}")
 
 
 # A run option: `name` is its flag, its config key and its RunConfig field;

@@ -40,7 +40,7 @@ import os
 from collections import namedtuple
 
 from .errors import InputError, MissingYear, NonPositiveValue, SchemaError
-from .params import holds
+from .params import holds, not_a_number
 
 _HEADER = ["year", "consumption_per_capita", "equity_gross_return", "riskfree_gross_return"]
 _PROJECTION_HEADER = ["nondurables_bn", "services_bn", "gnp_deflator", "population"]
@@ -67,7 +67,12 @@ class MarketDataset(namedtuple("MarketDataset", _DATASET_FIELDS)):
         series = (tuple(consumption), tuple(equity_return), tuple(riskfree_return))
         if min(map(len, series)) < 2:
             raise SchemaError("annual series needs at least two years")
-        if not all(0.0 < v < math.inf for values in series for v in values):
+        try:
+            positive = all(0.0 < v < math.inf for values in series for v in values)
+        except (TypeError, ArithmeticError):
+            cells = ((name, v) for name, values in zip(cls._fields[1:], series) for v in values)
+            raise not_a_number(cells, lambda v: 0.0 < v < math.inf) from None
+        if not positive:
             raise NonPositiveValue("annual series values must be positive and finite")
         if len(set(map(len, series))) != 1:
             raise SchemaError("the three series must cover the same years")
@@ -87,7 +92,11 @@ class ProjectionInputs(namedtuple("ProjectionInputs", _PROJECTION_FIELDS)):
     def __new__(cls, *args, **kwargs):
         p = super().__new__(cls, *args, **kwargs)
         for name, value in zip(p._fields, p):
-            if not 0.0 < value < math.inf:
+            try:
+                positive = 0.0 < value < math.inf
+            except (TypeError, ArithmeticError):
+                raise not_a_number([(name, value)], lambda v: 0.0 < v < math.inf) from None
+            if not positive:
                 raise NonPositiveValue(f"{name} must be positive and finite")
         return p
 
@@ -95,11 +104,20 @@ class ProjectionInputs(namedtuple("ProjectionInputs", _PROJECTION_FIELDS)):
 _CHUNK = 256 * 1024  # how much of a file read_bytes compares with `kept` per read
 
 
+def is_file_name(path) -> bool:
+    """Whether open() takes `path`, a str, bytes or os.PathLike, as a file
+    name: the file system encoding encodes it, and it holds no NUL byte."""
+    try:
+        return b"\0" not in os.fsencode(path)
+    except UnicodeEncodeError:
+        return False
+
+
 def read_bytes(path, kept: bytes | None = None) -> bytes:
     """The bytes of the file at `path` (a str, bytes or os.PathLike). Raises
     InputError for a `path` of any other type, such as an int, which open()
-    would read and close as a file descriptor, and OSError for a path that
-    cannot be opened or read.
+    would read and close as a file descriptor, or for one that is not a file
+    name (is_file_name), and OSError for a path that cannot be opened or read.
 
     With `kept`, the file is compared with it as it is read, one _CHUNK at
     a time into one reused buffer, and `kept` itself is returned when the
@@ -107,6 +125,8 @@ def read_bytes(path, kept: bytes | None = None) -> bytes:
     """
     if not isinstance(path, (str, bytes, os.PathLike)):
         raise InputError(f"path must be a str, bytes or os.PathLike, got {path!r}")
+    if not is_file_name(path):
+        raise InputError(f"path must encode as a file name with no NUL byte, got {path!r}")
     with open(path, "rb") as fh:
         if kept is None:
             return fh.read()

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Sequence
 from itertools import chain, repeat
 from operator import mul, sub, truediv
 
@@ -71,7 +70,7 @@ def _growth(ratios: list[float], logs: list[float], last: float) -> tuple[float,
     return (*_mean_var(logs, math.log(last)), math.fsum(chain(ratios, (last,))) / (len(ratios) + 1))
 
 
-def compute_variant_moments(d: MarketDataset, finals: Sequence[float]) -> list[SampleMoments]:
+def compute_variant_moments(d: MarketDataset, finals: list[float]) -> list[SampleMoments]:
     """[compute_moments(with_final_consumption(d, v)) for v in finals], for
     positive finite values `finals`, from one pass.
 
@@ -110,7 +109,7 @@ def compute_moments(d: MarketDataset) -> SampleMoments:
     sum outside the floating-point range). `d` has at least two years, so
     there is always a growth ratio.
     """
-    return compute_variant_moments(d, d.consumption[-1:])[0]
+    return compute_variant_moments(d, [d.consumption[-1]])[0]
 
 
 def lognormal_moment(a: float, mu: float, sigma2: float) -> float:

@@ -13,7 +13,7 @@ from collections import namedtuple
 
 from .errors import NonPositiveConsumption, UtilityOverflow
 from .moments import SampleMoments
-from .params import check_beta, check_eta, check_rho
+from .params import check_beta, check_eta, check_rho, not_a_number
 
 
 class UtilitySpec(namedtuple("UtilitySpec", "rho")):
@@ -73,8 +73,14 @@ def _expm1_over(a: float, x: float) -> float:
 
 
 def uncertain_utility(expected_u: float, beta: float, eta: float) -> float:
-    """beta * eta * expected_u, the factor-scaled discounted expectation."""
-    u = check_beta(beta) * check_eta(eta) * expected_u
+    """beta * eta * expected_u, the factor-scaled discounted expectation.
+    Raises InputError naming a value that a float does not multiply, such
+    as a Decimal, which check_beta and check_eta take."""
+    try:
+        u = check_beta(beta) * check_eta(eta) * expected_u
+    except TypeError:
+        fields = zip(("beta", "eta", "expected_u"), (beta, eta, expected_u))
+        raise not_a_number(fields, lambda v: 1.0 * v) from None
     if not math.isfinite(u):
         raise UtilityOverflow(
             f"uncertain utility leaves the floating-point range "
@@ -88,11 +94,15 @@ def make_comparison(
 ) -> UtilityComparison:
     """Build a UtilityComparison with uncertain = beta*eta*expected_u.
 
-    Raises what uncertain_utility raises, and UtilityOverflow for a certain
-    utility that is not finite.
+    Raises what uncertain_utility raises, InputError for a certain utility
+    that is not a number and UtilityOverflow for one that is not finite.
     """
     uncertain = uncertain_utility(expected_u, beta, eta)
-    if not math.isfinite(certain):
+    try:
+        finite = math.isfinite(certain)
+    except TypeError:
+        raise not_a_number([("certain", certain)], math.isfinite) from None
+    if not finite:
         raise UtilityOverflow(f"certain utility is not finite, got {certain}")
     return UtilityComparison(
         certain=certain,

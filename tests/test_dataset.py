@@ -19,7 +19,7 @@ from rac import (
     projected_consumption,
     with_final_consumption,
 )
-from rac.dataset import _CHUNK, read_bytes
+from rac.dataset import _CHUNK, read_bytes, read_text
 from rac.errors import InputError, MissingYear, NonPositiveValue, SchemaError
 
 from conftest import HEADER, PROJECTION_HEADER, serialize_dataset
@@ -561,6 +561,24 @@ def test_file_descriptor_is_not_a_path(load):
         os.fstat(read_end)  # still the caller's, and open
     finally:
         os.close(read_end)
+
+
+@pytest.mark.parametrize(
+    "load, path",
+    [
+        (load_dataset, "a\0b"),
+        (load_projection, "a\0b"),
+        (read_text, b"a\0b"),
+        # a lone surrogate that the file system encoding cannot encode
+        (load_dataset, "\ud800"),
+    ],
+    ids=["dataset-nul", "projection-nul", "text-nul-bytes", "dataset-surrogate"],
+)
+def test_name_open_cannot_take_is_input_error(load, path):
+    # open() raises ValueError or UnicodeEncodeError, untyped, for such a name
+    with pytest.raises(InputError) as info:
+        load(path)
+    assert str(info.value) == f"path must encode as a file name with no NUL byte, got {path!r}"
 
 
 _LENGTHS = st.one_of(

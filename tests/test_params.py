@@ -50,6 +50,14 @@ def _not_a_number(name, value):
         # an int too large for a float is outside the region, and prints as it is
         pytest.param("rho", 10**400, f"rho {10**400} outside the supported range [0, 60]",
                      id="rho-10**400"),
+        # an int over str()'s digit limit prints to six significant digits
+        pytest.param("beta", 10**5000, "beta must be in (0, 1], got 1.00000e+5000",
+                     id="beta-10**5000"),
+        pytest.param("rho", 10**5000, "rho 1.00000e+5000 outside the supported range [0, 60]",
+                     id="rho-10**5000"),
+        pytest.param("tol", -10**5000, "tol must be >= 0, got -1.00000e+5000", id="tol--10**5000"),
+        pytest.param("eta", -10**5000, "eta must be positive, got -1.00000e+5000",
+                     id="eta--10**5000"),
     ],
 )
 def test_each_rule_takes_a_number_by_its_value(name, value, want):

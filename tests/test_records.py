@@ -5,6 +5,7 @@ library checks beside them reject NaN as they reject other bad values."""
 import copy
 import math
 import pickle
+from decimal import Decimal
 
 import pytest
 
@@ -135,6 +136,11 @@ def test_different_values_compare_unequal():
          "the three series must cover the same years"),
         (lambda: MarketDataset(1900, SERIES, SERIES, riskfree_return=(1.0, 2.0, 3.0)),
          SchemaError, "the three series must cover the same years"),
+        # a value that does not order against a float is named
+        (lambda: MarketDataset(1900, ("a", "b"), (1.0, 1.0), (1.0, 1.0)), InputError,
+         "consumption must be a number, got 'a'"),
+        (lambda: ProjectionInputs("a", 1, 1, 1), InputError,
+         "nominal_nondurables_bn must be a number, got 'a'"),
         (lambda: ProjectionInputs(0.0, 613.7, 150.0, 219441872.0), NonPositiveValue,
          "nominal_nondurables_bn must be positive and finite"),
         (lambda: ProjectionInputs(515.4, 613.7, 150.0, population=math.inf), NonPositiveValue,
@@ -163,6 +169,7 @@ def test_different_values_compare_unequal():
          "sufficiency factors must be positive and finite"),
         (lambda: SufficiencyFactors(math.inf, 1.0), InputError,
          "sufficiency factors must be positive and finite"),
+        (lambda: SufficiencyFactors("1", 1.0), InputError, "zeta must be a number, got '1'"),
         (lambda: solve_closed_form_given_rho(1.0, 1e-320, SampleMoments(**MOMENTS)),
          NoConvergence, "closed-form factors (inf, inf) leave the region [2.22507e-308, 10]"),
         # both factors underflow to 0 at rho 60 and sigma2_x 1
@@ -226,6 +233,10 @@ def test_different_values_compare_unequal():
          "certain utility is not finite, got inf"),
         (lambda: make_comparison(math.nan, 1.0, 0.99, 0.9), UtilityOverflow,
          "certain utility is not finite, got nan"),
+        # check_beta takes a Decimal, which a float does not multiply
+        (lambda: make_comparison(7.0, 6.0, Decimal("0.99"), 1.0), InputError,
+         "beta must be a number, got Decimal('0.99')"),
+        (lambda: make_comparison("7", 6.0, 0.99, 1.0), InputError, "certain must be a number, got '7'"),
         # a hand-built comparison: make_comparison would reject these certain utilities
         (lambda: classify(UtilityComparison(math.nan, 1.0, 1.05, 0.99, 1.0),
                           Curvature.STRICTLY_CONCAVE, DefinitionGroup.ONE),
