@@ -44,7 +44,7 @@ from collections import namedtuple
 
 from .errors import DegenerateSystem, InputError, NoConvergence
 from .moments import SampleMoments, consistency_gap
-from .params import DEFAULT_BETA, Variant, check_beta, check_rho, not_a_number
+from .params import DEFAULT_BETA, Variant, check_beta, check_rho, number
 
 DEGENERACY_TOL = 1e-12
 FACTOR_REGION_MAX = 10.0
@@ -62,39 +62,39 @@ RHO_ANCHORS: dict[Variant, float] = {
 
 
 class SufficiencyFactors(namedtuple("SufficiencyFactors", "zeta xi")):
-    """Equity factor zeta and risk-free factor xi, each positive and finite."""
+    """Equity factor zeta and risk-free factor xi, floats (params.number),
+    each positive and finite."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
     def __new__(cls, zeta: float, xi: float):
-        try:
-            positive = 0 < zeta < math.inf and 0 < xi < math.inf
-        except (TypeError, ArithmeticError):
-            raise not_a_number(zip(cls._fields, (zeta, xi)), lambda v: 0 < v < math.inf) from None
-        if not positive:
+        zeta, xi = number("zeta", zeta), number("xi", xi)
+        if not (0.0 < zeta < math.inf and 0.0 < xi < math.inf):
             raise InputError("sufficiency factors must be positive and finite")
         return super().__new__(cls, zeta, xi)
 
 
 class CalibrationResult(namedtuple("CalibrationResult", "factors rho residuals consistency_gap")):
     """SufficiencyFactors at rho, the (A, B, C) residuals and the consistency
-    gap; rho, the three residuals and the gap must be finite."""
+    gap; rho, the three residuals and the gap are floats (params.number),
+    and must be finite."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
-    def __new__(cls, *args, **kwargs):
-        c = super().__new__(cls, *args, **kwargs)
-        if not isinstance(c.factors, SufficiencyFactors):
+    def __new__(cls, factors, rho, residuals, consistency_gap):
+        if not isinstance(factors, SufficiencyFactors):
             raise InputError("factors must be SufficiencyFactors")
-        if len(c.residuals) != 3:
+        if len(residuals) != 3:
             raise InputError("residuals must be three: A, B and C")
-        if not all(math.isfinite(r) for r in c.residuals):
+        residuals = tuple(number("residuals", r) for r in residuals)
+        rho, gap = number("rho", rho), number("consistency_gap", consistency_gap)
+        if not all(map(math.isfinite, residuals)):
             raise InputError("residuals must be finite")
-        if not (math.isfinite(c.rho) and math.isfinite(c.consistency_gap)):
+        if not (math.isfinite(rho) and math.isfinite(gap)):
             raise InputError("rho and the consistency gap must be finite")
-        return c
+        return super().__new__(cls, factors, rho, residuals, gap)
 
 
 def _log_factors(rho: float, beta: float, m: SampleMoments) -> tuple[float, float]:
@@ -117,7 +117,7 @@ def system_residuals(
     """
     ln_zeta = math.log(f.zeta)
     ln_xi = math.log(f.xi)
-    check_beta(beta)
+    beta = check_beta(beta)
     rho = check_rho(rho)
     ln_zeta_star, ln_xi_star = _log_factors(rho, beta, m)
     r_c = (math.log(m.mean_Re) - math.log(m.mean_Rf)) - (
@@ -134,7 +134,7 @@ def solve_closed_form_given_rho(rho: float, beta: float, m: SampleMoments) -> Su
     FACTOR_REGION_MAX]: one that is subnormal or underflows to 0 (its log has
     lost digits), exceeds the bound, or is too large for a float.
     """
-    check_beta(beta)
+    beta = check_beta(beta)
     rho = check_rho(rho)
     # a log-factor too large to exponentiate (or NaN) gives inf, outside the region
     zeta, xi = (math.exp(v) if v < _LN_FLOAT_MAX else math.inf for v in _log_factors(rho, beta, m))
@@ -158,7 +158,7 @@ def solve_system(beta: float, m: SampleMoments, rho: float) -> CalibrationResult
     family then solves the system and no single triple is meaningful; and
     NoConvergence as solve_closed_form_given_rho does.
     """
-    check_beta(beta)
+    beta = check_beta(beta)
     gap = consistency_gap(m)
     if abs(gap) < DEGENERACY_TOL:
         raise DegenerateSystem(

@@ -62,7 +62,8 @@ RiskAttitude = namedtuple("RiskAttitude", "label group defining_equation allocat
 
 
 def _sign_from_eta(eta: float) -> AllocationSign:
-    if check_eta(eta) < 1.0:
+    eta = check_eta(eta)
+    if eta < 1.0:
         return AllocationSign.NEGATIVE
     if eta > 1.0:
         return AllocationSign.POSITIVE

@@ -39,7 +39,7 @@ from . import dataset as ds
 from .errors import InputError, RacError, SchemaError
 from .moments import SampleMoments, compute_variant_moments
 from .params import DEFAULT_BETA, DEFAULT_TOLERANCE, DefinitionGroup, Variant
-from .params import check_beta, check_eta, check_rho, check_tol, holds
+from .params import check_beta, check_eta, check_rho, check_tol, number
 from .report import INVESTORS, ReportFormat, calibration_report, classification_report
 from .report import ingest_report, report_row
 
@@ -82,10 +82,11 @@ def _choice(name: str, value, rule: dict):
 
 def _number(name: str, value, rule) -> float:
     """`value`, which argparse (a flag) or JSON (a config value) has parsed,
-    as a float through the option's check_* rule, if params' type rule finds
-    it a number and it is finite as a float."""
-    if holds(name, value, lambda v: abs(v) <= sys.float_info.max):
-        return rule(float(value))
+    through the option's check_* rule, if params.number makes it a finite
+    float. A message shows the value as given, so a JSON int prints whole."""
+    x = number(name, value)
+    if abs(x) <= sys.float_info.max:
+        return rule(x)
     raise InputError(f"{name} must be finite, got {value}")
 
 

@@ -11,9 +11,10 @@ past the consumption span. Returns stay aligned this way so that every row is
 complete; statistics over returns use all rows.
 
 A MarketDataset is a named tuple: the start year and three equal-length
-column tuples. Each value is checked once: by load_dataset cell by cell (its
-errors name the file line), or by the MarketDataset constructor for a record
-built by hand. with_final_consumption checks only the value it puts in.
+column tuples of floats. Each value is checked once: by load_dataset cell by
+cell (its errors name the file line), or by the MarketDataset constructor for
+a record built by hand, which converts each value by params.number first.
+with_final_consumption checks only the value it puts in.
 
 The bundled reference file is a synthetic reconstruction of the 1889-1978
 Mehra-Prescott annual series, built to match the published summary statistics
@@ -40,7 +41,7 @@ import os
 from collections import namedtuple
 
 from .errors import InputError, MissingYear, NonPositiveValue, SchemaError
-from .params import holds, not_a_number
+from .params import number
 
 _HEADER = ["year", "consumption_per_capita", "equity_gross_return", "riskfree_gross_return"]
 _PROJECTION_HEADER = ["nondurables_bn", "services_bn", "gnp_deflator", "population"]
@@ -56,7 +57,7 @@ _PROJECTION_FIELDS = "nominal_nondurables_bn nominal_services_bn gnp_deflator po
 class MarketDataset(namedtuple("MarketDataset", _DATASET_FIELDS)):
     """Consumption, equity return and risk-free return for each year from
     start_year (an int) on: three tuples of one length, at least two, of
-    positive finite values."""
+    positive finite floats, each converted by params.number."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
@@ -64,15 +65,11 @@ class MarketDataset(namedtuple("MarketDataset", _DATASET_FIELDS)):
     def __new__(cls, start_year: int, consumption, equity_return, riskfree_return):
         if not isinstance(start_year, int) or isinstance(start_year, bool):
             raise SchemaError(f"start_year must be an int, got {start_year!r}")
-        series = (tuple(consumption), tuple(equity_return), tuple(riskfree_return))
+        series = tuple(tuple(number(name, v) for v in values) for name, values in
+                       zip(cls._fields[1:], (consumption, equity_return, riskfree_return)))
         if min(map(len, series)) < 2:
             raise SchemaError("annual series needs at least two years")
-        try:
-            positive = all(0.0 < v < math.inf for values in series for v in values)
-        except (TypeError, ArithmeticError):
-            cells = ((name, v) for name, values in zip(cls._fields[1:], series) for v in values)
-            raise not_a_number(cells, lambda v: 0.0 < v < math.inf) from None
-        if not positive:
+        if not all(0.0 < v < math.inf for values in series for v in values):
             raise NonPositiveValue("annual series values must be positive and finite")
         if len(set(map(len, series))) != 1:
             raise SchemaError("the three series must cover the same years")
@@ -84,19 +81,17 @@ class MarketDataset(namedtuple("MarketDataset", _DATASET_FIELDS)):
 
 
 class ProjectionInputs(namedtuple("ProjectionInputs", _PROJECTION_FIELDS)):
-    """Nominal spending aggregates used to project a consumption level."""
+    """Nominal spending aggregates used to project a consumption level: four
+    positive finite floats, each converted by params.number."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
     def __new__(cls, *args, **kwargs):
-        p = super().__new__(cls, *args, **kwargs)
-        for name, value in zip(p._fields, p):
-            try:
-                positive = 0.0 < value < math.inf
-            except (TypeError, ArithmeticError):
-                raise not_a_number([(name, value)], lambda v: 0.0 < v < math.inf) from None
-            if not positive:
+        p = super().__new__(cls, *args, **kwargs)  # binds each argument to its field
+        p = tuple.__new__(cls, map(number, cls._fields, p))
+        for name, value in zip(cls._fields, p):
+            if not 0.0 < value < math.inf:
                 raise NonPositiveValue(f"{name} must be positive and finite")
         return p
 
@@ -290,14 +285,15 @@ def projected_consumption(
 
         1e9 * (nondurables + services) / (deflator / 100) / population
 
-    The four arguments are checked as a ProjectionInputs, the rule every
-    projection file meets: each must be positive and finite, or
-    NonPositiveValue names the first that is not. So is a result that is
-    not (inf or 0), with the message with_final_consumption gives it.
+    The four arguments are converted and checked as a ProjectionInputs, the
+    rule every projection file meets: each must be a number (else
+    InputError) that is positive and finite as a float, or NonPositiveValue
+    names the first that is not. So is a result that is not (inf or 0),
+    with the message with_final_consumption gives it.
     """
-    ProjectionInputs(nominal_nondurables_bn, nominal_services_bn, gnp_deflator, population)
-    nominal_total = (nominal_nondurables_bn + nominal_services_bn) * 1e9
-    c = nominal_total / (gnp_deflator / 100.0) / population
+    p = ProjectionInputs(nominal_nondurables_bn, nominal_services_bn, gnp_deflator, population)
+    nominal_total = (p.nominal_nondurables_bn + p.nominal_services_bn) * 1e9
+    c = nominal_total / (p.gnp_deflator / 100.0) / p.population
     if not 0.0 < c < math.inf:
         raise NonPositiveValue("annual series values must be positive and finite")
     return c
@@ -308,15 +304,11 @@ def with_final_consumption(d: MarketDataset, value: float) -> MarketDataset:
 
     Everything else (returns, span, all earlier consumption) is untouched.
     Used to swap the realized final year for a projected one. Only `value`
-    is checked, since `d` was checked when it was built: a bool or a value
-    that does not order against a float raises InputError (params.holds),
-    and one that is not positive and finite as a float NonPositiveValue.
+    is checked, since `d` was checked when it was built: one that is not a
+    number (params.number) raises InputError, and one that is not positive
+    and finite as a float NonPositiveValue.
     """
-    try:
-        if holds("final consumption", value, lambda v: 0.0 < v < math.inf):
-            value = float(value)
-    except OverflowError:  # an int too large for a float
-        value = math.inf
+    value = number("final consumption", value)
     if not 0.0 < value < math.inf:
         raise NonPositiveValue("annual series values must be positive and finite")
     return tuple.__new__(MarketDataset, (d.start_year, d.consumption[:-1] + (value,),

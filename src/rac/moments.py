@@ -26,6 +26,7 @@ from operator import mul, sub, truediv
 
 from .dataset import MarketDataset
 from .errors import InputError, NegativeVariance, NonFiniteMoment
+from .params import number
 
 
 _MOMENT_FIELDS = "mu_x sigma2_x mean_x mean_Re mean_Rf mu_z sigma2_z"
@@ -39,13 +40,16 @@ class SampleMoments(namedtuple("SampleMoments", _MOMENT_FIELDS)):
     mean_Re:        arithmetic mean of the equity gross return
     mean_Rf:        arithmetic mean of the risk-free gross return
     mu_z, sigma2_z: mean/variance of log consumption levels
+
+    Each is converted by params.number.
     """
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
     def __new__(cls, *args, **kwargs):
-        m = super().__new__(cls, *args, **kwargs)
+        m = super().__new__(cls, *args, **kwargs)  # binds each argument to its field
+        m = tuple.__new__(cls, map(number, cls._fields, m))
         # written so that NaN fails each check
         if not (m.sigma2_x >= 0 and m.sigma2_z >= 0):
             raise NegativeVariance("variances must be nonnegative")
@@ -115,9 +119,11 @@ def compute_moments(d: MarketDataset) -> SampleMoments:
 def lognormal_moment(a: float, mu: float, sigma2: float) -> float:
     """E[z^a] for ln z ~ N(mu, sigma2): exp(a*mu + a^2*sigma2/2).
 
-    Raises NegativeVariance for a sigma2 that is not nonnegative, and
+    Raises InputError for an argument that is not a number (params.number),
+    NegativeVariance for a sigma2 that is not nonnegative, and
     NonFiniteMoment when the moment is not finite (NaN, or too large).
     """
+    a, mu, sigma2 = number("a", a), number("mu", mu), number("sigma2", sigma2)
     if not sigma2 >= 0:
         raise NegativeVariance("sigma2 must be nonnegative")
     x = a * mu + 0.5 * a * a * sigma2

@@ -1,17 +1,19 @@
 """The rules of the run parameters, which the CLI's option table and the
-phase modules share: check_beta, check_rho, check_tol and check_eta, the
-default beta and tol, and the Variant and DefinitionGroup choices. The CLI
-imports them from here, so a command loads only the phase modules it runs.
+phase modules share: number, check_beta, check_rho, check_tol and
+check_eta, the default beta and tol, and the Variant and DefinitionGroup
+choices. The CLI imports them from here, so a command loads only the phase
+modules it runs.
 
-Each check_* returns its parameter, or raises InputError naming it. Its
-comparison is its type rule: a value that does not order against a float
-(its comparison raises TypeError or ArithmeticError, as a str, bytes, None
-or a decimal NaN does) is not a number, nor is a bool, which orders as 0
-or 1. Any other value is checked by its value as given, and check_rho
-converts it with float() only after that. A message shows an int too long
-for str() to six significant digits.
+number is the package's one type rule: a public value becomes a float once,
+where it enters the library, and only floats are compared or computed with
+after that. A number is a value whose type defines __float__, other than a
+bool: so an int, a float, a Decimal or a Fraction is one, and a str, bytes,
+None or a complex is not, although float() reads text. An int too large for
+a float becomes inf or -inf. Each check_* converts by number, checks the
+float, and returns it, or raises InputError naming its parameter.
 """
 
+import math
 from enum import Enum
 
 from .errors import InputError
@@ -21,74 +23,53 @@ DEFAULT_TOLERANCE = 1e-9
 RHO_REGION = (0.0, 60.0)
 
 
-def holds(name: str, value, condition) -> bool:
-    """condition(value), a comparison, for a number `value`; InputError
-    naming `name` for a bool or a value whose comparison raises TypeError or
-    ArithmeticError."""
-    try:
-        if type(value) is not bool:
-            return condition(value)
-    except (TypeError, ArithmeticError):
-        pass
+def number(name: str, value) -> float:
+    """`value` as a float, if it is a number (module docstring); else
+    InputError naming `name`, for a signaling decimal NaN too."""
+    if type(value) is float:
+        return value
+    if hasattr(type(value), "__float__") and type(value) is not bool:
+        try:
+            return float(value)
+        except OverflowError:  # an int or a fraction too large for a float
+            return math.inf if value > 0 else -math.inf
+        except ValueError:  # a signaling decimal NaN
+            pass
     raise InputError(f"{name} must be a number, got {value!r}")
 
 
-def not_a_number(fields, test) -> InputError:
-    """The InputError naming the first of `fields`, (name, value) pairs, whose
-    value is not a number to the operation the caller's values failed in:
-    test(value), that operation on the one value, raises TypeError or
-    ArithmeticError. It names the last field if no value fails alone."""
-    for name, value in fields:
-        try:
-            test(value)
-        except (TypeError, ArithmeticError):
-            break
-    return InputError(f"{name} must be a number, got {value!r}")
-
-
-def _shown(value) -> str:
-    """str(value), or for an int over str()'s digit limit, the int to six significant digits."""
-    try:
-        return str(value)
-    except ValueError:  # sys.get_int_max_str_digits()
-        from decimal import Decimal  # loaded only for such an int
-
-        return f"{Decimal(value):.6g}"
-
-
 def check_beta(beta: float) -> float:
-    """beta, if it lies in (0, 1]."""
-    if holds("beta", beta, lambda b: 0.0 < b <= 1.0):
+    """beta as a float, if it lies in (0, 1]."""
+    beta = number("beta", beta)
+    if 0.0 < beta <= 1.0:
         return beta
-    raise InputError(f"beta must be in (0, 1], got {_shown(beta)}")
+    raise InputError(f"beta must be in (0, 1], got {beta}")
 
 
 def check_rho(rho: float) -> float:
     """rho as a float, if it lies in RHO_REGION: the package's one rho rule,
-    which every public function that takes rho applies. An int too large for
-    a float is outside it, and prints as it is."""
+    which every public function that takes rho applies."""
+    rho = number("rho", rho)
     lo, hi = RHO_REGION
-    if holds("rho", rho, lambda r: lo <= r <= hi):
-        return float(rho) + 0.0  # -0.0 becomes 0.0, so it prints as 0
-    try:
-        rho = float(rho)
-    except OverflowError:
-        pass
-    raise InputError(f"rho {_shown(rho)} outside the supported range [{lo:g}, {hi:g}]")
+    if lo <= rho <= hi:
+        return rho + 0.0  # -0.0 becomes 0.0, so it prints as 0
+    raise InputError(f"rho {rho} outside the supported range [{lo:g}, {hi:g}]")
 
 
 def check_tol(tol: float) -> float:
-    """tol, if it is nonnegative."""
-    if holds("tol", tol, lambda t: t >= 0):
+    """tol as a float, if it is nonnegative."""
+    tol = number("tol", tol)
+    if tol >= 0.0:
         return tol
-    raise InputError(f"tol must be >= 0, got {_shown(tol)}")
+    raise InputError(f"tol must be >= 0, got {tol}")
 
 
 def check_eta(eta: float) -> float:
-    """eta, if it is positive."""
-    if holds("eta", eta, lambda e: e > 0):
+    """eta as a float, if it is positive."""
+    eta = number("eta", eta)
+    if eta > 0.0:
         return eta
-    raise InputError(f"eta must be positive, got {_shown(eta)}")
+    raise InputError(f"eta must be positive, got {eta}")
 
 
 class Variant(Enum):

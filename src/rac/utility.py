@@ -13,7 +13,7 @@ from collections import namedtuple
 
 from .errors import NonPositiveConsumption, UtilityOverflow
 from .moments import SampleMoments
-from .params import check_beta, check_eta, check_rho, not_a_number
+from .params import check_beta, check_eta, check_rho, number
 
 
 class UtilitySpec(namedtuple("UtilitySpec", "rho")):
@@ -35,8 +35,10 @@ def crra_utility(c: float, spec: UtilitySpec) -> float:
     """u(c) = (c^(1-rho) - 1)/(1-rho) under `spec`, equal to ln(c) at rho = 1.
 
     Computed as expm1((1-rho) ln c)/(1-rho), which stays accurate arbitrarily
-    close to the log limit. c = inf at rho <= 1 raises UtilityOverflow.
+    close to the log limit. c = inf at rho <= 1 raises UtilityOverflow, and
+    c that is not a number (params.number) InputError.
     """
+    c = number("consumption", c)
     if not c > 0:
         raise NonPositiveConsumption(f"consumption must be positive, got {c}")
     a = 1.0 - spec.rho
@@ -73,14 +75,12 @@ def _expm1_over(a: float, x: float) -> float:
 
 
 def uncertain_utility(expected_u: float, beta: float, eta: float) -> float:
-    """beta * eta * expected_u, the factor-scaled discounted expectation.
-    Raises InputError naming a value that a float does not multiply, such
-    as a Decimal, which check_beta and check_eta take."""
-    try:
-        u = check_beta(beta) * check_eta(eta) * expected_u
-    except TypeError:
-        fields = zip(("beta", "eta", "expected_u"), (beta, eta, expected_u))
-        raise not_a_number(fields, lambda v: 1.0 * v) from None
+    """beta * eta * expected_u, the factor-scaled discounted expectation, of
+    the three as floats: check_beta, check_eta and params.number convert
+    them, or raise InputError naming the first that is not a number or out
+    of range. A product that is not finite raises UtilityOverflow."""
+    beta, eta, expected_u = check_beta(beta), check_eta(eta), number("expected_u", expected_u)
+    u = beta * eta * expected_u
     if not math.isfinite(u):
         raise UtilityOverflow(
             f"uncertain utility leaves the floating-point range "
@@ -92,22 +92,15 @@ def uncertain_utility(expected_u: float, beta: float, eta: float) -> float:
 def make_comparison(
     certain: float, expected_u: float, beta: float, eta: float
 ) -> UtilityComparison:
-    """Build a UtilityComparison with uncertain = beta*eta*expected_u.
+    """Build a UtilityComparison of floats with uncertain = beta*eta*expected_u.
 
     Raises what uncertain_utility raises, InputError for a certain utility
     that is not a number and UtilityOverflow for one that is not finite.
     """
     uncertain = uncertain_utility(expected_u, beta, eta)
-    try:
-        finite = math.isfinite(certain)
-    except TypeError:
-        raise not_a_number([("certain", certain)], math.isfinite) from None
-    if not finite:
+    certain = number("certain", certain)
+    if not math.isfinite(certain):
         raise UtilityOverflow(f"certain utility is not finite, got {certain}")
-    return UtilityComparison(
-        certain=certain,
-        uncertain=uncertain,
-        eta=eta,
-        beta=beta,
-        expected_u=expected_u,
-    )
+    # uncertain_utility checked these three; here they are only converted
+    eta, beta, expected_u = number("eta", eta), number("beta", beta), number("expected_u", expected_u)
+    return UtilityComparison(certain, uncertain, eta, beta, expected_u)

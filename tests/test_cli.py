@@ -1,6 +1,7 @@
 """CLI behavior: subcommands, config precedence, exit codes, determinism."""
 
 import argparse
+import ast
 import contextlib
 import importlib
 import io
@@ -1082,6 +1083,74 @@ def test_main_matches_the_whole_parser(argv, columns):
         with _whole_parser():
             want = _outcome(argv)
     assert got == want
+
+
+def _sweep_grid():
+    """bench/run.py's sweep_grid(): the benchmark's 540 in-process argvs."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    func = next(node for node in tree.body if getattr(node, "name", None) == "sweep_grid")
+    namespace = {}
+    exec(compile(ast.Module([func], type_ignores=[]), str(path), "exec"), namespace)
+    return namespace["sweep_grid"]()
+
+
+# config files of ints, floats, strings, lists and a bool, with the one-line
+# error each prints for every command, or None for one that prints what the
+# same values as flags print
+_CONFIG_GRID = {
+    '{"beta": 0}': "InputError: beta must be in (0, 1], got 0.0",
+    '{"rho": true}': "InputError: rho must be a number, got True",
+    '{"beta": "abc"}': "InputError: beta must be a number, got 'abc'",
+    '{"beta": 1e400}': "InputError: beta must be finite, got inf",
+    '{"beta": 1' + "0" * 299 + "}": "InputError: beta must be in (0, 1], got 1e+299",
+    '{"tol": "1e-9"}': "InputError: tol must be a number, got '1e-9'",
+    '{"eta": [1]}': "InputError: eta must be a number, got [1]",
+    '{"rho": -1}': "InputError: rho -1.0 outside the supported range [0, 60]",
+    '{"beta": 1, "tol": 0, "eta": 2, "rho": 2}': None,
+    '{"rho": -0.0}': None,
+    '{"rho": 60, "eta": 0.5}': None,
+    '{"beta": 0.5, "tol": 1}': None,
+    '{"eta": 1e-300}': None,
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_sweep_and_config_grid_print_as_flags(monkeypatch, tmp_path, fmt):
+    # each sweep argv in this format prints, byte for byte, what its options
+    # print from a config file, and what the golden file of the same run
+    # holds; each config of numbers prints what the same flags print, and
+    # each other config its one pinned line
+    from test_golden import CASES, GOLDEN
+
+    monkeypatch.delenv(ENV_DATASET, raising=False)
+    config = tmp_path / "config.json"
+
+    def run_of(argv):
+        return argv[0], build_config(make_parser().parse_args(argv))
+
+    golden = {run_of(argv): name for name, argv in CASES.items()}
+    codes = []
+    for argv in (argv for argv in _sweep_grid() if argv[argv.index("--format") + 1] == fmt):
+        flags = _outcome(argv)
+        words = dict(zip(argv[1::2], argv[2::2]))
+        config.write_text(json.dumps({key[2:]: json.loads(word) if key in ("--rho", "--eta")
+                                      else word for key, word in words.items()}))
+        assert _outcome([argv[0], "--config", str(config)]) == flags, argv
+        name = golden.get(run_of(argv))
+        if name is not None:
+            assert flags == (("return", 0), (GOLDEN / f"{name}.out").read_text("utf-8"), ""), argv
+        codes.append(flags[0][1])
+    assert (codes.count(0), codes.count(2)) == (168, 12)
+    for text, error in _CONFIG_GRID.items():
+        config.write_text(text)
+        flags = [word for key, value in json.loads(text).items() for word in (f"--{key}", str(value))]
+        for command in ("ingest", "calibrate", "classify"):
+            got = _outcome([command, "--format", fmt, "--config", str(config)])
+            if error is None:
+                assert got == _outcome([command, "--format", fmt, *flags]), (text, command)
+            else:
+                assert got == (("return", 1), "", f"error: {error}\n"), (text, command)
 
 
 @pytest.mark.parametrize("argv", [["classify", "--bogus"], ["--help"], ["ingest", "--format", "csv"]])

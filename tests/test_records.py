@@ -136,9 +136,12 @@ def test_different_values_compare_unequal():
          "the three series must cover the same years"),
         (lambda: MarketDataset(1900, SERIES, SERIES, riskfree_return=(1.0, 2.0, 3.0)),
          SchemaError, "the three series must cover the same years"),
-        # a value that does not order against a float is named
+        # a value that is not a number is named
         (lambda: MarketDataset(1900, ("a", "b"), (1.0, 1.0), (1.0, 1.0)), InputError,
          "consumption must be a number, got 'a'"),
+        # an int too large for a float is inf
+        (lambda: MarketDataset(1900, (10**400, 1), (1, 1), (1, 1)), NonPositiveValue,
+         "annual series values must be positive and finite"),
         (lambda: ProjectionInputs("a", 1, 1, 1), InputError,
          "nominal_nondurables_bn must be a number, got 'a'"),
         (lambda: ProjectionInputs(0.0, 613.7, 150.0, 219441872.0), NonPositiveValue,
@@ -161,6 +164,12 @@ def test_different_values_compare_unequal():
          "sample moments must be finite"),
         (lambda: SampleMoments(**{**MOMENTS, "sigma2_x": math.inf}), InputError,
          "sample moments must be finite"),
+        (lambda: SampleMoments("a", 0.001, 1.018, 1.07, 1.008, 7.3, 0.16), InputError,
+         "mu_x must be a number, got 'a'"),
+        (lambda: SampleMoments(**{**MOMENTS, "mu_z": 10**400}), InputError,
+         "sample moments must be finite"),
+        (lambda: SampleMoments(**{**MOMENTS, "mean_Re": Decimal("sNaN")}), InputError,
+         "mean_Re must be a number, got Decimal('sNaN')"),
         (lambda: SufficiencyFactors(0.0, 1.0), InputError,
          "sufficiency factors must be positive and finite"),
         (lambda: SufficiencyFactors(zeta=1.0, xi=-2.0), InputError,
@@ -192,6 +201,10 @@ def test_different_values_compare_unequal():
          InputError, "rho and the consistency gap must be finite"),
         (lambda: CalibrationResult(SufficiencyFactors(1, 1), 1.0, (0, 0, 0), math.nan),
          InputError, "rho and the consistency gap must be finite"),
+        (lambda: CalibrationResult(SufficiencyFactors(1, 1), 1.0, (0.0, "a", 0.0), 0.1),
+         InputError, "residuals must be a number, got 'a'"),
+        (lambda: CalibrationResult(SufficiencyFactors(1, 1), None, (0.0, 0.0, 0.0), 0.1),
+         InputError, "rho must be a number, got None"),
         (lambda: UtilitySpec(-0.5), InputError, "rho -0.5 outside the supported range [0, 60]"),
         # _replace builds through _make, and both check as the constructor does
         (lambda: RECORDS["MarketDataset"][1]()._replace(consumption=(1.0, -5.0)),
@@ -221,6 +234,11 @@ def test_different_values_compare_unequal():
          "annual series values must be positive and finite"),
         (lambda: projected_consumption(1e-300, 1e-300, 1e300, 1e300), NonPositiveValue,
          "annual series values must be positive and finite"),
+        (lambda: projected_consumption(10**400, 1, 100, 1), NonPositiveValue,
+         "nominal_nondurables_bn must be positive and finite"),
+        (lambda: lognormal_moment("a", 0, 0), InputError, "a must be a number, got 'a'"),
+        (lambda: lognormal_moment(1, 0, 10**400), NonFiniteMoment,
+         "log-normal moment is not finite (exponent inf)"),
         (lambda: lognormal_moment(1, 0, math.nan), NegativeVariance,
          "sigma2 must be nonnegative"),
         (lambda: lognormal_moment(1.0, math.nan, 0.0), NonFiniteMoment,
@@ -233,10 +251,17 @@ def test_different_values_compare_unequal():
          "certain utility is not finite, got inf"),
         (lambda: make_comparison(math.nan, 1.0, 0.99, 0.9), UtilityOverflow,
          "certain utility is not finite, got nan"),
-        # check_beta takes a Decimal, which a float does not multiply
-        (lambda: make_comparison(7.0, 6.0, Decimal("0.99"), 1.0), InputError,
-         "beta must be a number, got Decimal('0.99')"),
+        # a Decimal is a number, checked as a float
+        (lambda: make_comparison(7.0, 6.0, Decimal("1.5"), 1.0), InputError,
+         "beta must be in (0, 1], got 1.5"),
         (lambda: make_comparison("7", 6.0, 0.99, 1.0), InputError, "certain must be a number, got '7'"),
+        (lambda: make_comparison(Decimal("sNaN"), 1.0, 0.99, 1.0), InputError,
+         "certain must be a number, got Decimal('sNaN')"),
+        # an int too large for a float is inf
+        (lambda: make_comparison(7.0, 10**400, 0.99, 1.0), UtilityOverflow,
+         "uncertain utility leaves the floating-point range (beta 0.99 * eta 1 * E[u] inf)"),
+        (lambda: make_comparison(10**400, 1.0, 0.99, 1.0), UtilityOverflow,
+         "certain utility is not finite, got inf"),
         # a hand-built comparison: make_comparison would reject these certain utilities
         (lambda: classify(UtilityComparison(math.nan, 1.0, 1.05, 0.99, 1.0),
                           Curvature.STRICTLY_CONCAVE, DefinitionGroup.ONE),
@@ -249,6 +274,8 @@ def test_different_values_compare_unequal():
          UtilityOverflow, "utility gap certain - uncertain is not finite, got inf"),
         (lambda: crra_utility(math.nan, UtilitySpec(2.0)), NonPositiveConsumption,
          "consumption must be positive, got nan"),
+        (lambda: crra_utility("a", UtilitySpec(2.0)), InputError,
+         "consumption must be a number, got 'a'"),
         # math.expm1 returns inf or nan for an inf or nan exponent without raising
         (lambda: crra_utility(math.inf, UtilitySpec(0.5)), UtilityOverflow,
          "utility leaves the floating-point range (exponent inf at 1 - rho = 0.5)"),

@@ -1,6 +1,7 @@
 """CRRA utility: golden values, limits, curvature, and the scaling law."""
 
 import math
+from decimal import Decimal
 
 import pytest
 from hypothesis import given
@@ -192,3 +193,6 @@ def test_make_comparison_fields():
     assert cmp.beta == 0.99
     assert cmp.eta == 0.96
     assert cmp.uncertain == 0.99 * 0.96 * 6.5
+    # a Decimal is a number: the comparison holds the same floats
+    same = make_comparison(Decimal("7.1"), 6.5, Decimal("0.99"), 0.96)
+    assert same == cmp and {type(v) for v in same} == {float}
