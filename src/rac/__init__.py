@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 
 # Each submodule, with the names the package re-exports from it. The names are
 # one string, not a tuple: without cached bytecode this file is compiled at
-# every start, and one string compiles several times faster than 57.
+# every start, and one string compiles several times faster than 56.
 _EXPORTS = {
     "calibration": """CalibrationResult RHO_ANCHORS SufficiencyFactors calibrate_variant
         solve_closed_form_given_rho solve_system system_residuals""",
@@ -32,8 +32,7 @@ _EXPORTS = {
         RacError SchemaError Unclassifiable UtilityOverflow""",
     "moments": "SampleMoments compute_moments consistency_gap lognormal_moment",
     "params": "DEFAULT_TOLERANCE DefinitionGroup Variant",
-    "report": """ReportFormat ReportRow calibration_block export_run parse_csv parse_json
-        render_table""",
+    "report": "ReportFormat ReportRow export_run parse_csv parse_json render_table",
     "utility": """UtilityComparison UtilitySpec crra_utility expected_utility_unconditional
         make_comparison uncertain_utility""",
 }

@@ -131,7 +131,7 @@ def parse_json(text: str) -> list[ReportRow]:
     return [_row_from_record(rec) for rec in json.loads(text)["classifications"]]
 
 
-def calibration_block(c) -> dict:
+def _calibration_block(c) -> dict:
     """A CalibrationResult's JSON block."""
     return {
         "zeta": c.factors.zeta,
@@ -143,7 +143,7 @@ def calibration_block(c) -> dict:
 
 
 def _calibration_document(calibrations: dict) -> dict:
-    return {"calibration": {name: calibration_block(c) for name, c in calibrations.items()}}
+    return {"calibration": {name: _calibration_block(c) for name, c in calibrations.items()}}
 
 
 def export_run(calibrations: dict, tables: list[tuple[str, list[ReportRow]]]) -> str:

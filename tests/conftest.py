@@ -1,5 +1,7 @@
 """Shared fixtures: the bundled dataset, its projected variant, and moments;
-the two CSV headers; and serialize_dataset, which writes a dataset back to CSV."""
+files under tmp_path (a copy of the bundled series, a gapped and a zero-gap
+one); the two CSV headers; and serialize_dataset, which writes a dataset
+back to CSV."""
 
 import csv
 import io
@@ -45,6 +47,31 @@ def variant_datasets(bundled, projected_dataset):
 @pytest.fixture(scope="session")
 def variant_moments(variant_datasets):
     return {name: compute_moments(d) for name, d in variant_datasets.items()}
+
+
+@pytest.fixture()
+def bundled_copy(tmp_path):
+    path = tmp_path / "copy.csv"
+    path.write_bytes(serialize_dataset(load_bundled_dataset()))
+    return path
+
+
+@pytest.fixture()
+def gapped_file(tmp_path):
+    rows = [f"{1900 + i},{100.0 + i},1.05,1.01" for i in range(10) if i != 5]
+    path = tmp_path / "gapped.csv"
+    path.write_text(HEADER + "\n" + "\n".join(rows) + "\n")
+    return path
+
+
+@pytest.fixture()
+def degenerate_file(tmp_path):
+    # Consumption doubling every year: all log growths are exactly ln 2, so
+    # the consistency gap is exactly zero.
+    rows = [f"{1900 + i},{100.0 * 2 ** i},1.05,1.01" for i in range(6)]
+    path = tmp_path / "degenerate.csv"
+    path.write_text(HEADER + "\n" + "\n".join(rows) + "\n")
+    return path
 
 
 def serialize_dataset(d):

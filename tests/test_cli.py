@@ -1,7 +1,6 @@
 """CLI behavior: subcommands, config precedence, exit codes, determinism."""
 
 import argparse
-import ast
 import contextlib
 import importlib
 import io
@@ -11,7 +10,6 @@ import os
 import re
 import subprocess
 import sys
-from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -22,6 +20,8 @@ from rac import dataset as ds
 from rac import errors, load_bundled_dataset, parse_csv, parse_json
 from rac.cli import ENV_DATASET, build_config, main, make_parser
 
+from _runs import (CASES, GOLDEN, SRC, _CONFIG_GRID, _EDGE_ARGV, _WARM_GRID, _clear_caches,
+                   _outcome, _sweep_grid)
 from conftest import HEADER, PROJECTION_HEADER, serialize_dataset
 
 
@@ -29,39 +29,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-@pytest.fixture()
-def bundled_copy(tmp_path):
-    path = tmp_path / "copy.csv"
-    path.write_bytes(serialize_dataset(load_bundled_dataset()))
-    return path
-
-
-@pytest.fixture()
-def gapped_file(tmp_path):
-    rows = [f"{1900 + i},{100.0 + i},1.05,1.01" for i in range(10) if i != 5]
-    path = tmp_path / "gapped.csv"
-    path.write_text(HEADER + "\n" + "\n".join(rows) + "\n")
-    return path
-
-
-@pytest.fixture()
-def degenerate_file(tmp_path):
-    # Consumption doubling every year: all log growths are exactly ln 2, so
-    # the consistency gap is exactly zero.
-    rows = [f"{1900 + i},{100.0 * 2 ** i},1.05,1.01" for i in range(6)]
-    path = tmp_path / "degenerate.csv"
-    path.write_text(HEADER + "\n" + "\n".join(rows) + "\n")
-    return path
-
-
-def _clear_caches():
-    """Empty every per-process cache of the CLI, so the next call builds all."""
-    cli = importlib.import_module("rac.cli")
-    for cached in (cli.make_parser, cli.command_parser, cli._SERIES, ds.load_bundled_dataset,
-                   ds.load_bundled_projection):
-        cached.cache_clear()
 
 
 # -- ingest -------------------------------------------------------------------
@@ -1002,17 +969,6 @@ def test_main_on_any_flags_exits_cleanly(argv):
 
 # -- one parse per command --------------------------------------------------
 
-def _outcome(argv):
-    """main(argv): its return value or SystemExit code, stdout and stderr."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = ("return", main(list(argv)))
-        except SystemExit as exc:
-            code = ("SystemExit", exc.code)
-    return code, out.getvalue(), err.getvalue()
-
-
 def _whole_parser():
     """main with no command parser to hand words to: make_parser().parse_args(argv)
     parses every call, and the same run follows."""
@@ -1040,24 +996,6 @@ _ANY_ARGV = st.one_of(
     st.builds(_insert, _ARGV, st.lists(st.tuples(st.integers(0, 11), st.sampled_from(_STRAY_WORDS)),
                                        min_size=1, max_size=3)),
 )
-# where the two parses could part: no or a wrong first word, words left over,
-# "--", prefixes, values that look like options, missing values, repeats
-_EDGE_ARGV = [
-    [], ["-h"], ["--help"], ["--he"], ["bogus"], ["Classify"], ["--bogus"], ["--bogus", "classify"],
-    ["-x"], ["-"], ["--"], ["--", "classify"], ["--rho", "2", "classify"],
-    ["classify", "-h"], ["ingest", "--help"], ["calibrate", "--he"],
-    ["classify", "extra"], ["classify", "--rho", "2", "extra"], ["classify", "calibrate"],
-    ["classify", "--"], ["classify", "--", "--rho", "2"], ["classify", "-1"], ["classify", "-x"],
-    ["classify", "-"], ["classify", "--r", "2"], ["calibrate", "--proj", "x"],
-    ["calibrate", "--rho=-1e-3"], ["classify", "--eta", "-inf"], ["classify", "--rho"],
-    ["classify", "--format"], ["classify", "--group", "three"], ["ingest", "--variant", "both"],
-    ["classify", "--bogus", "--group", "three"], ["classify", "--conf", "x"],
-    ["classify", "--rho", "2", "--rho", "3"], ["classify", "--format", "json", "--format", "csv"],
-    ["classify", "--bogus"],
-    # help and a usage error that a command's own parser prints itself
-    *([command, *words] for command in ("ingest", "calibrate", "classify")
-      for words in (["--help"], ["--rho", "abc"])),
-]
 # each edge example runs at each of these terminal widths, which help and
 # usage lines wrap to
 _COLUMNS = ["40", "80", "200"]
@@ -1085,44 +1023,12 @@ def test_main_matches_the_whole_parser(argv, columns):
     assert got == want
 
 
-def _sweep_grid():
-    """bench/run.py's sweep_grid(): the benchmark's 540 in-process argvs."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "run.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    func = next(node for node in tree.body if getattr(node, "name", None) == "sweep_grid")
-    namespace = {}
-    exec(compile(ast.Module([func], type_ignores=[]), str(path), "exec"), namespace)
-    return namespace["sweep_grid"]()
-
-
-# config files of ints, floats, strings, lists and a bool, with the one-line
-# error each prints for every command, or None for one that prints what the
-# same values as flags print
-_CONFIG_GRID = {
-    '{"beta": 0}': "InputError: beta must be in (0, 1], got 0.0",
-    '{"rho": true}': "InputError: rho must be a number, got True",
-    '{"beta": "abc"}': "InputError: beta must be a number, got 'abc'",
-    '{"beta": 1e400}': "InputError: beta must be finite, got inf",
-    '{"beta": 1' + "0" * 299 + "}": "InputError: beta must be in (0, 1], got 1e+299",
-    '{"tol": "1e-9"}': "InputError: tol must be a number, got '1e-9'",
-    '{"eta": [1]}': "InputError: eta must be a number, got [1]",
-    '{"rho": -1}': "InputError: rho -1.0 outside the supported range [0, 60]",
-    '{"beta": 1, "tol": 0, "eta": 2, "rho": 2}': None,
-    '{"rho": -0.0}': None,
-    '{"rho": 60, "eta": 0.5}': None,
-    '{"beta": 0.5, "tol": 1}': None,
-    '{"eta": 1e-300}': None,
-}
-
-
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 def test_sweep_and_config_grid_print_as_flags(monkeypatch, tmp_path, fmt):
     # each sweep argv in this format prints, byte for byte, what its options
     # print from a config file, and what the golden file of the same run
     # holds; each config of numbers prints what the same flags print, and
     # each other config its one pinned line
-    from test_golden import CASES, GOLDEN
-
     monkeypatch.delenv(ENV_DATASET, raising=False)
     config = tmp_path / "config.json"
 
@@ -1157,10 +1063,9 @@ def test_sweep_and_config_grid_print_as_flags(monkeypatch, tmp_path, fmt):
 def test_cold_entry_point_reads_sys_argv(monkeypatch, tmp_path, argv):
     # python -m rac.cli calls main() with no argv, so it reads sys.argv[1:]
     monkeypatch.setenv("COLUMNS", "80")
-    src = Path(__file__).resolve().parents[1] / "src"
     cold = subprocess.run(
         [sys.executable, "-m", "rac.cli", *argv],
-        env=dict(os.environ, PYTHONPATH=str(src)),
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
         cwd=tmp_path,
         capture_output=True,
         text=True,
@@ -1203,19 +1108,6 @@ def test_warm_main_rebuilds_nothing(capsys, monkeypatch):
     assert code == 0
     assert "Risk-averse" in out
     assert (built, loads) == ([], [])
-
-
-_WARM_GRID = [
-    [command, *variant, "--format", fmt, "--group", group, *rho, *eta]
-    for command in ("ingest", "calibrate", "classify")
-    # ingest takes no --variant
-    for variant in ([[]] if command == "ingest" else
-                    [["--variant", v] for v in ("realized", "projected", "both")])
-    for fmt in ("text", "csv", "json")
-    for group in ("one", "two")
-    for rho in ([], ["--rho", "5"])
-    for eta in ([], ["--eta", "1.05"])
-]
 
 
 def test_warm_main_matches_cold(capsys, tmp_path, bundled_copy):
@@ -1453,90 +1345,66 @@ def test_user_files_read_on_every_call(capsys, monkeypatch, tmp_path, bundled_co
 
 # -- start-up -----------------------------------------------------------------
 
-def test_cli_import_leaves_numpy_out(tmp_path, bundled_copy):
-    # a cold command pays only for what it uses: no numpy, no dataclasses
-    # (which loads inspect, ast and dis), and json only for JSON I/O; a kept
-    # user series is checked against its file without mmap
-    src = Path(__file__).resolve().parents[1] / "src"
-    probe = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import io, sys, contextlib, rac.cli\n"
-            "print(sorted({'numpy', 'dataclasses', 'inspect', 'json'} & set(sys.modules)))\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    code = rac.cli.main(['ingest'])\n"
-            "print(code, 'json' in sys.modules)\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    codes = [rac.cli.main(['ingest', '--dataset', {str(bundled_copy)!r}])\n"
-            "             for _ in range(2)]\n"
-            "print(codes, 'mmap' in sys.modules)",
-        ],
-        env=dict(os.environ, PYTHONPATH=str(src)),
-        cwd=tmp_path,
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert (probe.returncode, probe.stdout, probe.stderr) == (
-        0, "[]\n0 False\n[0, 0] False\n", "")
-
-
-_PHASE_PROBE = """\
-import contextlib, io, sys
+# Runs in a clean interpreter (python -S, so site loads nothing): imports
+# rac.cli, then runs each of STEPS, and after the import and after each step
+# prints the exit code, the modules of WATCH it finds loaded, and how many
+# whole parsers are built. stdout and stderr are swapped for io.StringIO
+# (io is loaded at start-up), so the probe itself loads nothing.
+_COLD_START = """\
+import io, sys
 import rac.cli
 
-phases = ["rac.calibration", "rac.classify", "rac.utility"]
-for argv in (["ingest"], ["calibrate"], ["classify"], ["classify", "--bogus"]):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = rac.cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    loaded = [name for name in phases if name in sys.modules]
-    print(*argv, code, loaded, rac.cli.make_parser.cache_info().currsize)
+def show(code):
+    loaded = sorted(name for name in WATCH if name in sys.modules)
+    print(code, loaded, rac.cli.make_parser.cache_info().currsize)
+
+show(None)
+for argv in STEPS:
+    sys.stdout = sys.stderr = io.StringIO()
+    try:
+        code = rac.cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__
+    show(code)
 """
+_WATCH = ["numpy", "dataclasses", "inspect", "json", "mmap", "pathlib", "typing", "collections.abc",
+          "hashlib", "random", "shutil", "rac.calibration", "rac.classify", "rac.utility"]
+_PHASES = ["rac.calibration", "rac.classify", "rac.utility"]
+# each step; its exit code, the watched modules then loaded, and the number
+# of whole parsers built
+_COLD_START_TABLE = [
+    (None, None, [], 0),  # import rac.cli
+    # argparse loads shutil for the help width when a first parser is built
+    (["ingest"], 0, ["shutil"], 0),
+    # the second run finds the series the first kept, and compares it with
+    # the file without mmap
+    (["ingest", "--dataset", "copy.csv"], 0, ["shutil"], 0),
+    (["ingest", "--dataset", "copy.csv"], 0, ["shutil"], 0),
+    (["calibrate"], 0, ["rac.calibration", "shutil"], 0),
+    (["classify"], 0, [*_PHASES, "shutil"], 0),
+    # json loads for JSON output only
+    (["classify", "--format", "json"], 0, ["json", *_PHASES, "shutil"], 0),
+    # only a usage error builds the whole parser
+    (["classify", "--bogus"], 1, ["json", *_PHASES, "shutil"], 1),
+]
 
 
-def test_a_command_loads_only_the_phases_it_runs(tmp_path):
-    # in a clean interpreter, ingest loads no phase module, calibrate only
-    # calibration, classify all three; only a usage error builds the whole parser
-    src = Path(__file__).resolve().parents[1] / "src"
+def test_a_cold_command_loads_only_what_it_uses(tmp_path, bundled_copy):
+    # no numpy, no dataclasses (which loads inspect, ast and dis), no typing,
+    # pathlib or collections.abc; a phase module only for a command that runs it
+    steps = [argv for argv, *_ in _COLD_START_TABLE[1:]]
     probe = subprocess.run(
-        [sys.executable, "-S", "-c", _PHASE_PROBE],
-        env={**{k: v for k, v in os.environ.items() if k != ENV_DATASET}, "PYTHONPATH": str(src)},
+        [sys.executable, "-S", "-c", f"WATCH = {_WATCH!r}\nSTEPS = {steps!r}\n{_COLD_START}"],
+        env={**{k: v for k, v in os.environ.items() if k != ENV_DATASET}, "PYTHONPATH": str(SRC)},
         cwd=tmp_path,
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert (probe.returncode, probe.stderr) == (0, "")
-    every = "['rac.calibration', 'rac.classify', 'rac.utility']"
     assert probe.stdout.splitlines() == [
-        "ingest 0 [] 0",
-        "calibrate 0 ['rac.calibration'] 0",
-        f"classify 0 {every} 0",
-        f"classify --bogus 1 {every} 1",
-    ]
-
-
-def test_cli_import_leaves_pathlib_out(tmp_path):
-    # in a clean interpreter (no site, which imports all three itself) the
-    # CLI loads neither pathlib, typing nor collections.abc: files are named
-    # by plain strings and os.path, records are collections.namedtuple, and
-    # no annotation needs an abstract collection type
-    src = Path(__file__).resolve().parents[1] / "src"
-    probe = subprocess.run(
-        [sys.executable, "-S", "-c",
-         "import sys, rac.cli; print('pathlib' in sys.modules, 'typing' in sys.modules, "
-         "'collections.abc' in sys.modules)"],
-        env=dict(os.environ, PYTHONPATH=str(src)),
-        cwd=tmp_path,
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert (probe.returncode, probe.stdout, probe.stderr) == (0, "False False False\n", "")
+        f"{code} {loaded} {parsers}" for _, code, loaded, parsers in _COLD_START_TABLE]
 
 
 def test_default_classify_check_counts(capsys, monkeypatch):

@@ -1,16 +1,17 @@
 """Each command's exact stdout on the bundled data, byte for byte, and a
 digest of every other run the suite's grids make.
 
-tests/golden/NAME.out holds what `rac ARGS` printed for the case NAME below.
-Each case also runs as its own `python -S -m rac.cli` process, so a phase
-module that a command fails to load shows even when that command is the
-first one run.
+tests/golden/NAME.out holds what `rac ARGS` printed for the case NAME in
+_runs.CASES. Each case runs as its own `python -S -m rac.cli` process and
+is compared with its file, so a phase module that a command fails to load
+shows even when that command is the first one run.
 
 tests/golden/outputs.sha256 holds one line per run of a wider set: the
-sweep, warm and config grids of test_cli.py, the cases below, the edge argvs
-that return an exit code, and error paths on files written under fixed
-names. Each line is the digest of the run's exit code, stdout and stderr,
-then the run's argv. On a mismatch the test prints the lines to paste.
+sweep, warm and config grids, the golden cases, the edge argvs that return
+an exit code, and error paths on files written under fixed names. Each line
+is the digest of the run's exit code, stdout and stderr, then the run's
+argv. The digest test runs all of them in process, so it is the in-process
+check of the golden cases too. On a mismatch it prints the lines to paste.
 
 A change that alters output edits these files by hand and says why; they are
 never regenerated to make a failing test pass. The cases and the digest runs
@@ -26,52 +27,14 @@ import shlex
 import shutil
 import subprocess
 import sys
-from pathlib import Path
 from unittest import mock
 
 import pytest
 
+from _runs import (CASES, GOLDEN, SRC, TESTS, _CONFIG_GRID, _EDGE_ARGV, _WARM_GRID, _clear_caches,
+                   _outcome, _sweep_grid, lazy_probe)
 from conftest import HEADER, PROJECTION_HEADER
-from rac.cli import ENV_DATASET, main
-# bundled_copy, degenerate_file and gapped_file are fixtures: pytest finds
-# them by these names
-from test_cli import (
-    _CONFIG_GRID,
-    _EDGE_ARGV,
-    _WARM_GRID,
-    _clear_caches,
-    _outcome,
-    _sweep_grid,
-    bundled_copy,
-    degenerate_file,
-    gapped_file,
-)
-from test_public_api import lazy_probe
-
-GOLDEN = Path(__file__).with_name("golden")
-SRC = Path(__file__).resolve().parents[1] / "src"
-
-CASES = {
-    **{
-        f"{command}_{fmt}": [command, "--format", fmt]
-        for command in ("ingest", "calibrate", "classify")
-        for fmt in ("text", "csv", "json")
-    },
-    "classify_eta_text": ["classify", "--eta", "0.9", "--format", "text"],
-    "calibrate_projected_csv": ["calibrate", "--variant", "projected", "--format", "csv"],
-    "classify_eta_json": ["classify", "--eta", "0.9", "--format", "json"],
-    "classify_projected_csv": ["classify", "--variant", "projected", "--format", "csv"],
-    "calibrate_rho2_text": ["calibrate", "--rho", "2", "--format", "text"],
-}
-
-
-@pytest.mark.parametrize("name", CASES)
-def test_stdout_matches_golden(name, capsys, monkeypatch):
-    monkeypatch.delenv(ENV_DATASET, raising=False)
-    code = main(CASES[name])
-    captured = capsys.readouterr()
-    assert (code, captured.err) == (0, "")
-    assert captured.out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
+from rac.cli import ENV_DATASET
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -153,6 +116,12 @@ def _check_digest(got):
         ), pytrace=False)
 
 
+def _results(outcomes):
+    """The (exit code, stdout, stderr) of each _outcome, all of which returned."""
+    assert {how for (how, _), _, _ in outcomes} == {"return"}
+    return [(code, out, err) for (_, code), out, err in outcomes]
+
+
 def test_outputs_match_digest(digest_runs, tmp_path, monkeypatch):
     monkeypatch.delenv(ENV_DATASET, raising=False)
     monkeypatch.setenv("COLUMNS", "80")
@@ -162,30 +131,24 @@ def test_outputs_match_digest(digest_runs, tmp_path, monkeypatch):
     for env, argv in digest_runs:
         with mock.patch.dict(os.environ, env):
             outcomes.append(_outcome(argv))
-    assert {how for (how, _), _, _ in outcomes} == {"return"}
-    assert {code for (_, code), _, _ in outcomes} == {0, 1, 2}
-    _check_digest(_digest_lines(digest_runs, [(code, out, err) for (_, code), out, err in outcomes]))
+    results = _results(outcomes)
+    assert {code for code, _, _ in results} == {0, 1, 2}
+    _check_digest(_digest_lines(digest_runs, results))
 
 
 # Prints a line before it imports rac, so a run that prints nothing is an
-# interpreter that did not start; then ({name: (code, stdout, stderr)}, and
-# [(code, stdout, stderr)] of each digest run).
+# interpreter that did not start; then the _outcome of each golden case and
+# of each digest run, as ({name: outcome}, [outcome]).
 _RUN_CASES = """\
-import contextlib, io, os, sys
+import os, sys
 print(sys.version.split()[0])
-import rac.cli
+from _runs import CASES, _outcome
 
-def outcome(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = rac.cli.main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-cases = {name: outcome(argv) for name, argv in CASES.items()}
+cases = {name: _outcome(argv) for name, argv in CASES.items()}
 runs = []
 for env, argv in RUNS:
     os.environ.update(env)
-    runs.append(outcome(argv))
+    runs.append(_outcome(argv))
     for key in env:
         del os.environ[key]
 print(ascii((cases, runs)))
@@ -198,10 +161,10 @@ def test_stdout_matches_golden_on_other_interpreters(python, tmp_path, digest_ru
     if executable is None:
         pytest.skip(f"{python} is not installed")
     env = {key: value for key, value in os.environ.items() if key != ENV_DATASET}
-    env["PYTHONPATH"] = str(SRC)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), str(TESTS)])
     env["COLUMNS"] = "80"
     probe = subprocess.run(
-        [executable, "-S", "-c", f"CASES = {CASES!r}\nRUNS = {digest_runs!r}\n{_RUN_CASES}"],
+        [executable, "-S", "-c", f"RUNS = {digest_runs!r}\n{_RUN_CASES}"],
         env=env,
         cwd=tmp_path,
         capture_output=True,
@@ -214,9 +177,9 @@ def test_stdout_matches_golden_on_other_interpreters(python, tmp_path, digest_ru
     version, results = probe.stdout.split("\n", 1)
     assert (probe.returncode, probe.stderr) == (0, ""), version
     assert lazy_probe(executable, tmp_path) == (0, "ok\n", ""), version
-    results, runs = ast.literal_eval(results)
-    assert list(results) == list(CASES)
-    for name, (code, out, err) in results.items():
-        assert (code, err) == (0, ""), (version, name)
+    cases, runs = ast.literal_eval(results)
+    assert list(cases) == list(CASES)
+    for name, (code, out, err) in cases.items():
+        assert (code, err) == (("return", 0), ""), (version, name)
         assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes(), (version, name)
-    _check_digest(_digest_lines(digest_runs, runs))
+    _check_digest(_digest_lines(digest_runs, _results(runs)))

@@ -5,14 +5,13 @@ submodule, and each name loads its own on first use;
 the build reads its version from `rac.__version__`, with no second copy;
 every function the benchmark traces still exists where it looks for it;
 every concrete error type is raised somewhere in the package; one function
-opens files; and every name a module imports is used there."""
+opens files; every name a module imports is used there; and no module of
+the suite imports a test module, nor _runs pytest or hypothesis."""
 
 import ast
 import importlib
 import inspect
-import os
 import runpy
-import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -20,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import rac
+from _runs import TESTS, lazy_probe
 from rac import errors
 
 
@@ -49,60 +49,6 @@ def test_every_public_name_is_listed():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert sorted(public - set(rac.__all__)) == []
-
-
-SRC = Path(__file__).resolve().parent.parent / "src"
-
-# Run in a fresh interpreter; prints "ok" when the package loads lazily and
-# `rac.classify` stays the function however the submodule was first loaded.
-LAZY_PROBE = """\
-import sys
-import rac
-
-assert [name for name in sys.modules if name.startswith("rac")] == ["rac"], sys.modules
-assert not {"csv", "argparse", "enum", "re"} & set(sys.modules), sys.modules
-assert set(dir(rac)) >= set(rac.__all__)
-assert rac.errors.InputError.__module__ == "rac.errors"
-try:
-    rac.nope
-except AttributeError as error:
-    assert str(error) == "module 'rac' has no attribute 'nope'", error
-else:
-    raise AssertionError("rac.nope resolved")
-
-function = rac.classify
-assert type(function) is type(lambda: 0) and function.__name__ == "classify", function
-import rac.cli
-assert rac.classify is function, rac.classify
-import rac.classify as m
-assert m is function, m
-import importlib
-module = importlib.import_module("rac.classify")
-assert type(module) is type(sys) and module.classify is function, module
-
-# a fresh package whose classify submodule is first loaded for another of its
-# names, as a classify run loads it for classify_pipeline
-for name in [name for name in sys.modules if name == "rac" or name.startswith("rac.")]:
-    del sys.modules[name]
-import rac
-rac.classify_pipeline
-from rac import classify
-assert classify is sys.modules["rac.classify"].classify, classify
-print("ok")
-"""
-
-
-def lazy_probe(executable, cwd):
-    """(exit code, stdout, stderr) of LAZY_PROBE under `executable -S`."""
-    probe = subprocess.run(
-        [executable, "-S", "-c", LAZY_PROBE],
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
-        cwd=cwd,
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    return probe.returncode, probe.stdout, probe.stderr
 
 
 def test_submodules_load_on_first_use(tmp_path):
@@ -198,3 +144,26 @@ def test_every_import_is_used(module):
     }
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - read) == []
+
+
+def _imports(path):
+    """The top-level name of each module that `path` imports."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {
+        name.partition(".")[0]
+        for node in ast.walk(tree)
+        for name in ([node.module or ""] if isinstance(node, ast.ImportFrom)
+                     else [alias.name for alias in node.names] if isinstance(node, ast.Import) else [])
+    }
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in TESTS.glob("*.py")))
+def test_no_module_of_the_suite_imports_a_test_module(module):
+    # what two test modules share lives in conftest or _runs, so each test
+    # module runs, and is read, on its own
+    assert sorted(name for name in _imports(TESTS / module) if name.startswith("test_")) == []
+
+
+def test_the_shared_runs_leave_pytest_out():
+    # other interpreters import _runs where pytest may not be installed
+    assert {"pytest", "hypothesis"} & _imports(TESTS / "_runs.py") == set()

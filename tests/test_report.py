@@ -11,13 +11,13 @@ from rac import (
     ReportFormat,
     ReportRow,
     SufficiencyFactors,
-    calibration_block,
     export_run,
     parse_csv,
     parse_json,
     render_table,
 )
 from rac.errors import InputError
+from rac.report import _calibration_block
 
 
 def equity_rows():
@@ -163,7 +163,7 @@ def test_round_trip_random_rows(year, tag, nums):
 # -- run export ---------------------------------------------------------------
 
 def test_calibration_block_fields():
-    block = calibration_block(sample_calibration())
+    block = _calibration_block(sample_calibration())
     assert block == {
         "zeta": 0.9617455534534737,
         "xi": 1.0193662030205315,
