@@ -36,8 +36,6 @@ FACTOR_REGION_MAX] (a subnormal factor has lost digits). Residuals A and B
 are ln xi - ln xi* and ln zeta - ln zeta*: eqs A and B rearranged.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from collections import namedtuple

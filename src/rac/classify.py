@@ -18,8 +18,6 @@ Horizontal curves use the sign rules with the curvature conditions waived,
 except that not-enough-risk-averse is rejected outright (InvalidCombination).
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from enum import Enum
 

@@ -25,8 +25,6 @@ series is kept (see _Series). A repeat read compares the file with the kept
 bytes as it is read, so an unchanged file is not copied.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import io

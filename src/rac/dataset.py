@@ -31,8 +31,6 @@ Spending columns are nominal billions, the deflator is an index with base
 100, population is a head count.
 """
 
-from __future__ import annotations
-
 import csv
 import functools
 import io

@@ -17,8 +17,6 @@ final values in one pass over what they share; compute_moments is that pass
 with the dataset's own final value.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from itertools import chain, repeat

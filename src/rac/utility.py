@@ -6,8 +6,6 @@ at c = 1 for every rho and tends to ln(c) as rho -> 1, so values compare
 across different rho, the log case included.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 

@@ -139,7 +139,7 @@ def test_every_import_is_used(module):
     imported = {
         (alias.asname or alias.name).partition(".")[0]
         for node in ast.walk(tree)
-        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        if isinstance(node, (ast.Import, ast.ImportFrom))
         for alias in node.names
     }
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}

@@ -48,8 +48,6 @@ moved in the last digits since the reference was frozen) instead of
 catching it.
 """
 
-from __future__ import annotations
-
 import decimal
 import io
 import math
