@@ -155,27 +155,46 @@ def read_text(source) -> str:
 
 
 def _reader(source, header: list[str]):
-    """csv.reader over read_text(source), past a checked header.
+    """csv.reader over read_text(source), past a checked header, and the
+    StringIO it reads, which _csv_error and _record_start read again.
 
     Blank lines are skipped. Raises SchemaError for text that is not UTF-8
     and for a header the csv module cannot parse.
     """
-    reader = csv.reader(io.StringIO(read_text(source)))
+    stream = io.StringIO(read_text(source))
+    reader = csv.reader(stream)
     try:
         row = next((row for row in reader if row), None)
     except csv.Error as exc:
-        raise _csv_error(reader, exc) from None
+        raise _csv_error(reader, stream, exc) from None
     if row is None:
         raise SchemaError("empty file")
     got = [h.strip() for h in row]
     if got != header:
         raise SchemaError(f"expected header {','.join(header)!r}, got {','.join(got)!r}")
-    return reader
+    return reader, stream
 
 
-def _csv_error(reader, exc: csv.Error) -> SchemaError:
-    """The SchemaError for a row the csv module rejects (e.g. an oversized field)."""
-    return SchemaError(f"line {reader.line_num}: {exc}")
+def _record_start(stream, end: int) -> int:
+    """The file line on which the record that the csv module read, or
+    rejected, up to line `end` starts. A quoted cell may span lines, so this
+    parses `stream` again from its start; only an error pays for it."""
+    stream.seek(0)
+    reader = csv.reader(stream)
+    start = 1
+    try:
+        for _ in reader:
+            if reader.line_num >= end:
+                break
+            start = reader.line_num + 1
+    except csv.Error:  # the rejected record
+        pass
+    return start
+
+
+def _csv_error(reader, stream, exc: csv.Error) -> SchemaError:
+    """The SchemaError for a record the csv module rejects (e.g. an oversized field)."""
+    return SchemaError(f"line {_record_start(stream, reader.line_num)}: {exc}")
 
 
 def _rows_left(reader) -> bool:
@@ -190,8 +209,8 @@ def load_dataset(source) -> MarketDataset:
     """Parse and validate a market-data CSV.
 
     `source` is a filesystem path or a file-like object (text or bytes).
-    Rows are checked as they stream past, in file order, and errors name
-    the file line.
+    Rows are checked as they stream past, in file order, and an error names
+    the file line its record starts on (a quoted cell may span lines).
 
     Raises SchemaError for text that is not UTF-8, a bad header, fewer than
     two data rows, wrong cell count, non-numeric cells, or a row the csv
@@ -200,7 +219,7 @@ def load_dataset(source) -> MarketDataset:
     consumption or returns that are not positive and finite (float()
     accepts nan and inf).
     """
-    reader = _reader(source, _HEADER)
+    reader, stream = _reader(source, _HEADER)
     cons: list[float] = []
     equity: list[float] = []
     riskfree: list[float] = []
@@ -210,33 +229,34 @@ def load_dataset(source) -> MarketDataset:
             if not row:
                 continue
             if len(row) != 4:
-                raise SchemaError(f"line {reader.line_num}: expected 4 cells, got {len(row)}")
+                raise SchemaError(f"expected 4 cells, got {len(row)}")
             try:
                 year = int(row[0])
                 c, e, r = float(row[1]), float(row[2]), float(row[3])
             except ValueError as exc:
-                raise SchemaError(f"line {reader.line_num}: non-numeric cell ({exc})") from None
+                raise SchemaError(f"non-numeric cell ({exc})") from None
             if not cons:
                 start = year
             elif year != next_year:
                 raise MissingYear(
-                    f"line {reader.line_num}: year {year} does not follow {next_year - 1} "
-                    "(series must be contiguous)"
+                    f"year {year} does not follow {next_year - 1} (series must be contiguous)"
                 )
             if not (0.0 < c < math.inf and 0.0 < e < math.inf and 0.0 < r < math.inf):
-                raise NonPositiveValue(
-                    f"line {reader.line_num}: non-positive or non-finite value in year {year}"
-                )
+                raise NonPositiveValue(f"non-positive or non-finite value in year {year}")
             next_year = year + 1
             cons.append(c)
             equity.append(e)
             riskfree.append(r)
     except (InputError, csv.Error) as exc:
-        error = _csv_error(reader, exc) if isinstance(exc, csv.Error) else exc
-        # A file with fewer than two data rows reports that, whatever its cells.
-        if not cons and not _rows_left(reader):
+        end = reader.line_num
+        alone = not cons and not _rows_left(reader)
+        line = _record_start(stream, end)
+        # A file with fewer than two data rows reports that, whatever its
+        # cells; a record read over several lines is not a lone row.
+        if alone and line == end:
             raise SchemaError("need at least two data rows") from None
-        raise error from None
+        error = SchemaError if isinstance(exc, csv.Error) else type(exc)
+        raise error(f"line {line}: {exc}") from None
     if len(cons) < 2:
         raise SchemaError("need at least two data rows")
 
@@ -253,11 +273,11 @@ def load_projection(source) -> ProjectionInputs:
     cell count, non-numeric cells, or a row the csv module rejects, and
     NonPositiveValue for cells that are not positive and finite.
     """
-    reader = _reader(source, _PROJECTION_HEADER)
+    reader, stream = _reader(source, _PROJECTION_HEADER)
     try:
         rows = [row for row in reader if row]
     except csv.Error as exc:
-        raise _csv_error(reader, exc) from None
+        raise _csv_error(reader, stream, exc) from None
     if len(rows) != 1:
         raise SchemaError("projection file must have exactly one data row")
     row = rows[0]

@@ -1,7 +1,7 @@
 """Shared fixtures: the bundled dataset, its projected variant, and moments;
 files under tmp_path (a copy of the bundled series, a gapped and a zero-gap
-one); the two CSV headers; and serialize_dataset, which writes a dataset
-back to CSV."""
+one); the two CSV headers, csv_text, and the gapped and zero-gap texts; and
+serialize_dataset, which writes a dataset back to CSV."""
 
 import csv
 import io
@@ -20,6 +20,18 @@ from rac import (
 # the two CSV headers, as the files carry them
 HEADER = "year,consumption_per_capita,equity_gross_return,riskfree_gross_return"
 PROJECTION_HEADER = "nondurables_bn,services_bn,gnp_deflator,population"
+
+
+def csv_text(*rows, header=HEADER):
+    """A CSV file's text: the header, then each row, one line each."""
+    return "\n".join([header, *rows]) + "\n"
+
+
+# 1900-1909 without 1905
+GAPPED = csv_text(*(f"{1900 + i},{100.0 + i},1.05,1.01" for i in range(10) if i != 5))
+# Consumption doubling every year: all log growths are exactly ln 2, so the
+# consistency gap is exactly zero.
+DEGENERATE = csv_text(*(f"{1900 + i},{100.0 * 2 ** i},1.05,1.01" for i in range(6)))
 
 settings.register_profile(
     "suite",
@@ -58,19 +70,15 @@ def bundled_copy(tmp_path):
 
 @pytest.fixture()
 def gapped_file(tmp_path):
-    rows = [f"{1900 + i},{100.0 + i},1.05,1.01" for i in range(10) if i != 5]
     path = tmp_path / "gapped.csv"
-    path.write_text(HEADER + "\n" + "\n".join(rows) + "\n")
+    path.write_text(GAPPED)
     return path
 
 
 @pytest.fixture()
 def degenerate_file(tmp_path):
-    # Consumption doubling every year: all log growths are exactly ln 2, so
-    # the consistency gap is exactly zero.
-    rows = [f"{1900 + i},{100.0 * 2 ** i},1.05,1.01" for i in range(6)]
     path = tmp_path / "degenerate.csv"
-    path.write_text(HEADER + "\n" + "\n".join(rows) + "\n")
+    path.write_text(DEGENERATE)
     return path
 
 

@@ -22,7 +22,6 @@ from rac import (
     solve_system,
     system_residuals,
 )
-from rac.calibration import FACTOR_REGION_MAX
 from rac.errors import DegenerateSystem, InputError, NoConvergence
 from rac.params import RHO_REGION
 

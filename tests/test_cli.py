@@ -17,12 +17,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rac import dataset as ds
-from rac import errors, load_bundled_dataset, parse_csv, parse_json
+from rac import ProjectionInputs, errors, load_bundled_dataset, parse_csv, parse_json
 from rac.cli import ENV_DATASET, build_config, main, make_parser
 
 from _runs import (CASES, GOLDEN, SRC, _CONFIG_GRID, _EDGE_ARGV, _WARM_GRID, _clear_caches,
                    _outcome, _sweep_grid)
-from conftest import HEADER, PROJECTION_HEADER, serialize_dataset
+from conftest import DEGENERATE, GAPPED, HEADER, PROJECTION_HEADER, csv_text, serialize_dataset
 
 
 def run(capsys, *argv):
@@ -85,74 +85,12 @@ def test_ingest_rejects_projection_and_variant(capsys, flags):
     assert f"error: unrecognized arguments: {' '.join(flags)}\n" in captured.err
 
 
-def test_ingest_missing_file(capsys):
-    code, _, err = run(capsys, "ingest", "--dataset", "/no/such/file.csv")
-    assert code == 1
-    assert "not found" in err
-
-
-@pytest.mark.parametrize("flag", ["--dataset", "--projection", "--config"])
-def test_unreadable_path_is_input_error(capsys, tmp_path, flag):
-    # a directory (like any OSError on open) is an input problem, not a traceback
-    code, out, err = run(capsys, "classify", flag, str(tmp_path))
-    kind = flag.removeprefix("--")
-    assert (code, out) == (1, "")
-    assert err == f"error: InputError: cannot read {kind} file {str(tmp_path)!r}: Is a directory\n"
-
-
 def test_empty_env_dataset_is_unset(capsys, monkeypatch):
     # RAC_DATASET="" falls back to the bundled series, not to the path "" (the cwd)
     expected = run(capsys, "ingest")
     monkeypatch.setenv(ENV_DATASET, "")
     assert run(capsys, "ingest") == expected
     assert expected[0] == 0
-
-
-def test_ingest_gapped_file(capsys, gapped_file):
-    code, _, err = run(capsys, "ingest", "--dataset", str(gapped_file))
-    assert code == 1
-    assert "MissingYear" in err
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("column", HEADER.split(",") + PROJECTION_HEADER.split(","))
-def test_non_finite_cell_is_input_error(capsys, tmp_path, column, value):
-    # float() parses nan and inf; they must fail as input, not reach the
-    # moments (where NaN would print as invalid JSON or fail as exit 2)
-    if column in HEADER.split(","):
-        header, rows = HEADER, ["1900,100.0,1.05,1.01", "1901,101.0,1.05,1.01"]
-        argv = ["ingest", "--format", "json", "--dataset"]
-    else:
-        header, rows = PROJECTION_HEADER, ["515.4,613.7,150,219441872"]
-        argv = ["calibrate", "--projection"]
-    cells = rows[0].split(",")
-    cells[header.split(",").index(column)] = value
-    path = tmp_path / "input.csv"
-    path.write_text("\n".join([header, ",".join(cells), *rows[1:]]) + "\n")
-    code, out, err = run(capsys, *argv, str(path))
-    assert (code, out) == (1, "")
-    assert "NonPositiveValue" in err or "SchemaError" in err
-
-
-@pytest.mark.parametrize("kind", ["dataset", "projection"])
-@pytest.mark.parametrize("fault", ["not-utf8", "oversized-cell"])
-def test_unreadable_file_is_schema_error(capsys, tmp_path, kind, fault):
-    # a file that is not UTF-8, or a cell over the csv field limit, is an
-    # input error (exit 1), not a decoding message or a traceback
-    if kind == "dataset":
-        header, rows = HEADER, "1900,{},1.05,1.01\n1901,101,1.05,1.01\n"
-    else:
-        header, rows = PROJECTION_HEADER, "{},613.7,150,219441872\n"
-    path = tmp_path / "input.csv"
-    if fault == "not-utf8":
-        path.write_bytes(b"\xff\xfe" + header.encode() + b"\n" + rows.format(100).encode())
-        message = "file is not UTF-8 text (invalid start byte at offset 0)"
-    else:
-        path.write_text(header + "\n" + rows.format("9" * 140_000))
-        message = "line 2: field larger than field limit (131072)"
-    code, out, err = run(capsys, "calibrate", f"--{kind}", str(path))
-    assert (code, out) == (1, "")
-    assert err == f"error: SchemaError: {message}\n"
 
 
 # -- calibrate ----------------------------------------------------------------
@@ -193,184 +131,6 @@ def test_calibrate_single_variant(capsys):
     code, out, _ = run(capsys, "calibrate", "--variant", "realized", "--format", "json")
     assert code == 0
     assert set(json.loads(out)["calibration"]) == {"realized"}
-
-
-def test_calibrate_degenerate_dataset(capsys, degenerate_file):
-    code, _, err = run(
-        capsys, "calibrate", "--dataset", str(degenerate_file), "--beta", "1.0"
-    )
-    assert code == 2
-    assert "DegenerateSystem" in err
-
-
-def test_calibrate_factor_underflow(capsys, tmp_path):
-    # a finite but huge consumption cell drives xi to 0.0 in floating point
-    rows = [f"{1900 + i},{1e308 if i == 3 else 100.0 + i},1.05,1.01" for i in range(6)]
-    path = tmp_path / "huge.csv"
-    path.write_text(HEADER + "\n" + "\n".join(rows) + "\n")
-    code, _, err = run(capsys, "calibrate", "--dataset", str(path))
-    assert code == 2
-    assert "NoConvergence" in err
-
-
-@pytest.mark.parametrize("command", ["calibrate", "classify"])
-def test_subnormal_factors_exit_2(capsys, tmp_path, command):
-    # equity returns of 1e13 at rho near 55 put both factors below the
-    # smallest normal float: digits lost, so no residual could be trusted
-    rows = [f"{1900 + i},{1.0 + i % 2},1e13,1.0" for i in range(40)]
-    path = tmp_path / "wild.csv"
-    path.write_text(HEADER + "\n" + "\n".join(rows) + "\n")
-    argv = [command, "--dataset", str(path), "--variant", "realized", "--rho", "54.996"]
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err == (
-        "error: NoConvergence: closed-form factors (3.51755e-317, 1.22141e-315) "
-        "leave the region [2.22507e-308, 10]\n"
-    )
-
-
-@pytest.mark.parametrize("command", ["ingest", "calibrate", "classify"])
-def test_non_finite_moments_exit_2(capsys, tmp_path, command):
-    path = tmp_path / "wide.csv"
-    path.write_text(HEADER + "\n1900,1e300,1.05,1.01\n1901,1e-300,1.05,1.01\n")
-    code, out, err = run(capsys, command, "--dataset", str(path))
-    assert (code, out) == (2, "")
-    assert err.startswith("error: NonFiniteMoment: ")
-
-
-@pytest.mark.parametrize("eta", [[], ["--eta", "0.9"]], ids=["factor-eta", "custom-eta"])
-def test_utility_overflow_exits_2(capsys, tmp_path, eta):
-    # (1 - rho) ln c = -59 * ln(1e-300) is past exp's range: a typed
-    # computation error, not an OverflowError traceback
-    rows = [f"{1900 + i},{1.001e-300 if i % 2 else 1e-300},1.05,1.01" for i in range(4)]
-    path = tmp_path / "tiny.csv"
-    path.write_text(HEADER + "\n" + "\n".join(rows) + "\n")
-    code, out, err = run(
-        capsys, "classify", "--dataset", str(path), "--rho", "60", "--variant", "realized", *eta
-    )
-    assert (code, out) == (2, "")
-    assert err.startswith("error: UtilityOverflow: ")
-
-
-def test_huge_eta_overflow_exits_2(capsys):
-    # beta * eta * E[u] passes the float range: a typed error, not an
-    # Infinity in the JSON
-    argv = ["--group", "one", "--eta", "1e308", "--variant", "realized", "--format", "json"]
-    code, out, err = run(capsys, "classify", *argv)
-    assert (code, out) == (2, "")
-    assert err.startswith("error: UtilityOverflow: uncertain utility leaves the floating-point")
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [["calibrate", "--beta", "1e-320", "--variant", "realized"], ["classify", "--beta", "5e-324"]],
-)
-def test_factor_overflow_at_tiny_beta_exits_2(capsys, argv):
-    # -ln beta is past exp's range, so both factors are far above the region
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err == (
-        "error: NoConvergence: closed-form factors (inf, inf) "
-        "leave the region [2.22507e-308, 10]\n"
-    )
-
-
-def test_factor_overflow_at_large_growth_exits_2(capsys, tmp_path):
-    # log growth about 12.5 a year at rho = 60 puts both log-factors past exp's range
-    rows = [f"{1900 + i},{math.exp(12.5 * i + 0.1 * (i % 2))!r},1.05,1.01" for i in range(6)]
-    path = tmp_path / "growth.csv"
-    path.write_text(HEADER + "\n" + "\n".join(rows) + "\n")
-    argv = ["calibrate", "--dataset", str(path), "--rho", "60", "--variant", "realized"]
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err.startswith("error: NoConvergence: closed-form factors (inf, inf)")
-
-
-@pytest.mark.parametrize("variant", ["projected", "both"])
-@pytest.mark.parametrize("projection", ["missing", "overflow", "underflow"])
-def test_input_error_wins_over_compute_error(capsys, tmp_path, variant, projection):
-    # every input is read before any moment is computed, so a bad projection
-    # exits 1 even when the realized moments would overflow (exit 2)
-    wide = tmp_path / "wide.csv"
-    wide.write_text(HEADER + "\n1900,1e300,1.05,1.01\n1901,1e-300,1.05,1.01\n")
-    proj = tmp_path / "projection.csv"
-    if projection != "missing":
-        cells = "1e308,1e308,150,219441872" if projection == "overflow" else "1e-300,1e-300,1e300,1e300"
-        proj.write_text(f"{PROJECTION_HEADER}\n{cells}\n")
-        message = "NonPositiveValue: annual series values must be positive and finite"
-    else:
-        message = f"InputError: projection file not found: {proj}"
-    argv = ["calibrate", "--variant", variant, "--dataset", str(wide), "--projection", str(proj)]
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (1, "")
-    assert err == f"error: {message}\n"
-
-
-def test_errors_come_in_phase_order(capsys, tmp_path):
-    # the projected moments overflow (the bundled 1978 projection over
-    # 1e-306) and the realized calibration fails; under both every variant's
-    # moments come before any calibration, so the moment error wins
-    tiny = tmp_path / "tiny.csv"
-    tiny.write_text(HEADER + "\n1900,1.0,1.05,1.01\n1901,1e-306,1.05,1.01\n1902,1e-300,1.05,1.01\n")
-    moments = "NonFiniteMoment: a sample moment is not finite"
-    realized = "NoConvergence: closed-form factors (1.45004e-31, 0) leave the region [2.22507e-308, 10]"
-    for variant, error in (("projected", moments), ("realized", realized), ("both", moments)):
-        code, out, err = run(capsys, "calibrate", "--dataset", str(tiny), "--variant", variant)
-        assert (code, out) == (2, "")
-        assert err.startswith(f"error: {error}")
-
-
-def test_calibrate_bad_beta(capsys):
-    code, _, err = run(capsys, "calibrate", "--beta", "0")
-    assert code == 1
-    assert "beta" in err
-
-
-def test_calibrate_rho_out_of_range(capsys):
-    code, _, err = run(capsys, "calibrate", "--rho", "61")
-    assert code == 1
-    assert err == "error: InputError: rho 61.0 outside the supported range [0, 60]\n"
-
-
-@pytest.mark.parametrize("source", ["flag", "config"])
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("name", ["beta", "tol", "eta", "rho"])
-def test_non_finite_number_is_input_error(capsys, tmp_path, name, value, source):
-    if source == "flag":
-        argv = [f"--{name}={value}"]
-    else:
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({name: float(value)}))
-        argv = ["--config", str(config)]
-    code, out, err = run(capsys, "classify", *argv)
-    assert (code, out) == (1, "")
-    assert f"InputError: {name} must be finite" in err
-
-
-@pytest.mark.parametrize("source", ["flag", "config"])
-@pytest.mark.parametrize(
-    "name, value, message",
-    [
-        ("beta", 0.0, "beta must be in (0, 1], got 0.0"),
-        ("beta", 1.5, "beta must be in (0, 1], got 1.5"),
-        ("tol", -1e-12, "tol must be >= 0, got -1e-12"),
-        ("eta", 0.0, "eta must be positive, got 0.0"),
-        ("eta", -1.0, "eta must be positive, got -1.0"),
-        ("rho", -0.5, "rho -0.5 outside the supported range [0, 60]"),
-        ("rho", 60.5, "rho 60.5 outside the supported range [0, 60]"),
-    ],
-)
-def test_out_of_range_number_is_input_error(capsys, tmp_path, name, value, message, source):
-    # checked in build_config, by the same functions the library calls
-    if source == "flag":
-        argv = [f"--{name}={value}"]
-    else:
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({name: value}))
-        argv = ["--config", str(config)]
-    code, out, err = run(capsys, "classify", *argv)
-    assert (code, out) == (1, "")
-    assert err == f"error: InputError: {message}\n"
 
 
 @pytest.mark.parametrize("name, value", [("beta", "1"), ("tol", "0"), ("rho", "0"), ("rho", "60")])
@@ -465,12 +225,6 @@ def test_headline_labels_hold_only_inside_the_two_rho_intervals(capsys, variant,
         assert labels == ["Risk-averse", risk_free]
 
 
-def test_classify_eta_one(capsys):
-    code, _, err = run(capsys, "classify", "--eta", "1.0")
-    assert code == 2
-    assert "Unclassifiable" in err
-
-
 def test_classify_json(capsys):
     code, out, _ = run(capsys, "classify", "--format", "json")
     assert code == 0
@@ -525,14 +279,6 @@ def test_classify_rho_override(capsys):
     assert all(r["label_text"] == "Risk-averse" for r in rows)
 
 
-def test_classify_rho_override_uncovered_case(capsys):
-    # at rho 2.0 the re-derived xi lifts the uncertain side above certain,
-    # which no concave definition covers; the run must fail loudly
-    code, _, err = run(capsys, "classify", "--rho", "2.0")
-    assert code == 2
-    assert "Unclassifiable" in err
-
-
 def test_classify_wide_tolerance(capsys):
     code, out, _ = run(capsys, "classify", "--tol", "10.0")
     assert code == 0
@@ -544,34 +290,6 @@ def test_classify_group_one_same_labels(capsys):
     assert code == 0
     assert out.count("Risk-averse") == 2
     assert out.count("Not enough risk-loving") == 2
-
-
-def test_classify_missing_projection(capsys):
-    code, _, err = run(capsys, "classify", "--projection", "/no/such/proj.csv")
-    assert code == 1
-    assert "not found" in err
-
-
-@pytest.mark.parametrize("command", ["calibrate", "classify"])
-@pytest.mark.parametrize("source", ["flag", "config"])
-@pytest.mark.parametrize("projection", ["missing", "malformed"])
-def test_named_projection_is_read_on_realized_runs(capsys, tmp_path, command, source, projection):
-    # a run reads every input first, so a realized-only run reads a named
-    # projection too, and a bad one exits 1
-    proj = tmp_path / "projection.csv"
-    if projection == "missing":
-        message = f"InputError: projection file not found: {proj}"
-    else:
-        proj.write_text("a,b,c,d\n1,2,3,4\n")
-        message = f"SchemaError: expected header {PROJECTION_HEADER!r}, got 'a,b,c,d'"
-    argv = [command, "--variant", "realized"]
-    if source == "flag":
-        argv += ["--projection", str(proj)]
-    else:
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"projection": str(proj)}))
-        argv += ["--config", str(config)]
-    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 def test_ingest_reads_no_projection(capsys, tmp_path):
@@ -699,48 +417,6 @@ def test_config_null_is_unset(capsys, monkeypatch, tmp_path, option_files):
     assert with_config[0] == 0
 
 
-@pytest.mark.parametrize(
-    "config, flags, reported",
-    [
-        ({"group": "three", "beta": 2}, [], "group"),
-        ({"projection": 5, "format": "xml"}, [], "projection"),
-        ({"variant": "none"}, ["--beta", "2"], "variant"),
-    ],
-    ids=["choice-before-number", "path-before-choice", "config-choice-before-flag-number"],
-)
-def test_first_bad_value_is_reported(capsys, tmp_path, config, flags, reported):
-    # paths are checked before choices and choices before numbers, whatever
-    # the source of each value
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
-    code, out, err = run(capsys, "classify", "--config", str(path), *flags)
-    assert (code, out, err.count("\n")) == (1, "", 1)
-    assert err.startswith(f"error: InputError: {reported} must be ")
-
-
-def test_config_unknown_key(capsys, tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"betas": 0.5}))
-    code, _, err = run(capsys, "calibrate", "--config", str(config))
-    assert code == 1
-    assert "unknown config keys" in err
-
-
-def test_config_malformed(capsys, tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text("{not json")
-    code, _, err = run(capsys, "calibrate", "--config", str(config))
-    assert code == 1
-    assert "not valid JSON" in err
-
-
-def test_config_not_object(capsys, tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text("[1, 2]")
-    code, _, err = run(capsys, "calibrate", "--config", str(config))
-    assert code == 1
-
-
 def test_config_with_bom_loads(capsys, tmp_path):
     # a leading UTF-8 byte order mark is dropped, as in dataset files
     config = tmp_path / "config.json"
@@ -749,74 +425,6 @@ def test_config_with_bom_loads(capsys, tmp_path):
     with_flag = run(capsys, "calibrate", "--format", "json", "--beta", "0.5")
     assert with_config == with_flag
     assert with_flag[0] == 0
-
-
-def test_config_missing(capsys):
-    code, _, err = run(capsys, "calibrate", "--config", "/no/such/config.json")
-    assert code == 1
-    assert "not found" in err
-
-
-@pytest.mark.parametrize(
-    "content, message",
-    [
-        ('{"beta": [1]}', "beta must be a number, got [1]"),
-        ('{"eta": {}}', "eta must be a number, got {}"),
-        ('{"beta": "abc"}', "beta must be a number, got 'abc'"),
-        ('{"beta": 1' + "0" * 400 + "}", "beta must be finite, got 1" + "0" * 400),
-        ('{"dataset": 5}', "dataset must be a path string, got 5"),
-        ('{"projection": "a\\u0000b"}', "projection must be a path string, got 'a\\x00b'"),
-        # open() cannot encode a lone surrogate that surrogateescape does not make
-        ('{"dataset": "\\ud800"}', "dataset must be a path string, got '\\ud800'"),
-        ('{"projection": "a\\udc7fb"}', "projection must be a path string, got 'a\\udc7fb'"),
-        (b'\xff\xfe{"beta": 0.5}', "config file is not UTF-8 text (invalid start byte at offset 0)"),
-        # the offset counts the byte order mark, as for a dataset file
-        (b'\xef\xbb\xbf{"beta": \xff}',
-         "config file is not UTF-8 text (invalid start byte at offset 12)"),
-        # one mark is dropped; json rejects a second
-        (b'\xef\xbb\xbf\xef\xbb\xbf{"beta": 0.5}',
-         "config file is not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
-        ("[" * 100_000, "config file is not valid JSON: maximum recursion depth exceeded"),
-        # argparse rejects a bad choice flag first, so only a config reaches these
-        ('{"group": "three"}', "group must be one or two, got 'three'"),
-        ('{"variant": "none"}', "variant must be realized, projected, or both, got 'none'"),
-        ('{"format": "xml"}', "format must be text, csv, or json, got 'xml'"),
-    ],
-    ids=["list", "dict", "text", "huge-int", "int-path", "nul-path", "surrogate-path",
-         "low-surrogate-path", "not-utf8", "bom-not-utf8",
-         "two-boms", "deep", "group", "variant", "format"],
-)
-def test_bad_config_value_is_input_error(capsys, tmp_path, content, message):
-    # each config value is checked in build_config, and the file decoded in
-    # _load_config_file, so a bad one is a typed error naming the key
-    config = tmp_path / "config.json"
-    if isinstance(content, bytes):
-        config.write_bytes(content)
-    else:
-        config.write_text(content)
-    code, out, err = run(capsys, "classify", "--config", str(config))
-    assert (code, out, err.count("\n")) == (1, "", 1)
-    assert err.startswith(f"error: InputError: {message}")
-
-
-@pytest.mark.parametrize("value", ["true", "false"])
-@pytest.mark.parametrize("name", ["beta", "rho", "eta", "tol"])
-def test_config_boolean_is_input_error(capsys, tmp_path, name, value):
-    # float() takes True and False as 1 and 0, which are in range for some keys
-    config = tmp_path / "config.json"
-    config.write_text(f'{{"{name}": {value}}}')
-    code, out, err = run(capsys, "calibrate", "--config", str(config))
-    assert (code, out) == (1, "")
-    assert err == f"error: InputError: {name} must be a number, got {value.title()}\n"
-
-
-@pytest.mark.parametrize("name", ["beta", "rho", "tol", "eta"])
-def test_config_string_number_is_input_error(capsys, tmp_path, name):
-    # a JSON string is not a number, though float() would read this one
-    config = tmp_path / "config.json"
-    config.write_text(f'{{"{name}": "0.5"}}')
-    code, out, err = run(capsys, "calibrate", "--config", str(config))
-    assert (code, out, err) == (1, "", f"error: InputError: {name} must be a number, got '0.5'\n")
 
 
 def test_config_ints_print_as_flags(capsys, tmp_path):
@@ -831,6 +439,249 @@ def test_config_ints_print_as_flags(capsys, tmp_path):
     cfg = build_config(make_parser().parse_args(["classify", "--config", str(config)]))
     numbers = (cfg.beta, cfg.tol, cfg.eta, cfg.rho)
     assert [(type(v), v) for v in numbers] == [(float, 1.0), (float, 0.0), (float, 2.0), (float, 2.0)]
+
+
+# -- typed errors -------------------------------------------------------------
+
+def _config(doc):
+    return {"config.json": json.dumps(doc)}
+
+
+def _given(source, name, value):
+    """The files and the classify argv that give run option `name` its value
+    by a flag or by a config file."""
+    if source == "flag":
+        return {}, ["classify", f"--{name}={value}"]
+    return _config({name: value}), ["classify", "--config", "config.json"]
+
+
+def _cell(row, at, value):
+    cells = row.split(",")
+    cells[at] = value
+    return ",".join(cells)
+
+
+_WIDE = csv_text("1900,1e300,1.05,1.01", "1901,1e-300,1.05,1.01")
+_TINY = csv_text("1900,1.0,1.05,1.01", "1901,1e-306,1.05,1.01", "1902,1e-300,1.05,1.01")
+_BIG_CELL = "9" * 140_000  # over the csv module's field limit
+_NOT_UTF8 = "SchemaError: file is not UTF-8 text (invalid start byte at offset 0)"
+_TOO_BIG = "SchemaError: line 2: field larger than field limit (131072)"
+_NON_FINITE = "NonFiniteMoment: a sample moment is not finite: values span too wide a range"
+_REGION = "leave the region [2.22507e-308, 10]"
+_NO_PROJECTION = "InputError: projection file not found: projection.csv"
+_NON_POSITIVE = "NonPositiveValue: annual series values must be positive and finite"
+_CONFIG = ["--config", "config.json"]
+
+# Each run of main that ends in a typed error: the files it writes in its
+# working directory, its argv, the exit code, and stderr's one line after
+# "error: ". A line ending in "..." is matched up to there, where Python
+# (the JSON decoder, the recursion limit) words the rest.
+_ERRORS = {
+    "ingest-missing-dataset": ({}, ["ingest", "--dataset", "missing.csv"], 1,
+                               "InputError: dataset file not found: missing.csv"),
+    # a directory (like any OSError on open) is an input problem, not a traceback
+    **{f"{kind}-is-a-directory": ({}, ["classify", f"--{kind}", "."], 1,
+                                  f"InputError: cannot read {kind} file '.': Is a directory")
+       for kind in ("dataset", "projection", "config")},
+    "ingest-gapped": ({"gapped.csv": GAPPED}, ["ingest", "--dataset", "gapped.csv"], 1,
+                      "MissingYear: line 7: year 1906 does not follow 1904 (series must be contiguous)"),
+    # float() parses nan and inf; they must fail as input, not reach the
+    # moments (where NaN would print as invalid JSON or fail as exit 2)
+    **{f"non-finite-{column}-{value}": (
+        {"input.csv": csv_text(_cell("1900,100.0,1.05,1.01", at, value), "1901,101.0,1.05,1.01")},
+        ["ingest", "--format", "json", "--dataset", "input.csv"], 1,
+        f"SchemaError: line 2: non-numeric cell (invalid literal for int() with base 10: {value!r})"
+        if at == 0 else "NonPositiveValue: line 2: non-positive or non-finite value in year 1900")
+       for at, column in enumerate(HEADER.split(",")) for value in ("nan", "inf", "-inf")},
+    **{f"non-finite-{column}-{value}": (
+        {"input.csv": csv_text(_cell("515.4,613.7,150,219441872", at, value), header=PROJECTION_HEADER)},
+        ["calibrate", "--projection", "input.csv"], 1,
+        f"NonPositiveValue: {field} must be positive and finite")
+       for at, (column, field) in enumerate(zip(PROJECTION_HEADER.split(","), ProjectionInputs._fields))
+       for value in ("nan", "inf", "-inf")},
+    # a file that is not UTF-8, or a cell over the csv field limit, is an
+    # input error (exit 1), not a decoding message or a traceback
+    "dataset-not-utf8": (
+        {"input.csv": b"\xff\xfe" + csv_text("1900,100,1.05,1.01", "1901,101,1.05,1.01").encode()},
+        ["calibrate", "--dataset", "input.csv"], 1, _NOT_UTF8),
+    "projection-not-utf8": (
+        {"input.csv": b"\xff\xfe" + f"{PROJECTION_HEADER}\n100,613.7,150,219441872\n".encode()},
+        ["calibrate", "--projection", "input.csv"], 1, _NOT_UTF8),
+    "dataset-oversized-cell": (
+        {"input.csv": csv_text(f"1900,{_BIG_CELL},1.05,1.01", "1901,101,1.05,1.01")},
+        ["calibrate", "--dataset", "input.csv"], 1, _TOO_BIG),
+    "projection-oversized-cell": (
+        {"input.csv": csv_text(f"{_BIG_CELL},613.7,150,219441872", header=PROJECTION_HEADER)},
+        ["calibrate", "--projection", "input.csv"], 1, _TOO_BIG),
+    "degenerate": ({"degenerate.csv": DEGENERATE},
+                   ["calibrate", "--dataset", "degenerate.csv", "--beta", "1.0"], 2,
+                   "DegenerateSystem: consistency gap is zero to machine precision: eq C is exactly "
+                   "eq B - eq A, every rho solves the system, no unique triple exists"),
+    # a finite but huge consumption cell drives xi to 0.0 in floating point
+    "factor-underflow": (
+        {"huge.csv": csv_text(*(f"{1900 + i},{1e308 if i == 3 else 100.0 + i},1.05,1.01"
+                                for i in range(6)))},
+        ["calibrate", "--dataset", "huge.csv"], 2,
+        f"NoConvergence: closed-form factors (6.4886e+256, 0) {_REGION}"),
+    # equity returns of 1e13 at rho near 55 put both factors below the
+    # smallest normal float: digits lost, so no residual could be trusted
+    **{f"{command}-subnormal-factors": (
+        {"wild.csv": csv_text(*(f"{1900 + i},{1.0 + i % 2},1e13,1.0" for i in range(40)))},
+        [command, "--dataset", "wild.csv", "--variant", "realized", "--rho", "54.996"], 2,
+        f"NoConvergence: closed-form factors (3.51755e-317, 1.22141e-315) {_REGION}")
+       for command in ("calibrate", "classify")},
+    **{f"{command}-non-finite-moments": ({"wide.csv": _WIDE}, [command, "--dataset", "wide.csv"], 2,
+                                         _NON_FINITE)
+       for command in ("ingest", "calibrate", "classify")},
+    # (1 - rho) ln c = -59 * ln(1e-300) is past exp's range: a typed
+    # computation error, not an OverflowError traceback
+    **{f"utility-overflow{name}": (
+        {"tiny.csv": csv_text(*(f"{1900 + i},{1.001e-300 if i % 2 else 1e-300},1.05,1.01"
+                                for i in range(4)))},
+        ["classify", "--dataset", "tiny.csv", "--rho", "60", "--variant", "realized", *eta], 2,
+        "UtilityOverflow: utility leaves the floating-point range (exponent 40755.8 at 1 - rho = -59)")
+       for name, eta in (("", []), ("-custom-eta", ["--eta", "0.9"]))},
+    # beta * eta * E[u] passes the float range: a typed error, not an
+    # Infinity in the JSON
+    "huge-eta": ({}, ["classify", "--group", "one", "--eta", "1e308", "--variant", "realized",
+                      "--format", "json"], 2,
+                 "UtilityOverflow: uncertain utility leaves the floating-point range "
+                 "(beta 0.99 * eta 1e+308 * E[u] 6.50407)"),
+    # -ln beta is past exp's range, so both factors are far above the region
+    "calibrate-tiny-beta": ({}, ["calibrate", "--beta", "1e-320", "--variant", "realized"], 2,
+                            f"NoConvergence: closed-form factors (inf, inf) {_REGION}"),
+    "classify-tiny-beta": ({}, ["classify", "--beta", "5e-324"], 2,
+                           f"NoConvergence: closed-form factors (inf, inf) {_REGION}"),
+    # log growth about 12.5 a year at rho = 60 puts both log-factors past exp's range
+    "large-growth": (
+        {"growth.csv": csv_text(*(f"{1900 + i},{math.exp(12.5 * i + 0.1 * (i % 2))!r},1.05,1.01"
+                                  for i in range(6)))},
+        ["calibrate", "--dataset", "growth.csv", "--rho", "60", "--variant", "realized"], 2,
+        f"NoConvergence: closed-form factors (inf, inf) {_REGION}"),
+    # every input is read before any moment is computed, so a bad projection
+    # exits 1 even when the realized moments would overflow (exit 2)
+    **{f"{projection}-projection-before-moments-{variant}": (
+        {"wide.csv": _WIDE,
+         **({"projection.csv": csv_text(cells, header=PROJECTION_HEADER)} if cells else {})},
+        ["calibrate", "--variant", variant, "--dataset", "wide.csv",
+         "--projection", "projection.csv"], 1, message)
+       for projection, cells, message in (("missing", None, _NO_PROJECTION),
+                                          ("overflow", "1e308,1e308,150,219441872", _NON_POSITIVE),
+                                          ("underflow", "1e-300,1e-300,1e300,1e300", _NON_POSITIVE))
+       for variant in ("projected", "both")},
+    # the projected moments overflow (the bundled 1978 projection over
+    # 1e-306) and the realized calibration fails; under both every variant's
+    # moments come before any calibration, so the moment error wins
+    **{f"phase-order-{variant}": ({"tiny.csv": _TINY}, ["calibrate", "--dataset", "tiny.csv",
+                                                        "--variant", variant], 2, message)
+       for variant, message in (
+           ("projected", _NON_FINITE), ("both", _NON_FINITE),
+           ("realized", f"NoConvergence: closed-form factors (1.45004e-31, 0) {_REGION}"))},
+    "calibrate-beta-zero": ({}, ["calibrate", "--beta", "0"], 1,
+                            "InputError: beta must be in (0, 1], got 0.0"),
+    "calibrate-rho-61": ({}, ["calibrate", "--rho", "61"], 1,
+                         "InputError: rho 61.0 outside the supported range [0, 60]"),
+    **{f"{source}-{name}-{value}": (*_given(source, name, float(value)), 1,
+                                    f"InputError: {name} must be finite, got {value}")
+       for source in ("flag", "config") for name in ("beta", "tol", "eta", "rho")
+       for value in ("nan", "inf", "-inf")},
+    # checked in build_config, by the same functions the library calls
+    **{f"{source}-{name}-{value}": (*_given(source, name, value), 1, f"InputError: {message}")
+       for source in ("flag", "config") for name, value, message in (
+           ("beta", 0.0, "beta must be in (0, 1], got 0.0"),
+           ("beta", 1.5, "beta must be in (0, 1], got 1.5"),
+           ("tol", -1e-12, "tol must be >= 0, got -1e-12"),
+           ("eta", 0.0, "eta must be positive, got 0.0"),
+           ("eta", -1.0, "eta must be positive, got -1.0"),
+           ("rho", -0.5, "rho -0.5 outside the supported range [0, 60]"),
+           ("rho", 60.5, "rho 60.5 outside the supported range [0, 60]"))},
+    "eta-one": ({}, ["classify", "--eta", "1.0"], 2,
+                "Unclassifiable: eta = 1 allocates no extra utility; "
+                "no definition covers a nonzero utility gap without an allocation"),
+    # at rho 2.0 the re-derived xi lifts the uncertain side above certain,
+    # which no concave definition covers; the run must fail loudly
+    "rho-override-uncovered": ({}, ["classify", "--rho", "2.0"], 2, "Unclassifiable: group two: "
+                               "certain < uncertain matches no concave-curve definition"),
+    "classify-missing-projection": ({}, ["classify", "--projection", "projection.csv"], 1,
+                                    _NO_PROJECTION),
+    # a run reads every input first, so a realized-only run reads a named
+    # projection too, and a bad one exits 1
+    **{f"{command}-realized-{source}-projection-{fault}": (
+        {**files, **({} if source == "flag" else _config({"projection": "projection.csv"}))},
+        [command, "--variant", "realized",
+         *(["--projection", "projection.csv"] if source == "flag" else _CONFIG)], 1, message)
+       for command in ("calibrate", "classify") for source in ("flag", "config")
+       for fault, files, message in (
+           ("missing", {}, _NO_PROJECTION),
+           ("malformed", {"projection.csv": "a,b,c,d\n1,2,3,4\n"},
+            f"SchemaError: expected header {PROJECTION_HEADER!r}, got 'a,b,c,d'"))},
+    # paths are checked before choices and choices before numbers, whatever
+    # the source of each value
+    "choice-before-number": (_config({"group": "three", "beta": 2}), ["classify", *_CONFIG], 1,
+                             "InputError: group must be one or two, got 'three'"),
+    "path-before-choice": (_config({"projection": 5, "format": "xml"}), ["classify", *_CONFIG], 1,
+                           "InputError: projection must be a path string, got 5"),
+    "config-choice-before-flag-number": (
+        _config({"variant": "none"}), ["classify", *_CONFIG, "--beta", "2"], 1,
+        "InputError: variant must be realized, projected, or both, got 'none'"),
+    "config-unknown-key": (_config({"betas": 0.5}), ["calibrate", *_CONFIG], 1,
+                           "InputError: unknown config keys: ['betas']"),
+    "config-malformed": ({"config.json": "{not json"}, ["calibrate", *_CONFIG], 1,
+                         "InputError: config file is not valid JSON: ..."),
+    "config-not-object": ({"config.json": "[1, 2]"}, ["calibrate", *_CONFIG], 1,
+                          "InputError: config file must hold a JSON object"),
+    "config-missing": ({}, ["calibrate", *_CONFIG], 1, "InputError: config file not found: config.json"),
+    # each config value is checked in build_config, and the file decoded in
+    # _load_config_file, so a bad one is a typed error naming the key
+    **{f"config-{name}": ({"config.json": content}, ["classify", *_CONFIG], 1, f"InputError: {message}")
+       for name, content, message in (
+           ("list", '{"beta": [1]}', "beta must be a number, got [1]"),
+           ("dict", '{"eta": {}}', "eta must be a number, got {}"),
+           ("text", '{"beta": "abc"}', "beta must be a number, got 'abc'"),
+           ("huge-int", '{"beta": 1' + "0" * 400 + "}", "beta must be finite, got 1" + "0" * 400),
+           ("int-path", '{"dataset": 5}', "dataset must be a path string, got 5"),
+           ("nul-path", '{"projection": "a\\u0000b"}',
+            "projection must be a path string, got 'a\\x00b'"),
+           # open() cannot encode a lone surrogate that surrogateescape does not make
+           ("surrogate-path", '{"dataset": "\\ud800"}', "dataset must be a path string, got '\\ud800'"),
+           ("low-surrogate-path", '{"projection": "a\\udc7fb"}',
+            "projection must be a path string, got 'a\\udc7fb'"),
+           ("not-utf8", b'\xff\xfe{"beta": 0.5}',
+            "config file is not UTF-8 text (invalid start byte at offset 0)"),
+           # the offset counts the byte order mark, as for a dataset file
+           ("bom-not-utf8", b'\xef\xbb\xbf{"beta": \xff}',
+            "config file is not UTF-8 text (invalid start byte at offset 12)"),
+           # one mark is dropped; json rejects a second
+           ("two-boms", b'\xef\xbb\xbf\xef\xbb\xbf{"beta": 0.5}',
+            "config file is not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)..."),
+           ("deep", "[" * 100_000, "config file is not valid JSON: maximum recursion depth exceeded..."),
+           # argparse rejects a bad choice flag first, so only a config reaches these
+           ("group", '{"group": "three"}', "group must be one or two, got 'three'"),
+           ("variant", '{"variant": "none"}',
+            "variant must be realized, projected, or both, got 'none'"),
+           ("format", '{"format": "xml"}', "format must be text, csv, or json, got 'xml'"))},
+    # float() takes True and False as 1 and 0, which are in range for some keys
+    **{f"config-{name}-{value}": (_config({name: value}), ["calibrate", *_CONFIG], 1,
+                                  f"InputError: {name} must be a number, got {value}")
+       for name in ("beta", "rho", "eta", "tol") for value in (True, False)},
+    # a JSON string is not a number, though float() would read this one
+    **{f"config-{name}-string": (_config({name: "0.5"}), ["calibrate", *_CONFIG], 1,
+                                 f"InputError: {name} must be a number, got '0.5'")
+       for name in ("beta", "rho", "tol", "eta")},
+}
+
+
+@pytest.mark.parametrize("files, argv, code, line", _ERRORS.values(), ids=_ERRORS)
+def test_error_exit(capsys, monkeypatch, tmp_path, files, argv, code, line):
+    monkeypatch.delenv(ENV_DATASET, raising=False)
+    monkeypatch.chdir(tmp_path)
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content if isinstance(content, bytes) else content.encode())
+    got = run(capsys, *argv)
+    head = line.removesuffix("...")
+    if head != line and got[2].startswith(f"error: {head}") and got[2].count("\n") == 1:
+        got = (*got[:2], f"error: {line}\n")  # Python words the rest
+    assert got == (code, "", f"error: {line}\n")
 
 
 def test_bad_flag_value(capsys):

@@ -22,16 +22,11 @@ from rac import (
 from rac.dataset import _CHUNK, read_bytes, read_text
 from rac.errors import InputError, MissingYear, NonPositiveValue, SchemaError
 
-from conftest import HEADER, PROJECTION_HEADER, serialize_dataset
+from conftest import HEADER, PROJECTION_HEADER, csv_text, serialize_dataset
 
 
-def csv_text(rows):
-    return HEADER + "\n" + "\n".join(rows) + "\n"
-
-
-def simple_rows(years, consumption=None):
-    consumption = consumption or [100.0 + i for i in range(len(years))]
-    return [f"{y},{c},1.05,1.01" for y, c in zip(years, consumption)]
+def simple_rows(years):
+    return [f"{y},{100.0 + i},1.05,1.01" for i, y in enumerate(years)]
 
 
 # -- loading and validation ---------------------------------------------------
@@ -124,150 +119,117 @@ def test_path_and_its_bytes_read_alike(bundled, tmp_path, edit):
         assert from_bytes == bundled
 
 
-def load_error(text):
-    """(type, message) of the InputError that loading `text` raises."""
-    with pytest.raises(InputError) as exc_info:
-        load_dataset(io.StringIO(text))
-    return type(exc_info.value), str(exc_info.value)
-
-
-def test_missing_year():
-    years = [y for y in range(1889, 1910) if y != 1900]
-    assert load_error(csv_text(simple_rows(years))) == (
-        MissingYear,
-        "line 13: year 1901 does not follow 1899 (series must be contiguous)",
-    )
-
-
-def test_duplicate_year():
-    assert load_error(csv_text(simple_rows([1889, 1890, 1890, 1891]))) == (
-        MissingYear,
-        "line 4: year 1890 does not follow 1890 (series must be contiguous)",
-    )
-
-
-def test_bad_header():
-    text = "a,b,c,d\n1889,100,1.05,1.01\n1890,101,1.05,1.01\n"
-    assert load_error(text) == (SchemaError, f"expected header {HEADER!r}, got 'a,b,c,d'")
-
-
-def test_wrong_cell_count():
-    text = csv_text(["1889,100,1.05,1.01", "1890,101,1.05"])
-    assert load_error(text) == (SchemaError, "line 3: expected 4 cells, got 3")
-
-
-def test_non_numeric_cell():
-    text = csv_text(["1889,100,1.05,1.01", "1890,oops,1.05,1.01"])
-    assert load_error(text) == (
-        SchemaError,
-        "line 3: non-numeric cell (could not convert string to float: 'oops')",
-    )
-
-
-def test_non_positive_consumption():
-    text = csv_text(["1889,100,1.05,1.01", "1890,-5,1.05,1.01"])
-    assert load_error(text) == (
-        NonPositiveValue,
-        "line 3: non-positive or non-finite value in year 1890",
-    )
-
-
-def test_non_positive_return():
-    text = csv_text(["1889,100,1.05,1.01", "1890,101,0,1.01"])
-    assert load_error(text) == (
-        NonPositiveValue,
-        "line 3: non-positive or non-finite value in year 1890",
-    )
-
-
-def test_single_data_row():
-    text = csv_text(simple_rows([1889]))
-    assert load_error(text) == (SchemaError, "need at least two data rows")
-
-
-def test_empty_file():
-    assert load_error("") == (SchemaError, "empty file")
-
-
-def test_error_names_file_line_past_blank_lines():
-    text = HEADER + "\n1889,100,1.05,1.01\n\n1890,101,1.05,1.01\n\n1891,-1,1.05,1.01\n"
-    assert load_error(text) == (
-        NonPositiveValue,
-        "line 6: non-positive or non-finite value in year 1891",
-    )
-
-
-@pytest.mark.parametrize(
-    "row",
-    ["1889,oops,1.05,1.01", "1889,100,1.05", "1889,-5,1.05,1.01", "1889,nan,1.05,1.01", "x,1,1,1"],
-)
-def test_single_bad_data_row_reports_row_count(row):
-    # too few rows is reported before anything wrong inside the one row
-    text = csv_text([row, ""])
-    assert load_error(text) == (SchemaError, "need at least two data rows")
-
-
-def test_earliest_error_line_wins():
-    rows = ["1889,100,1.05,1.01", "1890,0,1.05,1.01", "1892,101,1.05,1.01"]
-    assert load_error(csv_text(rows)) == (
-        NonPositiveValue,
-        "line 3: non-positive or non-finite value in year 1890",
-    )
-    rows = ["1889,100,1.05,1.01", "1891,0,1.05,1.01", "1892,-1,1.05,1.01"]
-    assert load_error(csv_text(rows)) == (
-        MissingYear,
-        "line 3: year 1891 does not follow 1889 (series must be contiguous)",
-    )
-
-
 BIG_CELL = "9" * 140_000  # over the csv module's default field limit of 131,072
+_GOOD = ["1889,100,1.05,1.01", "1890,101,1.05,1.01"]
+_NOT_UTF8 = "file is not UTF-8 text (invalid start byte at offset 0)"
+_OOPS = "non-numeric cell (could not convert string to float: 'oops')"
+
+# Each error a loader raises, by loader and by how it reads the file (from a
+# path, or from a stream: StringIO for text, BytesIO for bytes): the file's
+# text or bytes, and the error's type and exact message.
+_LOAD_ERRORS = {
+    (load_dataset, "stream"): {
+        "missing-year": (csv_text(*simple_rows([*range(1889, 1900), *range(1901, 1910)])),
+                         MissingYear,
+                         "line 13: year 1901 does not follow 1899 (series must be contiguous)"),
+        "duplicate-year": (csv_text(*simple_rows([1889, 1890, 1890, 1891])), MissingYear,
+                           "line 4: year 1890 does not follow 1890 (series must be contiguous)"),
+        "bad-header": (csv_text(*_GOOD, header="a,b,c,d"), SchemaError,
+                       f"expected header {HEADER!r}, got 'a,b,c,d'"),
+        "wrong-cell-count": (csv_text(_GOOD[0], "1890,101,1.05"), SchemaError,
+                             "line 3: expected 4 cells, got 3"),
+        "non-numeric-cell": (csv_text(_GOOD[0], "1890,oops,1.05,1.01"), SchemaError, f"line 3: {_OOPS}"),
+        "non-positive-consumption": (csv_text(_GOOD[0], "1890,-5,1.05,1.01"), NonPositiveValue,
+                                     "line 3: non-positive or non-finite value in year 1890"),
+        "non-positive-return": (csv_text(_GOOD[0], "1890,101,0,1.01"), NonPositiveValue,
+                                "line 3: non-positive or non-finite value in year 1890"),
+        "single-data-row": (csv_text(_GOOD[0]), SchemaError, "need at least two data rows"),
+        "empty-file": ("", SchemaError, "empty file"),
+        # a line number counts the blank lines above it
+        "past-blank-lines": (csv_text(_GOOD[0], "", _GOOD[1], "", "1891,-1,1.05,1.01"),
+                             NonPositiveValue, "line 6: non-positive or non-finite value in year 1891"),
+        # too few rows is reported before anything wrong inside the one row
+        **{f"single-bad-row-{i}": (csv_text(row, ""), SchemaError, "need at least two data rows")
+           for i, row in enumerate(["1889,oops,1.05,1.01", "1889,100,1.05", "1889,-5,1.05,1.01",
+                                    "1889,nan,1.05,1.01", "x,1,1,1"])},
+        # the first bad line wins, whatever its fault
+        "earliest-non-positive": (csv_text(_GOOD[0], "1890,0,1.05,1.01", "1892,101,1.05,1.01"),
+                                  NonPositiveValue,
+                                  "line 3: non-positive or non-finite value in year 1890"),
+        "earliest-missing-year": (csv_text(_GOOD[0], "1891,0,1.05,1.01", "1892,-1,1.05,1.01"),
+                                  MissingYear,
+                                  "line 3: year 1891 does not follow 1889 (series must be contiguous)"),
+        "oversized-row": (csv_text(f"1889,{BIG_CELL},1.05,1.01", _GOOD[1]), SchemaError,
+                          "line 2: field larger than field limit (131072)"),
+        "oversized-row-past-blank": (csv_text(_GOOD[0], "", f"1890,{BIG_CELL},1.05,1.01"),
+                                     SchemaError, "line 4: field larger than field limit (131072)"),
+        "oversized-header": (csv_text(*_GOOD, header=BIG_CELL), SchemaError,
+                             "line 1: field larger than field limit (131072)"),
+        # the row-count rule reads past an earlier bad row without tripping on
+        # a later row the csv module rejects; the earlier error still wins
+        "oversized-after-bad-row": (csv_text("1889,oops,1.05,1.01", f"1890,{BIG_CELL},1.05,1.01"),
+                                    SchemaError, f"line 2: {_OOPS}"),
+        "oversized-single-row": (csv_text(f"1889,{BIG_CELL},1.05,1.01"), SchemaError,
+                                 "need at least two data rows"),
+        # a quoted cell may span lines: an error names the line its record
+        # starts on, and a record read over several lines is not a lone row
+        "unclosed-quote": (csv_text('1889,"746.10,1.05,0.91', "1890,747,1.05,1.01", "1891,750,1.05,1.01"),
+                           SchemaError, "line 2: expected 4 cells, got 2"),
+        "unclosed-quote-on-line-3": (csv_text(_GOOD[0], '1890,"101,1.05,1.01', "1891,102,1.05,1.01"),
+                                     SchemaError, "line 3: expected 4 cells, got 2"),
+        "line-end-in-quoted-cell": (
+            csv_text('1889,"746\n.10",1.05,1.01', _GOOD[1]), SchemaError,
+            "line 2: non-numeric cell (could not convert string to float: '746\\n.10')"),
+        "not-utf8": (b"\xff\xfe" + HEADER.encode() + b"\n", SchemaError, _NOT_UTF8),
+    },
+    (load_projection, "stream"): {
+        "bad-header": ("a,b,c,d\n1,2,3,4\n", SchemaError,
+                       f"expected header {PROJECTION_HEADER!r}, got 'a,b,c,d'"),
+        "extra-row": (f"{PROJECTION_HEADER}\n1,2,3,4\n5,6,7,8\n", SchemaError,
+                      "projection file must have exactly one data row"),
+        "non-numeric-cell": (f"{PROJECTION_HEADER}\n1,2,x,4\n", SchemaError,
+                             "non-numeric cell (could not convert string to float: 'x')"),
+        "3-cells": (f"{PROJECTION_HEADER}\n1,2,3\n", SchemaError, "expected 4 cells, got 3"),
+        "5-cells": (f"{PROJECTION_HEADER}\n1,2,3,4,5\n", SchemaError, "expected 4 cells, got 5"),
+        "oversized-row": (f"{PROJECTION_HEADER}\n{BIG_CELL},613.7,150,219441872\n", SchemaError,
+                          "line 2: field larger than field limit (131072)"),
+        "oversized-header": (f"{BIG_CELL}\n515.4,613.7,150,219441872\n", SchemaError,
+                             "line 1: field larger than field limit (131072)"),
+        "not-utf8": (b"\xff\xfe" + PROJECTION_HEADER.encode() + b"\n", SchemaError, _NOT_UTF8),
+    },
+    # the same bytes from a path
+    (load_dataset, "path"): {
+        "not-utf8": (b"\xff\xfe" + HEADER.encode() + b"\n", SchemaError, _NOT_UTF8),
+    },
+    (load_projection, "path"): {
+        "not-utf8": (b"\xff\xfe" + PROJECTION_HEADER.encode() + b"\n", SchemaError, _NOT_UTF8),
+    },
+}
 
 
 @pytest.mark.parametrize(
-    "load, header",
-    [(load_dataset, HEADER), (load_projection, PROJECTION_HEADER)],
-    ids=["dataset", "projection"],
+    "load, how, content, error, message",
+    [(load, how, *row) for (load, how), rows in _LOAD_ERRORS.items() for row in rows.values()],
+    ids=[f"{load.__name__}-{how}-{name}" for (load, how), rows in _LOAD_ERRORS.items()
+         for name in rows],
 )
-@pytest.mark.parametrize("as_path", [True, False], ids=["path", "bytes"])
-def test_non_utf8_file_is_schema_error(tmp_path, load, header, as_path):
-    raw = b"\xff\xfe" + header.encode("utf-8") + b"\n"
-    path = tmp_path / "input.csv"
-    path.write_bytes(raw)
-    with pytest.raises(SchemaError) as exc_info:
-        load(path if as_path else io.BytesIO(raw))
-    assert str(exc_info.value) == "file is not UTF-8 text (invalid start byte at offset 0)"
+def test_load_error(tmp_path, load, how, content, error, message):
+    if how == "path":
+        source = tmp_path / "input.csv"
+        source.write_bytes(content)
+    else:
+        source = io.BytesIO(content) if isinstance(content, bytes) else io.StringIO(content)
+    with pytest.raises(InputError) as info:
+        load(source)
+    assert (type(info.value), str(info.value)) == (error, message)
 
 
-@pytest.mark.parametrize(
-    "load, text, message",
-    [
-        (load_dataset, f"{HEADER}\n1889,{BIG_CELL},1.05,1.01\n1890,101,1.05,1.01\n", "line 2"),
-        (load_dataset, f"{HEADER}\n1889,100,1.05,1.01\n\n1890,{BIG_CELL},1.05,1.01\n", "line 4"),
-        (load_dataset, f"{BIG_CELL}\n1889,100,1.05,1.01\n1890,101,1.05,1.01\n", "line 1"),
-        (load_projection, f"{PROJECTION_HEADER}\n{BIG_CELL},613.7,150,219441872\n", "line 2"),
-        (load_projection, f"{BIG_CELL}\n515.4,613.7,150,219441872\n", "line 1"),
-    ],
-    ids=["dataset-row", "dataset-row-past-blank", "dataset-header", "projection-row",
-         "projection-header"],
-)
-def test_oversized_cell_is_schema_error(load, text, message):
-    with pytest.raises(SchemaError) as exc_info:
-        load(io.StringIO(text))
-    assert str(exc_info.value) == f"{message}: field larger than field limit (131072)"
+def test_a_quoted_cell_may_end_in_a_line_end():
+    # float() drops the line end, so the record loads as if it were not there
+    plain = csv_text("1889,746.10,1.05,1.01", "1890,747.2,1.05,1.01")
+    quoted = plain.replace("746.10", '"746.10\n"')
+    assert load_dataset(io.StringIO(quoted)) == load_dataset(io.StringIO(plain))
 
-
-def test_oversized_cell_counts_as_a_row():
-    # the row-count rule reads past an earlier bad row without tripping on a
-    # later row the csv module rejects; the earlier error still wins
-    text = csv_text(["1889,oops,1.05,1.01", f"1890,{BIG_CELL},1.05,1.01"])
-    assert load_error(text) == (
-        SchemaError,
-        "line 2: non-numeric cell (could not convert string to float: 'oops')",
-    )
-    assert load_error(csv_text([f"1889,{BIG_CELL},1.05,1.01"])) == (
-        SchemaError,
-        "need at least two data rows",
-    )
 
 
 def test_bundled_inputs_parsed_once():
@@ -428,32 +390,6 @@ def test_load_projection_bundled():
     assert abs(projected_consumption(*inp) - 3430) <= 1.0
     text = f"{PROJECTION_HEADER}\n515.4,613.7,150,219441872\n"
     assert load_projection(io.BytesIO(b"\xef\xbb\xbf" + text.encode("utf-8"))) == inp
-
-
-def test_load_projection_bad_header():
-    with pytest.raises(SchemaError):
-        load_projection(io.StringIO("a,b,c,d\n1,2,3,4\n"))
-
-
-def test_load_projection_extra_row():
-    text = f"{PROJECTION_HEADER}\n1,2,3,4\n5,6,7,8\n"
-    with pytest.raises(SchemaError):
-        load_projection(io.StringIO(text))
-
-
-def test_load_projection_non_numeric_cell():
-    text = f"{PROJECTION_HEADER}\n1,2,x,4\n"
-    with pytest.raises(SchemaError) as info:
-        load_projection(io.StringIO(text))
-    assert str(info.value) == "non-numeric cell (could not convert string to float: 'x')"
-
-
-@pytest.mark.parametrize("row", ["1,2,3", "1,2,3,4,5"])
-def test_load_projection_wrong_cell_count(row):
-    with pytest.raises(SchemaError) as info:
-        load_projection(io.StringIO(f"{PROJECTION_HEADER}\n{row}\n"))
-    cells = len(row.split(","))
-    assert (type(info.value), str(info.value)) == (SchemaError, f"expected 4 cells, got {cells}")
 
 
 # -- final-year replacement ---------------------------------------------------

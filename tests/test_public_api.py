@@ -2,11 +2,13 @@
 `__all__` resolves, so a name deleted from a module cannot linger there, and
 every public name of the package is listed there; `import rac` loads no
 submodule, and each name loads its own on first use;
-the build reads its version from `rac.__version__`, with no second copy;
+the build reads its version from `rac.__version__`, with no second copy,
+and an install gets the rac command and every data file;
 every function the benchmark traces still exists where it looks for it;
 every concrete error type is raised somewhere in the package; one function
-opens files; every name a module imports is used there; and no module of
-the suite imports a test module, nor _runs pytest or hypothesis."""
+opens files; every name a module of the package, the suite or the tools
+imports is used there; and no module of the suite imports a test module,
+nor _runs pytest or hypothesis."""
 
 import ast
 import importlib
@@ -19,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import rac
-from _runs import TESTS, lazy_probe
+from _runs import ROOT, TESTS, lazy_probe
 from rac import errors
 
 
@@ -55,19 +57,35 @@ def test_submodules_load_on_first_use(tmp_path):
     assert lazy_probe(sys.executable, tmp_path) == (0, "ok\n", "")
 
 
-def test_version_is_written_once():
-    # pyproject.toml names rac.__version__ instead of repeating its value;
-    # setuptools reads that assignment statically, without importing rac
+def _pyproject(expand: bool) -> dict:
+    """pyproject.toml as setuptools reads it; the test skips without setuptools."""
     pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
-    path = Path(__file__).resolve().parent.parent / "pyproject.toml"
     with warnings.catch_warnings():
         # some setuptools releases warn that [tool.setuptools] support is beta
         warnings.filterwarnings("ignore", message=r"Support for `\[tool\.setuptools\]`")
-        raw = pyprojecttoml.read_configuration(path, expand=False)["project"]
-        expanded = pyprojecttoml.read_configuration(path, expand=True)["project"]
+        return pyprojecttoml.read_configuration(ROOT / "pyproject.toml", expand=expand)
+
+
+def test_version_is_written_once():
+    # pyproject.toml names rac.__version__ instead of repeating its value;
+    # setuptools reads that assignment statically, without importing rac
+    raw = _pyproject(expand=False)["project"]
     assert "version" not in raw
     assert "version" in raw["dynamic"]
-    assert expanded["version"] == rac.__version__
+    assert _pyproject(expand=True)["project"]["version"] == rac.__version__
+
+
+def test_an_install_gets_the_command_and_the_data():
+    # an editable install reads src/, so only the build rules say what an
+    # installed rac gets: the rac command is rac.cli.main, and the
+    # package-data globs take every file of the data directory
+    config = _pyproject(expand=True)
+    module, _, name = config["project"]["scripts"]["rac"].partition(":")
+    assert getattr(importlib.import_module(module), name) is importlib.import_module("rac.cli").main
+    package = Path(rac.__file__).parent
+    data = {path for path in (package / "data").rglob("*") if path.is_file()}
+    globs = config["tool"]["setuptools"]["package-data"]["rac"]
+    assert data and {path for glob in globs for path in package.glob(glob)} == data
 
 
 def _traced():
@@ -130,12 +148,19 @@ def test_one_function_opens_files():
     assert opens[0] in list(ast.walk(read_bytes))
 
 
-@pytest.mark.parametrize(
-    "module", sorted(p.name for p in Path(rac.__file__).parent.glob("*.py") if p.name != "__init__.py")
-)
+# each module of the package (by its file name), the suite and the tools; the
+# acceptance gate imports two names it does not use, and the gate must not change
+_MODULES = {
+    **{p.name: p for p in Path(rac.__file__).parent.glob("*.py") if p.name != "__init__.py"},
+    **{f"{p.parent.name}/{p.name}": p for p in [*TESTS.glob("*.py"), *(ROOT / "tools").glob("*.py")]
+       if p.name != "test_acceptance.py"},
+}
+
+
+@pytest.mark.parametrize("module", sorted(_MODULES))
 def test_every_import_is_used(module):
     # a name bound by an import and never read is left over from deleted code
-    tree = ast.parse((Path(rac.__file__).parent / module).read_text(encoding="utf-8"))
+    tree = ast.parse(_MODULES[module].read_text(encoding="utf-8"))
     imported = {
         (alias.asname or alias.name).partition(".")[0]
         for node in ast.walk(tree)

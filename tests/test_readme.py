@@ -1,5 +1,5 @@
-"""The examples in README.md are true: its example session, its Quick start and
-the headline intervals of its identification caveat."""
+"""The examples in README.md are true: its example session, its Quick start,
+and the pricing errors and headline intervals of its identification caveat."""
 
 import contextlib
 import io
@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from rac import RHO_ANCHORS, calibrate_variant, compute_moments, load_bundled_dataset, lognormal_moment
 from rac.cli import ENV_DATASET, main
+from rac.params import DEFAULT_BETA, Variant
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -56,6 +58,21 @@ def test_example_session_output(monkeypatch, args):
 def test_quick_start_prints_risk_averse():
     _, out = _stdout(exec, _code_after("## Quick start"), {})
     assert out.splitlines()[-1] == "Risk-averse"
+
+
+def test_log_factors_are_crra_pricing_errors():
+    # the closed form's factors, rebuilt from the two prices the caveat
+    # names; the README shows each price and mean to its printed digits
+    m = compute_moments(load_bundled_dataset())
+    rho, beta = RHO_ANCHORS[Variant.REALIZED], DEFAULT_BETA
+    re_hat = m.mean_x / (beta * lognormal_moment(1 - rho, m.mu_x, m.sigma2_x))
+    rf_hat = 1 / (beta * lognormal_moment(-rho, m.mu_x, m.sigma2_x))
+    zeta, xi = calibrate_variant(m, beta, Variant.REALIZED).factors
+    assert math.log(re_hat / m.mean_Re) == pytest.approx(math.log(zeta), rel=1e-12)
+    assert math.log(rf_hat / m.mean_Rf) == pytest.approx(math.log(xi), rel=1e-12)
+    caveat = " ".join(README[README.index("## Identification caveat"):].split())
+    assert (f"`Re_hat` is {re_hat:.5f} against `mean_Re` {m.mean_Re:.4f}, and `Rf_hat` is "
+            f"{rf_hat:.5f} against `mean_Rf` {m.mean_Rf:.3f}") in caveat
 
 
 # Each "| variant | (0, a] | [b, c] |" row of the headline-interval table:
