@@ -34,6 +34,17 @@ Eqs A and B are written once, in _log_factors, solved for ln zeta* and
 ln xi*: the closed form, whose factors must lie in [sys.float_info.min,
 FACTOR_REGION_MAX] (a subnormal factor has lost digits). Residuals A and B
 are ln xi - ln xi* and ln zeta - ln zeta*: eqs A and B rearranged.
+
+Each log factor is a CRRA pricing error: the log of the gross return that a
+CRRA investor with this beta and rho prices under log-normal growth, less the
+log of the sample mean. With E_LN[y] the log-normal expectation under mu_x
+and sigma2_x,
+
+    ln zeta* = ln Re_hat - ln mean_Re,  Re_hat = mean_x / (beta*E_LN[x^(1-rho)])
+    ln xi*   = ln Rf_hat - ln mean_Rf,  Rf_hat = 1 / (beta*E_LN[x^(-rho)])
+
+So zeta < 1 exactly when equity earned more than the investor prices, and
+xi > 1 exactly when the risk-free asset earned less.
 """
 
 import math

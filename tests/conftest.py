@@ -1,7 +1,8 @@
 """Shared fixtures: the bundled dataset, its projected variant, and moments;
 files under tmp_path (a copy of the bundled series, a gapped and a zero-gap
-one); the two CSV headers, csv_text, and the gapped and zero-gap texts; and
-serialize_dataset, which writes a dataset back to CSV."""
+one); the two CSV headers, csv_text, and the gapped and zero-gap texts;
+cmp_with, a hand-built utility comparison; and serialize_dataset, which
+writes a dataset back to CSV."""
 
 import csv
 import io
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from rac import (
+    UtilityComparison,
     compute_moments,
     load_bundled_dataset,
     load_bundled_projection,
@@ -80,6 +82,11 @@ def degenerate_file(tmp_path):
     path = tmp_path / "degenerate.csv"
     path.write_text(DEGENERATE)
     return path
+
+
+def cmp_with(certain, uncertain, eta):
+    """A UtilityComparison built by hand, at beta 0.99 and expected utility 0."""
+    return UtilityComparison(certain, uncertain, eta, 0.99, 0.0)
 
 
 def serialize_dataset(d):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from _frozen_reference import FROZEN
 from rac import (
-    CalibrationResult,
     RHO_ANCHORS,
     SampleMoments,
     SufficiencyFactors,
@@ -22,7 +21,7 @@ from rac import (
     solve_system,
     system_residuals,
 )
-from rac.errors import DegenerateSystem, InputError, NoConvergence
+from rac.errors import InputError, NoConvergence
 from rac.params import RHO_REGION
 
 
@@ -80,14 +79,6 @@ def test_residuals_match_independent_formulas():
         got = system_residuals(SufficiencyFactors(zeta, xi), rho, beta, m)
         want = residuals_oracle(zeta, xi, rho, beta, m)
         assert np.allclose(got, want, rtol=0, atol=1e-12)
-
-
-def test_residuals_beta_validation():
-    m = SampleMoments(0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        system_residuals(SufficiencyFactors(1.0, 1.0), 0.0, 0.0, m)
-    with pytest.raises(ValueError):
-        system_residuals(SufficiencyFactors(1.0, 1.0), 0.0, 1.5, m)
 
 
 # -- closed form --------------------------------------------------------------
@@ -212,23 +203,6 @@ def test_solve_resubstitution_idempotent(variant_moments):
     assert np.allclose(again, result.residuals, rtol=0, atol=1e-14)
 
 
-def test_solve_init_outside_region():
-    rng = np.random.default_rng(17)
-    m = random_moments(rng)
-    with pytest.raises(ValueError, match="outside the supported range"):
-        solve_system(0.99, m, rho=61.0)
-    with pytest.raises(ValueError, match="outside the supported range"):
-        solve_system(0.99, m, rho=-0.5)
-
-
-def test_degenerate_system_raised():
-    mu, s2 = 0.02, 0.001
-    m = SampleMoments(mu, s2, math.exp(mu + s2 / 2.0), 1.07, 1.01, 7.0, 0.1)
-    assert abs(consistency_gap(m)) < 1e-12
-    with pytest.raises(DegenerateSystem):
-        solve_system(0.99, m, rho=1.0)
-
-
 def test_tiny_gap_accepted_as_root():
     # Gap above the degeneracy gate but below 1e-9: every residual at the
     # given rho is within 1e-9.
@@ -240,24 +214,6 @@ def test_tiny_gap_accepted_as_root():
     result = solve_system(0.99, m, rho=2.0)
     assert result.rho == 2.0
     assert max(abs(r) for r in result.residuals) <= 1e-9
-
-
-def test_no_convergence_when_factors_leave_region():
-    # xi far above FACTOR_REGION_MAX
-    m = SampleMoments(0.02, 0.001, 1.0205, 1.07, 1e-3, 7.0, 0.1)
-    with pytest.raises(NoConvergence):
-        solve_system(0.99, m, rho=1.0)
-    # both factors underflow to zero at a large rho and a large variance
-    m = SampleMoments(0.02, 1.0, math.exp(0.52 + 1e-6), 1.07, 1.01, 7.0, 0.1)
-    with pytest.raises(NoConvergence):
-        solve_system(0.99, m, rho=60.0)
-    # both log-factors past exp's range: mean log growth 12.5 at rho = 60,
-    # and -ln beta for a subnormal beta
-    m = SampleMoments(12.5, 0.01, math.exp(12.5 + 0.006), 1.05, 1.01, 31.0, 100.0)
-    with pytest.raises(NoConvergence, match=r"factors \(inf, inf\)"):
-        solve_system(0.99, m, rho=60.0)
-    with pytest.raises(NoConvergence, match=r"factors \(inf, inf\)"):
-        solve_system(5e-324, m, rho=1.0)
 
 
 # -- calibrate_variant --------------------------------------------------------
@@ -280,28 +236,6 @@ def test_variant_rho_override(variant_moments):
     assert result.rho == 2.0
     f = solve_closed_form_given_rho(2.0, 0.99, variant_moments["realized"])
     assert result.factors == f
-
-
-# -- validation ---------------------------------------------------------------
-
-def test_sufficiency_factors_validation():
-    with pytest.raises(ValueError):
-        SufficiencyFactors(0.0, 1.0)
-    with pytest.raises(ValueError):
-        SufficiencyFactors(1.0, -2.0)
-
-
-def test_calibration_result_validation():
-    f = SufficiencyFactors(1.0, 1.0)
-    with pytest.raises(ValueError):
-        CalibrationResult(f, 1.0, (0.0, math.inf, 0.0), 0.0)
-
-
-def test_solve_beta_validation(variant_moments):
-    with pytest.raises(ValueError):
-        solve_system(0.0, variant_moments["realized"], rho=1.0)
-    with pytest.raises(ValueError):
-        solve_system(1.0001, variant_moments["realized"], rho=1.0)
 
 
 # -- the one rho rule ---------------------------------------------------------

@@ -5,7 +5,8 @@ submodule, and each name loads its own on first use;
 the build reads its version from `rac.__version__`, with no second copy,
 and an install gets the rac command and every data file;
 every function the benchmark traces still exists where it looks for it;
-every concrete error type is raised somewhere in the package; one function
+every concrete error type is raised somewhere in the package, and belongs
+to one family, InputError or ComputeError; one function
 opens files; every name a module of the package, the suite or the tools
 imports is used there; and no module of the suite imports a test module,
 nor _runs pytest or hypothesis."""
@@ -111,18 +112,41 @@ def test_every_traced_function_resolves():
     assert missing - _GONE_FROM_RAC == set()
 
 
+# each error type that no other extends
+LEAF_ERRORS = [
+    cls
+    for _, cls in inspect.getmembers(errors, inspect.isclass)
+    if issubclass(cls, errors.RacError) and not cls.__subclasses__()
+]
+
+
 def test_every_leaf_error_is_raised():
     # an error type no code raises is dead API: a caller would catch it in vain
     source = "".join(
         path.read_text(encoding="utf-8") for path in Path(rac.__file__).parent.glob("*.py")
     )
-    leaves = [
-        name
-        for name, cls in inspect.getmembers(errors, inspect.isclass)
-        if issubclass(cls, errors.RacError) and not cls.__subclasses__()
-    ]
-    assert leaves
-    assert [name for name in leaves if f"raise {name}(" not in source] == []
+    assert LEAF_ERRORS
+    assert [cls.__name__ for cls in LEAF_ERRORS if f"raise {cls.__name__}(" not in source] == []
+
+
+# each leaf error's family: an InputError exits 1, a ComputeError exits 2
+FAMILY = {
+    **dict.fromkeys([errors.SchemaError, errors.MissingYear, errors.NonPositiveValue],
+                    errors.InputError),
+    **dict.fromkeys([errors.NegativeVariance, errors.NonFiniteMoment, errors.NonPositiveConsumption,
+                     errors.UtilityOverflow, errors.NoConvergence, errors.DegenerateSystem,
+                     errors.Unclassifiable, errors.InvalidCombination], errors.ComputeError),
+}
+
+
+def test_each_error_has_one_family():
+    # a new error type is placed in its family here before the suite passes
+    assert set(FAMILY) == set(LEAF_ERRORS)
+    for leaf, family in FAMILY.items():
+        other = errors.ComputeError if family is errors.InputError else errors.InputError
+        assert issubclass(leaf, family) and not issubclass(leaf, other)
+    # a bad argument to the library is typed, and still caught as ValueError
+    assert issubclass(errors.InputError, ValueError)
 
 
 def test_one_function_opens_files():
