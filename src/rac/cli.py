@@ -22,7 +22,10 @@ command and the whole one only for help or a usage error. One series is
 kept, the bundled one or a user one, with its variants: a user dataset is
 parsed once per file content, and each variant is built once while its
 series is kept (see _Series). A repeat read compares the file with the kept
-bytes as it is read, so an unchanged file is not copied.
+bytes as it is read, so an unchanged file is not copied. Each variant keeps
+the calibrations and report rows computed from it, so a repeated parameter
+point computes neither again; parsing, build_config and rendering run on
+every call.
 """
 
 import argparse
@@ -149,13 +152,31 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 
 _Variant = tuple[Variant, ds.MarketDataset, SampleMoments]
+# the most results a variant keeps; a full store is emptied
+_KEPT_RESULTS = 1024
+
+
+def _kept(results: dict, key: tuple, compute, *args):
+    """results[key], or compute(*args) kept there. An error is raised, not kept."""
+    value = results.get(key)
+    if value is None:  # no result is None
+        if len(results) >= _KEPT_RESULTS:
+            results.clear()
+        value = results[key] = compute(*args)
+    return value
 
 
 class _Series:
     """The last dataset read in this process, keyed by its file's bytes, or
     by None for the bundled file, with the variants built from it: {final
-    consumption: (dataset, moments)}, the realized one and the last other
-    one asked for, so each is built once while it is kept.
+    consumption: (dataset, moments, results)}, the realized one and the last
+    other one asked for, so each is built once while it is kept.
+
+    A variant's results are what run computed from it, at most _KEPT_RESULTS:
+    calibrations keyed (variant, beta, rho), report rows keyed (variant, eta,
+    rho, beta, group, tol). A key holds checked values, so equal keys give
+    equal output (check_rho makes -0.0 0.0; a tol of -0.0 classifies as 0.0
+    does), and no dataset, whose hash would cost O(rows).
 
     A named file is still read on every call, so an edit, a deleted file or
     a decode error shows at once; a path, an mtime or a hash could match
@@ -175,8 +196,9 @@ class _Series:
         self.data, self.series, self.variants = None, None, {}
 
     def build(self, dataset: str | None, projection: str | None,
-              variants: tuple[Variant, ...]) -> list[_Variant]:
-        """Per variant, in order: the variant, its dataset and its moments.
+              variants: tuple[Variant, ...]) -> tuple[list[_Variant], list[dict]]:
+        """Per variant, in order: the variant, its dataset and its moments;
+        and per variant, its kept results.
 
         A None path is the bundled file. A named projection is read whatever
         the variants, as every input is; the bundled one only for the
@@ -199,11 +221,12 @@ class _Series:
         new = [c for c in dict.fromkeys(finals.values()) if c not in kept]
         if new:
             datasets = [d if c == realized else ds.with_final_consumption(d, c) for c in new]
-            kept.update(zip(new, zip(datasets, compute_variant_moments(d, new))))
+            moments = compute_variant_moments(d, new)
+            kept.update((c, (dv, m, {})) for c, dv, m in zip(new, datasets, moments))
             # the realized variant and this call's: a sweep over projections keeps two
             for c in kept.keys() - {realized, *finals.values()}:
                 del kept[c]
-        return [(v, *kept[c]) for v, c in finals.items()]
+        return [(v, *kept[c][:2]) for v, c in finals.items()], [kept[c][2] for c in finals.values()]
 
 
 _SERIES = _Series()
@@ -216,13 +239,21 @@ _SERIES = _Series()
 Run = namedtuple("Run", "variants calibrations tables", defaults=(None, None))
 
 
+def _row(dv: ds.MarketDataset, m: SampleMoments, variant: Variant, *point):
+    """The report row of `dv` at point (eta, rho, beta, group, tol)."""
+    cmp, attitude = _rac.classify_pipeline(dv, *point, moments=m)
+    return report_row(variant.value, dv, point[1], cmp, attitude)
+
+
 def run(cfg: RunConfig, command: str) -> Run:
     """`command`'s phases in order, each variant's moments, calibration and
-    rows, up to its last phase: moments for ingest, calibrations for calibrate."""
+    rows, up to its last phase: moments for ingest, calibrations for calibrate.
+    A calibration or row its variant kept (see _Series) is not computed again."""
     if command == "ingest":  # realized only: no projection is read, even one a config file names
-        return Run(_SERIES.build(cfg.dataset, None, (Variant.REALIZED,)))
-    variants = _SERIES.build(cfg.dataset, cfg.projection, cfg.variant)
-    calibrations = {v.value: _rac.calibrate_variant(m, cfg.beta, v, rho=cfg.rho) for v, _, m in variants}
+        return Run(_SERIES.build(cfg.dataset, None, (Variant.REALIZED,))[0])
+    variants, results = _SERIES.build(cfg.dataset, cfg.projection, cfg.variant)
+    calibrations = {v.value: _kept(r, (v, cfg.beta, cfg.rho), _rac.calibrate_variant,
+                                   m, cfg.beta, v, cfg.rho) for (v, _, m), r in zip(variants, results)}
     if command == "calibrate":
         return Run(variants, calibrations)
     tables = []
@@ -230,12 +261,10 @@ def run(cfg: RunConfig, command: str) -> Run:
         if (factor is None) is (cfg.eta is None):  # --eta runs the custom investor alone
             continue
         rows = []
-        for (variant, dv, m), calib in zip(variants, calibrations.values()):
+        for (variant, dv, m), r, calib in zip(variants, results, calibrations.values()):
             eta = getattr(calib.factors, factor) if factor else cfg.eta
-            cmp, attitude = _rac.classify_pipeline(
-                dv, eta, calib.rho, cfg.beta, cfg.group, cfg.tol, moments=m
-            )
-            rows.append(report_row(variant.value, dv, calib.rho, cmp, attitude))
+            key = (variant, eta, calib.rho, cfg.beta, cfg.group, cfg.tol)
+            rows.append(_kept(r, key, _row, dv, m, *key))
         tables.append((investor, rows))
     return Run(variants, calibrations, tables)
 

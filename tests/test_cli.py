@@ -1135,6 +1135,103 @@ def test_kept_variants_do_not_grow(capsys, tmp_path, bundled_copy):
     assert list(cli._SERIES.variants) == [110.0]
 
 
+def test_a_failing_point_is_not_kept(capsys, monkeypatch):
+    # classify --rho 2 fails in group two's table: a second call reuses the
+    # rows kept before the failing one, computes that one again and raises
+    # the same error; the next point prints what a fresh process prints
+    cli = importlib.import_module("rac.cli")
+    calls = []
+    pipeline = cli._rac.classify_pipeline
+    monkeypatch.setattr(cli._rac, "classify_pipeline",
+                        lambda *args, **kwargs: calls.append(args) or pipeline(*args, **kwargs))
+    _clear_caches()
+    first = run(capsys, "classify", "--rho", "2")
+    computed = len(calls)
+    assert run(capsys, "classify", "--rho", "2") == first
+    assert first[:2] == (2, "") and first[2].startswith("error: Unclassifiable: group two: ")
+    assert len(calls) == computed + 1
+    warm = run(capsys, "classify", "--rho", "1")
+    _clear_caches()
+    assert warm == run(capsys, "classify", "--rho", "1")
+    assert warm[0] == 0
+
+
+def test_an_edited_dataset_drops_its_kept_results(capsys, bundled_copy):
+    # a same-size edit of an early year keeps the final consumption, so each
+    # variant's key is unchanged; the results kept for the old content go
+    # with its series, and the second call prints what a fresh process prints
+    argv = ["classify", "--dataset", str(bundled_copy), "--format", "json"]
+    kept = run(capsys, *argv)
+    content = bundled_copy.read_bytes()
+    edited = content.replace(b"\n1890,784.3,", b"\n1890,784.4,")
+    assert edited != content and len(edited) == len(content)
+    bundled_copy.write_bytes(edited)
+    warm = run(capsys, *argv)
+    _clear_caches()
+    assert warm == run(capsys, *argv)
+    assert warm[0] == kept[0] == 0 and warm != kept
+
+
+def test_kept_results_part_on_every_key_field(capsys, tmp_path):
+    # points that share all but one field of a result key, run in one
+    # process: beta under a fixed --eta, so each row's eta and rho repeat;
+    # and the two variants of a series whose last consumption is the
+    # projected one, so one kept variant serves both, at the anchor rho and
+    # at a fixed one. Each prints what a fresh process prints
+    final = ds.projected_consumption(*ds.load_bundled_projection())
+    path = tmp_path / "final-projected.csv"
+    path.write_bytes(serialize_dataset(ds.with_final_consumption(load_bundled_dataset(), final)))
+    assert ds.load_dataset(path).consumption[-1] == final
+    argvs = [*(["classify", "--eta", "1.05", "--beta", beta] for beta in ("1", "0.9")),
+             *(["classify", "--dataset", str(path), "--group", "one", "--variant", variant, *rho]
+               for rho in ([], ["--rho", "2"]) for variant in ("realized", "projected", "both"))]
+    cold = []
+    for argv in argvs:
+        _clear_caches()
+        cold.append(run(capsys, *argv))
+    _clear_caches()
+    assert [run(capsys, *argv) for argv in argvs] == cold
+    assert {code for code, _, _ in cold} == {0}
+
+
+def test_kept_results_are_bounded_per_variant(capsys, monkeypatch):
+    # more distinct rho values than the bound allows: each variant keeps at
+    # most _KEPT_RESULTS results, emptied when full, and every point prints
+    # what a fresh process prints
+    cli = importlib.import_module("rac.cli")
+    monkeypatch.setattr(cli, "_KEPT_RESULTS", 5)
+    argvs = [["classify", "--rho", str(rho), "--group", "one"] for rho in range(12)]
+    cold = []
+    for argv in argvs:
+        _clear_caches()
+        cold.append(run(capsys, *argv))
+    _clear_caches()
+    sizes = set()
+    for argv, want in zip(argvs, cold):
+        assert run(capsys, *argv) == want
+        sizes.update(len(results) for _, _, results in cli._SERIES.variants.values())
+    assert max(sizes) == 5 and len(cli._SERIES.variants) == 2
+    assert {code for code, _, _ in cold} == {0}
+
+
+def test_clear_caches_empties_every_store(capsys):
+    # after runs that fill each per-process store, _clear_caches leaves no
+    # parser, bundled input, series, variant or kept result, so a cache it
+    # does not reach fails here instead of leaking state between tests
+    cli = importlib.import_module("rac.cli")
+    make_parser()
+    assert run(capsys, "classify")[0] == 0
+    assert all(results for _, _, results in cli._SERIES.variants.values())
+    _clear_caches()
+    assert not any(vars(cli._SERIES).values()), vars(cli._SERIES)
+    modules = [module for name, module in sys.modules.items() if name.startswith("rac.")]
+    cached = {name: obj.cache_info().currsize for module in modules
+              for name, obj in vars(module).items() if hasattr(obj, "cache_info")}
+    assert set(cached) >= {"make_parser", "command_parser", "load_bundled_dataset",
+                           "load_bundled_projection"}
+    assert set(cached.values()) == {0}, cached
+
+
 def test_alternating_bundled_and_user_series(capsys, bundled_copy):
     # each switch between the bundled data and a user file builds the new
     # series afresh, and the slot then holds the last series only
@@ -1153,7 +1250,7 @@ def test_alternating_bundled_and_user_series(capsys, bundled_copy):
     assert [code for code, _, _ in cold] == [0] * 4 and cold[0] != cold[1]
     user = ds.load_dataset(bundled_copy)
     assert cli._SERIES.data == bundled_copy.read_bytes() and cli._SERIES.series == user
-    assert {d.consumption[:-1] for d, _ in cli._SERIES.variants.values()} == {user.consumption[:-1]}
+    assert {d.consumption[:-1] for d, *_ in cli._SERIES.variants.values()} == {user.consumption[:-1]}
 
 
 def test_user_files_read_on_every_call(capsys, monkeypatch, tmp_path, bundled_copy):
@@ -1266,7 +1363,9 @@ def test_a_cold_command_loads_only_what_it_uses(tmp_path, bundled_copy):
 
 def test_default_classify_check_counts(capsys, monkeypatch):
     # every rac binding of each check_* is counted; the CLI passes its
-    # checked values on, and each public function checks its own arguments
+    # checked values on, and each public function checks its own arguments.
+    # A cold call computes each calibration and row; an identical second
+    # call reuses what its variants kept, so it checks nothing
     from rac.calibration import check_beta, check_rho
     from rac.classify import check_tol
     from rac.utility import check_eta
@@ -1285,10 +1384,13 @@ def test_default_classify_check_counts(capsys, monkeypatch):
         for name, original in checks.items():
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted(name))
-    code, _, _ = run(capsys, "classify")
-    assert code == 0
+    _clear_caches()
+    cold = run(capsys, "classify")
+    assert cold[0] == 0
     # 2 variants x (solve_system, the closed form, system_residuals) check
     # beta and rho; 4 investor rows x uncertain_utility check beta once more,
     # UtilitySpec and curvature_from_rho rho twice, the allocation sign and
     # uncertain_utility eta twice, and classify tol once
+    assert counts == {"check_beta": 10, "check_rho": 14, "check_eta": 8, "check_tol": 4}
+    assert run(capsys, "classify") == cold
     assert counts == {"check_beta": 10, "check_rho": 14, "check_eta": 8, "check_tol": 4}

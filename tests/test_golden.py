@@ -12,6 +12,8 @@ an exit code, and error paths on files written under fixed names. Each line
 is the digest of the run's exit code, stdout and stderr, then the run's
 argv. The digest test runs all of them in process, so it is the in-process
 check of the golden cases too. On a mismatch it prints the lines to paste.
+The sweep also runs twice in one process, the second time in reverse, so a
+calibration or row one point kept and another reuses must be that point's.
 
 A change that alters output edits these files by hand and says why; they are
 never regenerated to make a failing test pass. The cases and the digest runs
@@ -134,6 +136,18 @@ def test_outputs_match_digest(digest_runs, tmp_path, monkeypatch):
     results = _results(outcomes)
     assert {code for code, _, _ in results} == {0, 1, 2}
     _check_digest(_digest_lines(digest_runs, results))
+
+
+def test_sweep_replayed_in_reverse_repeats_each_outcome(monkeypatch):
+    # the benchmark's sweep twice in one process, the second time in reverse
+    # order: each point then meets the calibrations and rows other points
+    # kept, so a result key that misses a field gives another point's output
+    monkeypatch.delenv(ENV_DATASET, raising=False)
+    _clear_caches()
+    sweep = _sweep_grid()
+    first = [_outcome(argv) for argv in sweep]
+    assert [_outcome(argv) for argv in reversed(sweep)] == first[::-1]
+    assert {code for (_, code), _, _ in first} == {0, 2}
 
 
 # Prints a line before it imports rac, so a run that prints nothing is an
