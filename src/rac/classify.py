@@ -167,8 +167,9 @@ def classify_pipeline(
     The certain side is the shifted utility of the next-to-last year's
     consumption; the uncertain side is beta * eta * E[u] with the
     expectation taken over the full-span log-level moments of `d`.
-    `moments` are compute_moments(d) when the caller already has them;
-    when None they are computed here.
+    Given `moments`, `d` supplies only its next-to-last consumption, which
+    every variant of a series shares: moments of with_final_consumption(d,
+    c) give that dataset's result for any final c. None computes them here.
     """
     spec = UtilitySpec(rho)
     m = compute_moments(d) if moments is None else moments

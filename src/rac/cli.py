@@ -19,13 +19,10 @@ error, which it words as it always has.
 
 main may run many times in one process. Each parser is built once, one per
 command and the whole one only for help or a usage error. One series is
-kept, the bundled one or a user one, with its variants: a user dataset is
-parsed once per file content, and each variant is built once while its
-series is kept (see _Series). A repeat read compares the file with the kept
-bytes as it is read, so an unchanged file is not copied. Each variant keeps
-the calibrations and report rows computed from it, so a repeated parameter
-point computes neither again; parsing, build_config and rendering run on
-every call.
+kept, the bundled one or a user one, parsed once per file content, with one
+bounded store of what run computed from it (see _Series): a variant is its
+final consumption, so a repeated parameter point computes nothing again.
+Parsing, build_config and rendering run on every call.
 """
 
 import argparse
@@ -151,32 +148,21 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
-_Variant = tuple[Variant, ds.MarketDataset, SampleMoments]
-# the most results a variant keeps; a full store is emptied
+# the most values _Series keeps; a full store is emptied
 _KEPT_RESULTS = 1024
-
-
-def _kept(results: dict, key: tuple, compute, *args):
-    """results[key], or compute(*args) kept there. An error is raised, not kept."""
-    value = results.get(key)
-    if value is None:  # no result is None
-        if len(results) >= _KEPT_RESULTS:
-            results.clear()
-        value = results[key] = compute(*args)
-    return value
 
 
 class _Series:
     """The last dataset read in this process, keyed by its file's bytes, or
-    by None for the bundled file, with the variants built from it: {final
-    consumption: (dataset, moments, results)}, the realized one and the last
-    other one asked for, so each is built once while it is kept.
-
-    A variant's results are what run computed from it, at most _KEPT_RESULTS:
-    calibrations keyed (variant, beta, rho), report rows keyed (variant, eta,
-    rho, beta, group, tol). A key holds checked values, so equal keys give
-    equal output (check_rho makes -0.0 0.0; a tol of -0.0 classifies as 0.0
-    does), and no dataset, whose hash would cost O(rows).
+    by None for the bundled file, and one store of what run computed from
+    it: at most _KEPT_RESULTS values, emptied when full or when the series
+    changes. A variant is its final consumption, so the store keys a
+    variant's moments by its final, the projected final by its
+    ProjectionInputs, a calibration by (variant, final, beta, rho) and a
+    report row by (variant, final, eta, rho, beta, group, tol). A key holds
+    checked values, so equal keys give equal output (check_rho makes -0.0
+    0.0; a tol of -0.0 classifies as 0.0 does), and no dataset, whose hash
+    would cost O(rows). Keys of two kinds never compare equal.
 
     A named file is still read on every call, so an edit, a deleted file or
     a decode error shows at once; a path, an mtime or a hash could match
@@ -186,19 +172,29 @@ class _Series:
     decodes nor parses; bytes that differ only in line ends or a byte order
     mark are parsed afresh. The bundled file, package data, is not read
     again; a process that alternates it and a user file parses the user file
-    at each switch. No error is kept: a failed parse is redone next call.
+    at each switch. No error is kept: a failed parse or computation is redone
+    next call.
     """
 
     def __init__(self):
         self.cache_clear()
 
     def cache_clear(self) -> None:
-        self.data, self.series, self.variants = None, None, {}
+        self.data, self.series, self.store = None, None, {}
+
+    def kept(self, key, compute, *args):
+        """The value kept under `key`, or compute(*args) kept there."""
+        value = self.store.get(key)
+        if value is None:  # no kept value is None
+            if len(self.store) >= _KEPT_RESULTS:
+                self.store.clear()
+            value = self.store[key] = compute(*args)
+        return value
 
     def build(self, dataset: str | None, projection: str | None,
-              variants: tuple[Variant, ...]) -> tuple[list[_Variant], list[dict]]:
-        """Per variant, in order: the variant, its dataset and its moments;
-        and per variant, its kept results.
+              variants: tuple[Variant, ...]) -> tuple[ds.MarketDataset, list]:
+        """The series, and per variant, in order: the variant, its final
+        consumption and its moments.
 
         A None path is the bundled file. A named projection is read whatever
         the variants, as every input is; the bundled one only for the
@@ -212,21 +208,18 @@ class _Series:
             self.series = (ds.load_bundled_dataset() if data is None
                            else ds.load_dataset(io.BytesIO(data)))  # shares `data`, copies nothing
             self.data = data
-        d, kept = self.series, self.variants
         inputs = None if projection is None else _read("projection", projection, ds.load_projection)
-        realized = d.consumption[-1]
-        finals = dict.fromkeys(variants, realized)
+        finals = dict.fromkeys(variants, self.series.consumption[-1])
         if Variant.PROJECTED in finals:
-            finals[Variant.PROJECTED] = ds.projected_consumption(*(inputs or ds.load_bundled_projection()))
-        new = [c for c in dict.fromkeys(finals.values()) if c not in kept]
-        if new:
-            datasets = [d if c == realized else ds.with_final_consumption(d, c) for c in new]
-            moments = compute_variant_moments(d, new)
-            kept.update((c, (dv, m, {})) for c, dv, m in zip(new, datasets, moments))
-            # the realized variant and this call's: a sweep over projections keeps two
-            for c in kept.keys() - {realized, *finals.values()}:
-                del kept[c]
-        return [(v, *kept[c][:2]) for v, c in finals.items()], [kept[c][2] for c in finals.values()]
+            inputs = inputs or ds.load_bundled_projection()
+            finals[Variant.PROJECTED] = self.kept(inputs, ds.projected_consumption, *inputs)
+        moments = {c: self.store.get(c) for c in finals.values()}
+        new = [c for c, m in moments.items() if m is None]
+        if new:  # one pass over the series for every final not kept
+            moments.update(zip(new, compute_variant_moments(self.series, new)))
+            for c in new:
+                self.kept(c, moments.get, c)
+        return self.series, [(v, c, moments[c]) for v, c in finals.items()]
 
 
 _SERIES = _Series()
@@ -234,39 +227,40 @@ _SERIES = _Series()
 
 # -- the run -----------------------------------------------------------------
 
-# One field per phase, None if the command did not run it: [(variant, dataset,
-# moments)], {variant name: calibrate_variant result}, [(investor, its rows)].
-Run = namedtuple("Run", "variants calibrations tables", defaults=(None, None))
+# The series, then one field per phase, None if the command did not run it:
+# [(variant, final consumption, moments)], {variant name: calibrate_variant
+# result}, [(investor, its rows)].
+Run = namedtuple("Run", "dataset variants calibrations tables", defaults=(None, None))
 
 
-def _row(dv: ds.MarketDataset, m: SampleMoments, variant: Variant, *point):
-    """The report row of `dv` at point (eta, rho, beta, group, tol)."""
-    cmp, attitude = _rac.classify_pipeline(dv, *point, moments=m)
-    return report_row(variant.value, dv, point[1], cmp, attitude)
+def _row(d: ds.MarketDataset, m: SampleMoments, variant: Variant, final: float, *point):
+    """The report row of `d` ending in `final` (moments `m`) at (eta, rho, beta, group, tol)."""
+    cmp, attitude = _rac.classify_pipeline(d, *point, moments=m)
+    return report_row(variant.value, d, final, point[1], cmp, attitude)
 
 
 def run(cfg: RunConfig, command: str) -> Run:
     """`command`'s phases in order, each variant's moments, calibration and
     rows, up to its last phase: moments for ingest, calibrations for calibrate.
-    A calibration or row its variant kept (see _Series) is not computed again."""
+    A value the series kept (see _Series) is not computed again."""
     if command == "ingest":  # realized only: no projection is read, even one a config file names
-        return Run(_SERIES.build(cfg.dataset, None, (Variant.REALIZED,))[0])
-    variants, results = _SERIES.build(cfg.dataset, cfg.projection, cfg.variant)
-    calibrations = {v.value: _kept(r, (v, cfg.beta, cfg.rho), _rac.calibrate_variant,
-                                   m, cfg.beta, v, cfg.rho) for (v, _, m), r in zip(variants, results)}
+        return Run(*_SERIES.build(cfg.dataset, None, (Variant.REALIZED,)))
+    d, variants = _SERIES.build(cfg.dataset, cfg.projection, cfg.variant)
+    calibrations = {v.value: _SERIES.kept((v, c, cfg.beta, cfg.rho), _rac.calibrate_variant,
+                                          m, cfg.beta, v, cfg.rho) for v, c, m in variants}
     if command == "calibrate":
-        return Run(variants, calibrations)
+        return Run(d, variants, calibrations)
     tables = []
     for investor, (_, factor) in INVESTORS.items():
         if (factor is None) is (cfg.eta is None):  # --eta runs the custom investor alone
             continue
         rows = []
-        for (variant, dv, m), r, calib in zip(variants, results, calibrations.values()):
+        for (variant, c, m), calib in zip(variants, calibrations.values()):
             eta = getattr(calib.factors, factor) if factor else cfg.eta
-            key = (variant, eta, calib.rho, cfg.beta, cfg.group, cfg.tol)
-            rows.append(_kept(r, key, _row, dv, m, *key))
+            key = (variant, c, eta, calib.rho, cfg.beta, cfg.group, cfg.tol)
+            rows.append(_SERIES.kept(key, _row, d, m, *key))
         tables.append((investor, rows))
-    return Run(variants, calibrations, tables)
+    return Run(d, variants, calibrations, tables)
 
 
 # Each command, with the report.py function that renders its Run.

@@ -56,13 +56,14 @@ _ALLOCATION_TEXT = {
 }
 
 
-def report_row(variant: str, d, rho: float, cmp, attitude) -> ReportRow:
-    """The row of `d`'s last year: `cmp` and `attitude` are classify_pipeline's at `rho`."""
+def report_row(variant: str, d, final: float, rho: float, cmp, attitude) -> ReportRow:
+    """The row of `d`'s last year with consumption `final`, the variant's:
+    `cmp` and `attitude` are classify_pipeline's at `rho`."""
     return ReportRow(
         year_certain=d.end_year - 1,
         year_uncertain=f"{d.end_year} ({variant})",
         consumption_certain=d.consumption[-2],
-        consumption_uncertain=d.consumption[-1],
+        consumption_uncertain=final,
         certain_utility=cmp.certain,
         uncertain_utility=cmp.uncertain,
         allocation_text=_ALLOCATION_TEXT[attitude.allocation.value],
@@ -159,8 +160,8 @@ def export_run(calibrations: dict, tables: list[tuple[str, list[ReportRow]]]) ->
 
 
 def ingest_report(run, fmt: ReportFormat) -> str:
-    """The span of the run's one dataset and its moments."""
-    ((_, d, m),) = run.variants
+    """The span of the run's dataset and its one variant's moments."""
+    d, ((_, _, m),) = run.dataset, run.variants
     if fmt is ReportFormat.JSON:
         return json_text({
             "years": len(d.consumption),

@@ -15,8 +15,11 @@ from rac import (
     curvature_from_rho,
     solve_closed_form_given_rho,
     compute_moments,
+    load_bundled_dataset,
+    with_final_consumption,
 )
-from rac.errors import InvalidCombination, Unclassifiable
+from rac.errors import InvalidCombination, RacError, Unclassifiable
+from rac.moments import compute_variant_moments
 
 from conftest import cmp_with
 
@@ -280,3 +283,30 @@ def test_pipeline_moments_consistency(bundled):
     assert cmp.uncertain == 0.99 * 0.961745 * cmp.expected_u
     assert cmp.expected_u > 0
     assert m.mu_z > 0
+
+
+def _pipeline_outcome(call):
+    """call()'s result, or the type and message of the RacError it raises."""
+    try:
+        return call()
+    except RacError as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    final=st.floats(min_value=0, exclude_min=True, allow_infinity=False),
+    eta=st.floats(0.5, 1.5),
+    rho=st.sampled_from([0.0, 0.5, 1.033526, 2.0, 5.0]),
+    beta=st.floats(0.5, 1.0),
+    group=st.sampled_from(DefinitionGroup),
+)
+def test_pipeline_given_moments_reads_only_the_next_to_last_consumption(
+    final, eta, rho, beta, group
+):
+    # a variant's moments with the series give what that variant's own dataset gives
+    d = load_bundled_dataset()
+    given_moments = _pipeline_outcome(lambda: classify_pipeline(
+        d, eta, rho, beta, group, moments=compute_variant_moments(d, [final])[0]))
+    own_dataset = _pipeline_outcome(
+        lambda: classify_pipeline(with_final_consumption(d, final), eta, rho, beta, group))
+    assert given_moments == own_dataset

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from rac import dataset as ds
 from rac import ProjectionInputs, errors, load_bundled_dataset, parse_csv, parse_json
 from rac.cli import ENV_DATASET, build_config, main, make_parser
+from rac.moments import compute_variant_moments
 
 from _runs import (CASES, GOLDEN, SRC, _CONFIG_GRID, _EDGE_ARGV, _WARM_GRID, _clear_caches,
                    _outcome, _sweep_grid)
@@ -1114,27 +1115,6 @@ def test_no_error_is_kept(capsys, tmp_path):
         assert err.startswith("error: NonFiniteMoment: ")
 
 
-def test_kept_variants_do_not_grow(capsys, tmp_path, bundled_copy):
-    # one series is kept, bundled or user, and it keeps its realized variant
-    # and one other, however many datasets and projection files a process reads
-    cli = importlib.import_module("rac.cli")
-    proj = tmp_path / "projection.csv"
-    for population in range(219441872, 219441872 + 5):
-        proj.write_text(f"{PROJECTION_HEADER}\n515.4,613.7,150,{population}\n")
-        assert run(capsys, "calibrate", "--projection", str(proj))[0] == 0
-        assert cli._SERIES.data is None and len(cli._SERIES.variants) == 2
-        assert run(capsys, "calibrate", "--dataset", str(bundled_copy),
-                   "--projection", str(proj))[0] == 0
-        assert len(cli._SERIES.variants) == 2
-    assert run(capsys, "ingest", "--dataset", str(bundled_copy))[0] == 0
-    assert len(cli._SERIES.variants) == 2  # a realized-only run drops nothing
-    other = tmp_path / "other.csv"
-    other.write_text(HEADER + "\n1900,100.0,1.05,1.01\n1901,110.0,1.05,1.01\n")
-    assert run(capsys, "ingest", "--dataset", str(other))[0] == 0
-    assert cli._SERIES.data == other.read_bytes()
-    assert list(cli._SERIES.variants) == [110.0]
-
-
 def test_a_failing_point_is_not_kept(capsys, monkeypatch):
     # classify --rho 2 fails in group two's table: a second call reuses the
     # rows kept before the failing one, computes that one again and raises
@@ -1194,34 +1174,91 @@ def test_kept_results_part_on_every_key_field(capsys, tmp_path):
     assert {code for code, _, _ in cold} == {0}
 
 
-def test_kept_results_are_bounded_per_variant(capsys, monkeypatch):
-    # more distinct rho values than the bound allows: each variant keeps at
-    # most _KEPT_RESULTS results, emptied when full, and every point prints
-    # what a fresh process prints
+def test_kept_variants_do_not_grow(capsys, monkeypatch, tmp_path, bundled_copy):
+    # one series is kept, bundled or user, and one store of what was computed
+    # from it: however many datasets and projection files a process reads, the
+    # store stays within _KEPT_RESULTS, keeps no dataset copy, and every call
+    # prints what a cleared process prints; a new series empties the store
     cli = importlib.import_module("rac.cli")
     monkeypatch.setattr(cli, "_KEPT_RESULTS", 5)
-    argvs = [["classify", "--rho", str(rho), "--group", "one"] for rho in range(12)]
+    argvs = []
+    for population in range(219441872, 219441872 + 5):
+        proj = tmp_path / f"projection-{population}.csv"
+        proj.write_text(f"{PROJECTION_HEADER}\n515.4,613.7,150,{population}\n")
+        for dataset in ([], ["--dataset", str(bundled_copy)]):
+            argvs.append(["calibrate", "--projection", str(proj), *dataset])
     cold = []
     for argv in argvs:
-        _clear_caches()
+        cli._SERIES.cache_clear()
         cold.append(run(capsys, *argv))
-    _clear_caches()
+    cli._SERIES.cache_clear()
+    for argv, want in zip(argvs, cold):
+        assert run(capsys, *argv) == want
+        assert len(cli._SERIES.store) <= 5
+        assert not any(isinstance(value, ds.MarketDataset) for value in cli._SERIES.store.values())
+    assert {code for code, _, _ in cold} == {0}
+    cli._SERIES.cache_clear()
+    assert run(capsys, "calibrate", "--variant", "realized")[0] == 0
+    assert 0 < len(cli._SERIES.store) < 5  # the new series finds a store that is not full
+    other = tmp_path / "other.csv"
+    other.write_text(HEADER + "\n1900,100.0,1.05,1.01\n1901,110.0,1.05,1.01\n")
+    assert run(capsys, "ingest", "--dataset", str(other))[0] == 0
+    assert cli._SERIES.data == other.read_bytes()
+    assert list(cli._SERIES.store) == [110.0]
+
+
+def test_kept_results_are_bounded_per_variant(capsys, monkeypatch):
+    # more distinct rho values than the bound allows, on both variants: the
+    # one store holds at most _KEPT_RESULTS values, emptied when full, and
+    # every point prints what a cleared process prints
+    cli = importlib.import_module("rac.cli")
+    monkeypatch.setattr(cli, "_KEPT_RESULTS", 5)
+    argvs = [["classify", "--rho", str(rho), "--group", "one", "--variant", variant]
+             for variant in ("realized", "projected") for rho in range(12)]
+    cold = []
+    for argv in argvs:
+        cli._SERIES.cache_clear()
+        cold.append(run(capsys, *argv))
+    cli._SERIES.cache_clear()
     sizes = set()
     for argv, want in zip(argvs, cold):
         assert run(capsys, *argv) == want
-        sizes.update(len(results) for _, _, results in cli._SERIES.variants.values())
-    assert max(sizes) == 5 and len(cli._SERIES.variants) == 2
+        sizes.add(len(cli._SERIES.store))
+    assert max(sizes) == 5
     assert {code for code, _, _ in cold} == {0}
+
+
+@pytest.mark.parametrize("projection", [[], ["--projection", "projection.csv"]],
+                         ids=["bundled", "file"])
+def test_a_repeated_projection_is_computed_once(capsys, monkeypatch, tmp_path, projection):
+    # the projected final is kept under its inputs: after the first call, no
+    # point computes it again while the bundled or named projection is unchanged
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "projection.csv"
+    path.write_text(f"{PROJECTION_HEADER}\n515.4,613.7,150,219441872\n")
+    calls = []
+    project = ds.projected_consumption
+    monkeypatch.setattr(ds, "projected_consumption", lambda *args: calls.append(args) or project(*args))
+    _clear_caches()
+    argvs = [["calibrate"], ["classify"], ["classify", "--rho", "1"],
+             ["classify", "--variant", "projected", "--format", "json"], ["calibrate"]]
+    outcomes = [run(capsys, *argv, *projection) for argv in argvs]
+    assert len(calls) == 1
+    assert {code for code, _, _ in outcomes} == {0}
+    if projection:  # an edited file is computed afresh
+        path.write_text(f"{PROJECTION_HEADER}\n515.4,613.7,150,219441873\n")
+        assert run(capsys, "calibrate", *projection)[0] == 0
+        assert len(calls) == 2
 
 
 def test_clear_caches_empties_every_store(capsys):
     # after runs that fill each per-process store, _clear_caches leaves no
-    # parser, bundled input, series, variant or kept result, so a cache it
-    # does not reach fails here instead of leaking state between tests
+    # parser, bundled input, series or kept value, so a cache it does not
+    # reach fails here instead of leaking state between tests
     cli = importlib.import_module("rac.cli")
     make_parser()
     assert run(capsys, "classify")[0] == 0
-    assert all(results for _, _, results in cli._SERIES.variants.values())
+    assert cli._SERIES.store
     _clear_caches()
     assert not any(vars(cli._SERIES).values()), vars(cli._SERIES)
     modules = [module for name, module in sys.modules.items() if name.startswith("rac.")]
@@ -1234,7 +1271,8 @@ def test_clear_caches_empties_every_store(capsys):
 
 def test_alternating_bundled_and_user_series(capsys, bundled_copy):
     # each switch between the bundled data and a user file builds the new
-    # series afresh, and the slot then holds the last series only
+    # series afresh, and the slot then holds the last series and only the
+    # moments computed from it
     cli = importlib.import_module("rac.cli")
     bundled_copy.write_bytes(
         bundled_copy.read_bytes().replace(b"\n1978,3450.0,", b"\n1978,3450.1,")
@@ -1250,7 +1288,9 @@ def test_alternating_bundled_and_user_series(capsys, bundled_copy):
     assert [code for code, _, _ in cold] == [0] * 4 and cold[0] != cold[1]
     user = ds.load_dataset(bundled_copy)
     assert cli._SERIES.data == bundled_copy.read_bytes() and cli._SERIES.series == user
-    assert {d.consumption[:-1] for d, *_ in cli._SERIES.variants.values()} == {user.consumption[:-1]}
+    moments = {key: value for key, value in cli._SERIES.store.items() if type(key) is float}
+    assert len(moments) == 2
+    assert moments == dict(zip(moments, compute_variant_moments(user, list(moments))))
 
 
 def test_user_files_read_on_every_call(capsys, monkeypatch, tmp_path, bundled_copy):

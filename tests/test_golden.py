@@ -10,8 +10,9 @@ tests/golden/outputs.sha256 holds one line per run of a wider set: the
 sweep, warm and config grids, the golden cases, the edge argvs that return
 an exit code, and error paths on files written under fixed names. Each line
 is the digest of the run's exit code, stdout and stderr, then the run's
-argv. The digest test runs all of them in process, so it is the in-process
-check of the golden cases too. On a mismatch it prints the lines to paste.
+argv. The digest test runs all of them in process, once in order and once
+from an empty store each, so it is the in-process check of the golden cases
+too. On a mismatch it prints the lines to paste.
 The sweep also runs twice in one process, the second time in reverse, so a
 calibration or row one point kept and another reuses must be that point's.
 
@@ -23,6 +24,7 @@ installed, and there the package must also keep its lazy-loading contract.
 
 import ast
 import hashlib
+import importlib
 import json
 import os
 import shlex
@@ -125,17 +127,23 @@ def _results(outcomes):
 
 
 def test_outputs_match_digest(digest_runs, tmp_path, monkeypatch):
+    # two passes: in the first each run meets what the runs before it kept;
+    # in the second each starts from an empty store (the parsers and the
+    # bundled files stay cached)
     monkeypatch.delenv(ENV_DATASET, raising=False)
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.chdir(tmp_path)
     _clear_caches()
-    outcomes = []
-    for env, argv in digest_runs:
-        with mock.patch.dict(os.environ, env):
-            outcomes.append(_outcome(argv))
-    results = _results(outcomes)
-    assert {code for code, _, _ in results} == {0, 1, 2}
-    _check_digest(_digest_lines(digest_runs, results))
+    series = importlib.import_module("rac.cli")._SERIES
+    for clear in (lambda: None, series.cache_clear):
+        outcomes = []
+        for env, argv in digest_runs:
+            clear()
+            with mock.patch.dict(os.environ, env):
+                outcomes.append(_outcome(argv))
+        results = _results(outcomes)
+        assert {code for code, _, _ in results} == {0, 1, 2}
+        _check_digest(_digest_lines(digest_runs, results))
 
 
 def test_sweep_replayed_in_reverse_repeats_each_outcome(monkeypatch):
