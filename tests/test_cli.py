@@ -1,4 +1,6 @@
-"""CLI behavior: subcommands, config precedence, exit codes, determinism."""
+"""CLI behavior: subcommands, config precedence, exit codes, determinism, and
+what a repeated call in one process may skip: _REUSE, one table of scenarios
+that test_reuse plays cold and warm, counting the work of each call."""
 
 import argparse
 import contextlib
@@ -10,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter, namedtuple
 from unittest import mock
 
 import pytest
@@ -17,9 +20,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rac import dataset as ds
-from rac import ProjectionInputs, errors, load_bundled_dataset, parse_csv, parse_json
+from rac import (ProjectionInputs, calibrate_variant, classify_pipeline, compute_moments, errors,
+                 load_bundled_dataset, parse_csv, parse_json)
 from rac.cli import ENV_DATASET, build_config, main, make_parser
 from rac.moments import compute_variant_moments
+from rac.params import check_beta, check_eta, check_rho, check_tol
 
 from _runs import (CASES, GOLDEN, SRC, _CONFIG_GRID, _EDGE_ARGV, _WARM_GRID, _clear_caches,
                    _outcome, _sweep_grid)
@@ -160,52 +165,6 @@ def test_classify_default_labels(capsys):
     assert out.count("Risk-averse") == 2
     assert out.count("Not enough risk-loving") == 2
     assert "7.103787" in out
-
-
-def test_bundled_moments_computed_once_per_process(capsys, monkeypatch, tmp_path, bundled_copy):
-    # the CLI takes every variant's moments from compute_variant_moments, one
-    # call per run at most, and classify_pipeline reuses them; importlib,
-    # because the package attribute rac.classify is the function
-    cli = importlib.import_module("rac.cli")
-    finals, calls = [], []
-    shared = cli.compute_variant_moments
-    monkeypatch.setattr(cli, "compute_variant_moments",
-                        lambda d, v: finals.append(list(v)) or shared(d, v))
-    classify_module = importlib.import_module("rac.classify")
-    single = classify_module.compute_moments
-    monkeypatch.setattr(classify_module, "compute_moments", lambda d: calls.append(d) or single(d))
-    _clear_caches()
-    for _ in range(2):
-        assert run(capsys, "classify")[0] == 0
-    realized = load_bundled_dataset().consumption[-1]
-    projected = ds.projected_consumption(*ds.load_bundled_projection())
-    assert finals == [[realized, projected]]
-    # the bundled data with a projection file: its projected variant is built
-    # once per projected value, however often the same content is read
-    proj = tmp_path / "projection.csv"
-    for _ in range(2):
-        proj.write_text(f"{PROJECTION_HEADER}\n515.4,613.7,150,219000000\n")
-        assert run(capsys, "classify", "--projection", str(proj))[0] == 0
-    other = ds.projected_consumption(515.4, 613.7, 150, 219000000)
-    assert finals == [[realized, projected], [other]]
-    finals.clear()
-    # a user file is parsed and its variants computed once per content: the
-    # same text written again costs no parse and no moments, a changed one does
-    loads = []
-    parse = ds.load_dataset
-    monkeypatch.setattr(ds, "load_dataset", lambda source: loads.append(source) or parse(source))
-    content = bundled_copy.read_bytes()
-    for _ in range(2):
-        bundled_copy.write_bytes(content)
-        assert run(capsys, "classify", "--dataset", str(bundled_copy))[0] == 0
-    assert finals == [[realized, projected]]
-    assert len(loads) == 1
-    changed = ds.with_final_consumption(load_bundled_dataset(), 3500.0)
-    bundled_copy.write_bytes(serialize_dataset(changed))
-    assert run(capsys, "classify", "--dataset", str(bundled_copy))[0] == 0
-    assert finals == [[realized, projected], [3500.0, projected]]
-    assert len(loads) == 2
-    assert calls == []
 
 
 @pytest.mark.parametrize("variant", ["realized", "projected"])
@@ -942,43 +901,255 @@ def test_classify_runs_byte_identical(capsys):
 
 # -- repeated calls in one process -------------------------------------------
 
-def test_warm_main_rebuilds_nothing(capsys, monkeypatch):
-    # each parser and the bundled inputs are built once per process
-    assert run(capsys, "classify")[0] == 0
-    built = []
-    parser_init = argparse.ArgumentParser.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(self)
-        parser_init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    loads = []
-    for name in ("load_dataset", "load_projection"):
-        monkeypatch.setattr(ds, name, lambda *a, _fn=getattr(ds, name): loads.append(a) or _fn(*a))
-    code, out, _ = run(capsys, "classify")
-    assert code == 0
-    assert "Risk-averse" in out
-    assert (built, loads) == ([], [])
+# A reuse scenario is a list of steps: a call of main (_call), a file written,
+# or deleted when its content is None (_File), or a setting (_Set): RAC_DATASET,
+# unset when None, or rac.cli's _KEPT_RESULTS, the store's bound.
+_Call = namedtuple("_Call", "argv work code err same differs")
+_File = namedtuple("_File", "name content")
+_Set = namedtuple("_Set", "name value")
+# Each work column and the function it counts wherever rac binds it, one per
+# call; compute_variant_moments counts its finals; compute_moments must stay 0
+_COUNTED = {
+    "decode": ds.read_text, "parse": ds.load_dataset, "moments": compute_variant_moments,
+    "project": ds.projected_consumption, "calibrate": calibrate_variant, "rows": classify_pipeline,
+    "parsers": argparse.ArgumentParser.__init__, "compute_moments": compute_moments,
+    "check_beta": check_beta, "check_rho": check_rho, "check_eta": check_eta, "check_tol": check_tol,
+}
 
 
-def test_warm_main_matches_cold(capsys, tmp_path, bundled_copy):
-    # a variant or a user series kept from an earlier call gives the output a
-    # fresh process gives, on every grid point (classify with --rho 5 and
-    # group two exits 2)
-    proj = tmp_path / "projection.csv"
-    proj.write_text(f"{PROJECTION_HEADER}\n515.4,613.7,150,219000000\n")
-    grid = [*_WARM_GRID, ["classify", "--projection", str(proj), "--format", "json"],
-            ["classify", "--dataset", str(bundled_copy), "--format", "json"]]
-    cold = []
-    for argv in grid:
-        _clear_caches()
-        cold.append(run(capsys, *argv))
-    warm = [run(capsys, *argv) for argv in grid]
-    assert warm == cold
-    assert {code for code, _, _ in cold} == {0, 2}
-    assert cold[-1] == cold[_WARM_GRID.index(["classify", "--variant", "both", "--format",
-                                              "json", "--group", "two"])]
+def _call(words, code=0, err="", same=None, differs=None, checks=(0, 0, 0, 0), **work):
+    """`rac WORDS` and its work in _COUNTED's columns, 0 in each it leaves out;
+    `checks` counts check_beta, check_rho, check_eta and check_tol. It exits
+    `code`, with stderr from "error: ERR" if not 0; `same` and `differs` name
+    an earlier call of the scenario, from 0, whose outcome it is or is not."""
+    work.update(zip(("check_beta", "check_rho", "check_eta", "check_tol"), checks))
+    return _Call(words.split(), {name: n for name, n in work.items() if n}, code, err, same, differs)
+
+
+# The work at a point new to the store. Each calibration checks beta and rho
+# three times (solve_system, the closed form, system_residuals), and each row
+# checks beta once, rho and eta twice and tol once.
+_ONE = dict(calibrate=1, rows=2, checks=(5, 7, 4, 2))  # classify, one variant
+_BOTH = dict(calibrate=2, rows=4, checks=(10, 14, 8, 4))  # classify, both variants
+_CAL1 = dict(calibrate=1, checks=(3, 3, 0, 0))  # calibrate, one variant
+_CAL2 = dict(calibrate=2, checks=(6, 6, 0, 0))  # calibrate, both variants
+_ROWS = dict(rows=4, checks=(4, 8, 8, 4))  # classify, both variants calibrated before
+_NEW = dict(_BOTH, decode=1, parse=1, moments=2, project=1)  # classify on a new series
+_NEW_CAL = dict(_CAL2, decode=1, parse=1, moments=2, project=1)  # calibrate on a new series
+_COLD = dict(_NEW, decode=2, parsers=1)  # a first classify, which reads the bundled projection
+_FAILING = dict(code=2, err="Unclassifiable: group two: ", rows=1, checks=(1, 2, 2, 1))
+_BUNDLED = serialize_dataset(load_bundled_dataset())
+_COPY = _File("copy.csv", _BUNDLED)
+_TWO_YEARS = csv_text("1900,100.0,1.05,1.01", "1901,110.0,1.05,1.01").encode()
+
+
+def _final(value) -> bytes:
+    """The bundled file with `value` as its final (1978) consumption."""
+    return _BUNDLED.replace(b"\n1978,3450.0,", f"\n1978,{value!r},".encode())
+
+
+def _projection(population):
+    return _File("projection.csv", f"{PROJECTION_HEADER}\n515.4,613.7,150,{population}\n".encode())
+
+
+# Each scenario of repeated calls in one process, and what each call may skip
+_REUSE = {
+    # the bundled data, a projection file and a user copy of the bundled
+    # file, each run twice: a repeat builds no parser and reads no kept input
+    "moments-once": [
+        _call("classify", **_COLD), _call("classify", same=0),
+        _projection(219000000),
+        _call("classify --projection projection.csv", decode=1, project=1, moments=1, **_ONE),
+        _projection(219000000), _call("classify --projection projection.csv", decode=1, same=2),
+        _COPY, _call("classify --dataset copy.csv", **_NEW, same=0),
+        _COPY, _call("classify --dataset copy.csv", same=0),
+        _File("copy.csv", _final(3500.0)), _call("classify --dataset copy.csv", **_NEW, differs=0),
+    ],
+    # every command, variant, format and group, with and without --rho 5 and
+    # --eta 1.05, after calls that computed each point: none computes again,
+    # but group two at rho 5 is unclassifiable, and its failing row is redone
+    "warm-grid": [
+        _call("ingest", parsers=1, decode=1, parse=1, moments=1),
+        _call("calibrate", parsers=1, decode=1, project=1, moments=1, **_CAL2),
+        _call("classify --group one", parsers=1, **_ROWS),
+        _call("classify --group one --rho 5", **_BOTH),
+        _call("classify --group two", **_ROWS),
+        *(_call(f"classify --group {group} --eta 1.05", rows=2, checks=(2, 4, 4, 2))
+          for group in ("one", "one --rho 5", "two")),
+        *(_call(" ".join(argv), **(_FAILING if argv[0] == "classify" and {"5", "two"} <= {*argv} else {}))
+          for argv in _WARM_GRID),
+    ],
+    # a named file is read on every call and keyed by its bytes, not its path:
+    # a deleted, invalid or undecodable one fails as in a fresh process; other
+    # line ends or a byte order mark are parsed afresh and print the same; a
+    # same-length edit of the final year or an early one (same keys) does not
+    **{name: [_COPY, _call("classify --dataset copy.csv", **_COLD), _File(path, content),
+              _call(f"classify --dataset {path}", **work)]
+       for name, path, content, work in (
+           ("file-deleted", "copy.csv", None, dict(code=1, err="InputError: dataset file not found")),
+           ("file-invalid", "copy.csv", _BUNDLED.replace(b"\n1890,", b"\n1891,"),
+            dict(code=1, err="MissingYear: line 3", decode=1, parse=1)),
+           ("file-not-utf8", "copy.csv", b"\xff" + _BUNDLED, dict(code=1, err=_NOT_UTF8, decode=1, parse=1)),
+           ("same-bytes-another-path", "second.csv", _BUNDLED, dict(same=0)),
+           ("resaved-crlf", "copy.csv", _BUNDLED.replace(b"\n", b"\r\n"), dict(_NEW, same=0)),
+           ("resaved-bom", "copy.csv", b"\xef\xbb\xbf" + _BUNDLED, dict(_NEW, same=0)),
+           ("resaved-digit", "copy.csv", _final(3450.1), dict(_NEW, differs=0)),
+           ("edited-dataset", "copy.csv", _BUNDLED.replace(b"\n1890,784.3,", b"\n1890,784.4,"),
+            dict(_NEW, differs=0)))},
+    # no error is kept: moments that are not finite fail on every call
+    "no-error-kept": [_File("wide.csv", _WIDE.encode()), *(
+        _call("calibrate --dataset wide.csv", code=2, err=_NON_FINITE, moments=2, **work)
+        for work in (dict(parsers=1, decode=2, parse=1, project=1), {}))],
+    # group two's third row fails at rho 2: a repeat reuses the rows before
+    # it and computes only that one again
+    "failing-point": [
+        _call("classify --rho 2", code=2, err=_FAILING["err"], **dict(_COLD, rows=3, checks=(9, 12, 6, 3))),
+        _call("classify --rho 2", **_FAILING, same=0),
+        _call("classify --rho 1", **_BOTH),
+    ],
+    # points that share all but one field of a key: beta under a fixed eta,
+    # so each row's eta and rho repeat; and the variants of a series whose
+    # final consumption is the projected one, so they share their final
+    "every-key-field": [
+        _call("classify --eta 1.05 --beta 1", **dict(_COLD, rows=2, checks=(8, 10, 4, 2))),
+        _call("classify --eta 1.05 --beta 0.9", calibrate=2, rows=2, checks=(8, 10, 4, 2)),
+        _File("copy.csv", _final(ds.projected_consumption(*ds.load_bundled_projection()))),
+        *(_call(f"classify --dataset copy.csv --group one --variant {variant}", **work) for variant, work in (
+            ("realized", dict(_ONE, decode=1, parse=1, moments=1)), ("projected", dict(_ONE, project=1)),
+            ("both", {}), ("realized --rho 2", _ONE), ("projected --rho 2", _ONE), ("both --rho 2", {}))),
+    ],
+    # the store holds at most _KEPT_RESULTS values and no dataset; a new
+    # series empties it, one that is not full too
+    "bound-series": [
+        _Set("_KEPT_RESULTS", 5), _COPY,
+        _call("calibrate --variant realized", parsers=1, decode=1, parse=1, moments=1, **_CAL1),
+        *(step for population in range(219441872, 219441877) for step in (
+            _projection(population),
+            _call("calibrate --projection projection.csv --dataset copy.csv", **dict(_NEW_CAL, decode=2)),
+            _call("calibrate --projection projection.csv", **dict(_NEW_CAL, parse=0)))),
+        _call("calibrate --variant realized --dataset copy.csv", decode=1, parse=1, moments=1, **_CAL1),
+        _File("other.csv", _TWO_YEARS),
+        _call("ingest --dataset other.csv", parsers=1, decode=1, parse=1, moments=1),
+    ],
+    # more distinct rho values than the bound: a full store is emptied, so a
+    # point computes its variant's moments, or its projected final, again
+    # once an earlier point has emptied them
+    "bound-points": [_Set("_KEPT_RESULTS", 5), *(
+        _call(f"classify --group one --variant {variant} --rho {rho}", **_ONE, **work)
+        for variant, rho, work in (
+            ("realized", 0, dict(parsers=1, decode=1, parse=1, moments=1)),
+            *(("realized", rho, dict(moments=int(rho in (2, 3, 5)))) for rho in range(1, 6)),
+            ("projected", 0, dict(decode=1, project=1, moments=1)),
+            *(("projected", rho, dict(project=1, moments=1)) for rho in (1, 2))))],
+    # the projected final is kept under its four inputs, bundled or from a
+    # file, until the file's numbers change
+    **{f"projection-once-{name}": [
+        _projection(219441872), _call(f"calibrate {flag}", **dict(_NEW_CAL, parsers=1, decode=2)),
+        _call(f"classify {flag}", parsers=1, decode=read, **_ROWS),
+        _call(f"classify --rho 1 {flag}", decode=read, **_BOTH),
+        _call(f"classify --variant projected --format json {flag}", decode=read),
+        _call(f"calibrate {flag}", decode=read, same=0),
+        _projection(219441873),
+        _call(f"calibrate {flag}", **(dict(_CAL1, decode=1, project=1, moments=1, differs=0) if read
+                                      else dict(same=0))),
+    ] for name, flag, read in (("bundled", "", 0), ("file", "--projection projection.csv", 1))},
+    # each switch between the bundled data and a user file builds the new
+    # series afresh; the bundled file itself is parsed once per process
+    "alternating": [
+        _File("copy.csv", _final(3450.1)), _call("classify", **_COLD),
+        _call("classify --dataset copy.csv", **_NEW, differs=0),
+        _call("classify", **dict(_NEW, decode=0, parse=0), same=0),
+        _call("classify --dataset copy.csv", **_NEW, same=1),
+    ],
+    # a user file is read on each call, so an edit between two calls shows in
+    # the second; a RAC_DATASET copy of the bundled file is a user file
+    "user-files": [
+        _File("data.csv", _TWO_YEARS),
+        _call("ingest --dataset data.csv", parsers=1, decode=1, parse=1, moments=1),
+        _File("data.csv", _TWO_YEARS.replace(b"110.0", b"120.0")),
+        _call("ingest --dataset data.csv", decode=1, parse=1, moments=1, differs=0),
+        _COPY, _Set(ENV_DATASET, "copy.csv"), _call("calibrate", **dict(_NEW_CAL, parsers=1, decode=2)),
+        _File("copy.csv", _final(3500.0)), _call("calibrate", **_NEW_CAL, differs=2),
+        _Set(ENV_DATASET, None), _call("calibrate", **_NEW_CAL, same=2),
+        # the file's numbers are the bundled projection's, so its final is kept
+        *(step for variant, population, work in (
+            ("projected", 219441872, dict(parsers=1, rows=1, checks=(1, 2, 2, 1))),
+            ("projected", 2 * 219441872,
+             dict(_CAL1, project=1, moments=1, rows=1, checks=(4, 5, 2, 1), differs=5)),
+            ("both", 2 * 219441872, dict(rows=1, checks=(1, 2, 2, 1))), ("both", 219441872, dict(differs=7)))
+          for step in (_projection(population), _call(
+              f"classify --variant {variant} --eta 0.9 --projection projection.csv", decode=1, **work))),
+    ],
+    # checked values key the store: check_rho makes -0.0 0.0, and a tol of
+    # -0.0 classifies as 0.0 does
+    "negative-zero-rho": [_call("classify --group one --rho 0", **_COLD),
+                          _call("classify --group one --rho -0", same=0)],
+    "negative-zero-tol": [_call("classify", **_COLD), _call("classify --tol 0", **_ROWS),
+                          _call("classify --tol -0", same=1)],
+}
+
+
+@pytest.fixture()
+def work(monkeypatch):
+    """A Counter of each _COUNTED column, its function wrapped wherever a rac
+    module binds it. This module's imports bound the package's PEP 562 names,
+    which cli._rac resolves calibrate_variant and classify_pipeline through."""
+    counts = Counter()
+    owners = [argparse.ArgumentParser, *(m for n, m in sys.modules.items() if n.partition(".")[0] == "rac")]
+    for column, original in _COUNTED.items():
+        def counted(*args, _column=column, _original=original, **kwargs):
+            counts[_column] += len(args[1]) if _column == "moments" else 1
+            return _original(*args, **kwargs)
+        for owner in owners:
+            if vars(owner).get(original.__name__) is original:
+                monkeypatch.setattr(owner, original.__name__, counted)
+    return counts
+
+
+@pytest.mark.parametrize("steps", _REUSE.values(), ids=_REUSE)
+def test_reuse(monkeypatch, tmp_path, work, steps):
+    # twice, each in its own directory: cold, each call from cleared caches;
+    # warm, all in one process, each call printing what it printed cold, doing
+    # its work and leaving the store in its bound, with no dataset and no
+    # moments but its series' own
+    cli = importlib.import_module("rac.cli")
+    for warm in (False, True):
+        with monkeypatch.context() as patch:
+            where = tmp_path / str(warm)
+            where.mkdir()
+            patch.chdir(where)
+            patch.delenv(ENV_DATASET, raising=False)
+            _clear_caches()
+            outcomes = []
+            for step in steps:
+                if type(step) is _File and step.content is None:
+                    (where / step.name).unlink()
+                elif type(step) is _File:
+                    (where / step.name).write_bytes(step.content)
+                elif type(step) is _Set and step.value is None:
+                    patch.delenv(step.name)
+                elif type(step) is _Set:
+                    patch.setitem(os.environ if step.name == ENV_DATASET else vars(cli), *step)
+                else:
+                    if not warm:
+                        _clear_caches()
+                    work.clear()
+                    outcomes.append(got := _outcome(step.argv))
+                    if not warm:
+                        continue
+                    n, ((_, code), out, err) = len(outcomes) - 1, got
+                    at = f"call {n}: rac {' '.join(step.argv)}"
+                    assert got == cold[n] and dict(work) == step.work, at
+                    assert (code, out if step.code else err) == (step.code, ""), at
+                    assert err.startswith(f"error: {step.err}" if step.code else ""), at
+                    assert step.same is None or got == outcomes[step.same], at
+                    assert step.differs is None or got != outcomes[step.differs], at
+                    series, store = cli._SERIES.series, cli._SERIES.store
+                    kept = {final: m for final, m in store.items() if type(final) is float}
+                    assert len(store) <= cli._KEPT_RESULTS, at
+                    assert not any(isinstance(value, ds.MarketDataset) for value in store.values()), at
+                    assert not kept or [*kept.values()] == compute_variant_moments(series, [*kept]), at
+        cold = outcomes
 
 
 def test_a_command_parses_its_words_once(capsys, monkeypatch):
@@ -1004,85 +1175,6 @@ def test_a_command_parses_its_words_once(capsys, monkeypatch):
     assert [run(capsys, *argv) for argv in _WARM_GRID] == before
 
 
-@pytest.mark.parametrize("fault", ["deleted", "invalid", "not-utf8"])
-def test_kept_series_never_outlives_its_file(capsys, bundled_copy, fault):
-    # the file is read on every call: after a run that keeps its series, a
-    # deleted, invalid or undecodable file fails as it does in a fresh process
-    argv = ["classify", "--dataset", str(bundled_copy)]
-    assert run(capsys, *argv)[0] == 0
-    content = bundled_copy.read_bytes()
-    if fault == "deleted":
-        bundled_copy.unlink()
-    elif fault == "invalid":
-        bundled_copy.write_bytes(content.replace(b"\n1890,", b"\n1891,"))
-    else:
-        bundled_copy.write_bytes(b"\xff" + content)
-    warm = run(capsys, *argv)
-    _clear_caches()
-    cold = run(capsys, *argv)
-    assert warm == cold
-    assert cold[:2] == (1, "")
-    message = {"deleted": "InputError: dataset file not found", "invalid": "MissingYear: line 3",
-               "not-utf8": "SchemaError: file is not UTF-8 text (invalid start byte at offset 0)"}
-    assert cold[2].startswith(f"error: {message[fault]}")
-
-
-def _count_loads(monkeypatch):
-    """The list that each later ds.load_dataset call appends its argument to."""
-    loads = []
-    load = ds.load_dataset
-    monkeypatch.setattr(ds, "load_dataset", lambda source: loads.append(source) or load(source))
-    return loads
-
-
-def test_same_bytes_under_another_path_is_a_hit(capsys, monkeypatch, tmp_path, bundled_copy):
-    # the key is the file's bytes, not its path: a copy is not parsed again
-    assert run(capsys, "classify", "--dataset", str(bundled_copy))[0] == 0
-    copy = tmp_path / "second.csv"
-    copy.write_bytes(bundled_copy.read_bytes())
-    loads = _count_loads(monkeypatch)
-    warm = run(capsys, "classify", "--dataset", str(copy))
-    assert loads == []
-    _clear_caches()
-    assert warm == run(capsys, "classify", "--dataset", str(copy))
-    assert warm[0] == 0
-
-
-@pytest.mark.parametrize("resave", ["crlf", "bom", "digit"])
-def test_other_bytes_are_parsed_afresh(capsys, monkeypatch, bundled_copy, resave):
-    # a re-save with other line ends or a byte order mark, and a same-length
-    # edit (which a size or mtime key would miss), are parsed again and give
-    # the output a fresh process gives
-    argv = ["classify", "--dataset", str(bundled_copy), "--format", "json"]
-    kept = run(capsys, *argv)
-    content = bundled_copy.read_bytes()
-    edited = {"crlf": content.replace(b"\n", b"\r\n"), "bom": b"\xef\xbb\xbf" + content,
-              "digit": content.replace(b"\n1978,3450.0,", b"\n1978,3450.1,")}[resave]
-    assert edited != content
-    bundled_copy.write_bytes(edited)
-    loads = _count_loads(monkeypatch)
-    warm = run(capsys, *argv)
-    assert len(loads) == 1
-    _clear_caches()
-    assert warm == run(capsys, *argv)
-    assert warm[0] == kept[0] == 0
-    # the same numbers in other bytes give the same report; an edited one does not
-    assert (warm == kept) is (resave != "digit")
-
-
-def test_a_hit_neither_decodes_nor_parses(capsys, monkeypatch, bundled_copy):
-    argv = ["classify", "--dataset", str(bundled_copy)]
-    kept = run(capsys, *argv)
-
-    def fail(*args):
-        raise AssertionError("a kept series was decoded or parsed again")
-
-    for name in ("read_text", "load_dataset"):
-        monkeypatch.setattr(ds, name, fail)
-    assert run(capsys, *argv) == kept
-    assert kept[0] == 0
-
-
 def test_a_hit_does_not_copy_the_file(capsys, tmp_path):
     # a hit compares the file with the kept bytes chunk by chunk: its memory
     # peak is one chunk and the report, not the file's size
@@ -1105,152 +1197,6 @@ def test_a_hit_does_not_copy_the_file(capsys, tmp_path):
     assert peak < 2**20
 
 
-def test_no_error_is_kept(capsys, tmp_path):
-    # a series whose moments are not finite fails on every call, not only the first
-    path = tmp_path / "wide.csv"
-    path.write_text(HEADER + "\n1900,1e300,1.05,1.01\n1901,1e-300,1.05,1.01\n")
-    for _ in range(2):
-        code, out, err = run(capsys, "calibrate", "--dataset", str(path))
-        assert (code, out) == (2, "")
-        assert err.startswith("error: NonFiniteMoment: ")
-
-
-def test_a_failing_point_is_not_kept(capsys, monkeypatch):
-    # classify --rho 2 fails in group two's table: a second call reuses the
-    # rows kept before the failing one, computes that one again and raises
-    # the same error; the next point prints what a fresh process prints
-    cli = importlib.import_module("rac.cli")
-    calls = []
-    pipeline = cli._rac.classify_pipeline
-    monkeypatch.setattr(cli._rac, "classify_pipeline",
-                        lambda *args, **kwargs: calls.append(args) or pipeline(*args, **kwargs))
-    _clear_caches()
-    first = run(capsys, "classify", "--rho", "2")
-    computed = len(calls)
-    assert run(capsys, "classify", "--rho", "2") == first
-    assert first[:2] == (2, "") and first[2].startswith("error: Unclassifiable: group two: ")
-    assert len(calls) == computed + 1
-    warm = run(capsys, "classify", "--rho", "1")
-    _clear_caches()
-    assert warm == run(capsys, "classify", "--rho", "1")
-    assert warm[0] == 0
-
-
-def test_an_edited_dataset_drops_its_kept_results(capsys, bundled_copy):
-    # a same-size edit of an early year keeps the final consumption, so each
-    # variant's key is unchanged; the results kept for the old content go
-    # with its series, and the second call prints what a fresh process prints
-    argv = ["classify", "--dataset", str(bundled_copy), "--format", "json"]
-    kept = run(capsys, *argv)
-    content = bundled_copy.read_bytes()
-    edited = content.replace(b"\n1890,784.3,", b"\n1890,784.4,")
-    assert edited != content and len(edited) == len(content)
-    bundled_copy.write_bytes(edited)
-    warm = run(capsys, *argv)
-    _clear_caches()
-    assert warm == run(capsys, *argv)
-    assert warm[0] == kept[0] == 0 and warm != kept
-
-
-def test_kept_results_part_on_every_key_field(capsys, tmp_path):
-    # points that share all but one field of a result key, run in one
-    # process: beta under a fixed --eta, so each row's eta and rho repeat;
-    # and the two variants of a series whose last consumption is the
-    # projected one, so one kept variant serves both, at the anchor rho and
-    # at a fixed one. Each prints what a fresh process prints
-    final = ds.projected_consumption(*ds.load_bundled_projection())
-    path = tmp_path / "final-projected.csv"
-    path.write_bytes(serialize_dataset(ds.with_final_consumption(load_bundled_dataset(), final)))
-    assert ds.load_dataset(path).consumption[-1] == final
-    argvs = [*(["classify", "--eta", "1.05", "--beta", beta] for beta in ("1", "0.9")),
-             *(["classify", "--dataset", str(path), "--group", "one", "--variant", variant, *rho]
-               for rho in ([], ["--rho", "2"]) for variant in ("realized", "projected", "both"))]
-    cold = []
-    for argv in argvs:
-        _clear_caches()
-        cold.append(run(capsys, *argv))
-    _clear_caches()
-    assert [run(capsys, *argv) for argv in argvs] == cold
-    assert {code for code, _, _ in cold} == {0}
-
-
-def test_kept_variants_do_not_grow(capsys, monkeypatch, tmp_path, bundled_copy):
-    # one series is kept, bundled or user, and one store of what was computed
-    # from it: however many datasets and projection files a process reads, the
-    # store stays within _KEPT_RESULTS, keeps no dataset copy, and every call
-    # prints what a cleared process prints; a new series empties the store
-    cli = importlib.import_module("rac.cli")
-    monkeypatch.setattr(cli, "_KEPT_RESULTS", 5)
-    argvs = []
-    for population in range(219441872, 219441872 + 5):
-        proj = tmp_path / f"projection-{population}.csv"
-        proj.write_text(f"{PROJECTION_HEADER}\n515.4,613.7,150,{population}\n")
-        for dataset in ([], ["--dataset", str(bundled_copy)]):
-            argvs.append(["calibrate", "--projection", str(proj), *dataset])
-    cold = []
-    for argv in argvs:
-        cli._SERIES.cache_clear()
-        cold.append(run(capsys, *argv))
-    cli._SERIES.cache_clear()
-    for argv, want in zip(argvs, cold):
-        assert run(capsys, *argv) == want
-        assert len(cli._SERIES.store) <= 5
-        assert not any(isinstance(value, ds.MarketDataset) for value in cli._SERIES.store.values())
-    assert {code for code, _, _ in cold} == {0}
-    cli._SERIES.cache_clear()
-    assert run(capsys, "calibrate", "--variant", "realized")[0] == 0
-    assert 0 < len(cli._SERIES.store) < 5  # the new series finds a store that is not full
-    other = tmp_path / "other.csv"
-    other.write_text(HEADER + "\n1900,100.0,1.05,1.01\n1901,110.0,1.05,1.01\n")
-    assert run(capsys, "ingest", "--dataset", str(other))[0] == 0
-    assert cli._SERIES.data == other.read_bytes()
-    assert list(cli._SERIES.store) == [110.0]
-
-
-def test_kept_results_are_bounded_per_variant(capsys, monkeypatch):
-    # more distinct rho values than the bound allows, on both variants: the
-    # one store holds at most _KEPT_RESULTS values, emptied when full, and
-    # every point prints what a cleared process prints
-    cli = importlib.import_module("rac.cli")
-    monkeypatch.setattr(cli, "_KEPT_RESULTS", 5)
-    argvs = [["classify", "--rho", str(rho), "--group", "one", "--variant", variant]
-             for variant in ("realized", "projected") for rho in range(12)]
-    cold = []
-    for argv in argvs:
-        cli._SERIES.cache_clear()
-        cold.append(run(capsys, *argv))
-    cli._SERIES.cache_clear()
-    sizes = set()
-    for argv, want in zip(argvs, cold):
-        assert run(capsys, *argv) == want
-        sizes.add(len(cli._SERIES.store))
-    assert max(sizes) == 5
-    assert {code for code, _, _ in cold} == {0}
-
-
-@pytest.mark.parametrize("projection", [[], ["--projection", "projection.csv"]],
-                         ids=["bundled", "file"])
-def test_a_repeated_projection_is_computed_once(capsys, monkeypatch, tmp_path, projection):
-    # the projected final is kept under its inputs: after the first call, no
-    # point computes it again while the bundled or named projection is unchanged
-    monkeypatch.chdir(tmp_path)
-    path = tmp_path / "projection.csv"
-    path.write_text(f"{PROJECTION_HEADER}\n515.4,613.7,150,219441872\n")
-    calls = []
-    project = ds.projected_consumption
-    monkeypatch.setattr(ds, "projected_consumption", lambda *args: calls.append(args) or project(*args))
-    _clear_caches()
-    argvs = [["calibrate"], ["classify"], ["classify", "--rho", "1"],
-             ["classify", "--variant", "projected", "--format", "json"], ["calibrate"]]
-    outcomes = [run(capsys, *argv, *projection) for argv in argvs]
-    assert len(calls) == 1
-    assert {code for code, _, _ in outcomes} == {0}
-    if projection:  # an edited file is computed afresh
-        path.write_text(f"{PROJECTION_HEADER}\n515.4,613.7,150,219441873\n")
-        assert run(capsys, "calibrate", *projection)[0] == 0
-        assert len(calls) == 2
-
-
 def test_clear_caches_empties_every_store(capsys):
     # after runs that fill each per-process store, _clear_caches leaves no
     # parser, bundled input, series or kept value, so a cache it does not
@@ -1267,68 +1213,6 @@ def test_clear_caches_empties_every_store(capsys):
     assert set(cached) >= {"make_parser", "command_parser", "load_bundled_dataset",
                            "load_bundled_projection"}
     assert set(cached.values()) == {0}, cached
-
-
-def test_alternating_bundled_and_user_series(capsys, bundled_copy):
-    # each switch between the bundled data and a user file builds the new
-    # series afresh, and the slot then holds the last series and only the
-    # moments computed from it
-    cli = importlib.import_module("rac.cli")
-    bundled_copy.write_bytes(
-        bundled_copy.read_bytes().replace(b"\n1978,3450.0,", b"\n1978,3450.1,")
-    )
-    argvs = [["classify", "--format", "json"],
-             ["classify", "--dataset", str(bundled_copy), "--format", "json"]] * 2
-    cold = []
-    for argv in argvs:
-        _clear_caches()
-        cold.append(run(capsys, *argv))
-    _clear_caches()
-    assert [run(capsys, *argv) for argv in argvs] == cold
-    assert [code for code, _, _ in cold] == [0] * 4 and cold[0] != cold[1]
-    user = ds.load_dataset(bundled_copy)
-    assert cli._SERIES.data == bundled_copy.read_bytes() and cli._SERIES.series == user
-    moments = {key: value for key, value in cli._SERIES.store.items() if type(key) is float}
-    assert len(moments) == 2
-    assert moments == dict(zip(moments, compute_variant_moments(user, list(moments))))
-
-
-def test_user_files_read_on_every_call(capsys, monkeypatch, tmp_path, bundled_copy):
-    # files the user names are read again on each call, so an edit between
-    # two calls in one process shows in the second output
-    data = tmp_path / "data.csv"
-    data.write_text(HEADER + "\n1900,100.0,1.05,1.01\n1901,110.0,1.05,1.01\n")
-    first = run(capsys, "ingest", "--dataset", str(data), "--format", "json")
-    data.write_text(HEADER + "\n1900,100.0,1.05,1.01\n1901,120.0,1.05,1.01\n")
-    second = run(capsys, "ingest", "--dataset", str(data), "--format", "json")
-    assert json.loads(first[1])["moments"]["mean_x"] == pytest.approx(1.1)
-    assert json.loads(second[1])["moments"]["mean_x"] == pytest.approx(1.2)
-
-    # a RAC_DATASET copy of the bundled file is a user file, not the bundled
-    # data, although it holds the same numbers
-    monkeypatch.setenv(ENV_DATASET, str(bundled_copy))
-    argv = ["calibrate", "--format", "json"]
-    first = run(capsys, *argv)
-    bundled = load_bundled_dataset()
-    bundled_copy.write_bytes(serialize_dataset(ds.with_final_consumption(bundled, 3500.0)))
-    second = run(capsys, *argv)
-    monkeypatch.delenv(ENV_DATASET)
-    assert first == run(capsys, *argv)
-    assert first[0] == second[0] == 0 and first[1] != second[1]
-
-    proj = tmp_path / "projection.csv"
-    for variant in ("projected", "both"):
-        argv = ["classify", "--variant", variant, "--eta", "0.9", "--format", "json",
-                "--projection", str(proj)]
-        rows = []
-        for population in (219441872, 2 * 219441872):
-            proj.write_text(f"{PROJECTION_HEADER}\n515.4,613.7,150,{population}\n")
-            code, out, _ = run(capsys, *argv)
-            assert code == 0
-            rows.append({row["year_uncertain"]: row["consumption_uncertain_exact"]
-                         for row in json.loads(out)["classifications"]})
-        assert rows[1]["1978 (projected)"] == pytest.approx(rows[0]["1978 (projected)"] / 2)
-        assert rows[0].get("1978 (realized)") == rows[1].get("1978 (realized)")
 
 
 # -- start-up -----------------------------------------------------------------
@@ -1399,38 +1283,3 @@ def test_a_cold_command_loads_only_what_it_uses(tmp_path, bundled_copy):
     assert (probe.returncode, probe.stderr) == (0, "")
     assert probe.stdout.splitlines() == [
         f"{code} {loaded} {parsers}" for _, code, loaded, parsers in _COLD_START_TABLE]
-
-
-def test_default_classify_check_counts(capsys, monkeypatch):
-    # every rac binding of each check_* is counted; the CLI passes its
-    # checked values on, and each public function checks its own arguments.
-    # A cold call computes each calibration and row; an identical second
-    # call reuses what its variants kept, so it checks nothing
-    from rac.calibration import check_beta, check_rho
-    from rac.classify import check_tol
-    from rac.utility import check_eta
-
-    checks = {f.__name__: f for f in (check_beta, check_rho, check_eta, check_tol)}
-    counts = dict.fromkeys(checks, 0)
-
-    def counted(name):
-        def check(value):
-            counts[name] += 1
-            return checks[name](value)
-        return check
-
-    rac_modules = [m for n, m in sys.modules.items() if n == "rac" or n.startswith("rac.")]
-    for module in rac_modules:
-        for name, original in checks.items():
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counted(name))
-    _clear_caches()
-    cold = run(capsys, "classify")
-    assert cold[0] == 0
-    # 2 variants x (solve_system, the closed form, system_residuals) check
-    # beta and rho; 4 investor rows x uncertain_utility check beta once more,
-    # UtilitySpec and curvature_from_rho rho twice, the allocation sign and
-    # uncertain_utility eta twice, and classify tol once
-    assert counts == {"check_beta": 10, "check_rho": 14, "check_eta": 8, "check_tol": 4}
-    assert run(capsys, "classify") == cold
-    assert counts == {"check_beta": 10, "check_rho": 14, "check_eta": 8, "check_tol": 4}
