@@ -1,6 +1,7 @@
 """CLI behavior: subcommands, config precedence, exit codes, determinism, and
 what a repeated call in one process may skip: _REUSE, one table of scenarios
-that test_reuse plays cold and warm, counting the work of each call."""
+that test_reuse plays cold and warm, counting the work of each call, and four
+tests named for their rule that play one scenario each."""
 
 import argparse
 import contextlib
@@ -954,17 +955,6 @@ def _projection(population):
 
 # Each scenario of repeated calls in one process, and what each call may skip
 _REUSE = {
-    # the bundled data, a projection file and a user copy of the bundled
-    # file, each run twice: a repeat builds no parser and reads no kept input
-    "moments-once": [
-        _call("classify", **_COLD), _call("classify", same=0),
-        _projection(219000000),
-        _call("classify --projection projection.csv", decode=1, project=1, moments=1, **_ONE),
-        _projection(219000000), _call("classify --projection projection.csv", decode=1, same=2),
-        _COPY, _call("classify --dataset copy.csv", **_NEW, same=0),
-        _COPY, _call("classify --dataset copy.csv", same=0),
-        _File("copy.csv", _final(3500.0)), _call("classify --dataset copy.csv", **_NEW, differs=0),
-    ],
     # every command, variant, format and group, with and without --rho 5 and
     # --eta 1.05, after calls that computed each point: none computes again,
     # but group two at rho 5 is unclassifiable, and its failing row is redone
@@ -1106,12 +1096,11 @@ def work(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("steps", _REUSE.values(), ids=_REUSE)
-def test_reuse(monkeypatch, tmp_path, work, steps):
-    # twice, each in its own directory: cold, each call from cleared caches;
-    # warm, all in one process, each call printing what it printed cold, doing
-    # its work and leaving the store in its bound, with no dataset and no
-    # moments but its series' own
+def _play(monkeypatch, tmp_path, work, steps):
+    """Play a scenario twice, each in its own directory: cold, each call from
+    cleared caches; warm, all in one process, each call printing what it
+    printed cold, doing its work and leaving the store in its bound, with no
+    dataset and no moments but its series' own."""
     cli = importlib.import_module("rac.cli")
     for warm in (False, True):
         with monkeypatch.context() as patch:
@@ -1150,6 +1139,49 @@ def test_reuse(monkeypatch, tmp_path, work, steps):
                     assert not any(isinstance(value, ds.MarketDataset) for value in store.values()), at
                     assert not kept or [*kept.values()] == compute_variant_moments(series, [*kept]), at
         cold = outcomes
+
+
+@pytest.mark.parametrize("steps", _REUSE.values(), ids=_REUSE)
+def test_reuse(monkeypatch, tmp_path, work, steps):
+    _play(monkeypatch, tmp_path, work, steps)
+
+
+def test_default_classify_check_counts(monkeypatch, tmp_path, work):
+    # a cold classify checks each value it computes with (the counts in
+    # _COLD); an identical second call reuses what it kept and checks nothing
+    _play(monkeypatch, tmp_path, work, [_call("classify", **_COLD), _call("classify", same=0)])
+
+
+def test_warm_main_rebuilds_nothing(monkeypatch, tmp_path, work):
+    # each command's parser and the bundled inputs are built once per
+    # process: a repeat of each command builds no parser and reads nothing
+    _play(monkeypatch, tmp_path, work, [
+        _call("ingest", parsers=1, decode=1, parse=1, moments=1), _call("ingest", same=0),
+        _call("calibrate", parsers=1, decode=1, project=1, moments=1, **_CAL2), _call("calibrate", same=2),
+        _call("classify", parsers=1, **_ROWS), _call("classify", same=4),
+    ])
+
+
+def test_bundled_moments_computed_once_per_process(monkeypatch, tmp_path, work):
+    # the bundled variants' moments are computed once per process, and a
+    # projection file's variant once per projected value, however often the
+    # same content is read
+    _play(monkeypatch, tmp_path, work, [
+        _call("classify", **_COLD), _projection(219000000),
+        _call("classify --projection projection.csv", decode=1, project=1, moments=1, **_ONE),
+        _projection(219000000), _call("classify --projection projection.csv", decode=1, same=1),
+    ])
+
+
+def test_a_hit_neither_decodes_nor_parses(monkeypatch, tmp_path, work):
+    # a user copy of the bundled file prints what the bundled data prints;
+    # the same bytes written again are neither decoded nor parsed, and an
+    # edit of the final year is parsed afresh
+    _play(monkeypatch, tmp_path, work, [
+        _call("classify", **_COLD), _COPY, _call("classify --dataset copy.csv", **_NEW, same=0),
+        _COPY, _call("classify --dataset copy.csv", same=0),
+        _File("copy.csv", _final(3500.0)), _call("classify --dataset copy.csv", **_NEW, differs=0),
+    ])
 
 
 def test_a_command_parses_its_words_once(capsys, monkeypatch):
