@@ -22,9 +22,10 @@ whatever rho is. An exact root of all three equations exists only when the
 gap is zero, and then every rho is one.
 
 rho is therefore taken as given and never searched. solve_system raises
-DegenerateSystem for a zero gap, rather than picking an arbitrary member of
-the solution family; otherwise it returns the closed-form factors at the
-caller's rho, with residuals (0, 0, gap) up to rounding. RHO_ANCHORS carries
+DegenerateSystem for a gap below DEGENERACY_TOL in magnitude, rather than
+picking an arbitrary member of the solution family; otherwise it returns
+the closed-form factors at the caller's rho, with residuals (0, 0, gap) up
+to rounding. RHO_ANCHORS carries
 the published reference values for the two variants of the bundled dataset,
 and calibrate_variant passes them on unless the caller overrides rho.
 Overriding rho changes zeta and xi only through the slowly varying closed

@@ -7,9 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from _frozen_reference import FROZEN
 from rac import (
-    RHO_ANCHORS,
     SampleMoments,
     SufficiencyFactors,
     UtilitySpec,
@@ -158,12 +156,6 @@ def test_closed_form_trivial_xi():
     assert f.zeta == 1.0
 
 
-def test_closed_form_bundled_anchor(variant_moments):
-    f = solve_closed_form_given_rho(1.033526, 0.99, variant_moments["realized"])
-    assert abs(f.zeta - 0.961745) < 1e-2
-    assert abs(f.xi - 1.019392) < 1e-2
-
-
 def test_xi_monotone_in_rho_direction():
     rng = np.random.default_rng(13)
     h = 1e-5
@@ -181,20 +173,6 @@ def test_xi_monotone_in_rho_direction():
 
 
 # -- solve_system -------------------------------------------------------------
-
-def test_solve_bundled_realized(variant_moments):
-    m = variant_moments["realized"]
-    result = solve_system(0.99, m, rho=1.033526)
-    blk = FROZEN["realized"]
-    assert result.rho == 1.033526
-    assert math.isclose(result.factors.zeta, blk["zeta"], rel_tol=1e-12)
-    assert math.isclose(result.factors.xi, blk["xi"], rel_tol=1e-12)
-    assert abs(result.residuals[0]) <= 1e-12
-    assert abs(result.residuals[1]) <= 1e-12
-    # r_C carries the absolute rounding floor of O(1e-2) log differences,
-    # so compare against the analytic gap in absolute terms
-    assert abs(result.residuals[2] - result.consistency_gap) <= 1e-12
-
 
 def test_solve_resubstitution_idempotent(variant_moments):
     m = variant_moments["projected"]
@@ -217,17 +195,6 @@ def test_tiny_gap_accepted_as_root():
 
 
 # -- calibrate_variant --------------------------------------------------------
-
-def test_variant_anchors(variant_moments):
-    realized = calibrate_variant(variant_moments["realized"], 0.99, Variant.REALIZED)
-    projected = calibrate_variant(
-        variant_moments["projected"], 0.99, Variant.PROJECTED
-    )
-    assert realized.rho == RHO_ANCHORS[Variant.REALIZED] == 1.033526
-    assert projected.rho == RHO_ANCHORS[Variant.PROJECTED] == 1.0089
-    assert math.isclose(projected.factors.zeta, FROZEN["projected"]["zeta"], rel_tol=1e-12)
-    assert math.isclose(projected.factors.xi, FROZEN["projected"]["xi"], rel_tol=1e-12)
-
 
 def test_variant_rho_override(variant_moments):
     result = calibrate_variant(

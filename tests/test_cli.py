@@ -1,7 +1,11 @@
-"""CLI behavior: subcommands, config precedence, exit codes, determinism, and
-what a repeated call in one process may skip: _REUSE, one table of scenarios
-that test_reuse plays cold and warm, counting the work of each call, and four
-tests named for their rule that play one scenario each."""
+"""CLI behavior: subcommands, exit codes, and two tables. _SOURCES holds
+where each run option's value comes from (flag, config key, RAC_DATASET,
+default): test_source runs each row and compares its outcome with that of a
+plain argv. _REUSE holds what a repeated call in one process may skip:
+test_reuse plays each scenario cold and warm, counting the work of each
+call, and four tests named for their rule play one scenario each. What a
+command prints is pinned by the golden cases and the digest in
+test_golden.py, not here."""
 
 import argparse
 import contextlib
@@ -40,42 +44,6 @@ def run(capsys, *argv):
 
 # -- ingest -------------------------------------------------------------------
 
-def test_ingest_default(capsys):
-    code, out, err = run(capsys, "ingest")
-    assert code == 0
-    assert "90 years, 1889-1978" in out
-    assert "mean gross consumption growth 1.018000" in out
-    assert err == ""
-
-
-def test_ingest_json(capsys):
-    code, out, _ = run(capsys, "ingest", "--format", "json")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["years"] == 90
-    assert doc["start_year"] == 1889
-    assert doc["end_year"] == 1978
-    assert abs(doc["moments"]["mean_x"] - 1.018) < 1e-3
-    assert list(doc["moments"]) == [
-        "mu_x", "sigma2_x", "mean_x", "mean_Re", "mean_Rf", "mu_z", "sigma2_z"
-    ]
-
-
-def test_ingest_env_var_dataset(capsys, monkeypatch, bundled_copy):
-    code_default, out_default, _ = run(capsys, "ingest")
-    monkeypatch.setenv(ENV_DATASET, str(bundled_copy))
-    code_env, out_env, _ = run(capsys, "ingest")
-    assert (code_default, code_env) == (0, 0)
-    assert out_env == out_default
-
-
-def test_ingest_flag_beats_env(capsys, monkeypatch, bundled_copy, gapped_file):
-    monkeypatch.setenv(ENV_DATASET, str(gapped_file))
-    code, out, _ = run(capsys, "ingest", "--dataset", str(bundled_copy))
-    assert code == 0
-    assert "90 years" in out
-
-
 @pytest.mark.parametrize(
     "flags",
     [["--projection", "/no/such.csv", "--variant", "projected"],
@@ -92,47 +60,7 @@ def test_ingest_rejects_projection_and_variant(capsys, flags):
     assert f"error: unrecognized arguments: {' '.join(flags)}\n" in captured.err
 
 
-def test_empty_env_dataset_is_unset(capsys, monkeypatch):
-    # RAC_DATASET="" falls back to the bundled series, not to the path "" (the cwd)
-    expected = run(capsys, "ingest")
-    monkeypatch.setenv(ENV_DATASET, "")
-    assert run(capsys, "ingest") == expected
-    assert expected[0] == 0
-
-
 # -- calibrate ----------------------------------------------------------------
-
-def test_calibrate_text(capsys):
-    code, out, _ = run(capsys, "calibrate")
-    assert code == 0
-    assert "realized: zeta 0.961746, xi 1.019366, rho 1.033526" in out
-    assert "projected: zeta 0.961275, xi 1.018902, rho 1.008900" in out
-    assert "consistency gap" in out
-
-
-def test_calibrate_json(capsys):
-    code, out, _ = run(capsys, "calibrate", "--format", "json")
-    assert code == 0
-    doc = json.loads(out)
-    cal = doc["calibration"]
-    assert set(cal) == {"realized", "projected"}
-    assert cal["realized"]["rho"] == 1.033526
-    assert cal["projected"]["rho"] == 1.0089
-    assert abs(cal["realized"]["zeta"] - 0.961745) < 1e-2
-    assert abs(cal["realized"]["xi"] - 1.019392) < 1e-2
-    assert len(cal["realized"]["residuals"]) == 3
-
-
-def test_calibrate_csv(capsys):
-    code, out, _ = run(capsys, "calibrate", "--format", "csv")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "variant,zeta,xi,rho,residual_a,residual_b,residual_c,consistency_gap"
-    assert len(lines) == 3
-    first = lines[1].split(",")
-    assert first[0] == "realized"
-    assert abs(float(first[1]) - 0.961745) < 1e-2
-
 
 def test_calibrate_single_variant(capsys):
     code, out, _ = run(capsys, "calibrate", "--variant", "realized", "--format", "json")
@@ -146,27 +74,7 @@ def test_range_endpoints_accepted(capsys, name, value):
     assert (code, err) == (0, "")
 
 
-@pytest.mark.parametrize("fmt", ["text", "json"])
-def test_negative_zero_rho_is_zero(capsys, tmp_path, fmt):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"rho": -0.0}))
-    zero = run(capsys, "calibrate", "--format", fmt, "--rho", "0")
-    assert zero[0] == 0
-    assert run(capsys, "calibrate", "--format", fmt, "--rho", "-0") == zero
-    assert run(capsys, "calibrate", "--format", fmt, "--config", str(config)) == zero
-
-
 # -- classify -----------------------------------------------------------------
-
-def test_classify_default_labels(capsys):
-    code, out, _ = run(capsys, "classify")
-    assert code == 0
-    assert "Equity investors (eta = zeta)" in out
-    assert "Risk-free investors (eta = xi)" in out
-    assert out.count("Risk-averse") == 2
-    assert out.count("Not enough risk-loving") == 2
-    assert "7.103787" in out
-
 
 @pytest.mark.parametrize("variant", ["realized", "projected"])
 @pytest.mark.parametrize("rho", ["0", "0.5", "1.4", "1.42", "26.3", "26.7", "27.1"])
@@ -184,28 +92,6 @@ def test_headline_labels_hold_only_inside_the_two_rho_intervals(capsys, variant,
         labels = [r["label_text"] for r in json.loads(out)["classifications"]]
         risk_free = "Risk-averse" if rho == "27.1" else "Not enough risk-loving"
         assert labels == ["Risk-averse", risk_free]
-
-
-def test_classify_json(capsys):
-    code, out, _ = run(capsys, "classify", "--format", "json")
-    assert code == 0
-    doc = json.loads(out)
-    assert set(doc["calibration"]) == {"realized", "projected"}
-    rows = doc["classifications"]
-    assert [r["investor"] for r in rows] == ["equity", "equity", "risk-free", "risk-free"]
-    assert [r["label_text"] for r in rows] == [
-        "Risk-averse", "Risk-averse",
-        "Not enough risk-loving", "Not enough risk-loving",
-    ]
-    assert all(r["year_certain"] == 1977 for r in rows)
-
-
-def test_classify_csv(capsys):
-    code, out, _ = run(capsys, "classify", "--format", "csv")
-    assert code == 0
-    rows = parse_csv(out)
-    assert len(rows) == 4
-    assert {r.label_text for r in rows} == {"Risk-averse", "Not enough risk-loving"}
 
 
 @pytest.mark.parametrize(
@@ -251,13 +137,6 @@ def test_classify_group_one_same_labels(capsys):
     assert code == 0
     assert out.count("Risk-averse") == 2
     assert out.count("Not enough risk-loving") == 2
-
-
-def test_ingest_reads_no_projection(capsys, tmp_path):
-    # the config keys are shared, and ingest does not read the projection one
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"projection": "/no/such.csv"}))
-    assert run(capsys, "ingest", "--config", str(config)) == run(capsys, "ingest")
 
 
 def test_classify_custom_eta_table(capsys):
@@ -306,97 +185,110 @@ def test_run_calibrate_stops_before_classifying():
         _run_phases("classify", "--rho", "2")
 
 
-# -- config file --------------------------------------------------------------
+# -- where each run option's value comes from --------------------------------
 
-@pytest.fixture()
-def option_files(tmp_path, bundled_copy):
-    """Named input files: the bundled dataset, a 30-row prefix of it, and two
-    projections."""
-    short = tmp_path / "short.csv"
-    short.write_text("".join(bundled_copy.read_text().splitlines(keepends=True)[:31]))
-    projection = tmp_path / "projection.csv"
-    projection.write_text(PROJECTION_HEADER + "\n515.4,613.7,150,219441872\n")
-    other = tmp_path / "other_projection.csv"
-    other.write_text(PROJECTION_HEADER + "\n600.1,700.2,160,220000000\n")
-    return {"copy": str(bundled_copy), "short": str(short), "projection": str(projection),
-            "other": str(other)}
-
-
-# per run option: a command (with any flag it needs for the option to show),
-# a value other than the default and a second value with another output
+# per run option: a command (with any flag it needs for the option to show), a
+# value other than the default, a second value with another output, and the
+# default, or None where it is no one value (eta: each calibrated factor; rho:
+# each variant's, in the default-rho rows). Each value is as a config gives it,
+# and its str() is the flag's word.
 _PRECEDENCE = {
-    "dataset": (["ingest"], "short", "copy"),
-    "projection": (["calibrate", "--format", "json"], "other", "projection"),
-    "beta": (["calibrate"], "0.5", "0.9"),
-    "group": (["classify", "--rho", "0"], "one", "two"),
-    "tol": (["classify"], "10.0", "0"),
-    "variant": (["calibrate"], "realized", "projected"),
-    "eta": (["classify"], "0.9", "1.05"),
-    "rho": (["calibrate"], "2", "3"),
-    "format": (["calibrate"], "csv", "json"),
+    "dataset": ("ingest", "short.csv", "copy.csv", "copy.csv"),
+    "projection": ("calibrate --format json", "other.csv", "projection.csv", "projection.csv"),
+    "beta": ("calibrate", 0.5, 0.9, 0.99),
+    "group": ("classify --rho 0", "one", "two", "two"),
+    "tol": ("classify", 10.0, 0, 1e-9),
+    "variant": ("calibrate", "realized", "projected", "both"),
+    "eta": ("classify", 0.9, 1.05, None),
+    "rho": ("calibrate", 2, 3, None),
+    "format": ("calibrate", "csv", "json", "text"),
+}
+
+# Where a run option's value comes from: flag > config key > RAC_DATASET
+# (dataset only) > default. Each row runs argv with RAC_DATASET set to `env`
+# (unset when None) and config.json holding `config` (absent when None); its
+# outcome is that of the plain argv `same`, run with neither, and not that of
+# `differs` (when named), which shows that the source decided something.
+_SOURCES = {
+    # the config gives the flag's value, and the flag beats the config
+    **{f"config-{name}": (None, json.dumps({name: value}), f"{argv} --config config.json",
+                          f"{argv} --{name} {value}", f"{argv} --{name} {other}")
+       for name, (argv, value, other, _) in _PRECEDENCE.items()},
+    **{f"flag-beats-config-{name}": (None, json.dumps({name: value}),
+                                     f"{argv} --config config.json --{name} {other}",
+                                     f"{argv} --{name} {other}", f"{argv} --{name} {value}")
+       for name, (argv, value, other, _) in _PRECEDENCE.items()},
+    # an option no source sets takes its default
+    **{f"default-{name}": (None, None, argv, f"{argv} --{name} {default}", f"{argv} --{name} {value}")
+       for name, (argv, value, _, default) in _PRECEDENCE.items() if default is not None},
+    **{f"default-format-{command}": (None, None, command, f"{command} --format text",
+                                     f"{command} --format json") for command in ("ingest", "classify")},
+    **{f"default-rho-{variant}": (None, None, f"calibrate --variant {variant}",
+                                  f"calibrate --variant {variant} --rho {rho}",
+                                  f"calibrate --variant {variant} --rho 2")
+       for variant, rho in (("realized", 1.033526), ("projected", 1.0089))},
+    # RAC_DATASET names the dataset unless a flag or the config does; an
+    # empty one is unset, not the path "" (the working directory)
+    "env-dataset": ("short.csv", None, "ingest", "ingest --dataset short.csv", "ingest"),
+    "flag-beats-env": ("gapped.csv", None, "ingest --dataset copy.csv", "ingest",
+                       "ingest --dataset gapped.csv"),
+    "empty-env-is-unset": ("", None, "ingest", "ingest", None),
+    "config-beats-env": ("copy.csv", '{"dataset": "short.csv"}', "ingest --config config.json",
+                         "ingest --dataset short.csv", "ingest"),
+    # a null config value leaves the next source (RAC_DATASET, a default) to
+    # decide, as if the key were absent
+    "config-null-is-unset": ("short.csv", '{"dataset": null, "format": null, "beta": null}',
+                             "calibrate --config config.json", "calibrate --dataset short.csv",
+                             "calibrate"),
+    # a leading UTF-8 byte order mark is dropped, as in dataset files
+    "config-bom": (None, b'\xef\xbb\xbf{"beta": 0.5}', "calibrate --format json --config config.json",
+                   "calibrate --format json --beta 0.5", "calibrate --format json"),
+    # a JSON int prints as the same flag does (group two leaves these rows
+    # unclassified)
+    **{f"config-ints-{fmt}": (None, '{"beta": 1, "tol": 0, "eta": 2, "rho": 2}',
+                              f"classify --group one --format {fmt} --config config.json",
+                              f"classify --group one --format {fmt} --beta 1 --tol 0 --eta 2 --rho 2",
+                              f"classify --group one --format {fmt}") for fmt in ("json", "csv")},
+    # check_rho makes -0.0 0.0, from a flag or the config
+    **{f"negative-zero-rho-{source}-{fmt}": (None, config, f"calibrate --format {fmt} {words}",
+                                             f"calibrate --format {fmt} --rho 0", f"calibrate --format {fmt}")
+       for fmt in ("text", "json") for source, config, words in (
+           ("flag", None, "--rho -0"), ("config", '{"rho": -0.0}', "--config config.json"))},
+    # the config keys are shared, and ingest does not read the projection one
+    "ingest-ignores-config-projection": (None, '{"projection": "missing.csv"}',
+                                         "ingest --config config.json", "ingest", None),
 }
 
 
-def _config_value(text: str):
-    """text as JSON config would give it: a number, or else a string."""
-    try:
-        return float(text)
-    except ValueError:
-        return text
+def _cold(words: str):
+    """The outcome of `rac WORDS` from cleared caches, as in a fresh process:
+    a value kept from another run cannot hide what this run computes."""
+    _clear_caches()
+    return _outcome(words.split())
 
 
-@pytest.mark.parametrize("name", _PRECEDENCE)
-def test_flag_beats_config(capsys, tmp_path, option_files, name):
-    argv, value, other = _PRECEDENCE[name]
-    value, other = option_files.get(value, value), option_files.get(other, other)
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({name: _config_value(value)}))
-    with_flag = run(capsys, *argv, f"--{name}", value)
-    with_other_flag = run(capsys, *argv, f"--{name}", other)
-    assert with_flag != with_other_flag
-    assert run(capsys, *argv, "--config", str(config)) == with_flag
-    assert run(capsys, *argv, "--config", str(config), f"--{name}", other) == with_other_flag
+@pytest.mark.parametrize("env, config, argv, same, differs", _SOURCES.values(), ids=_SOURCES)
+def test_source(monkeypatch, tmp_path, env, config, argv, same, differs):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(ENV_DATASET, raising=False)
+    files = {"copy.csv": _BUNDLED, "short.csv": b"".join(_BUNDLED.splitlines(keepends=True)[:31]),
+             "gapped.csv": GAPPED.encode(), "projection.csv": _projection(219441872).content,
+             "other.csv": _projection(2 * 219441872).content}
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content)
+    want, other = (words and _cold(words) for words in (same, differs))
+    if config is not None:
+        (tmp_path / "config.json").write_bytes(config if isinstance(config, bytes) else config.encode())
+    if env is not None:
+        monkeypatch.setenv(ENV_DATASET, env)
+    got = _cold(argv)
+    assert got == want and got != other
 
 
-def test_config_dataset_beats_env(capsys, monkeypatch, tmp_path, option_files):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"dataset": option_files["short"]}))
-    monkeypatch.setenv(ENV_DATASET, option_files["copy"])
-    with_config = run(capsys, "ingest", "--config", str(config))
-    assert with_config == run(capsys, "ingest", "--dataset", option_files["short"])
-    assert with_config != run(capsys, "ingest")
-
-
-def test_config_null_is_unset(capsys, monkeypatch, tmp_path, option_files):
-    # a null config value leaves the next source (RAC_DATASET, a default) to
-    # decide, as if the key were absent
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"dataset": None, "format": None, "beta": None}))
-    monkeypatch.setenv(ENV_DATASET, option_files["short"])
-    with_config = run(capsys, "calibrate", "--config", str(config))
-    assert with_config == run(capsys, "calibrate", "--dataset", option_files["short"])
-    assert with_config[0] == 0
-
-
-def test_config_with_bom_loads(capsys, tmp_path):
-    # a leading UTF-8 byte order mark is dropped, as in dataset files
-    config = tmp_path / "config.json"
-    config.write_bytes(b"\xef\xbb\xbf" + json.dumps({"beta": 0.5}).encode())
-    with_config = run(capsys, "calibrate", "--format", "json", "--config", str(config))
-    with_flag = run(capsys, "calibrate", "--format", "json", "--beta", "0.5")
-    assert with_config == with_flag
-    assert with_flag[0] == 0
-
-
-def test_config_ints_print_as_flags(capsys, tmp_path):
+def test_config_ints_print_as_flags(tmp_path):
     # a JSON int is checked and kept as the float argparse makes of the same flag
     config = tmp_path / "config.json"
     config.write_text('{"beta": 1, "tol": 0, "eta": 2, "rho": 2}')
-    flags = ["--beta", "1", "--tol", "0", "--eta", "2", "--rho", "2"]
-    for fmt in ("json", "csv"):  # group two leaves these rows unclassified
-        with_config = run(capsys, "classify", "--group", "one", "--format", fmt, "--config", str(config))
-        assert with_config == run(capsys, "classify", "--group", "one", "--format", fmt, *flags)
-        assert with_config[0] == 0
     cfg = build_config(make_parser().parse_args(["classify", "--config", str(config)]))
     numbers = (cfg.beta, cfg.tol, cfg.eta, cfg.rho)
     assert [(type(v), v) for v in numbers] == [(float, 1.0), (float, 0.0), (float, 2.0), (float, 2.0)]
@@ -885,19 +777,6 @@ def test_cold_entry_point_reads_sys_argv(monkeypatch, tmp_path, argv):
     )
     (_, code), out, err = _outcome(argv)
     assert (cold.returncode, cold.stdout, cold.stderr) == (code, out, err)
-
-
-# -- determinism --------------------------------------------------------------
-
-def test_classify_runs_byte_identical(capsys):
-    outputs = []
-    for fmt in ("text", "csv", "json"):
-        first = run(capsys, "classify", "--format", fmt)
-        second = run(capsys, "classify", "--format", fmt)
-        assert first[0] == second[0] == 0
-        assert first[1].encode() == second[1].encode()
-        outputs.append(first[1])
-    assert len(set(outputs)) == 3
 
 
 # -- repeated calls in one process -------------------------------------------

@@ -327,10 +327,6 @@ def test_any_document_loads_finite_or_is_input_error(load, document):
 
 # -- projection ---------------------------------------------------------------
 
-def test_projected_consumption_reference():
-    assert abs(projected_consumption(515.4, 613.7, 150, 219441872) - 3430) <= 1.0
-
-
 def test_projected_consumption_unit_case():
     assert projected_consumption(0.5, 0.5, 100, 1e9) == 1.0
 

@@ -217,7 +217,7 @@ def test_pipeline_matches_the_decimal_reference(case):
             assert (abs(cmp.certain - cmp.uncertain) <= tol) == (abs(delta) <= tol), investor
 
 
-@pytest.mark.xfail(strict=True, reason=ITEM_6)
+@pytest.mark.xfail(reason=ITEM_6)
 @settings(max_examples=40)
 @given(case=cases())
 @example(case=LOW_VARIANCE)
@@ -235,7 +235,7 @@ def test_growth_moments_match_the_decimal_reference(case):
     ]) == []
 
 
-@pytest.mark.xfail(strict=True, reason=ITEM_6)
+@pytest.mark.xfail(reason=ITEM_6)
 @settings(max_examples=40)
 @given(case=cases())
 @example(case=REALIZED)

@@ -7,13 +7,19 @@ import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from _frozen_reference import FROZEN
+from _frozen_reference import FROZEN, PROJECTED_CONSUMPTION
 from rac import (
+    RHO_ANCHORS,
     MarketDataset,
     SampleMoments,
+    Variant,
+    calibrate_variant,
+    classify_pipeline,
     compute_moments,
     consistency_gap,
+    load_bundled_projection,
     lognormal_moment,
+    projected_consumption,
     with_final_consumption,
 )
 from rac.errors import NonFiniteMoment, RacError
@@ -63,11 +69,30 @@ def test_bundled_matches_brute_force(bundled):
         assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-15), field
 
 
-def test_bundled_matches_frozen(variant_moments):
+def test_bundled_matches_frozen(variant_datasets, variant_moments):
+    # every frozen value of both variants, computed through the library: the
+    # moments, calibrate_variant at the variant's anchor, and classify_pipeline
+    # at each calibrated factor; the gap cancels terms some 1e4 times its
+    # size, so it is checked at 1e-9
+    projected = projected_consumption(*load_bundled_projection())
+    assert math.isclose(projected, PROJECTED_CONSUMPTION, rel_tol=1e-12)
     for name, m in variant_moments.items():
-        for field, want in FROZEN[name]["moments"].items():
-            got = getattr(m, field)
-            assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-15), (name, field)
+        calib = calibrate_variant(m, 0.99, Variant(name))
+        got = {**m._asdict(), **calib.factors._asdict(), "consistency_gap": calib.consistency_gap}
+        for investor, eta in zip(("equity", "riskfree"), calib.factors):
+            cmp, _ = classify_pipeline(variant_datasets[name], eta, calib.rho, 0.99, moments=m)
+            got.update(expected_utility=cmp.expected_u, certain_utility=cmp.certain,
+                       **{f"uncertain_{investor}": cmp.uncertain})
+        want = {**FROZEN[name]["moments"], **FROZEN[name]}
+        del want["moments"]
+        assert calib.rho == want.pop("rho") == RHO_ANCHORS[Variant(name)], name
+        assert got.keys() == want.keys(), name
+        for key, value in want.items():
+            rel = 1e-9 if key == "consistency_gap" else 1e-12
+            assert math.isclose(got[key], value, rel_tol=rel), (name, key)
+        # r_C is the gap up to the rounding of O(1e-2) log differences
+        a, b, c = calib.residuals
+        assert max(abs(a), abs(b), abs(c - calib.consistency_gap)) <= 1e-12, name
 
 
 def test_constant_series():
@@ -257,11 +282,3 @@ def test_gap_zero_when_lognormal_identity_holds():
 def test_gap_zero_trivial():
     m = SampleMoments(0.0, 0.0, 1.0, 1.07, 1.01, 7.0, 0.1)
     assert consistency_gap(m) == 0.0
-
-
-def test_gap_bundled(variant_moments):
-    for name, m in variant_moments.items():
-        gap = consistency_gap(m)
-        assert gap != 0.0
-        assert abs(gap) < 1e-3
-        assert math.isclose(gap, FROZEN[name]["consistency_gap"], rel_tol=1e-9)

@@ -1,4 +1,5 @@
-"""CRRA utility: golden values, limits, curvature, and the scaling law."""
+"""CRRA utility: limits, curvature, and the scaling law; the bundled values
+are in test_moments.test_bundled_matches_frozen."""
 
 import math
 from decimal import Decimal
@@ -7,7 +8,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _frozen_reference import FROZEN
 from rac import (
     UtilitySpec,
     crra_utility,
@@ -16,16 +16,8 @@ from rac import (
     uncertain_utility,
 )
 
-RHO_REALIZED = 1.033526
-RHO_PROJECTED = 1.0089
-
 
 # -- crra_utility -------------------------------------------------------------
-
-def test_golden_values():
-    assert abs(crra_utility(3340, UtilitySpec(RHO_REALIZED)) - 7.103787) < 1e-5
-    assert abs(crra_utility(3340, UtilitySpec(RHO_PROJECTED)) - 7.827697) < 1e-5
-
 
 @pytest.mark.parametrize("rho", [0.0, 0.5, 1.0, 1.033526, 2.0, 10.0, 60.0])
 def test_shifted_is_zero_at_one(rho):
@@ -103,20 +95,7 @@ def test_expected_utility_degenerate_matches_crra(mu_z, rho):
     assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
 
 
-def test_expected_utility_bundled_realized(variant_moments):
-    got = expected_utility_unconditional(
-        variant_moments["realized"], UtilitySpec(RHO_REALIZED)
-    )
-    assert abs(got - 6.50395) < 0.01
-    assert math.isclose(got, FROZEN["realized"]["expected_utility"], rel_tol=1e-12)
-
-
 # -- uncertain_utility --------------------------------------------------------
-
-def test_uncertain_utility_table_values():
-    assert abs(uncertain_utility(6.50395, 0.99, 0.961745) - 6.192703) < 1e-2
-    assert abs(uncertain_utility(6.50395, 0.99, 1.019392) - 6.563893) < 1e-2
-
 
 @given(x=st.floats(allow_nan=False, allow_infinity=False))
 def test_uncertain_utility_identity_scaling(x):
