@@ -4,11 +4,12 @@ test_moments.test_bundled_matches_frozen computes every value through the
 library (the moments, the calibration at each variant's anchor, and the
 utilities of a classification at each factor) and compares it at 1e-12
 relative, the gap at 1e-9, so drift in the data files or in any of those
-computations fails there; with scipy installed, test_generator also checks
-that the generator rebuilds them. The file
-is edited by hand only, and each edit says why, as tests/golden/ is: no
-tool writes it, since values rebuilt from the code under check would follow
-that code's drift instead of catching it."""
+computations fails there. The generator (tools/make_reference_dataset.py)
+does not check these values: test_generator checks only that it rebuilds
+the data files within a cent. The file is edited by hand only, and each
+edit says why, as tests/golden/ is: no tool writes it, since values rebuilt
+from the code under check would follow that code's drift instead of
+catching it."""
 
 PROJECTED_CONSUMPTION = 3430.2174260222014
 

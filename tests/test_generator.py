@@ -1,13 +1,13 @@
-"""The dataset generator still checks out against the frozen reference.
+"""The dataset generator still rebuilds the bundled files.
 
-tools/make_reference_dataset.py recomputes every published-value window
-through the package; its verify on the two bundled files' texts must give
-the frozen reference's values, which keeps a change to the package's API
-from silently breaking it. Its generate() builds both files afresh, in
-memory, and each cell must be within one cent of the bundled one. Its
-main() writes no file, pass or fail: the bundled files and the frozen
-reference are edited by hand only, as tests/golden/ is, since rebuilt from
-the code they check they would follow its drift instead of catching it.
+tools/make_reference_dataset.py builds the dataset and projection CSV texts
+afresh, in memory: its writers give the bundled files' bytes, its level
+targets solve their system exactly, and each rebuilt cell must be within one
+cent of the bundled one. Its main() writes no file, pass or fail: the
+bundled files and tests/_frozen_reference.py are edited by hand only, as
+tests/golden/ is, since rebuilt from the code they check they would follow
+its drift instead of catching it. What the bundled files give through the
+package is test_moments.test_bundled_matches_frozen's check.
 """
 
 import contextlib
@@ -27,17 +27,10 @@ from rac import (
     projected_consumption,
 )
 
-from _frozen_reference import FROZEN, PROJECTED_CONSUMPTION
-
 pytest.importorskip("scipy")
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "src" / "rac" / "data"
-
-
-def _flat(block: dict) -> dict:
-    """A frozen variant block with its moments lifted to the top level."""
-    return {**block["moments"], **{k: v for k, v in block.items() if k != "moments"}}
 
 
 @pytest.fixture(scope="module")
@@ -45,20 +38,6 @@ def tool():
     # run_path compiles the script without caching its bytecode and, under a
     # name other than __main__, does not run main(), which rebuilds the files
     return runpy.run_path(str(ROOT / "tools" / "make_reference_dataset.py"))
-
-
-def test_generator_reproduces_frozen_reference(tool):
-    frozen = tool["verify"](
-        (DATA / "mehra_prescott_1889_1978.csv").read_text(encoding="utf-8"),
-        (DATA / "projection_1978.csv").read_text(encoding="utf-8"),
-    )
-    assert frozen.keys() == {"projected_consumption", *FROZEN}
-    assert math.isclose(frozen["projected_consumption"], PROJECTED_CONSUMPTION, rel_tol=1e-9)
-    for name, block in FROZEN.items():
-        got, want = _flat(frozen[name]), _flat(block)
-        assert got.keys() == want.keys(), name
-        for key, value in want.items():
-            assert math.isclose(got[key], value, rel_tol=1e-9), (name, key)
 
 
 def test_generator_writers_reproduce_bundled_files(tool):
@@ -69,21 +48,6 @@ def test_generator_writers_reproduce_bundled_files(tool):
     assert dataset_csv.encode("utf-8") == (DATA / "mehra_prescott_1889_1978.csv").read_bytes()
     projection_csv = tool["format_projection_csv"](tool["PROJECTION_ROW"])
     assert projection_csv.encode("utf-8") == (DATA / "projection_1978.csv").read_bytes()
-
-
-def test_generator_writes_nothing_when_verification_fails(tool, tmp_path, monkeypatch):
-    # main() verifies the texts in memory before it reads the bundled files
-    bundled = (DATA / "mehra_prescott_1889_1978.csv").read_text(encoding="utf-8")
-    corrupted = bundled.replace("\n1889,746.10,", "\n1889,9746.10,")
-    assert corrupted != bundled
-    projection = (DATA / "projection_1978.csv").read_text(encoding="utf-8")
-    main = tool["main"]
-    monkeypatch.setitem(main.__globals__, "ROOT", tmp_path)
-    monkeypatch.setitem(main.__globals__, "generate", lambda: (corrupted, projection))
-    with pytest.raises(SystemExit) as info:
-        main()
-    assert str(info.value) == "realized: consistency gap -1.764e-02 outside window"
-    assert list(tmp_path.iterdir()) == []
 
 
 def test_generator_solves_level_targets_exactly(tool):
@@ -128,7 +92,7 @@ def test_generator_solves_level_targets_exactly(tool):
     ("1599.76", "1 of 1 differing cells are more than a cent off"),
 ], ids=["bundled", "moved"])
 def test_generator_main_writes_nothing(tool, tmp_path, monkeypatch, cell, error):
-    # main() reads a copy of the three references and must leave it as it was
+    # main() runs on a copy of the three references and must leave it as it was
     for path in (*(DATA / name for name in tool["BUNDLED"]),
                  ROOT / "tests" / "_frozen_reference.py"):
         copy = tmp_path / path.relative_to(ROOT)

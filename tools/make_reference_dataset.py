@@ -1,4 +1,5 @@
-"""Rebuild the bundled synthetic 1889-1978 annual series and check it.
+"""Rebuild the bundled synthetic 1889-1978 annual series and compare it
+with the bundled files.
 
 The real archival series is not redistributable, so the package ships a
 synthetic one constructed to match the published summary statistics that
@@ -24,8 +25,8 @@ form of any swap-transformed moments at the published projected rho (it
 corresponds to rho near 1.023), so projected utilities carry an
 irreducible error of about 2e-3 against the tables regardless of how the
 series is built. Forcing them closer by refitting (M, V) against this
-package's own factors would push V to an implausible 0.32; the windows
-below accept the 2e-3 instead and keep the level path natural.
+package's own factors would push V to an implausible 0.32; the fit
+accepts the 2e-3 instead and keeps the level path natural.
 
 The level path follows the historical texture (strong growth to 1929, a
 Depression collapse, wartime recovery, a long postwar boom); a unit-weight
@@ -34,8 +35,8 @@ while the moment constraints hold exactly.
 
 Run from the repository root: python3 tools/make_reference_dataset.py
 (requires scipy, a dev extra). It writes no file: main() builds both CSV
-texts in memory, verifies them through the package, prints each cell that
-differs from the bundled files and exits 1 if any is more than a cent off.
+texts in memory, prints each cell that differs from the bundled files and
+exits 1 if any is more than a cent off.
 Under scipy 1.17.1 and numpy 2.4.6 the fixed seeds give both bundled texts
 byte for byte, but the least-squares fit pins the levels only to about
 1e-6 relative and the 1927 and 1969 cells lie within 0.011 cents of a
@@ -60,23 +61,9 @@ from scipy.optimize import least_squares
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from rac.calibration import (  # noqa: E402
-    RHO_ANCHORS,
-    SufficiencyFactors,
-    calibrate_variant,
-    system_residuals,
-)
-from rac.classify import classify_pipeline  # noqa: E402
-from rac.dataset import (  # noqa: E402
-    _HEADER,
-    _PROJECTION_HEADER,
-    load_dataset,
-    load_projection,
-    projected_consumption,
-    with_final_consumption,
-)
-from rac.moments import compute_moments, consistency_gap  # noqa: E402
-from rac.params import DEFAULT_BETA, DefinitionGroup, Variant  # noqa: E402
+from rac.calibration import RHO_ANCHORS  # noqa: E402
+from rac.dataset import _HEADER, _PROJECTION_HEADER, projected_consumption  # noqa: E402
+from rac.params import DEFAULT_BETA, Variant  # noqa: E402
 
 N_YEARS = 90
 START_YEAR = 1889
@@ -92,9 +79,8 @@ STD_RE = 0.1654
 MEAN_RF = 1.008
 STD_RF = 0.0567
 
-# Published reference values the final dataset must reproduce through the
-# package's own pipeline (windows narrower than the acceptance tolerances,
-# leaving room for downstream drift).
+# Published values that solve_level_targets fits: each variant's
+# sufficiency factors and its two uncertain utilities.
 PUB = {
     "zeta_realized": 0.961745,
     "xi_realized": 1.019392,
@@ -104,8 +90,6 @@ PUB = {
     "uncertain_riskfree_realized": 6.563893,
     "uncertain_equity_projected": 6.762365,
     "uncertain_riskfree_projected": 7.168177,
-    "certain_realized": 7.103787,
-    "certain_projected": 7.827697,
 }
 
 PROJECTION_ROW = (515.4, 613.7, 150, 219441872)
@@ -274,77 +258,6 @@ def format_projection_csv(row) -> str:
     return ",".join(_PROJECTION_HEADER) + "\n" + ",".join(map(str, row)) + "\n"
 
 
-def verify(dataset_csv: str, projection_csv: str) -> dict:
-    """Recompute every published-value window through the package itself,
-    from the dataset and projection CSV texts, and return the values checked."""
-    d = load_dataset(io.StringIO(dataset_csv))
-    c_projected = projected_consumption(*load_projection(io.StringIO(projection_csv)))
-    d_proj = with_final_consumption(d, c_projected)
-
-    assert len(d.consumption) == N_YEARS and d.start_year == START_YEAR
-    assert d.consumption[-2:] == (C_1977, C_1978)
-    assert abs(c_projected - 3430.0) <= 1.0
-
-    # The published projected (zeta, xi) pair is not exactly on the closed
-    # form of the transformed moments (it corresponds to a slightly larger
-    # rho than the published 1.0089), so the projected windows are wider.
-    factor_tol = {"realized": 2e-4, "projected": 5e-4}
-
-    values: dict = {"projected_consumption": c_projected}
-    datasets = {"realized": d, "projected": d_proj}
-    for name, dv in datasets.items():
-        variant = Variant(name)
-        m = compute_moments(dv)
-        gap = consistency_gap(m)
-        if not 1e-8 <= abs(gap) <= 1e-4:
-            raise SystemExit(f"{name}: consistency gap {gap:.3e} outside window")
-        calib = calibrate_variant(m, DEFAULT_BETA, variant)
-        # one comparison per factor: (zeta, equity) and (xi, riskfree)
-        pipelines = [
-            classify_pipeline(dv, eta, calib.rho, DEFAULT_BETA, DefinitionGroup.TWO, moments=m)
-            for eta in calib.factors
-        ]
-        (equity, _), (riskfree, _) = pipelines
-
-        windows = [
-            ("zeta", calib.factors.zeta, PUB[f"zeta_{name}"], factor_tol[name]),
-            ("xi", calib.factors.xi, PUB[f"xi_{name}"], factor_tol[name]),
-            ("uncertain equity", equity.uncertain, PUB[f"uncertain_equity_{name}"], 3e-3),
-            ("uncertain riskfree", riskfree.uncertain, PUB[f"uncertain_riskfree_{name}"], 3e-3),
-            ("certain", equity.certain, PUB[f"certain_{name}"], 1e-5),
-        ]
-        for label, got, want, tol in windows:
-            if abs(got - want) > tol:
-                raise SystemExit(f"{name}: {label} = {got!r}, want {want} +- {tol}")
-
-        pub_triple = SufficiencyFactors(PUB[f"zeta_{name}"], PUB[f"xi_{name}"])
-        res = system_residuals(pub_triple, RHO_ANCHORS[variant], DEFAULT_BETA, m)
-        if np.abs(res).max() > 1e-3:
-            raise SystemExit(f"{name}: published-triple residuals {res} too large")
-
-        for (cmp, att), want_label in zip(pipelines, ("Risk-averse", "Not enough risk-loving")):
-            if att.label.value != want_label:
-                raise SystemExit(f"{name}: eta={cmp.eta} gave {att.label.value!r}")
-            if not cmp.certain > cmp.uncertain + 0.1:
-                raise SystemExit(f"{name}: inequality margin too thin")
-
-        if abs(calib.residuals[2] - gap) > 1e-12:
-            raise SystemExit(f"{name}: residual C {calib.residuals[2]!r} differs from the gap")
-
-        values[name] = {
-            "moments": m._asdict(),
-            "consistency_gap": gap,
-            "zeta": calib.factors.zeta,
-            "xi": calib.factors.xi,
-            "rho": calib.rho,
-            "expected_utility": equity.expected_u,
-            "certain_utility": equity.certain,
-            "uncertain_equity": equity.uncertain,
-            "uncertain_riskfree": riskfree.uncertain,
-        }
-    return values
-
-
 def generate() -> tuple[str, str]:
     """The dataset CSV and the projection CSV text, built afresh; writes nothing."""
     base = base_levels()
@@ -383,11 +296,9 @@ def differing_cells(texts: tuple[str, str]) -> list[tuple[str, float]]:
 
 
 def main() -> None:
-    """Rebuild both CSV texts, verify them and compare them with the bundled
-    files; writes nothing. Exits 1 if a cell is more than one cent off."""
-    texts = generate()
-    verify(*texts)
-    cells = differing_cells(texts)
+    """Rebuild both CSV texts and compare them with the bundled files; writes
+    nothing. Exits 1 if a cell is more than one cent off."""
+    cells = differing_cells(generate())
     for cell, _ in cells:
         print(cell)
     beyond = sum(distance > CENT for _, distance in cells)
