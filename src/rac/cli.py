@@ -12,25 +12,25 @@ input, then computes every variant's moments, then calibrates each variant
 (not for ingest), then classifies each investor and variant (classify only).
 The first error in that order is the one reported, so an input problem wins.
 
-main(argv) reads sys.argv[1:] when argv is None. When the first word is a
-command, the command's own parser parses the rest, so each word is parsed
-once; the whole parser parses them again only to print help or a usage
-error, which it words as it always has.
+main(argv) reads sys.argv[1:] when argv is None. A plain argv, a command and
+pairs of its exact flags and plain values, is read without argparse (see
+_read_plain). Any other goes to argparse, the one source of help and usage
+errors: the command's own parser parses its words, and the whole parser
+parses them again only to print help or a usage error, worded as always.
 
-main may run many times in one process. Each parser is built once, one per
-command and the whole one only for help or a usage error. One series is
-kept, the bundled one or a user one, parsed once per file content, with one
-bounded store of what run computed from it (see _Series): a variant is its
-final consumption, so a repeated parameter point computes nothing again.
-Parsing, build_config and rendering run on every call.
+main may run many times in one process. argparse loads, and each parser is
+built, once and only when an argv needs it. One series is kept, the bundled
+one or a user one, parsed once per file content, with one bounded store of
+what run computed from it (see _Series): a variant is its final consumption,
+so a repeated parameter point computes nothing again. Reading the words,
+build_config and rendering run on every call.
 """
 
-import argparse
 import functools
 import io
 import os
-import re
 import sys
+import types
 from collections import namedtuple
 
 from . import dataset as ds
@@ -79,7 +79,7 @@ def _choice(name: str, value, rule: dict):
 
 
 def _number(name: str, value, rule) -> float:
-    """`value`, which argparse (a flag) or JSON (a config value) has parsed,
+    """`value`, which float (a flag) or JSON (a config value) has parsed,
     through the option's check_* rule, if params.number makes it a finite
     float. A message shows the value as given, so a JSON int prints whole."""
     x = number(name, value)
@@ -135,8 +135,8 @@ def _load_config_file(path: str | None) -> dict:
     return {key: value for key, value in doc.items() if value is not None}  # null is unset
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    """The run options' values; `args` as make_parser parses them, without unset flags."""
+def build_config(args) -> RunConfig:
+    """The run options' values; `args` holds the command and the flags given."""
     cfg = _load_config_file(_path("config", getattr(args, "config", None)))
     env = os.environ.get(ENV_DATASET)  # an empty one is unset, not the path "" (the cwd)
     # a later source wins: RAC_DATASET (dataset only), the config file, the flags
@@ -280,47 +280,82 @@ def _help(opt: _Option) -> str:
     return f"{opt.help} (default {shown})"
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors exit 1, the input-problem code, not argparse's 2 (the
-    computation-problem code here). Subparsers inherit the class."""
+# Each command's flags: --NAME per run option it takes, then --config. ingest reads the realized
+# dataset only, so it takes no --projection or --variant; a config file may name either.
+_CONFIG = _Option("config", _path, "JSON config file (flags win over its values)")
+_FLAGS = {name: {f"--{opt.name}": opt for opt in (*_OPTIONS, _CONFIG)
+                 if name != "ingest" or opt.name not in ("projection", "variant")}
+          for name in _REPORTS}
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # argparse's private pattern for an argument that is a value, not an option: its
-        # own takes only -N and -N.N; this, a "-" and then what float() reads (-1e-3, -inf)
-        self._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
-    def error(self, message: str):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+def _read_plain(argv: list[str]):
+    """What command_parser(argv[0]).parse_known_args(argv[1:]) gives, no word
+    left, if argv is COMMAND (--NAME VALUE)*: NAME an exact flag of COMMAND,
+    VALUE a str not starting with "-" that a number's float reads or a
+    choice's names hold. None for any other argv, which argparse reads."""
+    flags = _FLAGS.get(argv[0]) if argv else None
+    if flags is None or len(argv) % 2 == 0:
+        return None
+    args = {"command": argv[0]}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        opt = flags.get(flag)
+        if opt is None or not isinstance(value, str) or value.startswith("-"):
+            return None
+        if opt.kind is _number:
+            try:
+                value = float(value)
+            except ValueError:
+                return None
+        elif opt.kind is _choice and value not in opt.rule:
+            return None
+        args[opt.name] = value
+    return types.SimpleNamespace(**args)
+
+
+def _new_parser(**kwargs):
+    """An argparse parser whose usage errors exit 1, the input-problem code,
+    not argparse's 2 (the computation-problem code here). Subparsers inherit
+    its class. argparse and re load here, so a plain argv loads neither."""
+    import argparse
+    import re
+
+    class _Parser(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            # argparse's private pattern for an argument that is a value, not an option: its
+            # own takes only -N and -N.N; this, a "-" and then what float() reads (-1e-3, -inf)
+            self._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+        def error(self, message: str):
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
+    return _Parser(**kwargs)
 
 
 # Each built once per process: parse_args keeps no state between calls, so
 # main() can run many times in one process on the same parsers.
 @functools.cache
-def command_parser(name: str) -> argparse.ArgumentParser:
+def command_parser(name: str):
     """`rac NAME`'s own parser, which main hands the command's words to: the
     one definition of the command's options, which make_parser's subparser
     shares."""
+    from argparse import SUPPRESS
     # an unset flag stays out, so build_config can tell it
-    p = _Parser(prog=f"rac {name}", argument_default=argparse.SUPPRESS)
-    # ingest reads the realized dataset only, so it takes no --projection or
-    # --variant; config keys are shared, and each command uses those it reads
-    skip = ("projection", "variant") if name == "ingest" else ()
-    for opt in (opt for opt in _OPTIONS if opt.name not in skip):
+    p = _new_parser(prog=f"rac {name}", argument_default=SUPPRESS)
+    for flag, opt in _FLAGS[name].items():
         choices = list(opt.rule) if opt.kind is _choice else None
         convert = float if opt.kind is _number else None
-        p.add_argument(f"--{opt.name}", type=convert, choices=choices, help=_help(opt))
-    p.add_argument("--config", help="JSON config file (flags win over its values)")
+        p.add_argument(flag, type=convert, choices=choices, help=_help(opt))
     p.set_defaults(command=name)  # the whole parser's subparsers action sets it too
     return p
 
 
 @functools.cache
-def make_parser() -> argparse.ArgumentParser:
+def make_parser():
     """The whole parser, with a subparser per command that takes its options
     from command_parser: help, or a usage error."""
-    parser = _Parser(
+    parser = _new_parser(
         prog="rac",
         description="Calibrate sufficiency factors and classify risk attitudes "
         "from an annual consumption/returns dataset.",
@@ -334,13 +369,15 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code; argv defaults to sys.argv[1:].
     Help raises SystemExit(0) and a usage error SystemExit(1); only these run
-    the whole parser, as a command's words go to its own parser."""
+    the whole parser, and a plain argv (see _read_plain) runs no parser."""
     argv = sys.argv[1:] if argv is None else argv
-    command = command_parser(argv[0]) if argv and argv[0] in _REPORTS else None
-    if command is not None:  # the whole parser hands every word after a command to it
-        args, left = command.parse_known_args(argv[1:])
-    if command is None or left:  # help, or a usage error worded by the whole parser
-        args = make_parser().parse_args(argv)
+    args = _read_plain(argv)
+    if args is None:  # any other argv: help, a usage error, --r 2, --rho=2, --rho -1
+        command = command_parser(argv[0]) if argv and argv[0] in _REPORTS else None
+        if command is not None:  # the whole parser hands every word after a command to it
+            args, left = command.parse_known_args(argv[1:])
+        if command is None or left:  # help, or a usage error worded by the whole parser
+            args = make_parser().parse_args(argv)
     try:
         cfg = build_config(args)
         report = _REPORTS[args.command](run(cfg, args.command), cfg.format)

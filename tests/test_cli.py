@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from rac import dataset as ds
 from rac import (ProjectionInputs, calibrate_variant, classify_pipeline, compute_moments, errors,
                  load_bundled_dataset, parse_csv, parse_json)
-from rac.cli import ENV_DATASET, build_config, main, make_parser
+from rac.cli import ENV_DATASET, _FLAGS, _read_plain, build_config, command_parser, main, make_parser
 from rac.moments import compute_variant_moments
 from rac.params import check_beta, check_eta, check_rho, check_tol
 
@@ -674,11 +674,11 @@ def test_main_on_any_flags_exits_cleanly(argv):
 # -- one parse per command --------------------------------------------------
 
 def _whole_parser():
-    """main with no command parser to hand words to: make_parser().parse_args(argv)
-    parses every call, and the same run follows."""
+    """main with no reader and no command parser to hand words to:
+    make_parser().parse_args(argv) parses every call, and the same run follows."""
     cli = importlib.import_module("rac.cli")
     cli.make_parser()  # built first, as its subparsers take their options from command_parser
-    return mock.patch.object(cli, "command_parser", lambda name: None)
+    return mock.patch.multiple(cli, _read_plain=lambda argv: None, command_parser=lambda name: None)
 
 
 # words that send main to the whole parser (help, no or an unknown command, an
@@ -725,6 +725,42 @@ def test_main_matches_the_whole_parser(argv, columns):
         with _whole_parser():
             want = _outcome(argv)
     assert got == want
+
+
+# every flag of every command, then help, a prefix and words argparse treats
+# apart: "-", "--" and "--NAME=VALUE"
+_FLAG_WORDS = [*sorted({flag for flags in _FLAGS.values() for flag in flags}),
+               "-h", "--help", "--r", "-", "--", "--rho=1"]
+# any of those, each flag value above, an empty and a blank word, numbers
+# that float reads unlike a decimal (1_0, an Arabic-Indic one, NaN, inf), and text
+_WORD = st.one_of(
+    st.sampled_from([*_FLAG_WORDS, *(v for vs in _FLAG_VALUES.values() for v in vs),
+                     "", " ", "1_0", "\u0661", "NaN", "1e999", "copy.csv"]),
+    st.text(max_size=3),
+)
+
+
+@settings(max_examples=500)
+@given(command=st.sampled_from(["ingest", "calibrate", "classify"]),
+       pairs=st.lists(_FLAG_PAIR | st.tuples(st.sampled_from(_FLAG_WORDS), _WORD), max_size=4))
+@example(command="classify", pairs=[("--dataset", "--format")])
+@example(command="calibrate", pairs=[("--config", "--rho=1")])
+def test_plain_reader_matches_argparse(command, pairs):
+    # wherever main reads an argv without argparse, it gets the namespace the
+    # command's own parser gives, with no word left; a value that starts with
+    # "-" is argparse's to read. repr tells a str from a float and -0.0 from
+    # 0.0, and reads NaN as NaN
+    words = [word for pair in pairs for word in pair]
+    read = _read_plain([command, *words])
+    if read is None:
+        return
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            args, left = command_parser(command).parse_known_args(words)
+        except SystemExit:
+            pytest.fail(f"argparse refused what the reader read: {err.getvalue()}")
+    assert left == []
+    assert {k: repr(v) for k, v in vars(read).items()} == {k: repr(v) for k, v in vars(args).items()}
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
@@ -816,7 +852,7 @@ _CAL2 = dict(calibrate=2, checks=(6, 6, 0, 0))  # calibrate, both variants
 _ROWS = dict(rows=4, checks=(4, 8, 8, 4))  # classify, both variants calibrated before
 _NEW = dict(_BOTH, decode=1, parse=1, moments=2, project=1)  # classify on a new series
 _NEW_CAL = dict(_CAL2, decode=1, parse=1, moments=2, project=1)  # calibrate on a new series
-_COLD = dict(_NEW, decode=2, parsers=1)  # a first classify, which reads the bundled projection
+_COLD = dict(_NEW, decode=2)  # a first classify, which reads the bundled projection
 _FAILING = dict(code=2, err="Unclassifiable: group two: ", rows=1, checks=(1, 2, 2, 1))
 _BUNDLED = serialize_dataset(load_bundled_dataset())
 _COPY = _File("copy.csv", _BUNDLED)
@@ -838,9 +874,9 @@ _REUSE = {
     # --eta 1.05, after calls that computed each point: none computes again,
     # but group two at rho 5 is unclassifiable, and its failing row is redone
     "warm-grid": [
-        _call("ingest", parsers=1, decode=1, parse=1, moments=1),
-        _call("calibrate", parsers=1, decode=1, project=1, moments=1, **_CAL2),
-        _call("classify --group one", parsers=1, **_ROWS),
+        _call("ingest", decode=1, parse=1, moments=1),
+        _call("calibrate", decode=1, project=1, moments=1, **_CAL2),
+        _call("classify --group one", **_ROWS),
         _call("classify --group one --rho 5", **_BOTH),
         _call("classify --group two", **_ROWS),
         *(_call(f"classify --group {group} --eta 1.05", rows=2, checks=(2, 4, 4, 2))
@@ -868,12 +904,15 @@ _REUSE = {
     # no error is kept: moments that are not finite fail on every call
     "no-error-kept": [_File("wide.csv", _WIDE.encode()), *(
         _call("calibrate --dataset wide.csv", code=2, err=_NON_FINITE, moments=2, **work)
-        for work in (dict(parsers=1, decode=2, parse=1, project=1), {}))],
+        for work in (dict(decode=2, parse=1, project=1), {}))],
     # group two's third row fails at rho 2: a repeat reuses the rows before
-    # it and computes only that one again
+    # it and computes only that one again; "--r", an abbreviation, goes
+    # through argparse, whose command parser is built once per process
     "failing-point": [
         _call("classify --rho 2", code=2, err=_FAILING["err"], **dict(_COLD, rows=3, checks=(9, 12, 6, 3))),
         _call("classify --rho 2", **_FAILING, same=0),
+        _call("classify --r 2", **_FAILING, parsers=1, same=0),
+        _call("classify --r 2", **_FAILING, same=0),
         _call("classify --rho 1", **_BOTH),
     ],
     # points that share all but one field of a key: beta under a fixed eta,
@@ -891,14 +930,14 @@ _REUSE = {
     # series empties it, one that is not full too
     "bound-series": [
         _Set("_KEPT_RESULTS", 5), _COPY,
-        _call("calibrate --variant realized", parsers=1, decode=1, parse=1, moments=1, **_CAL1),
+        _call("calibrate --variant realized", decode=1, parse=1, moments=1, **_CAL1),
         *(step for population in range(219441872, 219441877) for step in (
             _projection(population),
             _call("calibrate --projection projection.csv --dataset copy.csv", **dict(_NEW_CAL, decode=2)),
             _call("calibrate --projection projection.csv", **dict(_NEW_CAL, parse=0)))),
         _call("calibrate --variant realized --dataset copy.csv", decode=1, parse=1, moments=1, **_CAL1),
         _File("other.csv", _TWO_YEARS),
-        _call("ingest --dataset other.csv", parsers=1, decode=1, parse=1, moments=1),
+        _call("ingest --dataset other.csv", decode=1, parse=1, moments=1),
     ],
     # more distinct rho values than the bound: a full store is emptied, so a
     # point computes its variant's moments, or its projected final, again
@@ -906,15 +945,15 @@ _REUSE = {
     "bound-points": [_Set("_KEPT_RESULTS", 5), *(
         _call(f"classify --group one --variant {variant} --rho {rho}", **_ONE, **work)
         for variant, rho, work in (
-            ("realized", 0, dict(parsers=1, decode=1, parse=1, moments=1)),
+            ("realized", 0, dict(decode=1, parse=1, moments=1)),
             *(("realized", rho, dict(moments=int(rho in (2, 3, 5)))) for rho in range(1, 6)),
             ("projected", 0, dict(decode=1, project=1, moments=1)),
             *(("projected", rho, dict(project=1, moments=1)) for rho in (1, 2))))],
     # the projected final is kept under its four inputs, bundled or from a
     # file, until the file's numbers change
     **{f"projection-once-{name}": [
-        _projection(219441872), _call(f"calibrate {flag}", **dict(_NEW_CAL, parsers=1, decode=2)),
-        _call(f"classify {flag}", parsers=1, decode=read, **_ROWS),
+        _projection(219441872), _call(f"calibrate {flag}", **dict(_NEW_CAL, decode=2)),
+        _call(f"classify {flag}", decode=read, **_ROWS),
         _call(f"classify --rho 1 {flag}", decode=read, **_BOTH),
         _call(f"classify --variant projected --format json {flag}", decode=read),
         _call(f"calibrate {flag}", decode=read, same=0),
@@ -934,15 +973,15 @@ _REUSE = {
     # the second; a RAC_DATASET copy of the bundled file is a user file
     "user-files": [
         _File("data.csv", _TWO_YEARS),
-        _call("ingest --dataset data.csv", parsers=1, decode=1, parse=1, moments=1),
+        _call("ingest --dataset data.csv", decode=1, parse=1, moments=1),
         _File("data.csv", _TWO_YEARS.replace(b"110.0", b"120.0")),
         _call("ingest --dataset data.csv", decode=1, parse=1, moments=1, differs=0),
-        _COPY, _Set(ENV_DATASET, "copy.csv"), _call("calibrate", **dict(_NEW_CAL, parsers=1, decode=2)),
+        _COPY, _Set(ENV_DATASET, "copy.csv"), _call("calibrate", **dict(_NEW_CAL, decode=2)),
         _File("copy.csv", _final(3500.0)), _call("calibrate", **_NEW_CAL, differs=2),
         _Set(ENV_DATASET, None), _call("calibrate", **_NEW_CAL, same=2),
         # the file's numbers are the bundled projection's, so its final is kept
         *(step for variant, population, work in (
-            ("projected", 219441872, dict(parsers=1, rows=1, checks=(1, 2, 2, 1))),
+            ("projected", 219441872, dict(rows=1, checks=(1, 2, 2, 1))),
             ("projected", 2 * 219441872,
              dict(_CAL1, project=1, moments=1, rows=1, checks=(4, 5, 2, 1), differs=5)),
             ("both", 2 * 219441872, dict(rows=1, checks=(1, 2, 2, 1))), ("both", 219441872, dict(differs=7)))
@@ -950,11 +989,12 @@ _REUSE = {
               f"classify --variant {variant} --eta 0.9 --projection projection.csv", decode=1, **work))),
     ],
     # checked values key the store: check_rho makes -0.0 0.0, and a tol of
-    # -0.0 classifies as 0.0 does
+    # -0.0 classifies as 0.0 does; a value that starts with "-" goes through
+    # argparse, which builds the command's parser
     "negative-zero-rho": [_call("classify --group one --rho 0", **_COLD),
-                          _call("classify --group one --rho -0", same=0)],
+                          _call("classify --group one --rho -0", parsers=1, same=0)],
     "negative-zero-tol": [_call("classify", **_COLD), _call("classify --tol 0", **_ROWS),
-                          _call("classify --tol -0", same=1)],
+                          _call("classify --tol -0", parsers=1, same=1)],
 }
 
 
@@ -1032,12 +1072,12 @@ def test_default_classify_check_counts(monkeypatch, tmp_path, work):
 
 
 def test_warm_main_rebuilds_nothing(monkeypatch, tmp_path, work):
-    # each command's parser and the bundled inputs are built once per
-    # process: a repeat of each command builds no parser and reads nothing
+    # the bundled inputs are read once per process, and a plain argv builds
+    # no parser: a repeat of each command reads nothing
     _play(monkeypatch, tmp_path, work, [
-        _call("ingest", parsers=1, decode=1, parse=1, moments=1), _call("ingest", same=0),
-        _call("calibrate", parsers=1, decode=1, project=1, moments=1, **_CAL2), _call("calibrate", same=2),
-        _call("classify", parsers=1, **_ROWS), _call("classify", same=4),
+        _call("ingest", decode=1, parse=1, moments=1), _call("ingest", same=0),
+        _call("calibrate", decode=1, project=1, moments=1, **_CAL2), _call("calibrate", same=2),
+        _call("classify", **_ROWS), _call("classify", same=4),
     ])
 
 
@@ -1131,10 +1171,11 @@ def test_clear_caches_empties_every_store(capsys):
 # Runs in a clean interpreter (python -S, so site loads nothing): imports
 # rac.cli, then runs each of STEPS, and after the import and after each step
 # prints the exit code, the modules of WATCH it finds loaded, and how many
-# whole parsers are built. stdout and stderr are swapped for io.StringIO
-# (io is loaded at start-up), so the probe itself loads nothing. collections
-# is imported first (rac.cli loads it anyway), and what that import alone
-# loads is left out: on CPython 3.13.13 it registers collections.abc.
+# command parsers and whole parsers are built. stdout and stderr are swapped
+# for io.StringIO (io is loaded at start-up), so the probe itself loads
+# nothing. collections is imported first (rac.cli loads it anyway), and what
+# that import alone loads is left out: on CPython 3.13.13 it registers
+# collections.abc.
 _COLD_START = """\
 import io, sys
 before = set(sys.modules)
@@ -1144,7 +1185,8 @@ import rac.cli
 
 def show(code):
     loaded = sorted(name for name in WATCH if name in sys.modules and name not in preloaded)
-    print(code, loaded, rac.cli.make_parser.cache_info().currsize)
+    print(code, loaded, rac.cli.command_parser.cache_info().currsize,
+          rac.cli.make_parser.cache_info().currsize)
 
 show(None)
 for argv in STEPS:
@@ -1157,24 +1199,28 @@ for argv in STEPS:
     show(code)
 """
 _WATCH = ["numpy", "dataclasses", "inspect", "json", "mmap", "pathlib", "typing", "collections.abc",
-          "__future__", "hashlib", "random", "shutil", "rac.calibration", "rac.classify", "rac.utility"]
+          "__future__", "hashlib", "random", "argparse", "shutil", "rac.calibration", "rac.classify",
+          "rac.utility"]
 _PHASES = ["rac.calibration", "rac.classify", "rac.utility"]
 # each step; its exit code, the watched modules then loaded, and the number
-# of whole parsers built
+# of command parsers and of whole parsers built
 _COLD_START_TABLE = [
-    (None, None, [], 0),  # import rac.cli
-    # argparse loads shutil for the help width when a first parser is built
-    (["ingest"], 0, ["shutil"], 0),
+    (None, None, [], 0, 0),  # import rac.cli
+    # a plain argv is read without argparse, so no parser is built
+    (["ingest"], 0, [], 0, 0),
     # the second run finds the series the first kept, and compares it with
     # the file without mmap
-    (["ingest", "--dataset", "copy.csv"], 0, ["shutil"], 0),
-    (["ingest", "--dataset", "copy.csv"], 0, ["shutil"], 0),
-    (["calibrate"], 0, ["rac.calibration", "shutil"], 0),
-    (["classify"], 0, [*_PHASES, "shutil"], 0),
+    (["ingest", "--dataset", "copy.csv"], 0, [], 0, 0),
+    (["ingest", "--dataset", "copy.csv"], 0, [], 0, 0),
+    (["calibrate"], 0, ["rac.calibration"], 0, 0),
+    (["classify"], 0, _PHASES, 0, 0),
     # json loads for JSON output only
-    (["classify", "--format", "json"], 0, ["json", *_PHASES, "shutil"], 0),
-    # only a usage error builds the whole parser
-    (["classify", "--bogus"], 1, ["json", *_PHASES, "shutil"], 1),
+    (["classify", "--format", "json"], 0, ["json", *_PHASES], 0, 0),
+    # an abbreviation goes to the command's parser, which loads argparse, and
+    # argparse loads shutil for the help width when a first parser is built
+    (["classify", "--r", "2"], 2, ["argparse", "json", *_PHASES, "shutil"], 1, 0),
+    # only a usage error builds the whole parser, with every command's parser
+    (["classify", "--bogus"], 1, ["argparse", "json", *_PHASES, "shutil"], 3, 1),
 ]
 
 
@@ -1193,4 +1239,4 @@ def test_a_cold_command_loads_only_what_it_uses(tmp_path, bundled_copy):
     )
     assert (probe.returncode, probe.stderr) == (0, "")
     assert probe.stdout.splitlines() == [
-        f"{code} {loaded} {parsers}" for _, code, loaded, parsers in _COLD_START_TABLE]
+        f"{code} {loaded} {commands} {whole}" for _, code, loaded, commands, whole in _COLD_START_TABLE]
