@@ -14,11 +14,10 @@ The first error in that order is the one reported, so an input problem wins.
 
 main(argv) reads sys.argv[1:] when argv is None. A plain argv, a command and
 pairs of its exact flags and plain values, is read without argparse (see
-_read_plain). Any other goes to argparse, the one source of help and usage
-errors: the command's own parser parses its words, and the whole parser
-parses them again only to print help or a usage error, worded as always.
+_read_plain). Any other goes to the whole parser, make_parser, the one source
+of help and usage errors.
 
-main may run many times in one process. argparse loads, and each parser is
+main may run many times in one process. argparse loads, and the parser is
 built, once and only when an argv needs it. One series is kept, the bundled
 one or a user one, parsed once per file content, with one bounded store of
 what run computed from it (see _Series): a variant is its final consumption,
@@ -289,10 +288,10 @@ _FLAGS = {name: {f"--{opt.name}": opt for opt in (*_OPTIONS, _CONFIG)
 
 
 def _read_plain(argv: list[str]):
-    """What command_parser(argv[0]).parse_known_args(argv[1:]) gives, no word
-    left, if argv is COMMAND (--NAME VALUE)*: NAME an exact flag of COMMAND,
-    VALUE a str not starting with "-" that a number's float reads or a
-    choice's names hold. None for any other argv, which argparse reads."""
+    """What make_parser().parse_args(argv) gives, if argv is COMMAND
+    (--NAME VALUE)*: NAME an exact flag of COMMAND, VALUE a str not starting
+    with "-" that a number's float reads or a choice's names hold. None for
+    any other argv, which argparse reads."""
     flags = _FLAGS.get(argv[0]) if argv else None
     if flags is None or len(argv) % 2 == 0:
         return None
@@ -312,10 +311,15 @@ def _read_plain(argv: list[str]):
     return types.SimpleNamespace(**args)
 
 
-def _new_parser(**kwargs):
-    """An argparse parser whose usage errors exit 1, the input-problem code,
-    not argparse's 2 (the computation-problem code here). Subparsers inherit
-    its class. argparse and re load here, so a plain argv loads neither."""
+# Built once per process: parse_args keeps no state between calls, so
+# main() can run many times in one process on the same parser.
+@functools.cache
+def make_parser():
+    """The whole parser, with a subparser per command that takes its _FLAGS:
+    help, usage errors, and any argv _read_plain does not read. Its usage
+    errors exit 1, the input-problem code, not argparse's 2 (the
+    computation-problem code here). argparse and re load here, so a plain
+    argv loads neither."""
     import argparse
     import re
 
@@ -330,54 +334,28 @@ def _new_parser(**kwargs):
             self.print_usage(sys.stderr)
             self.exit(1, f"{self.prog}: error: {message}\n")
 
-    return _Parser(**kwargs)
-
-
-# Each built once per process: parse_args keeps no state between calls, so
-# main() can run many times in one process on the same parsers.
-@functools.cache
-def command_parser(name: str):
-    """`rac NAME`'s own parser, which main hands the command's words to: the
-    one definition of the command's options, which make_parser's subparser
-    shares."""
-    from argparse import SUPPRESS
-    # an unset flag stays out, so build_config can tell it
-    p = _new_parser(prog=f"rac {name}", argument_default=SUPPRESS)
-    for flag, opt in _FLAGS[name].items():
-        choices = list(opt.rule) if opt.kind is _choice else None
-        convert = float if opt.kind is _number else None
-        p.add_argument(flag, type=convert, choices=choices, help=_help(opt))
-    p.set_defaults(command=name)  # the whole parser's subparsers action sets it too
-    return p
-
-
-@functools.cache
-def make_parser():
-    """The whole parser, with a subparser per command that takes its options
-    from command_parser: help, or a usage error."""
-    parser = _new_parser(
+    parser = _Parser(
         prog="rac",
         description="Calibrate sufficiency factors and classify risk attitudes "
         "from an annual consumption/returns dataset.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _REPORTS:
-        sub.add_parser(name, parents=[command_parser(name)], add_help=False)
+    for name, flags in _FLAGS.items():
+        # an unset flag stays out, so build_config can tell it
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        for flag, opt in flags.items():
+            choices = list(opt.rule) if opt.kind is _choice else None
+            convert = float if opt.kind is _number else None
+            p.add_argument(flag, type=convert, choices=choices, help=_help(opt))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code; argv defaults to sys.argv[1:].
-    Help raises SystemExit(0) and a usage error SystemExit(1); only these run
-    the whole parser, and a plain argv (see _read_plain) runs no parser."""
+    Help raises SystemExit(0) and a usage error SystemExit(1). A plain argv
+    (see _read_plain) runs no parser; any other runs the whole parser."""
     argv = sys.argv[1:] if argv is None else argv
-    args = _read_plain(argv)
-    if args is None:  # any other argv: help, a usage error, --r 2, --rho=2, --rho -1
-        command = command_parser(argv[0]) if argv and argv[0] in _REPORTS else None
-        if command is not None:  # the whole parser hands every word after a command to it
-            args, left = command.parse_known_args(argv[1:])
-        if command is None or left:  # help, or a usage error worded by the whole parser
-            args = make_parser().parse_args(argv)
+    args = _read_plain(argv) or make_parser().parse_args(argv)
     try:
         cfg = build_config(args)
         report = _REPORTS[args.command](run(cfg, args.command), cfg.format)

@@ -52,8 +52,7 @@ def _clear_caches():
     """Empty every per-process cache of the CLI, so the next call builds all."""
     cli = importlib.import_module("rac.cli")
     ds = importlib.import_module("rac.dataset")
-    for cached in (cli.make_parser, cli.command_parser, cli._SERIES, ds.load_bundled_dataset,
-                   ds.load_bundled_projection):
+    for cached in (cli.make_parser, cli._SERIES, ds.load_bundled_dataset, ds.load_bundled_projection):
         cached.cache_clear()
 
 
@@ -113,7 +112,7 @@ _EDGE_ARGV = [
     ["classify", "--bogus", "--group", "three"], ["classify", "--conf", "x"],
     ["classify", "--rho", "2", "--rho", "3"], ["classify", "--format", "json", "--format", "csv"],
     ["classify", "--bogus"],
-    # help and a usage error that a command's own parser prints itself
+    # help and a usage error that a command's subparser prints itself
     *([command, *words] for command in ("ingest", "calibrate", "classify")
       for words in (["--help"], ["--rho", "abc"])),
 ]

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from rac import dataset as ds
 from rac import (ProjectionInputs, calibrate_variant, classify_pipeline, compute_moments, errors,
                  load_bundled_dataset, parse_csv, parse_json)
-from rac.cli import ENV_DATASET, _FLAGS, _read_plain, build_config, command_parser, main, make_parser
+from rac.cli import ENV_DATASET, _FLAGS, _read_plain, build_config, main, make_parser
 from rac.moments import compute_variant_moments
 from rac.params import check_beta, check_eta, check_rho, check_tol
 
@@ -674,11 +674,9 @@ def test_main_on_any_flags_exits_cleanly(argv):
 # -- one parse per command --------------------------------------------------
 
 def _whole_parser():
-    """main with no reader and no command parser to hand words to:
-    make_parser().parse_args(argv) parses every call, and the same run follows."""
-    cli = importlib.import_module("rac.cli")
-    cli.make_parser()  # built first, as its subparsers take their options from command_parser
-    return mock.patch.multiple(cli, _read_plain=lambda argv: None, command_parser=lambda name: None)
+    """main with no reader: make_parser().parse_args(argv) parses every call,
+    and the same run follows."""
+    return mock.patch.object(importlib.import_module("rac.cli"), "_read_plain", lambda argv: None)
 
 
 # words that send main to the whole parser (help, no or an unknown command, an
@@ -716,10 +714,8 @@ def _with_edge_examples(test):
 @given(argv=_ANY_ARGV, columns=st.sampled_from(_COLUMNS))
 @_with_edge_examples
 def test_main_matches_the_whole_parser(argv, columns):
-    # handing a command's words to its own parser changes no exit code and no
-    # byte of stdout or stderr, help and usage errors included, at any width;
-    # this fails if an argparse release passes "--" or leftover words to a
-    # subparser otherwise
+    # reading a plain argv without argparse changes no exit code and no byte
+    # of stdout or stderr, help and usage errors included, at any width
     with mock.patch.dict(os.environ, {"COLUMNS": columns}):
         got = _outcome(argv)
         with _whole_parser():
@@ -747,19 +743,17 @@ _WORD = st.one_of(
 @example(command="calibrate", pairs=[("--config", "--rho=1")])
 def test_plain_reader_matches_argparse(command, pairs):
     # wherever main reads an argv without argparse, it gets the namespace the
-    # command's own parser gives, with no word left; a value that starts with
-    # "-" is argparse's to read. repr tells a str from a float and -0.0 from
-    # 0.0, and reads NaN as NaN
-    words = [word for pair in pairs for word in pair]
-    read = _read_plain([command, *words])
+    # whole parser gives; a value that starts with "-" is argparse's to read.
+    # repr tells a str from a float and -0.0 from 0.0, and reads NaN as NaN
+    argv = [command, *(word for pair in pairs for word in pair)]
+    read = _read_plain(argv)
     if read is None:
         return
     with contextlib.redirect_stderr(io.StringIO()) as err:
         try:
-            args, left = command_parser(command).parse_known_args(words)
+            args = make_parser().parse_args(argv)
         except SystemExit:
             pytest.fail(f"argparse refused what the reader read: {err.getvalue()}")
-    assert left == []
     assert {k: repr(v) for k, v in vars(read).items()} == {k: repr(v) for k, v in vars(args).items()}
 
 
@@ -799,7 +793,8 @@ def test_sweep_and_config_grid_print_as_flags(monkeypatch, tmp_path, fmt):
                 assert got == (("return", 1), "", f"error: {error}\n"), (text, command)
 
 
-@pytest.mark.parametrize("argv", [["classify", "--bogus"], ["--help"], ["ingest", "--format", "csv"]])
+@pytest.mark.parametrize("argv", [["classify", "--bogus"], ["--help"], ["ingest", "--format", "csv"],
+                                  ["calibrate", "--rho=2"]])
 def test_cold_entry_point_reads_sys_argv(monkeypatch, tmp_path, argv):
     # python -m rac.cli calls main() with no argv, so it reads sys.argv[1:]
     monkeypatch.setenv("COLUMNS", "80")
@@ -907,11 +902,12 @@ _REUSE = {
         for work in (dict(decode=2, parse=1, project=1), {}))],
     # group two's third row fails at rho 2: a repeat reuses the rows before
     # it and computes only that one again; "--r", an abbreviation, goes
-    # through argparse, whose command parser is built once per process
+    # through argparse, whose whole parser and its 3 subparsers are built
+    # once per process
     "failing-point": [
         _call("classify --rho 2", code=2, err=_FAILING["err"], **dict(_COLD, rows=3, checks=(9, 12, 6, 3))),
         _call("classify --rho 2", **_FAILING, same=0),
-        _call("classify --r 2", **_FAILING, parsers=1, same=0),
+        _call("classify --r 2", **_FAILING, parsers=4, same=0),
         _call("classify --r 2", **_FAILING, same=0),
         _call("classify --rho 1", **_BOTH),
     ],
@@ -990,11 +986,11 @@ _REUSE = {
     ],
     # checked values key the store: check_rho makes -0.0 0.0, and a tol of
     # -0.0 classifies as 0.0 does; a value that starts with "-" goes through
-    # argparse, which builds the command's parser
+    # argparse, which builds the whole parser and its subparsers
     "negative-zero-rho": [_call("classify --group one --rho 0", **_COLD),
-                          _call("classify --group one --rho -0", parsers=1, same=0)],
+                          _call("classify --group one --rho -0", parsers=4, same=0)],
     "negative-zero-tol": [_call("classify", **_COLD), _call("classify --tol 0", **_ROWS),
-                          _call("classify --tol -0", parsers=1, same=1)],
+                          _call("classify --tol -0", parsers=4, same=1)],
 }
 
 
@@ -1104,19 +1100,22 @@ def test_a_hit_neither_decodes_nor_parses(monkeypatch, tmp_path, work):
 
 
 def test_a_command_parses_its_words_once(capsys, monkeypatch):
-    # on every grid point the whole parser is never called; words a command
-    # does not take still reach it, and it reports them under its usage line
+    # on every grid point the whole parser is never called; any other argv
+    # reaches it once, whole: an abbreviation runs as its flag, and words a
+    # command does not take are reported under the whole parser's usage line
     monkeypatch.setenv("COLUMNS", "80")
     before = [run(capsys, *argv) for argv in _WARM_GRID]
+    rho = _outcome(["classify", "--rho", "2"])
     parser = make_parser()
     calls = []
     monkeypatch.setattr(parser, "parse_args",
                         lambda argv, _fn=parser.parse_args: calls.append(argv) or _fn(argv))
+    assert _outcome(["classify", "--r", "2"]) == rho
     assert _outcome(["classify", "--bogus"]) == (
         ("SystemExit", 1), "",
         "usage: rac [-h] {ingest,calibrate,classify} ...\n"
         "rac: error: unrecognized arguments: --bogus\n")
-    assert calls == [["classify", "--bogus"]]
+    assert calls == [["classify", "--r", "2"], ["classify", "--bogus"]]
 
     def refuse(*args, **kwargs):
         raise AssertionError("the whole parser parsed a command's words")
@@ -1161,8 +1160,7 @@ def test_clear_caches_empties_every_store(capsys):
     modules = [module for name, module in sys.modules.items() if name.startswith("rac.")]
     cached = {name: obj.cache_info().currsize for module in modules
               for name, obj in vars(module).items() if hasattr(obj, "cache_info")}
-    assert set(cached) >= {"make_parser", "command_parser", "load_bundled_dataset",
-                           "load_bundled_projection"}
+    assert set(cached) >= {"make_parser", "load_bundled_dataset", "load_bundled_projection"}
     assert set(cached.values()) == {0}, cached
 
 
@@ -1171,11 +1169,10 @@ def test_clear_caches_empties_every_store(capsys):
 # Runs in a clean interpreter (python -S, so site loads nothing): imports
 # rac.cli, then runs each of STEPS, and after the import and after each step
 # prints the exit code, the modules of WATCH it finds loaded, and how many
-# command parsers and whole parsers are built. stdout and stderr are swapped
-# for io.StringIO (io is loaded at start-up), so the probe itself loads
-# nothing. collections is imported first (rac.cli loads it anyway), and what
-# that import alone loads is left out: on CPython 3.13.13 it registers
-# collections.abc.
+# whole parsers are built. stdout and stderr are swapped for io.StringIO (io
+# is loaded at start-up), so the probe itself loads nothing. collections is
+# imported first (rac.cli loads it anyway), and what that import alone loads
+# is left out: on CPython 3.13.13 it registers collections.abc.
 _COLD_START = """\
 import io, sys
 before = set(sys.modules)
@@ -1185,8 +1182,7 @@ import rac.cli
 
 def show(code):
     loaded = sorted(name for name in WATCH if name in sys.modules and name not in preloaded)
-    print(code, loaded, rac.cli.command_parser.cache_info().currsize,
-          rac.cli.make_parser.cache_info().currsize)
+    print(code, loaded, rac.cli.make_parser.cache_info().currsize)
 
 show(None)
 for argv in STEPS:
@@ -1203,24 +1199,24 @@ _WATCH = ["numpy", "dataclasses", "inspect", "json", "mmap", "pathlib", "typing"
           "rac.utility"]
 _PHASES = ["rac.calibration", "rac.classify", "rac.utility"]
 # each step; its exit code, the watched modules then loaded, and the number
-# of command parsers and of whole parsers built
+# of whole parsers built
 _COLD_START_TABLE = [
-    (None, None, [], 0, 0),  # import rac.cli
+    (None, None, [], 0),  # import rac.cli
     # a plain argv is read without argparse, so no parser is built
-    (["ingest"], 0, [], 0, 0),
+    (["ingest"], 0, [], 0),
     # the second run finds the series the first kept, and compares it with
     # the file without mmap
-    (["ingest", "--dataset", "copy.csv"], 0, [], 0, 0),
-    (["ingest", "--dataset", "copy.csv"], 0, [], 0, 0),
-    (["calibrate"], 0, ["rac.calibration"], 0, 0),
-    (["classify"], 0, _PHASES, 0, 0),
+    (["ingest", "--dataset", "copy.csv"], 0, [], 0),
+    (["ingest", "--dataset", "copy.csv"], 0, [], 0),
+    (["calibrate"], 0, ["rac.calibration"], 0),
+    (["classify"], 0, _PHASES, 0),
     # json loads for JSON output only
-    (["classify", "--format", "json"], 0, ["json", *_PHASES], 0, 0),
-    # an abbreviation goes to the command's parser, which loads argparse, and
-    # argparse loads shutil for the help width when a first parser is built
-    (["classify", "--r", "2"], 2, ["argparse", "json", *_PHASES, "shutil"], 1, 0),
-    # only a usage error builds the whole parser, with every command's parser
-    (["classify", "--bogus"], 1, ["argparse", "json", *_PHASES, "shutil"], 3, 1),
+    (["classify", "--format", "json"], 0, ["json", *_PHASES], 0),
+    # an abbreviation goes to the whole parser, which loads argparse, and
+    # argparse loads shutil for the help width when the parser is built
+    (["classify", "--r", "2"], 2, ["argparse", "json", *_PHASES, "shutil"], 1),
+    # a usage error reuses that parser
+    (["classify", "--bogus"], 1, ["argparse", "json", *_PHASES, "shutil"], 1),
 ]
 
 
@@ -1239,4 +1235,4 @@ def test_a_cold_command_loads_only_what_it_uses(tmp_path, bundled_copy):
     )
     assert (probe.returncode, probe.stderr) == (0, "")
     assert probe.stdout.splitlines() == [
-        f"{code} {loaded} {commands} {whole}" for _, code, loaded, commands, whole in _COLD_START_TABLE]
+        f"{code} {loaded} {whole}" for _, code, loaded, whole in _COLD_START_TABLE]
